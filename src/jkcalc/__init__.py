@@ -14,8 +14,7 @@ from .engine import (FactorizedIntegrand, NonGenericResidueError, flag_residue_a
 from .invariants import (GITProblem, InvariantResult, PipelineError, ValidationError,
                          WeightEntry, build_integrand, compute, make_problem,
                          specialize, validate)
-from .polyarith import (MultiPoly, NonUnitError, QSeries, RatFunc, qseries_inverse,
-                        ratfunc_arith, residue_at)
+from .polyarith import MultiPoly, NonUnitError, QSeries, RatFunc
 from .quiver import Quiver, QuiverArrow, QuiverNode, QuiverStability, \
     cycle_condition_check, to_git_problem
 

@@ -18,6 +18,12 @@ from . import linalg
 from .linalg import fvec, is_zero_vec, primitive
 
 
+# search budget of sum_regular_perturbation: random directions r, and halvings
+# of eps per direction
+PERTURBATION_DIRECTIONS = 5
+PERTURBATION_HALVINGS = 60
+
+
 class PerturbationError(Exception):
     """No sum-regular perturbation found within the retry budget."""
 
@@ -134,7 +140,7 @@ def cone_membership(xi, gens, strict: bool = False):
 
     Returns (True, multipliers) with multipliers aligned to gens, or
     (False, None).  The non-strict test searches independent subsets
-    (Caratheodory); the strict test requires gens to be a basis.
+    (Caratheodory); the strict test requires gens to be independent.
     """
     xi = fvec(xi)
     gens = [fvec(g) for g in gens]
@@ -151,37 +157,13 @@ def cone_membership(xi, gens, strict: bool = False):
     idx = list(range(len(gens)))
     for size in range(1, min(dim, len(gens)) + 1):
         for combo in itertools.combinations(idx, size):
-            sub = [gens[i] for i in combo]
-            if linalg.rank(sub) != size:
-                continue
-            if not linalg.in_span(xi, sub):
-                continue
-            coords = _coords_in_independent(sub, xi)
+            coords = linalg.solve_coords([gens[i] for i in combo], xi)
             if coords is not None and all(c >= 0 for c in coords):
                 mult = [Fraction(0)] * len(gens)
                 for i, c in zip(combo, coords):
                     mult[i] = c
                 return True, mult
     return False, None
-
-
-def _coords_in_independent(vectors, target):
-    """Coordinates of target in the span of independent `vectors`, or None."""
-    n = len(vectors)
-    dim = len(target)
-    # solve the least-squares-free way: pick n independent coordinates
-    ech, pivots = linalg._echelon(vectors)
-    cols = pivots
-    mat = [[Fraction(vectors[i][c]) for i in range(n)] for c in cols]
-    rhs = [Fraction(target[c]) for c in cols]
-    sol = linalg.solve(mat, rhs)
-    if sol is None:
-        return None
-    # confirm on the remaining coordinates
-    for c in range(dim):
-        if sum(sol[i] * vectors[i][c] for i in range(n)) != target[c]:
-            return None
-    return sol
 
 
 def regular_stability_check(weights, xi) -> bool:
@@ -286,8 +268,7 @@ def recheck_certificate(pert: Perturbation, xi) -> bool:
     return True
 
 
-def sum_regular_perturbation(xi, point_weight_sets, all_weights, seed: int = 0,
-                             max_halvings: int = 60, max_directions: int = 5) -> Perturbation:
+def sum_regular_perturbation(xi, point_weight_sets, all_weights, seed: int = 0) -> Perturbation:
     """Seeded xi_tilde = xi + eps*r passing the same-chamber and sum-regular checks.
 
     Tries eps = 0 first (covers rank 1, where xi itself is always sum-regular).
@@ -298,12 +279,12 @@ def sum_regular_perturbation(xi, point_weight_sets, all_weights, seed: int = 0,
     except PerturbationError:
         pass
     rng = random.Random(seed)
-    for _ in range(max_directions):
+    for _ in range(PERTURBATION_DIRECTIONS):
         r = tuple(Fraction(rng.randint(-9, 9)) for _ in xi)
         if is_zero_vec(r):
             continue
         eps = Fraction(1, 10)
-        for _ in range(max_halvings):
+        for _ in range(PERTURBATION_HALVINGS):
             cand = linalg.vec_add(xi, linalg.vec_scale(r, eps))
             try:
                 return verify_perturbation(xi, cand, point_weight_sets, all_weights, seed=seed)
@@ -358,32 +339,25 @@ def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
     for tup in itertools.permutations(range(len(weights)), dim):
         gens = [weights[i] for i in tup]
         chain = []
-        ok = True
         for i in range(1, dim + 1):
-            prefix = gens[:i]
-            if linalg.rank(prefix) != i:
-                ok = False
+            sub = tuple(linalg.rref(gens[:i]))
+            if len(sub) != i:
                 break
-            chain.append(tuple(linalg.rref(prefix)))
-        if not ok:
-            continue
-        key = tuple(chain)
-        if key not in chains:
-            chains[key] = tuple(gens)
+            chain.append(sub)
+        else:
+            chains.setdefault(tuple(chain), tuple(gens))
     flags = []
     for chain, gens in sorted(chains.items()):
         kappa = []
         for sub in chain:
             total = tuple(Fraction(0) for _ in range(dim))
             for w in weights:
-                if linalg.in_span(w, list(sub)):
+                if linalg.in_span(w, sub):
                     total = linalg.vec_add(total, w)
             kappa.append(total)
-        if linalg.rank(kappa) != dim:
-            continue  # not proper
         coords = linalg.solve_coords(kappa, xi_tilde)
         if coords is None:
-            continue
+            continue  # kappa is dependent: the flag is not proper
         if any(c == 0 for c in coords):
             raise FlagStabilityError(
                 "stability multiplier vanished on a flag; perturbation is not sum-regular"
@@ -415,30 +389,12 @@ def projectivity_check(weights) -> bool:
     dim = len(weights[0])
     for size in range(2, min(dim + 1, len(weights)) + 1):
         for combo in itertools.combinations(range(len(weights)), size):
-            sub = [weights[i] for i in combo]
-            if linalg.rank(sub) != size - 1:
-                continue
-            dep = _unique_dependency(sub)
+            # columns are the vectors: the kernel is the dependency, unique
+            # up to scale exactly when the subset has rank size - 1
+            dep = linalg.kernel_line(list(zip(*(weights[i] for i in combo))))
             if dep is None:
                 continue
             if all(c > 0 for c in dep) or all(c < 0 for c in dep):
                 return False
     return True
 
-
-def _unique_dependency(vectors):
-    """A nonzero lambda with sum(lambda_i * v_i) = 0 for a rank len-1 family."""
-    n = len(vectors)
-    dim = len(vectors[0])
-    # columns are the vectors; echelon-reduce to read off the 1-dim nullspace
-    mat = [[Fraction(vectors[i][r]) for i in range(n)] for r in range(dim)]
-    ech, pivots = linalg._echelon(mat)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    f = free[0]
-    dep = [Fraction(0)] * n
-    dep[f] = Fraction(1)
-    for i, p in enumerate(pivots):
-        dep[p] = -ech[i][f]
-    return dep

@@ -45,7 +45,6 @@ class ProblemConfig:
     invariant: str = "all"
     q_order: int = 6
     seed: int = 0
-    check_flags: dict = field(default_factory=dict)
     # raw payload
     rank: int | None = None
     weyl: int = 1

@@ -19,6 +19,8 @@ from .engine import (FactorizedIntegrand, IntegrandFactor, NonGenericResidueErro
 from .polyarith import MultiPoly, QSeries, RatFunc, poly_gcd
 
 DEFAULT_Q_ORDER = 6
+# re-perturbations `compute` tries after a non-generic residue configuration
+MAX_RETRIES = 3
 
 
 class ValidationError(Exception):
@@ -282,7 +284,7 @@ _KIND_SETS = {
 
 
 def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORDER,
-            seed: int = 0, s=1, xi_tilde=None, max_retries: int = 3,
+            seed: int = 0, s=1, xi_tilde=None,
             allow_root_incidence: bool = False) -> InvariantResult:
     """Run the full pipeline and return exact invariants plus diagnostics.
 
@@ -306,7 +308,7 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
     weights = problem.nonzero_weights()
     basis = arrangement.lattice_basis(weights) if problem.rank > 0 else []
     last_error = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         if xi_tilde is not None and attempt == 0:
             pert = arrangement.verify_perturbation(
                 problem.xi, xi_tilde, [pt.active_weights for pt in stable],
@@ -328,7 +330,7 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
             last_error = exc
             if xi_tilde is not None and attempt == 0:
                 raise
-    raise PipelineError(f"residues stayed non-generic after {max_retries} re-perturbations: "
+    raise PipelineError(f"residues stayed non-generic after {MAX_RETRIES} re-perturbations: "
                         f"{last_error}")
 
 

@@ -2,6 +2,13 @@
 
 Vectors are tuples of Fraction (or int); matrices are lists of row tuples.
 Everything here is dense and desk-scale: ranks up to ~6, a few hundred rows.
+
+There is one Gauss-Jordan elimination, `_echelon`.  `rank`, `rref`, `solve`,
+`inverse`, `solve_coords`, `in_span` and `kernel_line` each eliminate one
+matrix with it (augmented by a right-hand side, an identity block or a target
+column) and read their answer off the pivots and reduced rows.  `det` keeps
+its own forward elimination because it needs the unscaled pivot product and
+the sign of the row swaps, which `_echelon` discards.
 """
 
 from __future__ import annotations
@@ -16,10 +23,6 @@ def fvec(v) -> tuple[Fraction, ...]:
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(a, c):
@@ -57,7 +60,8 @@ def primitive(v) -> tuple[int, ...]:
 
 
 def _echelon(rows):
-    """Row reduce in place (copy); returns (echelon rows, pivot column list)."""
+    """Gauss-Jordan elimination of a copy of `rows`; returns (reduced nonzero
+    rows, pivot column list)."""
     mat = [list(fvec(r)) for r in rows]
     ncols = len(mat[0]) if mat else 0
     pivots = []
@@ -95,14 +99,27 @@ def rref(rows):
     return _echelon(rows)[0]
 
 
+def _unique_solution(augmented, n):
+    """The solution of an augmented system [M | b] in n unknowns, or None
+    unless it has exactly one (pivots exactly in columns 0..n-1)."""
+    ech, pivots = _echelon(augmented)
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in ech)
+
+
 def in_span(v, rows) -> bool:
-    if not rows:
-        return is_zero_vec(v)
-    base = rank(rows)
-    return rank(list(rows) + [v]) == base
+    """True unless eliminating [rows^T | v] puts a pivot in the v column."""
+    return len(rows) not in _echelon(list(zip(*rows, v)))[1]
 
 
 def det(mat) -> Fraction:
+    """Determinant by forward elimination.
+
+    Kept apart from `_echelon`, which scales pivots to 1 and does not count
+    row swaps: the determinant is the product of the unscaled pivots times
+    the swap sign.
+    """
     m = [list(fvec(r)) for r in mat]
     n = len(m)
     sign = 1
@@ -129,58 +146,40 @@ def det(mat) -> Fraction:
 
 def solve(mat, b):
     """Solve the square system mat * x = b exactly; None if singular."""
-    n = len(mat)
-    m = [list(fvec(r)) + [Fraction(b[i])] for i, r in enumerate(mat)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
+    return _unique_solution([tuple(r) + (b[i],) for i, r in enumerate(mat)], len(mat))
 
 
 def inverse(mat):
     """Exact inverse of a square matrix; None if singular."""
     n = len(mat)
-    m = [list(fvec(r)) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(mat)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [tuple(row[n:]) for row in m]
+    ech, pivots = _echelon([tuple(r) + tuple(int(i == j) for j in range(n))
+                            for i, r in enumerate(mat)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in ech]
 
 
 def solve_coords(vectors, target):
-    """Coordinates of `target` in the basis `vectors` (rows); None if not a basis."""
-    n = len(vectors)
-    if n == 0:
-        return () if is_zero_vec(target) else None
-    # target = sum_i x_i vectors[i]  <=>  transpose system
-    cols = [[Fraction(vectors[i][j]) for i in range(n)] for j in range(len(target))]
-    if len(cols) != n:
-        raise ValueError("solve_coords expects a square basis")
-    return solve(cols, target)
+    """Coordinates of `target` in the independent family `vectors` (rows).
+
+    None when the vectors are dependent or `target` is outside their span.
+    """
+    return _unique_solution(list(zip(*vectors, target)), len(vectors))
+
+
+def kernel_line(rows):
+    """A vector spanning the kernel of the matrix `rows`, or None unless that
+    kernel is one-dimensional.  The free coordinate is 1."""
+    ncols = len(rows[0])
+    ech, pivots = _echelon(rows)
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    out = [Fraction(0)] * ncols
+    out[free] = Fraction(1)
+    for row, p in zip(ech, pivots):
+        out[p] = -row[free]
+    return tuple(out)
 
 
 def hyperplane_normal(rows, dim):
@@ -193,15 +192,8 @@ def hyperplane_normal(rows, dim):
         return (1,) if not rows else None
     if len(rows) != dim - 1:
         raise ValueError("need exactly dim-1 rows")
-    ech, pivots = _echelon(rows)
-    if len(ech) != dim - 1:
-        return None
-    free = [c for c in range(dim) if c not in pivots][0]
-    normal = [Fraction(0)] * dim
-    normal[free] = Fraction(1)
-    for i, p in enumerate(pivots):
-        normal[p] = -ech[i][free]
-    return primitive(normal)
+    normal = kernel_line(rows)
+    return None if normal is None else primitive(normal)
 
 
 def hnf(rows):

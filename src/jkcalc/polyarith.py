@@ -1,10 +1,11 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over Q, rational
-functions, truncated q-power series, and univariate residue extraction.
+functions and truncated q-power series.
 
-A MultiPoly maps exponent tuples to Fraction coefficients; zero coefficients
-are never stored.  RatFunc keeps an unreduced num/den pair (equality is by
-cross multiplication); reduction always strips integer content and common
-monomials, and runs a polynomial gcd only when the operands are small.
+A MultiPoly maps exponent tuples to Fraction coefficients, stored as plain
+int when integral; zero coefficients are never stored.  RatFunc keeps an
+unreduced num/den pair (equality is by cross multiplication); reduction always
+strips integer content and common monomials, and runs a polynomial gcd only
+when the operands are small.
 QSeries is a truncation-order-N power series in q whose coefficients are
 rational functions.
 """
@@ -131,7 +132,7 @@ class MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
@@ -237,7 +238,7 @@ class MultiPoly:
         for k, c in self.terms.items():
             e = k[var]
             if e == 0:
-                s = out.get(k, ZERO) + c
+                s = out.get(k, 0) + c
                 if s:
                     out[k] = s
                 else:
@@ -248,28 +249,11 @@ class MultiPoly:
                 kk[var] = j
                 kk = tuple(kk)
                 v = c * comb(e, j) * a ** (e - j)
-                s = out.get(kk, ZERO) + v
+                s = out.get(kk, 0) + v
                 if s:
                     out[kk] = s
                 else:
                     out.pop(kk, None)
-        return MultiPoly(self.nvars, out)
-
-    def eval_var(self, var, value):
-        """Substitute an exact value for x_var."""
-        value = _ncoeff(Fraction(value))
-        out = {}
-        for k, c in self.terms.items():
-            kk = list(k)
-            e = kk[var]
-            kk[var] = 0
-            kk = tuple(kk)
-            v = c * value**e
-            s = out.get(kk, ZERO) + v
-            if s:
-                out[kk] = s
-            else:
-                out.pop(kk, None)
         return MultiPoly(self.nvars, out)
 
     def content_normalize(self):
@@ -498,10 +482,6 @@ class RatFunc:
     def const(cls, nvars, value):
         return cls(MultiPoly.const(nvars, value))
 
-    @classmethod
-    def from_value(cls, value, nvars=1):
-        return cls.const(nvars, value)
-
     def _reduce(self):
         num, den = self.num, self.den
         if num.is_zero():
@@ -629,19 +609,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.to_string()})"
-
-
-def ratfunc_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Field arithmetic dispatcher: op in '+', '-', '*', '/'."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 class QSeries:
@@ -774,101 +741,3 @@ class QSeries:
     def __repr__(self):
         return f"QSeries[{self.order}]({self.to_string()})"
 
-
-def qseries_inverse(a: QSeries) -> QSeries:
-    return a.inverse()
-
-
-def _is_unit(x) -> bool:
-    if isinstance(x, QSeries):
-        return not x.coeffs[0].is_zero()
-    return bool(x)
-
-
-def _invert(x):
-    if isinstance(x, Fraction):
-        return ONE / x
-    return x.inverse()
-
-
-def residue_at(num, den, a):
-    """Coefficient of (z-a)^(-1) of the rational expression num(z)/den(z).
-
-    num and den are coefficient lists (degree-ascending) in the distinguished
-    variable z; entries live in a common coefficient domain (Fraction, RatFunc
-    or QSeries).  The denominator is shifted to a, its z^m part stripped, and
-    the remaining unit inverted as a truncated series.  Raises NonUnitError
-    when the leading denominator coefficient is not invertible (for q-adic
-    coefficients this flags a non-generic configuration upstream).
-    """
-    num = list(num)
-    den = list(den)
-    while num and not _nonzero(num[-1]):
-        num.pop()
-    while den and not _nonzero(den[-1]):
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("denominator vanishes identically")
-    if not num:
-        return _zero_like(den[0])
-    a = Fraction(a)
-    if a != 0:
-        num = _shift_poly(num, a)
-        den = _shift_poly(den, a)
-    m = 0
-    while m < len(den) and not _nonzero(den[m]):
-        m += 1
-    unit = den[m:]
-    if not _is_unit(unit[0]):
-        raise NonUnitError("denominator leading coefficient is not a unit")
-    vnum = 0
-    while vnum < len(num) and not _nonzero(num[vnum]):
-        vnum += 1
-    if m - vnum <= 0:
-        return _zero_like(den[m])
-    target = m - 1
-    inv0 = _invert(unit[0])
-    inv = [inv0]
-    for t in range(1, target - vnum + 1):
-        acc = None
-        for j in range(1, min(t, len(unit) - 1) + 1):
-            contrib = unit[j] * inv[t - j]
-            acc = contrib if acc is None else acc + contrib
-        inv.append(-inv0 * acc if acc is not None else _zero_like(inv0))
-    out = None
-    for t in range(vnum, min(target, len(num) - 1) + 1):
-        if not _nonzero(num[t]):
-            continue
-        contrib = num[t] * inv[target - t]
-        out = contrib if out is None else out + contrib
-    return out if out is not None else _zero_like(den[m])
-
-
-def _nonzero(x):
-    if isinstance(x, Fraction):
-        return x != 0
-    return bool(x)
-
-
-def _zero_like(x):
-    if isinstance(x, Fraction):
-        return ZERO
-    if isinstance(x, RatFunc):
-        return RatFunc.const(x.nvars, 0)
-    if isinstance(x, QSeries):
-        return QSeries.const(x.order, 0, x.nvars)
-    raise TypeError(f"unsupported coefficient domain {type(x)!r}")
-
-
-def _shift_poly(coeffs, a):
-    n = len(coeffs)
-    out = []
-    for t in range(n):
-        acc = None
-        for j in range(t, n):
-            if not _nonzero(coeffs[j]):
-                continue
-            contrib = coeffs[j] * (comb(j, t) * a ** (j - t))
-            acc = contrib if acc is None else acc + contrib
-        out.append(acc if acc is not None else _zero_like(coeffs[0]))
-    return out

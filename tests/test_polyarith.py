@@ -1,12 +1,11 @@
-"""Exact arithmetic substrate: rational functions, q-series, residue extraction."""
+"""Exact arithmetic substrate: polynomials, rational functions, q-series."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from jkcalc.polyarith import (MultiPoly, NonUnitError, QSeries, RatFunc, poly_gcd,
-                              qseries_inverse, ratfunc_arith, residue_at)
+from jkcalc.polyarith import MultiPoly, NonUnitError, QSeries, RatFunc, poly_gcd
 
 
 def P2(expr):
@@ -23,7 +22,7 @@ class TestRatFuncArith:
     def test_inverse_pair(self):
         a = RatFunc(X, Y)
         b = RatFunc(Y, X)
-        assert ratfunc_arith(a, b, "*") == RatFunc.const(2, 1)
+        assert a * b == RatFunc.const(2, 1)
 
     def test_factorization_equality(self):
         lhs = RatFunc(X * X - 1, X - 1)
@@ -32,12 +31,12 @@ class TestRatFuncArith:
 
     def test_symmetric_halves(self):
         two = MultiPoly.const(2, 2)
-        s = ratfunc_arith(RatFunc(X + Y, two), RatFunc(X - Y, two), "+")
+        s = RatFunc(X + Y, two) + RatFunc(X - Y, two)
         assert s == RatFunc(X)
 
     def test_division_by_zero_function(self):
         with pytest.raises(ZeroDivisionError):
-            ratfunc_arith(RatFunc(X), RatFunc.const(2, 0), "/")
+            RatFunc(X) / RatFunc.const(2, 0)
 
     def test_equality_is_equivalence_and_arithmetic_consistent(self):
         rng = random.Random(7)
@@ -75,6 +74,16 @@ class TestRatFuncArith:
         assert (a / b) * b == a
 
 
+class TestMultiPoly:
+    def test_integral_coefficients_stay_int(self):
+        p = MultiPoly.variable(1, 0) ** 2 - 1
+        shifted = p.subst_shift(0, 1)
+        assert p == MultiPoly(1, {(2,): 1, (0,): -1})
+        assert shifted == MultiPoly(1, {(2,): 1, (1,): 2})
+        for poly in (p, shifted):
+            assert all(type(c) is int for c in poly.terms.values())
+
+
 class TestPolyGcd:
     def test_univariate(self):
         g = poly_gcd((X + 1) * (X - 1), (X + 1) * (X + 2))
@@ -93,21 +102,21 @@ class TestQSeries:
 
     def test_geometric_inverse(self):
         a = self.q(3, 1, -1, 0, 0)
-        assert qseries_inverse(a) == self.q(3, 1, 1, 1, 1)
+        assert a.inverse() == self.q(3, 1, 1, 1, 1)
 
     def test_identity_inverse(self):
-        assert qseries_inverse(self.q(2, 1, 0, 0)) == self.q(2, 1, 0, 0)
+        assert self.q(2, 1, 0, 0).inverse() == self.q(2, 1, 0, 0)
 
     def test_function_coefficient_inverse(self):
         x = RatFunc(MultiPoly.variable(1, 0))
         one = RatFunc.const(1, 1)
         zero = RatFunc.const(1, 0)
         a = QSeries(2, [one, -x, zero])
-        assert qseries_inverse(a) == QSeries(2, [one, x, x * x])
+        assert a.inverse() == QSeries(2, [one, x, x * x])
 
     def test_non_unit_constant_term(self):
         with pytest.raises(NonUnitError):
-            qseries_inverse(self.q(2, 0, 1, 0))
+            self.q(2, 0, 1, 0).inverse()
 
     def test_product_inverse_round_trip_random(self):
         rng = random.Random(3)
@@ -116,78 +125,5 @@ class TestQSeries:
             coeffs = [Fraction(rng.randint(1, 5))] + \
                      [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
             a = QSeries(4, [RatFunc.const(1, c) for c in coeffs])
-            assert a * qseries_inverse(a) == one
+            assert a * a.inverse() == one
 
-
-def _expand_univariate(roots_with_mult):
-    """prod (z - r)^m as a Fraction coefficient list."""
-    coeffs = [Fraction(1)]
-    for r, m in roots_with_mult:
-        for _ in range(m):
-            new = [Fraction(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i] += -r * c
-                new[i + 1] += c
-            coeffs = new
-    return coeffs
-
-
-class TestResidueAt:
-    def test_simple_pole(self):
-        assert residue_at([Fraction(1)], [Fraction(0), Fraction(1)], 0) == 1
-
-    def test_double_pole_no_residue(self):
-        assert residue_at([Fraction(1)], [Fraction(0), Fraction(0), Fraction(1)], 0) == 0
-
-    def test_partial_fractions(self):
-        # 1/(z(1-z)) at z=1
-        den = [Fraction(0), Fraction(1), Fraction(-1)]
-        assert residue_at([Fraction(1)], den, 1) == -1
-
-    def test_regular_point(self):
-        assert residue_at([Fraction(1)], [Fraction(1), Fraction(1)], 0) == 0
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            residue_at([Fraction(1)], [], 0)
-
-    def test_ratfunc_coefficients(self):
-        # 1/(z (x - z)) at z = 0 has residue 1/x
-        x = RatFunc(MultiPoly.variable(1, 0))
-        zero = RatFunc.const(1, 0)
-        one = RatFunc.const(1, 1)
-        value = residue_at([one], [zero, x, -one], 0)
-        assert value == one / x
-
-    def test_qseries_non_unit_leading_coefficient(self):
-        # denominator z * q is a pole of order one with non-unit unit-part
-        q = QSeries(2, [RatFunc.const(1, 0), RatFunc.const(1, 1), RatFunc.const(1, 0)])
-        one = QSeries.const(2, 1)
-        zero = QSeries.const(2, 0)
-        with pytest.raises(NonUnitError):
-            residue_at([one], [zero, q], 0)
-
-    def test_linearity_random(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            den = _expand_univariate([(Fraction(rng.randint(-3, 3)), 1),
-                                      (Fraction(7), 1)])
-            f = [Fraction(rng.randint(-5, 5)) for _ in range(2)]
-            g = [Fraction(rng.randint(-5, 5)) for _ in range(2)]
-            a = Fraction(rng.randint(-3, 3))
-            lhs = residue_at([x + y for x, y in zip(f, g)], den, a)
-            assert lhs == residue_at(f, den, a) + residue_at(g, den, a)
-
-    def test_global_residue_theorem_random(self):
-        rng = random.Random(5)
-        candidates = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2)})
-        for _ in range(30):
-            roots = rng.sample(candidates, 3)
-            mults = [rng.choice((1, 2)) for _ in roots]
-            den = _expand_univariate(list(zip(roots, mults)))
-            deg_den = len(den) - 1
-            num = [Fraction(rng.randint(-9, 9)) for _ in range(deg_den - 1)]
-            if not any(num):
-                num = [Fraction(1)]
-            total = sum(residue_at(num, den, r) for r in roots)
-            assert total == 0
