@@ -282,29 +282,6 @@ def _residue_step(term: _Term, var: int, center, qv, qcap) -> _Term | None:
         return None
     cont, s = s.content_normalize()
     coeff *= cont
-    # cheap cancellation: divide the hot numerator by small denominator factors
-    if s.num_terms() <= 2500:
-        budget = 2 * s.num_terms() + 32
-        for key in list(new_factors):
-            poly, exp = new_factors[key]
-            if exp >= 0 or poly.num_terms() > 24:
-                continue
-            if poly.terms[max(poly.terms)] not in (1, -1):
-                continue  # unit leading coefficient keeps the division integral
-            while exp < 0:
-                if any(poly.valuation_in(v) > s.valuation_in(v) for v in poly.used_vars()):
-                    break
-                q = s.exact_div(poly, max_steps=budget)
-                if q is None:
-                    break
-                s = q
-                exp += 1
-            if exp == 0:
-                del new_factors[key]
-            else:
-                new_factors[key][1] = exp
-        cont, s = s.content_normalize()
-        coeff *= cont
     return _Term(coeff=coeff, hot=s, factors=new_factors)
 
 
@@ -424,8 +401,7 @@ def _project_w(poly: MultiPoly, widx: int) -> MultiPoly:
 
 
 def _poly_to_qseries(poly: MultiPoly, widx: int, qidx: int, order: int) -> QSeries:
-    zero = RatFunc.const(1, 0)
-    coeffs = [zero] * (order + 1)
+    coeffs = [RatFunc.const(0)] * (order + 1)
     buckets: dict[int, dict] = {}
     for kexp, c in poly.terms.items():
         buckets.setdefault(kexp[qidx], {})[(kexp[widx],)] = c
@@ -477,8 +453,8 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
 
 def _zero_value(integrand: FactorizedIntegrand):
     if integrand.kind == "sine":
-        return RatFunc.const(1, 0)
-    return QSeries.const(integrand.q_order, 0, 1)
+        return RatFunc.const(0)
+    return QSeries.const(integrand.q_order, 0)
 
 
 def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, qv):

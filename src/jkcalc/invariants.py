@@ -16,7 +16,7 @@ from .arrangement import AffineForm, FlagStabilityError
 from .engine import (FactorizedIntegrand, IntegrandFactor, NonGenericResidueError,
                      ORIGIN_ROOT_DEN, ORIGIN_ROOT_NUM, ORIGIN_WEIGHT_DEN,
                      ORIGIN_WEIGHT_NUM)
-from .polyarith import MultiPoly, QSeries, RatFunc, poly_gcd
+from .polyarith import MultiPoly, QSeries, RatFunc
 
 DEFAULT_Q_ORDER = 6
 # re-perturbations `compute` tries after a non-generic residue configuration
@@ -382,7 +382,7 @@ def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, 
             total = value if total is None else total + value
         if total is None:
             total = Fraction(0) if kd == "additive" else \
-                (RatFunc.const(1, 0) if kd == "sine" else QSeries.const(q_order, 0, 1))
+                (RatFunc.const(0) if kd == "sine" else QSeries.const(q_order, 0))
         total = total * weyl
         if kd == "additive":
             result.dt = total
@@ -401,21 +401,15 @@ def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, 
 
 
 def laurent_form(rf: RatFunc) -> dict | None:
-    """Exact Laurent-polynomial form {exponent: coefficient}, or None."""
-    num, den = rf.num, rf.den
-    if not den.is_constant():
-        g = poly_gcd(num, den, budget=10**7)
-        if not g.is_constant():
-            qn = num.exact_div(g)
-            qd = den.exact_div(g)
-            if qn is not None and qd is not None:
-                num, den = qn, qd
-    if den.is_zero():
-        raise ZeroDivisionError
-    if den.num_terms() != 1:
+    """Exact Laurent-polynomial form {exponent: coefficient}, or None.
+
+    A RatFunc is always fully reduced, with den primitive and positive, so it
+    is a Laurent polynomial exactly when den is the single monomial w^e.
+    """
+    if rf.den.num_terms() != 1:
         return None
-    (dexp,), dc = next(iter(den.terms.items()))
-    return {k[0] - dexp: Fraction(c) / dc for k, c in num.terms.items()}
+    ((dexp,),) = rf.den.terms
+    return {k[0] - dexp: Fraction(c) for k, c in rf.num.terms.items()}
 
 
 def limit_at_one(rf: RatFunc) -> Fraction:

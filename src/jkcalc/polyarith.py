@@ -1,11 +1,14 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over Q, rational
-functions and truncated q-power series.
+functions in one variable and truncated q-power series.
 
 A MultiPoly maps exponent tuples to Fraction coefficients, stored as plain
-int when integral; zero coefficients are never stored.  RatFunc keeps an
-unreduced num/den pair (equality is by cross multiplication); reduction always
-strips integer content and common monomials, and runs a polynomial gcd only
-when the operands are small.
+int when integral; zero coefficients are never stored.  RatFunc is a rational
+function of the single variable w, and every RatFunc is kept fully reduced by
+one rule (`RatFunc._reduce`): the common power of w and the integer content
+are stripped, and num and den are divided by their integer gcd (`poly_gcd`),
+so den is a primitive integer polynomial with positive leading coefficient.
+That form is canonical, so equality compares num and den term by term, and a
+value is a Laurent polynomial exactly when den is a single monomial.
 QSeries is a truncation-order-N power series in q whose coefficients are
 rational functions.
 """
@@ -18,9 +21,6 @@ from math import comb, gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# full gcd reduction is attempted only below this num*den term-count product
-GCD_REDUCE_THRESHOLD = 1600
 
 
 def _ncoeff(c):
@@ -267,12 +267,8 @@ class MultiPoly:
         prim = {k: _ncoeff(c / cont) for k, c in self.terms.items()}
         return cont, MultiPoly(self.nvars, prim)
 
-    def exact_div(self, divisor, max_steps=None):
-        """Exact polynomial quotient self/divisor, or None if not divisible.
-
-        max_steps bounds the number of quotient terms tried before giving up
-        (treated as not divisible), keeping failed trial divisions cheap.
-        """
+    def exact_div(self, divisor):
+        """Exact polynomial quotient self/divisor, or None if not divisible."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
@@ -282,7 +278,6 @@ class MultiPoly:
         dc = divisor.terms[dkey]
         dterms = list(divisor.terms.items())
         quot = {}
-        steps = 0
         # keys are processed in descending lex order; new remainder keys are
         # always strictly smaller, so a lazy max-heap avoids repeated max(rem)
         heap = [tuple(-x for x in k) for k in rem]
@@ -296,9 +291,6 @@ class MultiPoly:
                     break
             if rkey is None:
                 break
-            steps += 1
-            if max_steps is not None and steps > max_steps:
-                return None
             qkey = tuple(a - b for a, b in zip(rkey, dkey))
             if any(e < 0 for e in qkey):
                 return None
@@ -320,14 +312,6 @@ class MultiPoly:
         if rem:
             return None
         return MultiPoly(self.nvars, quot)
-
-    def used_vars(self):
-        used = set()
-        for k in self.terms:
-            for i, e in enumerate(k):
-                if e:
-                    used.add(i)
-        return used
 
     def to_string(self, names=None):
         if not self.terms:
@@ -352,168 +336,119 @@ class MultiPoly:
         return f"MultiPoly({self.to_string()})"
 
 
-def _poly_gcd_univariate(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Monic Euclid in a single variable; coefficients must be Fractions only."""
-
-    def dense(p):
-        out = [ZERO] * (p.degree_in(var) + 1)
-        for k, c in p.terms.items():
-            out[k[var]] = Fraction(c)
-        return out
-
-    def trim(xs):
-        while xs and xs[-1] == 0:
-            xs.pop()
-        return xs
-
-    fa, fb = trim(dense(a)), trim(dense(b))
-    while fb:
-        # remainder of fa by fb
-        fa = fa[:]
-        while len(fa) >= len(fb) and fa:
-            f = fa[-1] / fb[-1]
-            off = len(fa) - len(fb)
-            for i, c in enumerate(fb):
-                fa[off + i] -= f * c
-            trim(fa)
-        fa, fb = fb, fa
-    terms = {}
-    for i, c in enumerate(fa):
-        if c:
-            e = [0] * a.nvars
-            e[var] = i
-            terms[tuple(e)] = c
-    g = MultiPoly(a.nvars, terms)
-    _, g = g.content_normalize()
-    return g
+def _dense_primitive(p: MultiPoly) -> tuple[int, list[int]]:
+    """(valuation v, ascending coprime integer coefficients of p / w^v)."""
+    _, prim = p.content_normalize()
+    v = prim.valuation_in(0)
+    out = [0] * (prim.degree_in(0) - v + 1)
+    for (e,), c in prim.terms.items():
+        out[e - v] = c
+    return v, out
 
 
-def _pseudo_rem(f, g, var):
-    """Pseudo remainder of f by g viewed as univariate in `var`."""
-    dg = g.degree_in(var)
-    lg = g.coefficient_of(var, dg)
-    r = f
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        lr = r.coefficient_of(var, dr)
-        xshift = MultiPoly.variable(f.nvars, var, dr - dg)
-        r = r.mul(lg) - g.mul(lr).mul(xshift)
-    return r
+def _divides(d: list[int], f: list[int]) -> bool:
+    """Whether d divides f in Z[w], for ascending integer coefficient lists."""
+    r = f[:]
+    n = len(d) - 1
+    while len(r) > n:
+        q, m = divmod(r.pop(), d[-1])
+        if m:
+            return False
+        shift = len(r) - n
+        for i in range(n):
+            r[shift + i] -= q * d[i]
+    return not any(r)
 
 
-def poly_gcd(a: MultiPoly, b: MultiPoly, budget: int = 40000) -> MultiPoly:
-    """Gcd over Q up to a constant; falls back to 1 when the budget is exhausted."""
-    if a.is_zero():
-        return b.content_normalize()[1]
-    if b.is_zero():
-        return a.content_normalize()[1]
-    used = a.used_vars() | b.used_vars()
-    if not used:
-        return MultiPoly.const(a.nvars, 1)
-    if len(used) == 1:
-        return _poly_gcd_univariate(a, b, next(iter(used)))
-    var = max(used)
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Gcd of two polynomials in one variable, primitive over Z with positive
+    leading coefficient; 0 only when both are 0.
 
-    def split_content(p):
-        coeffs = p.coefficients_in(var)
-        cont = MultiPoly.zero(p.nvars)
-        for c in coeffs:
-            if not c.is_zero():
-                cont = poly_gcd(cont, c, budget)
-                if cont.is_constant():
-                    break
-        if cont.is_zero() or cont.is_constant():
-            return MultiPoly.const(p.nvars, 1), p
-        prim = p.exact_div(cont)
-        if prim is None:
-            return MultiPoly.const(p.nvars, 1), p
-        return cont, prim
-
-    ca, pa = split_content(a)
-    cb, pb = split_content(b)
-    cont_gcd = poly_gcd(ca, cb, budget)
-    f, g = pa, pb
-    if f.degree_in(var) < g.degree_in(var):
-        f, g = g, f
-    ops = 0
-    while not g.is_zero():
-        ops += f.num_terms() * max(1, g.num_terms())
-        if ops > budget:
-            return MultiPoly.const(a.nvars, 1)
-        r = _pseudo_rem(f, g, var)
-        if not r.is_zero():
-            _, r = r.content_normalize()
-            # strip content in the main variable to stop coefficient growth
-            coeffs = [c for c in r.coefficients_in(var) if not c.is_zero()]
-            cont = MultiPoly.zero(r.nvars)
-            for c in coeffs:
-                cont = poly_gcd(cont, c, budget)
-                if cont.is_constant():
-                    break
-            if not cont.is_constant() and not cont.is_zero():
-                rr = r.exact_div(cont)
-                if rr is not None:
-                    r = rr
-        f, g = g, r
-    if g.is_zero() and f.degree_in(var) == 0:
-        pass
-    _, f = f.content_normalize()
-    return cont_gcd.mul(f) if not cont_gcd.is_constant() else f
+    Heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989) on the
+    content-free integer coefficients f and g: for xi >= 2 min(|f|, |g|) + 2,
+    the integer gcd of f(xi) and g(xi), written in balanced base xi, has a
+    primitive part that is the gcd as soon as it divides f and g.  Otherwise
+    xi is doubled; the gcd of the cofactors at xi divides their resultant, so
+    some xi succeeds and the loop needs no bound.
+    """
+    if a.nvars != 1 or b.nvars != 1:
+        raise ValueError("poly_gcd takes polynomials in one variable")
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).content_normalize()[1]
+    va, f = _dense_primitive(a)
+    vb, g = _dense_primitive(b)
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    while True:
+        fx = gx = 0
+        for c in reversed(f):
+            fx = fx * xi + c
+        for c in reversed(g):
+            gx = gx * xi + c
+        gamma = gcd(fx, gx)
+        h = []
+        while gamma:
+            c = gamma % xi
+            if 2 * c > xi:
+                c -= xi
+            h.append(c)
+            gamma = (gamma - c) // xi
+        cont = gcd(*h) if h[-1] > 0 else -gcd(*h)
+        h = [c // cont for c in h]
+        if _divides(h, f) and _divides(h, g):
+            break
+        xi *= 2
+    v = min(va, vb)
+    return MultiPoly(1, {(i + v,): c for i, c in enumerate(h) if c})
 
 
 class RatFunc:
-    """Rational function num/den; equality is exact cross multiplication."""
+    """Rational function num/den of w, always fully reduced (see `_reduce`)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None, reduce: bool = True):
+    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
-            den = MultiPoly.const(num.nvars, 1)
+            den = MultiPoly.const(1, 1)
+        if num.nvars != 1 or den.nvars != 1:
+            raise ValueError("RatFunc is a function of one variable")
         if den.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        if num.is_zero():
-            den = MultiPoly.const(num.nvars, 1)
         self.num = num
         self.den = den
-        if reduce:
-            self._reduce()
+        self._reduce()
 
     @classmethod
-    def const(cls, nvars, value):
-        return cls(MultiPoly.const(nvars, value))
+    def _reduced(cls, num: MultiPoly, den: MultiPoly) -> RatFunc:
+        """Wrap a num/den pair that is already in reduced form."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
+    def const(cls, value):
+        return cls(MultiPoly.const(1, value))
 
     def _reduce(self):
+        """The one reduction rule: num and den coprime, no common power of w,
+        den primitive over Z with positive leading coefficient."""
         num, den = self.num, self.den
         if num.is_zero():
-            self.den = MultiPoly.const(num.nvars, 1)
+            self.den = MultiPoly.const(1, 1)
             return
-        # common monomial factor
-        nv = num.nvars
-        mins = [None] * nv
-        for poly in (num, den):
-            for k in poly.terms:
-                for i, e in enumerate(k):
-                    if mins[i] is None or e < mins[i]:
-                        mins[i] = e
-        if any(m for m in mins):
-            shift = tuple(mins)
-            num = MultiPoly(nv, {tuple(e - s for e, s in zip(k, shift)): c for k, c in num.terms.items()})
-            den = MultiPoly(nv, {tuple(e - s for e, s in zip(k, shift)): c for k, c in den.terms.items()})
-        cn, num_p = num.content_normalize()
-        cd, den_p = den.content_normalize()
-        scale = cn / cd
-        if num_p.num_terms() * den_p.num_terms() <= GCD_REDUCE_THRESHOLD and not den_p.is_constant():
-            g = poly_gcd(num_p, den_p)
+        shift = min(min(num.terms), min(den.terms))[0]
+        if shift:
+            num = MultiPoly(1, {(e - shift,): c for (e,), c in num.terms.items()})
+            den = MultiPoly(1, {(e - shift,): c for (e,), c in den.terms.items()})
+        cn, num = num.content_normalize()
+        cd, den = den.content_normalize()
+        # with the common power of w gone, a monomial den is coprime to num
+        if den.num_terms() > 1:
+            g = poly_gcd(num, den)
             if not g.is_constant():
-                qn = num_p.exact_div(g)
-                qd = den_p.exact_div(g)
-                if qn is not None and qd is not None:
-                    num_p, den_p = qn, qd
-                    cd2, den_p = den_p.content_normalize()
-                    cn2, num_p = num_p.content_normalize()
-                    scale *= cn2 / cd2
-        self.num = num_p * scale
-        self.den = den_p
+                num, den = num.exact_div(g), den.exact_div(g)
+        self.num = num * (cn / cd)
+        self.den = den
 
     def is_zero(self):
         return self.num.is_zero()
@@ -521,15 +456,11 @@ class RatFunc:
     def __bool__(self):
         return not self.is_zero()
 
-    @property
-    def nvars(self):
-        return self.num.nvars
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.nvars, other)
+            return RatFunc.const(other)
         if isinstance(other, MultiPoly):
             return RatFunc(other)
         return None
@@ -543,7 +474,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -575,12 +506,13 @@ class RatFunc:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RatFunc(self.den, self.num, reduce=False)
+        cont, den = self.num.content_normalize()
+        return RatFunc._reduced(self.den * (ONE / cont), den)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        r = RatFunc.const(self.nvars, 1)
+        r = RatFunc.const(1)
         b = self
         while n:
             if n & 1:
@@ -594,10 +526,10 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num.mul(other.den) == other.num.mul(self.den)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        raise TypeError("RatFunc is not hashable (equality is cross-multiplicative)")
+        raise TypeError("RatFunc is not hashable")
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num.constant_value()) / Fraction(self.den.constant_value())
@@ -624,14 +556,9 @@ class QSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def const(cls, order, value, nvars=1):
-        c0 = value if isinstance(value, RatFunc) else RatFunc.const(nvars, value)
-        zero = RatFunc.const(c0.nvars, 0)
-        return cls(order, [c0] + [zero] * order)
-
-    @property
-    def nvars(self):
-        return self.coeffs[0].nvars
+    def const(cls, order, value):
+        c0 = value if isinstance(value, RatFunc) else RatFunc.const(value)
+        return cls(order, [c0] + [RatFunc.const(0)] * order)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
@@ -645,7 +572,7 @@ class QSeries:
                 raise ValueError("q-series truncation orders differ")
             return other
         if isinstance(other, (int, Fraction, RatFunc)):
-            return QSeries.const(self.order, other, self.nvars)
+            return QSeries.const(self.order, other)
         return None
 
     def __add__(self, other):
@@ -673,7 +600,7 @@ class QSeries:
         if other is None:
             return NotImplemented
         n = self.order
-        zero = RatFunc.const(self.nvars, 0)
+        zero = RatFunc.const(0)
         out = [zero] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -694,7 +621,7 @@ class QSeries:
         inv0 = c0.inverse()
         out = [inv0]
         for t in range(1, self.order + 1):
-            acc = RatFunc.const(self.nvars, 0)
+            acc = RatFunc.const(0)
             for j in range(1, t + 1):
                 if not self.coeffs[j].is_zero():
                     acc = acc + self.coeffs[j] * out[t - j]
@@ -710,7 +637,7 @@ class QSeries:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        r = QSeries.const(self.order, 1, self.nvars)
+        r = QSeries.const(self.order, 1)
         b = self
         while n:
             if n & 1:

@@ -173,7 +173,7 @@ class TestFlagResidueMultiplicative:
         value = flag_residue_multiplicative(local, flag, ig, 1)
         # residue at S=1 of (wS - 1/(wS)) / (S - 1/S) times the prefactor
         # 1/(w - 1/w): the binomial at S=1 cancels the prefactor exactly
-        assert value == RatFunc.const(1, 1)
+        assert value == RatFunc.const(1)
 
 
 class TestJKResidue:

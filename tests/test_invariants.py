@@ -11,6 +11,7 @@ from jkcalc import builders, invariants
 from jkcalc.invariants import (GITProblem, ValidationError, WeightEntry,
                                build_integrand, compute, make_problem, specialize,
                                validate)
+from jkcalc.polyarith import poly_gcd
 
 F = Fraction
 
@@ -347,3 +348,17 @@ def test_dt_rationality_reported_not_enforced():
     assert res.dt is not None
     assert isinstance(res.dt, F)
     assert res.dt_is_integer() == (res.dt.denominator == 1)
+
+
+def test_rational_chi_y_is_fully_reduced():
+    # rank one with non-unimodular flags: chi_y is a rational function of w
+    # that is not a Laurent polynomial, and it is kept in lowest terms
+    prob = make_problem(rank=1, weights=[((-2,), 1, 2), ((-1,), -1, 2), ((-3,), -1, 3)],
+                        roots=[], xi=(-2,), degree=-1)
+    result = compute(prob, kind="all", q_order=1)
+    assert result.dt == 4
+    chi = result.chi_y
+    assert chi.laurent is None
+    assert (chi.ratfunc.num.num_terms(), chi.ratfunc.den.num_terms()) == (93, 57)
+    assert poly_gcd(chi.ratfunc.num, chi.ratfunc.den).is_constant()
+    specialize(result)

@@ -8,66 +8,76 @@ import pytest
 from jkcalc.polyarith import MultiPoly, NonUnitError, QSeries, RatFunc, poly_gcd
 
 
-def P2(expr):
-    """Tiny builder for 2-variable polys: expr maps (ex, ey) -> coeff."""
-    return MultiPoly(2, {k: Fraction(v) for k, v in expr.items() if v})
+W = MultiPoly.variable(1, 0)
+ONE = MultiPoly.const(1, 1)
 
 
-X = MultiPoly.variable(2, 0)
-Y = MultiPoly.variable(2, 1)
-ONE2 = MultiPoly.const(2, 1)
+def rand_poly(rng, degree, bound):
+    return MultiPoly(1, {(e,): c for e in range(degree + 1)
+                         if (c := rng.randint(-bound, bound))})
 
 
 class TestRatFuncArith:
     def test_inverse_pair(self):
-        a = RatFunc(X, Y)
-        b = RatFunc(Y, X)
-        assert a * b == RatFunc.const(2, 1)
+        a = RatFunc(W + 1, W - 2)
+        b = RatFunc(W - 2, W + 1)
+        assert a * b == RatFunc.const(1)
+        assert a.inverse() == b
 
     def test_factorization_equality(self):
-        lhs = RatFunc(X * X - 1, X - 1)
-        rhs = RatFunc(X + 1)
+        lhs = RatFunc(W * W - 1, W - 1)
+        rhs = RatFunc(W + 1)
         assert lhs == rhs
+        assert lhs.num == W + 1 and lhs.den == ONE
 
     def test_symmetric_halves(self):
-        two = MultiPoly.const(2, 2)
-        s = RatFunc(X + Y, two) + RatFunc(X - Y, two)
-        assert s == RatFunc(X)
+        two = MultiPoly.const(1, 2)
+        s = RatFunc(W * W + W, two) + RatFunc(W * W - W, two)
+        assert s == RatFunc(W * W)
 
     def test_division_by_zero_function(self):
         with pytest.raises(ZeroDivisionError):
-            RatFunc(X) / RatFunc.const(2, 0)
+            RatFunc(W) / RatFunc.const(0)
+
+    def test_rejects_other_variable_counts(self):
+        with pytest.raises(ValueError):
+            RatFunc(MultiPoly.variable(2, 0))
+        with pytest.raises(ValueError):
+            RatFunc(W, MultiPoly.const(2, 1))
+        with pytest.raises(ValueError):
+            RatFunc(W) + MultiPoly.variable(2, 1)
 
     def test_equality_is_equivalence_and_arithmetic_consistent(self):
         rng = random.Random(7)
 
-        def rand_poly():
+        def rand_frac_poly():
             terms = {}
             for _ in range(rng.randint(1, 4)):
-                k = (rng.randint(0, 2), rng.randint(0, 2))
+                k = (rng.randint(0, 4),)
                 terms[k] = terms.get(k, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            return MultiPoly(2, {k: v for k, v in terms.items() if v})
+            return MultiPoly(1, {k: v for k, v in terms.items() if v})
 
         for _ in range(40):
-            num, den = rand_poly(), rand_poly()
+            num, den = rand_frac_poly(), rand_frac_poly()
             if den.is_zero():
                 continue
             a = RatFunc(num, den)
-            scale = rand_poly()
+            scale = rand_frac_poly()
             if scale.is_zero():
                 continue
             b = RatFunc(num.mul(scale), den.mul(scale))  # same function, other rep
             assert a == a
             assert a == b and b == a
-            c = rand_poly()
-            cc = RatFunc(c if not c.is_zero() else ONE2)
+            assert (a.num, a.den) == (b.num, b.den)
+            c = rand_frac_poly()
+            cc = RatFunc(c if not c.is_zero() else ONE)
             assert a + cc == b + cc
             assert a * cc == b * cc
 
     def test_field_axioms_sample(self):
-        a = RatFunc(X + 1, Y)
-        b = RatFunc(Y - 1, X)
-        c = RatFunc(X * Y + 1)
+        a = RatFunc(W + 1, W * W - 3)
+        b = RatFunc(W - 1, W)
+        c = RatFunc(W * W * W + 1)
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert (a - b) + b == a
@@ -86,18 +96,30 @@ class TestMultiPoly:
 
 class TestPolyGcd:
     def test_univariate(self):
-        g = poly_gcd((X + 1) * (X - 1), (X + 1) * (X + 2))
-        assert g == X + 1
+        g = poly_gcd((W + 1) * (W - 1), (W + 1) * (W + 2))
+        assert g == W + 1
+        # the first evaluation point suggests a spurious common factor W - 2
+        assert poly_gcd(W - 2, W + 2) == ONE
+        assert poly_gcd((W * W + 1) * (W - 2), (W * W + 1) * (W + 2)) == W * W + 1
 
-    def test_multivariate(self):
-        common = X + Y
-        g = poly_gcd(common * (X - 1), common * (Y + 2))
-        assert g == common
+    def test_high_degree_common_factor_and_fraction_content(self):
+        rng = random.Random(11)
+        common = rand_poly(rng, 75, 9)
+        common = common.content_normalize()[1]
+        f = rand_poly(rng, 80, 9)
+        a = common * f * Fraction(3, 7)
+        b = common * (f + 1) * W ** 3  # f and f + 1 are coprime
+        assert a.degree_in(0) >= 150 and b.degree_in(0) >= 150
+        assert poly_gcd(a, b) == common
+        assert poly_gcd(a * W ** 2, b) == common * W ** 2
+        reduced = RatFunc(a, b)
+        assert reduced == RatFunc(f * Fraction(3, 7), (f + 1) * W ** 3)
+        assert reduced.den.degree_in(0) == 83
 
 
 class TestQSeries:
     def q(self, order, *coeffs):
-        cs = [RatFunc.const(1, c) if not isinstance(c, RatFunc) else c for c in coeffs]
+        cs = [RatFunc.const(c) if not isinstance(c, RatFunc) else c for c in coeffs]
         return QSeries(order, cs)
 
     def test_geometric_inverse(self):
@@ -109,8 +131,8 @@ class TestQSeries:
 
     def test_function_coefficient_inverse(self):
         x = RatFunc(MultiPoly.variable(1, 0))
-        one = RatFunc.const(1, 1)
-        zero = RatFunc.const(1, 0)
+        one = RatFunc.const(1)
+        zero = RatFunc.const(0)
         a = QSeries(2, [one, -x, zero])
         assert a.inverse() == QSeries(2, [one, x, x * x])
 
@@ -124,6 +146,6 @@ class TestQSeries:
         for _ in range(25):
             coeffs = [Fraction(rng.randint(1, 5))] + \
                      [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
-            a = QSeries(4, [RatFunc.const(1, c) for c in coeffs])
+            a = QSeries(4, [RatFunc.const(c) for c in coeffs])
             assert a * a.inverse() == one
 
