@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
 from .linalg import fvec, is_zero_vec, primitive
@@ -166,50 +167,57 @@ def cone_membership(xi, gens, strict: bool = False):
     return False, None
 
 
+def _in_basis_cone(xi, weights, size) -> bool:
+    """xi is a strictly positive combination of `size` independent weights."""
+    return any(cone_membership(xi, gens, strict=True)[0]
+               for gens in itertools.combinations(weights, size))
+
+
 def regular_stability_check(weights, xi) -> bool:
-    """xi lies in the weight cone but on no cone of rank-1-fewer weights."""
-    weights = [fvec(w) for w in weights if not is_zero_vec(w)]
+    """xi lies in the weight cone but on no cone of rank-1-fewer weights: by
+    Caratheodory, the smallest independent set of weights with xi strictly
+    inside its cone has `rank` elements."""
+    weights = list(dict.fromkeys(fvec(w) for w in weights if not is_zero_vec(w)))
     xi = fvec(xi)
     dim = len(xi)
     if dim == 0:
         return True
     if is_zero_vec(xi):
         return False
-    inside, _ = cone_membership(xi, weights)
-    if not inside:
+    if any(_in_basis_cone(xi, weights, size) for size in range(1, dim)):
         return False
-    for combo in itertools.combinations(range(len(weights)), dim - 1):
-        sub = [weights[i] for i in combo]
-        hit, _ = cone_membership(xi, sub)
-        if hit:
-            return False
-    return True
+    return _in_basis_cone(xi, weights, dim)
+
+
+def intersections(forms, rank, xi):
+    """(isolated intersections, the stable ones) for a regular xi, which lies on
+    no cone of fewer than `rank` weights: a point is stable when xi lies in the
+    strict cone of `rank` independent active weights."""
+    weights = [f.rho for f in forms if f.is_hyperplane()]
+    if not regular_stability_check(weights, xi):
+        raise PerturbationError("stability covector is not regular for these weights")
+    points = isolated_intersections(forms, rank)
+    return points, [pt for pt in points if _in_basis_cone(xi, pt.active_weights, rank)]
 
 
 def stable_intersections(forms, rank, xi) -> list[IntersectionPoint]:
     """Isolated intersections whose active weight cone contains xi."""
-    weights = [f.rho for f in forms if f.is_hyperplane()]
-    if not regular_stability_check(weights, xi):
-        raise PerturbationError("stability covector is not regular for these weights")
-    out = []
-    for pt in isolated_intersections(forms, rank):
-        ok, _ = cone_membership(xi, pt.active_weights)
-        if ok:
-            out.append(pt)
-    return out
+    return intersections(forms, rank, xi)[1]
 
 
-def wall_normals(vectors, dim):
-    """Primitive normals of all hyperplanes spanned by dim-1 independent vectors."""
-    vectors = [v for v in {primitive(v) for v in vectors} if not is_zero_vec(v)]
+def wall_normals(vectors, dim, memo):
+    """Primitive normals of all hyperplanes spanned by dim-1 independent vectors.
+
+    `memo` maps each sorted (dim-1)-tuple of primitive vectors to its normal
+    (None when dependent), so a spanning set is eliminated once per problem.
+    """
+    vectors = sorted({primitive(v) for v in vectors} - {(0,) * dim})
     normals = set()
-    if dim == 1:
-        normals.add((1,))
-        return normals
     for combo in itertools.combinations(vectors, dim - 1):
-        n = linalg.hyperplane_normal(list(combo), dim)
-        if n is not None:
-            normals.add(n)
+        if combo not in memo:
+            memo[combo] = linalg.hyperplane_normal(list(combo), dim)
+        if memo[combo] is not None:
+            normals.add(memo[combo])
     return normals
 
 
@@ -222,18 +230,37 @@ def subset_sums(weights):
     return [s for s in sums if not is_zero_vec(s)]
 
 
-def verify_perturbation(xi, xi_tilde, point_weight_sets, all_weights, seed=-1) -> Perturbation:
+@dataclass(frozen=True)
+class PerturbationWalls:
+    """The walls a perturbation of xi must not cross or touch, built once per
+    problem: primitive normals of the chamber walls of all weights and of the
+    subset-sum walls of every distinct active-weight set, each sorted."""
+
+    chamber: tuple[tuple[int, ...], ...]
+    sums: tuple[tuple[int, ...], ...]
+
+
+def perturbation_walls(point_weight_sets, all_weights, dim) -> PerturbationWalls:
+    """The walls of one problem: all its weights and its points' active weights."""
+    if dim == 0:
+        return PerturbationWalls(chamber=(), sums=())
+    memo = {}
+    chamber = wall_normals(all_weights, dim, memo)
+    sum_normals = set()
+    for wp in dict.fromkeys(frozenset(fvec(w) for w in wp) for wp in point_weight_sets):
+        sum_normals |= wall_normals(subset_sums(list(wp)), dim, memo)
+    return PerturbationWalls(chamber=tuple(sorted(chamber)), sums=tuple(sorted(sum_normals)))
+
+
+def verify_perturbation(xi, xi_tilde, walls: PerturbationWalls, seed=-1) -> Perturbation:
     """Check same-chamber and sum-regularity for a candidate, returning the certificate.
 
     Raises PerturbationError when a check fails.
     """
     xi = fvec(xi)
     xi_tilde = fvec(xi_tilde)
-    dim = len(xi)
     pert = Perturbation(xi_tilde=xi_tilde, seed=seed)
-    if dim == 0:
-        return pert
-    for n in sorted(wall_normals(all_weights, dim)):
+    for n in walls.chamber:
         s_xi = linalg.vec_dot(n, xi)
         if s_xi == 0:
             continue  # xi sits on this wall's span; regularity vetted it separately
@@ -241,11 +268,7 @@ def verify_perturbation(xi, xi_tilde, point_weight_sets, all_weights, seed=-1) -
         if s_new == 0 or (s_new > 0) != (s_xi > 0):
             raise PerturbationError(f"chamber wall crossed: normal {n}")
         pert.chamber_checks.append((n, 1 if s_xi > 0 else -1))
-    sum_normals = set()
-    for wp in point_weight_sets:
-        sums = subset_sums([fvec(w) for w in wp])
-        sum_normals |= wall_normals(sums, dim)
-    for n in sorted(sum_normals):
+    for n in walls.sums:
         if linalg.vec_dot(n, xi_tilde) == 0:
             raise PerturbationError(f"perturbation lies on a subset-sum wall: normal {n}")
         pert.sum_checks.append(n)
@@ -268,14 +291,14 @@ def recheck_certificate(pert: Perturbation, xi) -> bool:
     return True
 
 
-def sum_regular_perturbation(xi, point_weight_sets, all_weights, seed: int = 0) -> Perturbation:
+def sum_regular_perturbation(xi, walls: PerturbationWalls, seed: int = 0) -> Perturbation:
     """Seeded xi_tilde = xi + eps*r passing the same-chamber and sum-regular checks.
 
     Tries eps = 0 first (covers rank 1, where xi itself is always sum-regular).
     """
     xi = fvec(xi)
     try:
-        return verify_perturbation(xi, xi, point_weight_sets, all_weights, seed=seed)
+        return verify_perturbation(xi, xi, walls, seed=seed)
     except PerturbationError:
         pass
     rng = random.Random(seed)
@@ -287,7 +310,7 @@ def sum_regular_perturbation(xi, point_weight_sets, all_weights, seed: int = 0) 
         for _ in range(PERTURBATION_HALVINGS):
             cand = linalg.vec_add(xi, linalg.vec_scale(r, eps))
             try:
-                return verify_perturbation(xi, cand, point_weight_sets, all_weights, seed=seed)
+                return verify_perturbation(xi, cand, walls, seed=seed)
             except PerturbationError:
                 eps /= 2
     raise PerturbationError("no sum-regular perturbation found (degenerate input?)")
@@ -311,50 +334,55 @@ def lattice_basis(weights):
 
 
 def kappa_determinant(kappa, basis) -> Fraction:
-    """det of the kappa tuple expressed in the given lattice basis."""
-    coords = []
-    for k in kappa:
-        c = linalg.solve_coords([fvec(b) for b in basis], fvec(k))
-        if c is None:
-            raise ValueError("kappa vector outside the lattice span")
-        coords.append(c)
-    return linalg.det(coords)
+    """det of the kappa tuple expressed in the given lattice basis, which is
+    det(kappa) / det(basis)."""
+    return linalg.det(kappa) / linalg.det(basis)
 
 
 def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
     """All proper stable flags generated by the active weights at one point.
 
-    Ordered independent tuples are deduplicated by their canonical subspace
-    chains; kappa_i sums the distinct active weights inside F_i.  A flag is
-    kept when kappa is a basis and xi_tilde has strictly positive coordinates
-    in it.  A zero coordinate is surfaced as FlagStabilityError since it
-    contradicts sum-regularity of the perturbation.
+    Chains F_1 < ... < F_k grow as a prefix tree, level by level in
+    lexicographic order of the generator tuples; each chain keeps the first
+    tuple that reaches it.  A subspace F is grown once: one `rref(F + w)` per
+    weight w not already known to lie in F either enlarges F or shows that w
+    lies in it, which gives the children of F and kappa(F), the sum of the
+    distinct active weights inside F.  F_k is the whole space, so kappa_k is
+    the sum of all of them.  A flag is kept when kappa is a basis and
+    xi_tilde has strictly positive coordinates in it.  A zero coordinate is
+    surfaced as FlagStabilityError since it contradicts sum-regularity of
+    the perturbation.
     """
     weights = [fvec(w) for w in dict.fromkeys(tuple(fvec(w)) for w in active_weights)]
     xi_tilde = fvec(xi_tilde)
     dim = len(xi_tilde)
     if dim == 0:
         return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
-    chains = {}
-    for tup in itertools.permutations(range(len(weights)), dim):
-        gens = [weights[i] for i in tup]
-        chain = []
-        for i in range(1, dim + 1):
-            sub = tuple(linalg.rref(gens[:i]))
-            if len(sub) != i:
-                break
-            chain.append(sub)
-        else:
-            chains.setdefault(tuple(chain), tuple(gens))
+    zero = tuple(Fraction(0) for _ in range(dim))
+    children = {}   # subspace -> [(weight index, larger subspace)]
+    kappas = {}     # subspace -> sum of the weights inside it
+    chains = {(): ()}   # chain prefix -> generator indices of its first tuple
+    for _ in range(dim):
+        longer = {}
+        for chain, gens in chains.items():
+            sub = chain[-1] if chain else ()
+            if sub not in children:
+                children[sub] = []
+                kappas[sub] = reduce(linalg.vec_add, (weights[i] for i in gens), zero)
+                for i, w in enumerate(weights):
+                    if i not in gens:
+                        bigger = tuple(linalg.rref(sub + (w,)))
+                        if len(bigger) > len(sub):
+                            children[sub].append((i, bigger))
+                        else:
+                            kappas[sub] = linalg.vec_add(kappas[sub], w)
+            for i, bigger in children[sub]:
+                longer.setdefault(chain + (bigger,), gens + (i,))
+        chains = longer
+    everything = reduce(linalg.vec_add, weights, zero)
     flags = []
     for chain, gens in sorted(chains.items()):
-        kappa = []
-        for sub in chain:
-            total = tuple(Fraction(0) for _ in range(dim))
-            for w in weights:
-                if linalg.in_span(w, sub):
-                    total = linalg.vec_add(total, w)
-            kappa.append(total)
+        kappa = [kappas[sub] for sub in chain[:-1]] + [everything]
         coords = linalg.solve_coords(kappa, xi_tilde)
         if coords is None:
             continue  # kappa is dependent: the flag is not proper
@@ -368,7 +396,7 @@ def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
         if d == 0:
             continue
         flags.append(Flag(
-            generators=gens,
+            generators=tuple(weights[i] for i in gens),
             chain=chain,
             kappa=tuple(kappa),
             lattice_factor=Fraction(1) / abs(d),

@@ -21,7 +21,7 @@ counting assertion on the factor list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -63,6 +63,8 @@ class FactorizedIntegrand:
     dim_v: int
     q_order: int | None = None
     denom_scale: int | None = None  # common denominator D for w = y^(1/(2D))
+    # (point, flag) -> `localize` result, when the caller shares localizations
+    localized: dict | None = field(default=None, repr=False, compare=False)
 
     def assert_structure(self):
         counts = {ORIGIN_ROOT_NUM: 0, ORIGIN_ROOT_DEN: 0,
@@ -128,6 +130,16 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
         if exp != 0:
             out.append(LocalFactor(const=key[0], lin=key[1], exponent=exp, origin=origin))
     return out
+
+
+def _localized(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFactor]:
+    if integrand.localized is None:
+        return localize(integrand, point, flag)
+    key = (tuple(point), flag)
+    local = integrand.localized.get(key)
+    if local is None:
+        local = integrand.localized[key] = localize(integrand, point, flag)
+    return local
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +503,7 @@ def denominator_scale(integrand: FactorizedIntegrand, points_with_flags) -> int:
     D = 1
     for point, flags in points_with_flags:
         for flag in flags:
-            for lf in localize(integrand, point, flag):
+            for lf in _localized(integrand, point, flag):
                 D = lcm(D, lf.const.denominator)
                 for x in lf.lin:
                     D = lcm(D, x.denominator)
@@ -520,8 +532,7 @@ def jk_residue(integrand: FactorizedIntegrand, point, active_weights, xi_tilde,
         D = integrand.denom_scale or denominator_scale(integrand, [(point, flags)])
     total = Fraction(0) if integrand.kind == "additive" else _zero_value(integrand)
     for flag in flags:
-        local = localize(integrand, point, flag)
-        value = flag_residue(local, flag, integrand, D)
+        value = flag_residue(_localized(integrand, point, flag), flag, integrand, D)
         if collect is not None:
             collect.append((flag, value))
         total = total + value

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import arrangement, engine, linalg
-from .arrangement import AffineForm, FlagStabilityError
+from .arrangement import AffineForm, FlagStabilityError, PerturbationError
 from .engine import (FactorizedIntegrand, IntegrandFactor, NonGenericResidueError,
                      ORIGIN_ROOT_DEN, ORIGIN_ROOT_NUM, ORIGIN_WEIGHT_DEN,
                      ORIGIN_WEIGHT_NUM)
@@ -127,15 +127,11 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
     weights = problem.nonzero_weights()
     if k > 0 and linalg.rank(weights) != k:
         raise ValidationError("weights do not span the dual Lie algebra")
-    if not arrangement.regular_stability_check(weights, problem.xi):
-        raise ValidationError("the stability covector is not regular for these weights")
-    forms = problem.forms()
-    all_points = arrangement.isolated_intersections(forms, k)
-    stable = []
-    for pt in all_points:
-        ok, _ = arrangement.cone_membership(problem.xi, pt.active_weights)
-        if ok:
-            stable.append(pt)
+    try:
+        all_points, stable = arrangement.intersections(problem.forms(), k, problem.xi)
+    except PerturbationError as exc:
+        raise ValidationError("the stability covector is not regular for these weights") \
+            from exc
     d = Fraction(problem.degree)
     root_condition = "ok"
     for pt in stable:
@@ -184,9 +180,10 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
 
     Per root a: numerator factor a, denominator factor a + d.  Per weight
     entry (rho, R): numerator factor (d - R) - rho, denominator factor
-    R + rho.  The additive kind fixes the equivariant parameter s (default 1)
-    and scales every constant by it; the rank-many prefactor copies are
-    carried on the integrand itself.
+    R + rho.  Identical factors merge into one with the summed exponent.  The
+    additive kind fixes the equivariant parameter s (default 1) and scales
+    every constant by it; the rank-many prefactor copies are carried on the
+    integrand itself.
     """
     if kind not in engine.KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
@@ -195,27 +192,26 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
     if s == 0:
         raise ValueError("the equivariant parameter s must be nonzero")
     scale = s if kind == "additive" else Fraction(1)
-    factors = []
+    exponents: dict = {}    # (rho, const, origin) -> summed exponent
+
+    def add(rho, const, exponent, origin):
+        exponents[rho, const, origin] = exponents.get((rho, const, origin), 0) + exponent
+
     for a in problem.roots:
         rho = linalg.fvec(a)
-        factors.append(IntegrandFactor(rho=rho, const=Fraction(0), exponent=1,
-                                       origin=ORIGIN_ROOT_NUM))
-        factors.append(IntegrandFactor(rho=rho, const=d * scale, exponent=-1,
-                                       origin=ORIGIN_ROOT_DEN))
+        add(rho, Fraction(0), 1, ORIGIN_ROOT_NUM)
+        add(rho, d * scale, -1, ORIGIN_ROOT_DEN)
     for w in problem.weight_entries:
         rho = linalg.fvec(w.rho)
-        factors.append(IntegrandFactor(
-            rho=tuple(-x for x in rho), const=(d - w.r_charge) * scale,
-            exponent=1, origin=ORIGIN_WEIGHT_NUM))
-        factors.append(IntegrandFactor(
-            rho=rho, const=Fraction(w.r_charge) * scale,
-            exponent=-1, origin=ORIGIN_WEIGHT_DEN))
+        add(tuple(-x for x in rho), (d - w.r_charge) * scale, 1, ORIGIN_WEIGHT_NUM)
+        add(rho, Fraction(w.r_charge) * scale, -1, ORIGIN_WEIGHT_DEN)
     integrand = FactorizedIntegrand(
         kind=kind,
         rank=problem.rank,
         degree=d,
         s=s,
-        factors=factors,
+        factors=[IntegrandFactor(rho=rho, const=const, exponent=e, origin=origin)
+                 for (rho, const, origin), e in exponents.items()],
         n_roots=len(problem.roots),
         dim_v=len(problem.weight_entries),
         q_order=q_order if kind == "theta" else None,
@@ -307,16 +303,15 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
     stable = report.stable_points
     weights = problem.nonzero_weights()
     basis = arrangement.lattice_basis(weights) if problem.rank > 0 else []
+    walls = arrangement.perturbation_walls([pt.active_weights for pt in stable], weights,
+                                           problem.rank)
     last_error = None
     for attempt in range(MAX_RETRIES + 1):
         if xi_tilde is not None and attempt == 0:
-            pert = arrangement.verify_perturbation(
-                problem.xi, xi_tilde, [pt.active_weights for pt in stable],
-                weights, seed=seed)
+            pert = arrangement.verify_perturbation(problem.xi, xi_tilde, walls, seed=seed)
         else:
-            pert = arrangement.sum_regular_perturbation(
-                problem.xi, [pt.active_weights for pt in stable], weights,
-                seed=seed + 7919 * attempt)
+            pert = arrangement.sum_regular_perturbation(problem.xi, walls,
+                                                        seed=seed + 7919 * attempt)
         try:
             result = _compute_with_perturbation(
                 problem, kinds, q_order, s, pert, stable, basis, report)
@@ -348,10 +343,13 @@ def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, 
     D = 1
     if any(kd in kinds for kd in ("sine", "theta")):
         probe = integrands.get("sine") or integrands.get("theta")
+        # equal factor lists: both kinds share the localizations denominator_scale makes
+        probe.localized = {}
         D = engine.denominator_scale(probe, [(pt.point, fl) for pt, fl in flags_by_point])
         for kd in ("sine", "theta"):
             if kd in integrands:
                 integrands[kd].denom_scale = D
+                integrands[kd].localized = probe.localized
     result = InvariantResult(label=problem.label, degree=problem.degree)
     diag = result.diagnostics
     diag.hypothesis = report

@@ -2,6 +2,10 @@
 
 Vectors are tuples of Fraction (or int); matrices are lists of row tuples.
 Everything here is dense and desk-scale: ranks up to ~6, a few hundred rows.
+Integer entries stay `int` until a pivot division touches their row, so
+integral input (primitive normals, identity blocks) is eliminated with int
+arithmetic as far as it goes; every reduced row `_echelon` returns has been
+divided by its pivot and so holds Fractions.
 
 There is one Gauss-Jordan elimination, `_echelon`.  `rank`, `rref`, `solve`,
 `inverse`, `solve_coords`, `in_span` and `kernel_line` each eliminate one
@@ -62,7 +66,7 @@ def primitive(v) -> tuple[int, ...]:
 def _echelon(rows):
     """Gauss-Jordan elimination of a copy of `rows`; returns (reduced nonzero
     rows, pivot column list)."""
-    mat = [list(fvec(r)) for r in rows]
+    mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0

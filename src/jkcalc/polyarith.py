@@ -234,22 +234,18 @@ class MultiPoly:
         a = _ncoeff(Fraction(a))
         if a == 0:
             return self
+        rows = {}   # exponent e -> [comb(e, j) * a^(e-j) for j = 0..e]
         out = {}
         for k, c in self.terms.items():
             e = k[var]
-            if e == 0:
-                s = out.get(k, 0) + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-                continue
-            for j in range(e + 1):
-                kk = list(k)
-                kk[var] = j
-                kk = tuple(kk)
-                v = c * comb(e, j) * a ** (e - j)
-                s = out.get(kk, 0) + v
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [comb(e, j) if a == 1 else comb(e, j) * a ** (e - j)
+                                 for j in range(e + 1)]
+            head, tail = k[:var], k[var + 1:]
+            for j, b in enumerate(row):
+                kk = head + (j,) + tail
+                s = out.get(kk, 0) + c * b
                 if s:
                     out[kk] = s
                 else:

@@ -2,12 +2,16 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import flag_reference
 from jkcalc import arrangement as arr
+from jkcalc import builders, linalg
 from jkcalc.arrangement import AffineForm, PerturbationError
+from jkcalc.invariants import validate
 
 CY3_FORMS = (
     [AffineForm.make((-1, 0), 0)] * 4
@@ -111,34 +115,33 @@ class TestStableIntersections:
 
 
 class TestPerturbation:
-    def cy3_point_sets(self):
-        return [p.active_weights for p in
-                arr.stable_intersections(CY3_FORMS, 2, CY3_XI)]
+    def cy3_walls(self):
+        sets = [p.active_weights for p in arr.stable_intersections(CY3_FORMS, 2, CY3_XI)]
+        return arr.perturbation_walls(sets, CY3_WEIGHTS, 2)
 
     def test_worked_perturbation_verifies(self):
-        pert = arr.verify_perturbation(CY3_XI, CY3_XI_TILDE, self.cy3_point_sets(),
-                                       CY3_WEIGHTS)
+        pert = arr.verify_perturbation(CY3_XI, CY3_XI_TILDE, self.cy3_walls())
         assert arr.recheck_certificate(pert, CY3_XI)
 
     def test_xi_itself_fails_sum_regularity_for_cy3(self):
         with pytest.raises(PerturbationError):
-            arr.verify_perturbation(CY3_XI, CY3_XI, self.cy3_point_sets(), CY3_WEIGHTS)
+            arr.verify_perturbation(CY3_XI, CY3_XI, self.cy3_walls())
 
     def test_rank_one_returns_xi(self):
-        pert = arr.sum_regular_perturbation((1,), [((1,),)], [(1,), (-3,)], seed=4)
+        walls = arr.perturbation_walls([((1,),)], [(1,), (-3,)], 1)
+        pert = arr.sum_regular_perturbation((1,), walls, seed=4)
         assert pert.xi_tilde == (1,)
 
     def test_seeded_perturbations_verify_and_differ(self):
-        sets = self.cy3_point_sets()
-        p0 = arr.sum_regular_perturbation(CY3_XI, sets, CY3_WEIGHTS, seed=0)
-        p1 = arr.sum_regular_perturbation(CY3_XI, sets, CY3_WEIGHTS, seed=1)
+        walls = self.cy3_walls()
+        p0 = arr.sum_regular_perturbation(CY3_XI, walls, seed=0)
+        p1 = arr.sum_regular_perturbation(CY3_XI, walls, seed=1)
         for p in (p0, p1):
             assert arr.recheck_certificate(p, CY3_XI)
-            arr.verify_perturbation(CY3_XI, p.xi_tilde, sets, CY3_WEIGHTS)
+            arr.verify_perturbation(CY3_XI, p.xi_tilde, walls)
 
     def test_certificate_recheck_detects_tampering(self):
-        pert = arr.verify_perturbation(CY3_XI, CY3_XI_TILDE, self.cy3_point_sets(),
-                                       CY3_WEIGHTS)
+        pert = arr.verify_perturbation(CY3_XI, CY3_XI_TILDE, self.cy3_walls())
         pert.xi_tilde = (Fraction(-1, 4), Fraction(-1, 4))  # crosses the (4,4) wall
         assert not arr.recheck_certificate(pert, CY3_XI)
 
@@ -213,6 +216,66 @@ class TestFlags:
     def test_rank_zero_trivial_flag(self):
         flags = arr.enumerate_flags([], (), [])
         assert len(flags) == 1 and flags[0].lattice_factor == 1
+
+
+class TestFlagsAgainstReference:
+    """The prefix-tree enumeration returns the flags of the per-tuple
+    reference in `flag_reference.py`, field by field and in the same order."""
+
+    @staticmethod
+    def flags_of(enumerate_flags, weights, xi_tilde, basis):
+        try:
+            return [(f.generators, f.chain, f.kappa, f.lattice_factor)
+                    for f in enumerate_flags(weights, xi_tilde, basis)]
+        except arr.FlagStabilityError:
+            return "FlagStabilityError"
+
+    def assert_same(self, weights, xi_tilde, basis):
+        got = self.flags_of(arr.enumerate_flags, weights, xi_tilde, basis)
+        assert got == self.flags_of(flag_reference.enumerate_flags, weights, xi_tilde, basis)
+        return got
+
+    def assert_same_at_stable_points(self, problem, xi_tildes):
+        weights = problem.nonzero_weights()
+        basis = arr.lattice_basis(weights)
+        points = validate(problem).stable_points
+        walls = arr.perturbation_walls([p.active_weights for p in points], weights,
+                                       problem.rank)
+        xi_tildes = list(xi_tildes) + [arr.sum_regular_perturbation(problem.xi, walls).xi_tilde]
+        kept = 0
+        for xi_tilde in xi_tildes:
+            for pt in points:
+                kept += len(self.assert_same(pt.active_weights, xi_tilde, basis))
+        return len(points), kept
+
+    def test_framed_a3_quiver(self):
+        n_points, kept = self.assert_same_at_stable_points(
+            builders.framed_a3_problem(3, 1, (2, 2, 2)), [])
+        assert (n_points, kept) == (13, 13)
+
+    def test_cy3(self):
+        n_points, kept = self.assert_same_at_stable_points(
+            builders.grassmannian_det(2, 4, 4, degree=1),
+            [CY3_XI_TILDE, (Fraction(-9, 10), Fraction(-11, 10))])
+        assert (n_points, kept) == (1, 3)
+
+    def test_random_active_sets(self):
+        rng = random.Random(23)
+        outcomes = Counter()
+        for rank in (2, 3):
+            for _ in range(60):
+                weights = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                           for _ in range(rng.randint(rank, rank + 3))]
+                weights = [w for w in weights if any(w)]
+                if len(weights) < rank or linalg.rank(weights) < rank:
+                    continue
+                basis = arr.lattice_basis(weights)
+                xi_tilde = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                                 for _ in range(rank))
+                got = self.assert_same(weights, xi_tilde, basis)
+                outcomes["raised" if isinstance(got, str) else min(len(got), 2)] += 1
+        # every path is exercised: no flag, one flag, several flags, a zero multiplier
+        assert all(outcomes[key] > 0 for key in (0, 1, 2, "raised"))
 
 
 class TestProjectivity:

@@ -208,9 +208,9 @@ class TestJKResidue:
         ig = invariants.build_integrand(prob, "additive")
         basis = arr.lattice_basis(prob.nonzero_weights())
         report = invariants.validate(prob)
-        pert = arr.sum_regular_perturbation(
-            prob.xi, [p.active_weights for p in report.stable_points],
-            prob.nonzero_weights(), seed=0)
+        walls = arr.perturbation_walls([p.active_weights for p in report.stable_points],
+                                       prob.nonzero_weights(), prob.rank)
+        pert = arr.sum_regular_perturbation(prob.xi, walls, seed=0)
         pt = report.stable_points[0]
         flags = arr.enumerate_flags(pt.active_weights, pert.xi_tilde, basis)
         fwd = jk_residue(ig, pt.point, pt.active_weights, pert.xi_tilde, basis,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jkcalc import builders, invariants
+from jkcalc import arrangement, builders, invariants
 from jkcalc.invariants import (GITProblem, ValidationError, WeightEntry,
                                build_integrand, compute, make_problem, specialize,
                                validate)
@@ -84,7 +84,7 @@ class TestBuildIntegrand:
         num = Counter()
         den = Counter()
         for f in ig.factors:
-            (num if f.exponent > 0 else den)[(tuple(f.rho), f.const)] += 1
+            (num if f.exponent > 0 else den)[(tuple(f.rho), f.const)] += abs(f.exponent)
         # roots
         assert num[((1, -1), 0)] == 1 and num[((-1, 1), 0)] == 1
         assert den[((1, -1), 1)] == 1 and den[((-1, 1), 1)] == 1
@@ -102,7 +102,7 @@ class TestBuildIntegrand:
         num = Counter()
         den = Counter()
         for f in ig.factors:
-            (num if f.exponent > 0 else den)[(tuple(f.rho), f.const)] += 1
+            (num if f.exponent > 0 else den)[(tuple(f.rho), f.const)] += abs(f.exponent)
         # ((1-u)/u)^(n+1) * (d1 u) / (1 - d1 u)
         assert num[((-1,), 1)] == n + 1
         assert den[((1,), 0)] == n + 1
@@ -255,6 +255,30 @@ class TestPerturbationPaths:
         res = compute(cy3(), kind="additive")
         assert res.dt == 176
         assert res.diagnostics.retries == 1
+
+    def test_geometry_is_built_once_per_problem(self, monkeypatch):
+        # every elimination of the pipeline goes through linalg._echelon; the
+        # per-tuple flag enumeration, per-candidate wall normals and the
+        # all-sizes stable-point test took 120 of them on this problem
+        from jkcalc import linalg
+        real = linalg._echelon
+        calls = Counter()
+
+        def counting(rows):
+            calls["echelon"] += 1
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "_echelon", counting)
+        problem = builders.framed_a3_problem(2, 1, (1, 1, 1))
+        res = compute(problem, kind="additive")
+        assert res.dt == 12
+        assert calls["echelon"] <= 120 // 2
+        pert = res.diagnostics.perturbation
+        again = compute(problem, kind="additive", xi_tilde=pert.xi_tilde).diagnostics
+        assert again.perturbation.xi_tilde == pert.xi_tilde
+        assert again.perturbation.chamber_checks == pert.chamber_checks
+        assert again.perturbation.sum_checks == pert.sum_checks
+        assert arrangement.recheck_certificate(again.perturbation, problem.xi)
 
 
 class TestFractionalReduction:
