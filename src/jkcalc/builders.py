@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .invariants import GITProblem, make_problem
-from .quiver import Quiver, QuiverArrow, QuiverNode, QuiverStability, to_git_problem
+from .quiver import (Quiver, QuiverArrow, QuiverNode, QuiverStability, gl_roots,
+                     to_git_problem)
 
 
 def projective_bundle(n: int, degrees, label: str = "") -> GITProblem:
@@ -44,17 +45,7 @@ def grassmannian_det(k: int, n: int, power: int, degree: int = 1,
 
     weights = [(unit(a, -1), 0, n) for a in range(k)]
     weights.append((tuple([power] * k), 1, 1))
-    roots = []
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                v = [0] * k
-                v[a] = 1
-                v[b] = -1
-                roots.append(tuple(v))
-    weyl = 1
-    for i in range(2, k + 1):
-        weyl *= i
+    roots, weyl = gl_roots(k)
     return make_problem(
         rank=k, weights=weights, roots=roots, xi=tuple([-1] * k),
         weyl_order=weyl, degree=degree,
@@ -91,17 +82,7 @@ def grassmannian(k: int, n: int, column_charges, degree: int, label: str = "") -
         v[a] = -1
         for r in column_charges:
             weights.append((tuple(v), r, 1))
-    roots = []
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                v = [0] * k
-                v[a] = 1
-                v[b] = -1
-                roots.append(tuple(v))
-    weyl = 1
-    for i in range(2, k + 1):
-        weyl *= i
+    roots, weyl = gl_roots(k)
     return make_problem(
         rank=k, weights=weights, roots=roots, xi=tuple([-1] * k),
         weyl_order=weyl, degree=degree,

@@ -1,7 +1,7 @@
 """Command line entry point: parse a config, run the pipeline, emit results.
 
 Exit codes: 0 success, 2 validation failure, 3 parse error, 4 internal
-assertion failure.
+error (a failed identity or a non-generic residue configuration).
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ import sys
 from fractions import Fraction
 
 from . import invariants
-from .arrangement import PerturbationError
-from .config import ConfigError, parse_config
+from .arrangement import FlagStabilityError, PerturbationError
+from .config import INVARIANT_KINDS, ConfigError, parse_config
 from .engine import NonGenericResidueError
 from .invariants import (InvariantResult, PipelineError, ValidationError,
                          fractional_reduction_check, integrality_scale, specialize)
 from .polyarith import MultiPoly, QSeries, RatFunc
-
-_KIND_BY_INVARIANT = {"dt": "additive", "chi-y": "sine", "ell": "theta", "all": "all"}
 
 
 def _fmt_y_power(exp: int, D: int) -> str:
@@ -196,7 +194,7 @@ def build_arg_parser():
         description="Exact Jeffrey-Kirwan residue calculator for virtual invariants "
                     "(DT, chi_y, elliptic genus) of critical loci on GIT quotients.")
     ap.add_argument("config", help="problem configuration file ('-' for stdin)")
-    ap.add_argument("--invariant", choices=sorted(_KIND_BY_INVARIANT),
+    ap.add_argument("--invariant", choices=sorted(INVARIANT_KINDS),
                     help="which invariant(s) to compute (overrides the config)")
     ap.add_argument("--q-order", type=int, help="elliptic genus truncation order")
     ap.add_argument("--seed", type=int, help="perturbation seed")
@@ -250,7 +248,7 @@ def run(argv=None) -> int:
             print(f"isolated intersections: {len(report.all_points)}, "
                   f"stable: {len(report.stable_points)}")
             return 0 if report.ok() else 2
-        kind = _KIND_BY_INVARIANT[cfg.invariant]
+        kind = INVARIANT_KINDS[cfg.invariant]
         result = invariants.compute(problem, kind=kind, q_order=cfg.q_order,
                                     seed=cfg.seed)
         if args.cross_check:
@@ -261,7 +259,8 @@ def run(argv=None) -> int:
     except PerturbationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (PipelineError, NonGenericResidueError, AssertionError) as exc:
+    except (PipelineError, NonGenericResidueError, FlagStabilityError,
+            AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
@@ -291,7 +290,7 @@ def _run_cross_checks(problem, cfg, result):
         reseeded = invariants.compute(problem, kind="additive", seed=cfg.seed + 1000)
         if reseeded.dt != result.dt:
             raise PipelineError("DT changed under an independent perturbation seed")
-    if integrality_scale(problem) > 1:
+    if integrality_scale(problem, result.diagnostics.hypothesis.stable_points) > 1:
         fractional_reduction_check(problem, q_order=min(cfg.q_order, 2), seed=cfg.seed)
 
 

@@ -28,7 +28,8 @@ from .invariants import GITProblem, make_problem
 from .quiver import Quiver, QuiverArrow, QuiverNode, QuiverStability, to_git_problem
 
 MODES = ("raw", "quiver", "projective-bundle", "grassmannian-det")
-INVARIANT_CHOICES = ("dt", "chi-y", "ell", "all")
+# invariant name -> integrand kind of `invariants.compute`
+INVARIANT_KINDS = {"dt": "additive", "chi-y": "sine", "ell": "theta", "all": "all"}
 
 
 class ConfigError(Exception):
@@ -272,9 +273,9 @@ def _apply_directive(cfg: ProblemConfig, key, rest, lineno):
 
 
 def _set_invariant(cfg, rest, lineno):
-    if rest not in INVARIANT_CHOICES:
+    if rest not in INVARIANT_KINDS:
         raise ConfigError(
-            f"invariant must be one of {', '.join(INVARIANT_CHOICES)}", lineno)
+            f"invariant must be one of {', '.join(INVARIANT_KINDS)}", lineno)
     cfg.invariant = rest
 
 

@@ -39,7 +39,8 @@ ORIGIN_PREFACTOR = "prefactor"
 
 
 class NonGenericResidueError(ArithmeticError):
-    """A residue step hit a non-invertible leading coefficient; re-perturb."""
+    """A residue step hit a non-invertible leading coefficient: an internal
+    error, as every factor's leading coefficient is a q-unit for any xi_tilde."""
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,12 @@ from fractions import Fraction
 from math import lcm
 
 from . import arrangement, engine, linalg
-from .arrangement import AffineForm, FlagStabilityError, PerturbationError
-from .engine import (FactorizedIntegrand, IntegrandFactor, NonGenericResidueError,
-                     ORIGIN_ROOT_DEN, ORIGIN_ROOT_NUM, ORIGIN_WEIGHT_DEN,
-                     ORIGIN_WEIGHT_NUM)
+from .arrangement import AffineForm, PerturbationError
+from .engine import (FactorizedIntegrand, IntegrandFactor, ORIGIN_ROOT_DEN,
+                     ORIGIN_ROOT_NUM, ORIGIN_WEIGHT_DEN, ORIGIN_WEIGHT_NUM)
 from .polyarith import MultiPoly, QSeries, RatFunc
 
 DEFAULT_Q_ORDER = 6
-# re-perturbations `compute` tries after a non-generic residue configuration
-MAX_RETRIES = 3
 
 
 class ValidationError(Exception):
@@ -253,7 +250,7 @@ class Diagnostics:
     weyl_order: int = 1
     denom_scale: int = 1
     seed: int = 0
-    retries: int = 0
+    retries: int = 0    # always 0 since compute never retries; kept in the JSON format
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
 
@@ -284,15 +281,18 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
             allow_root_incidence: bool = False) -> InvariantResult:
     """Run the full pipeline and return exact invariants plus diagnostics.
 
-    A non-generic residue configuration (non-unit leading coefficient or a
-    flag-stability multiplier on a face) triggers a bounded re-perturbation
-    loop with bumped seeds.  allow_root_incidence demotes the root
-    invertibility hypothesis from a hard error to a recorded violation and
-    computes the residue sum anyway.
+    The perturbation is built once: `xi_tilde` when given (verified, else
+    PerturbationError), otherwise `sum_regular_perturbation` at `seed`.  A
+    vanishing flag-stability multiplier (FlagStabilityError) or a non-unit
+    leading coefficient (NonGenericResidueError) is raised, not retried: the
+    first cannot follow a verified perturbation, since every hyperplane
+    spanned by subset sums is a sum wall, and the second does not depend on
+    xi_tilde.  `Diagnostics.retries` is therefore always 0.
+    allow_root_incidence demotes the root invertibility hypothesis from a
+    hard error to a recorded violation and computes the residue sum anyway.
     """
     if kind not in _KIND_SETS:
         raise ValueError(f"unknown kind {kind!r}")
-    kinds = _KIND_SETS[kind]
     t0 = time.monotonic()
     report = validate(problem, strict_roots=not allow_root_incidence)
     if report.properness == "refuted":
@@ -305,28 +305,17 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
     basis = arrangement.lattice_basis(weights) if problem.rank > 0 else []
     walls = arrangement.perturbation_walls([pt.active_weights for pt in stable], weights,
                                            problem.rank)
-    last_error = None
-    for attempt in range(MAX_RETRIES + 1):
-        if xi_tilde is not None and attempt == 0:
-            pert = arrangement.verify_perturbation(problem.xi, xi_tilde, walls, seed=seed)
-        else:
-            pert = arrangement.sum_regular_perturbation(problem.xi, walls,
-                                                        seed=seed + 7919 * attempt)
-        try:
-            result = _compute_with_perturbation(
-                problem, kinds, q_order, s, pert, stable, basis, report)
-            result.diagnostics.seed = seed
-            result.diagnostics.retries = attempt
-            result.diagnostics.elapsed = time.monotonic() - t0
-            if report.root_condition != "ok":
-                result.diagnostics.notes.append(report.root_condition)
-            return result
-        except (NonGenericResidueError, FlagStabilityError) as exc:
-            last_error = exc
-            if xi_tilde is not None and attempt == 0:
-                raise
-    raise PipelineError(f"residues stayed non-generic after {MAX_RETRIES} re-perturbations: "
-                        f"{last_error}")
+    if xi_tilde is not None:
+        pert = arrangement.verify_perturbation(problem.xi, xi_tilde, walls, seed=seed)
+    else:
+        pert = arrangement.sum_regular_perturbation(problem.xi, walls, seed=seed)
+    result = _compute_with_perturbation(
+        problem, _KIND_SETS[kind], q_order, s, pert, stable, basis, report)
+    result.diagnostics.seed = seed
+    result.diagnostics.elapsed = time.monotonic() - t0
+    if report.root_condition != "ok":
+        result.diagnostics.notes.append(report.root_condition)
+    return result
 
 
 def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, report):
@@ -468,11 +457,10 @@ def rescale_r_charges(problem: GITProblem, factor: int) -> GITProblem:
     )
 
 
-def integrality_scale(problem: GITProblem) -> int:
+def integrality_scale(problem: GITProblem, stable_points) -> int:
     """Least k making every weight pairing with every stable point integral."""
-    report = validate(problem)
     k = 1
-    for pt in report.stable_points:
+    for pt in stable_points:
         for w in problem.nonzero_weights():
             k = lcm(k, (linalg.vec_dot(w, pt.point)).denominator)
     return k
@@ -491,7 +479,7 @@ def fractional_reduction_check(problem: GITProblem, q_order: int = 2, seed: int 
     over a common fractional power of y and compared exactly.
     """
     direct = compute(problem, kind="all", q_order=q_order, seed=seed)
-    kfac = integrality_scale(problem)
+    kfac = integrality_scale(problem, direct.diagnostics.hypothesis.stable_points)
     rescaled_problem = rescale_r_charges(problem, kfac)
     rescaled = compute(rescaled_problem, kind="all", q_order=q_order, seed=seed)
     report = {"scale": kfac, "dt_equal": direct.dt == rescaled.dt}

@@ -116,6 +116,20 @@ def cycle_condition_check(quiver: Quiver) -> str:
     return "inconclusive"
 
 
+def gl_roots(dim: int, offset: int = 0, rank: int | None = None):
+    """(roots, Weyl order dim!) of gl(dim) on coordinates offset.. of a rank
+    `rank` torus (default dim): e_j - e_i for j != i, j the outer index."""
+    roots = []
+    for j in range(dim):
+        for i in range(dim):
+            if i != j:
+                rho = [0] * (dim if rank is None else rank)
+                rho[offset + j] = 1
+                rho[offset + i] = -1
+                roots.append(tuple(rho))
+    return roots, factorial(dim)
+
+
 def to_git_problem(quiver: Quiver, stability: QuiverStability, degree: int) -> GITProblem:
     """Expand quiver data into a torus/weight problem.
 
@@ -169,22 +183,15 @@ def to_git_problem(quiver: Quiver, stability: QuiverStability, degree: int) -> G
         else:
             entries.append(([0] * k_raw, a.r_charge, dims[a.head] * dims[a.tail]))
     roots = []
+    weyl = 1
     for n in gauged:
-        for j in range(n.dim):
-            for i in range(n.dim):
-                if i == j:
-                    continue
-                rho = [0] * k_raw
-                rho[offsets[n.name] + j] += 1
-                rho[offsets[n.name] + i] -= 1
-                roots.append(rho)
+        node_roots, node_weyl = gl_roots(n.dim, offsets[n.name], k_raw)
+        roots += node_roots
+        weyl *= node_weyl
     xi = [0] * k_raw
     for n in gauged:
         for i in range(n.dim):
             xi[offsets[n.name] + i] = stability.values.get(n.name, 0)
-    weyl = 1
-    for n in gauged:
-        weyl *= factorial(n.dim)
     if not framed:
         # every covector annihilates the diagonal; check, then gauge-fix the
         # last coordinate of the last gauged node to zero

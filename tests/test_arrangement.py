@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import flag_reference
+import perturbation_reference
 from jkcalc import arrangement as arr
 from jkcalc import builders, linalg
 from jkcalc.arrangement import AffineForm, PerturbationError
@@ -144,6 +145,46 @@ class TestPerturbation:
         pert = arr.verify_perturbation(CY3_XI, CY3_XI_TILDE, self.cy3_walls())
         pert.xi_tilde = (Fraction(-1, 4), Fraction(-1, 4))  # crosses the (4,4) wall
         assert not arr.recheck_certificate(pert, CY3_XI)
+
+
+class TestPerturbationAgainstReference:
+    """The closed-form eps gives the certificate of the halving search in
+    `perturbation_reference.py`."""
+
+    @staticmethod
+    def assert_same(xi, walls, seed):
+        got = arr.sum_regular_perturbation(xi, walls, seed=seed)
+        ref = perturbation_reference.sum_regular_perturbation(xi, walls, seed=seed)
+        assert (got.xi_tilde, got.chamber_checks, got.sum_checks, got.seed) == \
+            (ref.xi_tilde, ref.chamber_checks, ref.sum_checks, ref.seed)
+        return got.xi_tilde
+
+    def xi_tildes(self, problem, seeds):
+        points = validate(problem).stable_points
+        walls = arr.perturbation_walls([p.active_weights for p in points],
+                                       problem.nonzero_weights(), problem.rank)
+        return [self.assert_same(problem.xi, walls, seed) for seed in seeds]
+
+    def test_cy3(self):
+        xi_tildes = self.xi_tildes(builders.grassmannian_det(2, 4, 4, degree=1), range(4))
+        assert CY3_XI not in xi_tildes
+
+    def test_rank_one_keeps_xi(self):
+        assert self.xi_tildes(builders.projective_bundle(4, (5,)), range(2)) == [(1,), (1,)]
+
+    def test_framed_a3_quiver(self):
+        # xi = (1, 1, 1).  Seed 0 draws r = (3, 4, -8), where eps = 1/10 puts
+        # xi_tilde on a sum wall, so eps = 1/20; seed 2 first draws
+        # r = (-8, -7, -7) on the sum wall (0, 1, -1) through xi, then (2, -4, 0)
+        xi_tildes = self.xi_tildes(builders.framed_a3_problem(3, 1), range(4))
+        assert xi_tildes[0] == (Fraction(23, 20), Fraction(6, 5), Fraction(3, 5))
+        assert xi_tildes[2] == (Fraction(6, 5), Fraction(3, 5), Fraction(1))
+
+    def test_eps_stays_strictly_inside_the_chamber(self):
+        # seed 0 draws r = (3, 4), off the sum wall (1, 0) through xi; the
+        # chamber wall (14, -3) vanishes at eps = 1/10 exactly
+        walls = arr.PerturbationWalls(chamber=((14, -3),), sums=((1, 0),))
+        assert self.assert_same((0, 1), walls, 0) == (Fraction(3, 20), Fraction(6, 5))
 
 
 class TestLatticeBasis:

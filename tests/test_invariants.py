@@ -20,6 +20,19 @@ def cy3():
     return builders.grassmannian_det(2, 4, 4, degree=1)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the test; the returned list grows by one per call."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestValidate:
     def test_cy3_hypotheses_hold(self):
         report = validate(cy3())
@@ -239,22 +252,27 @@ class TestPerturbationPaths:
         assert res.dt == 176
         assert res.diagnostics.perturbation.xi_tilde == (F(-11, 10), F(-9, 10))
 
-    def test_non_generic_residue_triggers_reperturbation(self, monkeypatch):
-        from jkcalc import engine
+    def test_non_generic_configuration_exits_four(self, tmp_path, monkeypatch, capsys):
+        # neither error depends on xi_tilde, so the first one ends the run as
+        # an internal error instead of triggering a re-perturbation
+        from jkcalc import cli, engine
+        from jkcalc.arrangement import FlagStabilityError
         from jkcalc.engine import NonGenericResidueError
-        real = engine.jk_residue
-        calls = {"n": 0}
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("mode grassmannian-det\nk 2\nn 4\npower 4\n")
+        for error in (NonGenericResidueError, FlagStabilityError):
+            calls = []
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise NonGenericResidueError("forced non-generic configuration")
-            return real(*args, **kwargs)
+            def failing(*args, **kwargs):
+                calls.append(1)
+                raise error("forced non-generic configuration")
 
-        monkeypatch.setattr(invariants.engine, "jk_residue", flaky)
-        res = compute(cy3(), kind="additive")
-        assert res.dt == 176
-        assert res.diagnostics.retries == 1
+            monkeypatch.setattr(engine, "jk_residue", failing)
+            assert cli.run([str(cfg), "--invariant", "dt"]) == 4
+            err = capsys.readouterr().err
+            assert "internal error: forced non-generic configuration" in err
+            assert "Traceback" not in err
+            assert len(calls) == 1
 
     def test_geometry_is_built_once_per_problem(self, monkeypatch):
         # every elimination of the pipeline goes through linalg._echelon; the
@@ -280,6 +298,14 @@ class TestPerturbationPaths:
         assert again.perturbation.sum_checks == pert.sum_checks
         assert arrangement.recheck_certificate(again.perturbation, problem.xi)
 
+    def test_one_verification_per_problem(self, monkeypatch):
+        # seed 0 of this problem needs a halving of eps: the search verified
+        # eps = 0, 1/10 and 1/20, the closed form verifies 1/20 only
+        calls = count_calls(monkeypatch, arrangement, "verify_perturbation")
+        res = compute(builders.framed_a3_problem(3, 1), kind="additive", seed=0)
+        assert res.dt == -48
+        assert len(calls) == 1
+
 
 class TestFractionalReduction:
     def fractional_problem(self):
@@ -289,13 +315,22 @@ class TestFractionalReduction:
     def test_has_fractional_stable_point(self):
         report = validate(self.fractional_problem())
         assert (F(-1, 2),) in [p.point for p in report.stable_points]
-        assert invariants.integrality_scale(self.fractional_problem()) == 2
+        assert invariants.integrality_scale(self.fractional_problem(),
+                                            report.stable_points) == 2
 
     def test_direct_equals_rescaled(self):
         report = invariants.fractional_reduction_check(self.fractional_problem(),
                                                        q_order=2)
         assert report["ok"]
         assert report["scale"] == 2
+
+    def test_each_problem_is_validated_once(self, monkeypatch):
+        # the direct and the rescaled problem; the scale reuses the direct
+        # run's stable points instead of validating it a second time
+        calls = count_calls(monkeypatch, invariants, "validate")
+        assert invariants.fractional_reduction_check(self.fractional_problem(),
+                                                     q_order=1)["ok"]
+        assert len(calls) == 2
 
 
 def test_half_canonical_twist_gives_y_inversion_symmetry():
