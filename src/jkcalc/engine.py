@@ -6,9 +6,9 @@ Three integrand kinds share one iterated-residue core:
   sine     -- each factor becomes the Laurent binomial Y^(1/2) - Y^(-1/2)
               with Y = y^c * prod X_j^(l_j), written with integer exponents in
               w = y^(1/(2D)) and S_j = X_j^(1/(2D)); computes chi_y.
-  theta    -- the sine binomial times the truncated triple product
-              prod_{n<=N} (1-q^n)(1-q^n Y)(1-q^n Y^{-1}); computes the
-              elliptic genus as a q-series.
+  theta    -- each factor becomes one triple-product piece, the theta
+              function of Y modulo q^(N+1) (see `multiplicativize`); computes
+              the elliptic genus as a q-series.
 
 Residues are taken innermost flag coordinate first, the remaining coordinates
 acting as transcendentals.  Intermediate values are kept as one expanded
@@ -16,7 +16,9 @@ acting as transcendentals.  Intermediate values are kept as one expanded
 denominator is ever expanded and no gcd is needed along the way.  The
 multiplicative kinds take residues at S_j = 1; the per-step Jacobian
 constants cancel exactly against the 2i / pi*hbar bookkeeping, enforced by a
-counting assertion on the factor list.
+counting assertion on the factor list.  Their finished value is expanded in q
+by the same series arithmetic (sine is order 0), and each q^t coefficient is
+reduced once, as one rational function of w.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import lcm
 
 from . import arrangement, linalg
 from .arrangement import Flag
-from .polyarith import MultiPoly, NonUnitError, QSeries, RatFunc
+from .polyarith import MultiPoly, QSeries, RatFunc
 
 KINDS = ("additive", "sine", "theta")
 
@@ -212,9 +214,16 @@ def _pad(series, target, nv):
     return series
 
 
-def _scaled_inverse(unit, target, nv, qv, qcap):
-    """W with (sum unit_t v^t)^(-1) = sum W_t v^t / p0^(t+1), W_t polynomial."""
+def _inverse_power(unit, p, target, nv, qv, qcap):
+    """V with (sum unit_t v^t)^(-p) = sum V_t v^t / p0^(target+p), V_t polynomial.
+
+    The inverse is sum W_t v^t / p0^(t+1) with W_0 = 1 and W_t = -sum_j
+    unit_j W_(t-j) p0^(j-1), so no division is needed; rescaling every
+    coefficient to the common power p0^(target+p) keeps the sum division-free.
+    """
     p0 = unit[0]
+    if not _is_q_unit(p0, qv):
+        raise NonGenericResidueError("denominator constant term is not a q-adic unit")
     p0_pows = [MultiPoly.const(nv, 1)]
     for _ in range(target):
         p0_pows.append(p0_pows[-1].mul(p0, qv, qcap))
@@ -227,7 +236,8 @@ def _scaled_inverse(unit, target, nv, qv, qcap):
                 term = term.mul(p0_pows[j - 1], qv, qcap)
             acc = acc + term
         W.append(-acc)
-    return W
+    S = _series_pow(W, p, target, nv, qv, qcap)
+    return [S[t].mul(p0_pows[target - t], qv, qcap) for t in range(target + 1)]
 
 
 def _is_q_unit(poly: MultiPoly, qv: int | None) -> bool:
@@ -269,27 +279,12 @@ def _residue_step(term: _Term, var: int, center, qv, qcap) -> _Term | None:
     series = _pad(hot.coefficients_in(var)[hv:], target, nv)
     new_factors = carry
     for unit, e in active:
-        p0 = unit[0]
         if e > 0:
             fser = _series_pow(_pad(unit, target, nv), e, target, nv, qv, qcap)
-            series = _series_mul(series, fser, target, nv, qv, qcap)
-            continue
-        if not _is_q_unit(p0, qv):
-            raise NonGenericResidueError(
-                "denominator constant term is not a q-adic unit"
-            )
-        p = -e
-        W = _scaled_inverse(unit, target, nv, qv, qcap)
-        S = W
-        for _ in range(p - 1):
-            S = _series_mul(S, W, target, nv, qv, qcap)
-        # rescale so every coefficient sits over the fixed power p0^(target+p)
-        p0_pows = [MultiPoly.const(nv, 1)]
-        for _ in range(target):
-            p0_pows.append(p0_pows[-1].mul(p0, qv, qcap))
-        scaled = [S[t].mul(p0_pows[target - t], qv, qcap) for t in range(target + 1)]
-        series = _series_mul(series, scaled, target, nv, qv, qcap)
-        coeff *= _merge_factor(new_factors, p0, e - target)
+        else:
+            fser = _inverse_power(unit, -e, target, nv, qv, qcap)
+            coeff *= _merge_factor(new_factors, unit[0], e - target)
+        series = _series_mul(series, fser, target, nv, qv, qcap)
     s = series[target]
     if s.is_zero():
         return None
@@ -336,73 +331,63 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
 # multiplicative kinds
 
 
-def _monomial_pair(nv, widx, w_exp, s_exps):
-    """Split w^w_exp * prod S_j^(s_exps[j]) into numerator/denominator monomials."""
-    pos = [0] * nv
-    neg = [0] * nv
-    if w_exp >= 0:
-        pos[widx] = w_exp
-    else:
-        neg[widx] = -w_exp
-    for j, a in enumerate(s_exps):
-        if a >= 0:
-            pos[j] = a
-        else:
-            neg[j] = -a
-    return MultiPoly.monomial(nv, pos), MultiPoly.monomial(nv, neg)
-
-
 def multiplicativize(local_factor: LocalFactor, kind: str, D: int, N: int | None,
                      rank: int) -> list[tuple[MultiPoly, int]]:
     """Map one localized affine factor to its multiplicative factored pieces.
 
-    Returns (polynomial, signed exponent) pairs whose product is the image of
-    the factor: the binomial Y^(1/2) - Y^(-1/2) for the sine kind, and for
-    the theta kind additionally the truncated products (1-q^n)(1-q^n Y)
-    (1-q^n Y^{-1}) for n = 1..N.  Variables are S_0..S_{rank-1}, then w, then
-    (theta only) q; all exponents are integers after the 1/(2D) rescaling.
+    The theta image of a factor with Y = y^c * prod X_j^(l_j) is
+    (Y^(1/2) - Y^(-1/2)) prod_{n>=1} (1-q^n)(1-q^n Y)(1-q^n Y^{-1}), and the
+    residues only use it modulo q^(N+1).  By Jacobi's triple product that is
+    the sum of (-1)^n q^(n(n-1)/2) Y^(1/2-n) over n = 1-K..K, with K the
+    largest integer with K(K-1)/2 <= N: one piece of 2K terms.  The sine image
+    Y^(1/2) - Y^(-1/2) is the case N = 0.  With Y^(1/2) = m1/m2 for coprime
+    monomials m1, m2, returns (polynomial, signed exponent) pairs: the sum
+    times (m1 m2)^(2K-1) with the factor's exponent e, and m1 m2 with exponent
+    -(2K-1) e.  Variables are S_0..S_{rank-1}, then w, then (theta only) q;
+    all exponents are integers after the 1/(2D) rescaling.
     """
     if kind not in ("sine", "theta"):
         raise ValueError("multiplicativize applies to the sine and theta kinds")
-    widx = rank
-    qidx = rank + 1
-    nv = rank + 1 + (1 if kind == "theta" else 0)
+    theta = kind == "theta"
+    nv = rank + 1 + theta
     b = Fraction(D) * local_factor.const
     a = [Fraction(D) * x for x in local_factor.lin]
     if b.denominator != 1 or any(x.denominator != 1 for x in a):
         raise ValueError("denominator scale D does not clear the factor data")
-    b = int(b)
-    a = [int(x) for x in a]
-    m1, m2 = _monomial_pair(nv, widx, b, a)
+    half = [int(x) for x in a] + [int(b)] + [0] * theta   # exponents of Y^(1/2)
+    m1, m2 = [max(x, 0) for x in half], [max(-x, 0) for x in half]
+    N = N if theta else 0
+    K = 1
+    while K * (K + 1) // 2 <= N:
+        K += 1
+    terms: dict = {}
+    for n in range(1 - K, K + 1):
+        exps = [2 * (K - n) * x + 2 * (K - 1 + n) * y for x, y in zip(m1, m2)]
+        if theta:
+            exps[-1] = n * (n - 1) // 2
+        terms[tuple(exps)] = -1 if n % 2 else 1
     e = local_factor.exponent
-    pieces: list[tuple[MultiPoly, int]] = []
-    binom = m1.mul(m1) - m2.mul(m2)
-    pieces.append((binom, e))
-    pieces.append((m1.mul(m2), -e))
-    if kind == "theta":
-        m1sq = m1.mul(m1)
-        m2sq = m2.mul(m2)
-        for n in range(1, (N or 0) + 1):
-            qn = MultiPoly.variable(nv, qidx, n)
-            pieces.append((MultiPoly.const(nv, 1) - qn, e))
-            pieces.append((m2sq - qn.mul(m1sq), e))
-            pieces.append((m1sq - qn.mul(m2sq), e))
-            pieces.append((m1.mul(m2), -2 * e))
-    return pieces
+    mono = MultiPoly.monomial(nv, [x + y for x, y in zip(m1, m2)])
+    return [(MultiPoly(nv, terms), e), (mono, -(2 * K - 1) * e)]
 
 
 def _prefactor_pieces(integrand: FactorizedIntegrand, D: int):
-    """Pieces of the rank-many prefactor copies for the multiplicative kinds."""
+    """Pieces of the rank-many prefactor copies for the multiplicative kinds.
+
+    The theta kind also carries prod_{n>=1} (1-q^n)^(3k) modulo q^(N+1), one
+    piece by Euler's pentagonal theorem: the sum of (-1)^j q^(j(3j-1)/2).
+    """
     k = integrand.rank
     lf = LocalFactor(const=integrand.degree, lin=(Fraction(0),) * k,
                      exponent=-k, origin=ORIGIN_PREFACTOR)
     pieces = multiplicativize(lf, integrand.kind, D, integrand.q_order, k)
     if integrand.kind == "theta":
-        nv = k + 2
-        qidx = k + 1
-        for n in range(1, (integrand.q_order or 0) + 1):
-            qn = MultiPoly.variable(nv, qidx, n)
-            pieces.append((MultiPoly.const(nv, 1) - qn, 3 * k))
+        N = integrand.q_order
+        euler = {}
+        for j in range(-N, N + 1):   # j(3j-1)/2 >= |j|
+            if j * (3 * j - 1) // 2 <= N:
+                euler[(0,) * (k + 1) + (j * (3 * j - 1) // 2,)] = -1 if j % 2 else 1
+        pieces.append((MultiPoly(k + 2, euler), 3 * k))
     return pieces
 
 
@@ -411,17 +396,6 @@ def _project_w(poly: MultiPoly, widx: int) -> MultiPoly:
     for kexp, c in poly.terms.items():
         out[(kexp[widx],)] = c
     return MultiPoly(1, out)
-
-
-def _poly_to_qseries(poly: MultiPoly, widx: int, qidx: int, order: int) -> QSeries:
-    coeffs = [RatFunc.const(0)] * (order + 1)
-    buckets: dict[int, dict] = {}
-    for kexp, c in poly.terms.items():
-        buckets.setdefault(kexp[qidx], {})[(kexp[widx],)] = c
-    for qe, terms in buckets.items():
-        if qe <= order:
-            coeffs[qe] = RatFunc(MultiPoly(1, terms))
-    return QSeries(order, coeffs)
 
 
 def flag_residue_multiplicative(local_factors, flag: Flag, integrand: FactorizedIntegrand,
@@ -461,7 +435,8 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
         term = _residue_step(term, i, 1, qv, qcap)
         if term is None:
             return _zero_value(integrand)
-    return _assemble_multiplicative(term, integrand, widx, qv) * flag.lattice_factor
+    term.coeff *= flag.lattice_factor
+    return _assemble_multiplicative(term, integrand, widx, qv)
 
 
 def _zero_value(integrand: FactorizedIntegrand):
@@ -471,28 +446,32 @@ def _zero_value(integrand: FactorizedIntegrand):
 
 
 def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, qv):
-    if integrand.kind == "sine":
-        num = _project_w(term.hot, widx) * term.coeff
-        den = MultiPoly.const(1, 1)
-        for poly, exp in term.factors.values():
-            p = _project_w(poly, widx)
-            if exp > 0:
-                num = num.mul(p.pow(exp))
-            else:
-                den = den.mul(p.pow(-exp))
-        return RatFunc(num, den)
-    order = integrand.q_order
-    value = _poly_to_qseries(term.hot, widx, qv, order) * term.coeff
-    for poly, exp in term.factors.values():
-        qs = _poly_to_qseries(poly, widx, qv, order)
-        if exp > 0:
-            value = value * qs**exp
+    """The finished term as a series in q to order N (order 0, no q, for sine).
+
+    Series arithmetic is the residue core's: no gcd along the way.  Each q^t
+    coefficient ends as one polynomial over the common denominator, the
+    product of p0^(N+p) over the denominator factors p^(-p), and becomes one
+    RatFunc in w, reduced once.
+    """
+    order = integrand.q_order if qv is not None else 0
+    nv = term.hot.nvars
+
+    def q_coefficients(poly):
+        return _pad(poly.coefficients_in(qv) if qv is not None else [poly], order, nv)
+
+    series = q_coefficients(term.hot)
+    den = MultiPoly.const(nv, 1)
+    for poly, e in term.factors.values():
+        unit = q_coefficients(poly)
+        if e > 0:
+            fser = _series_pow(unit, e, order, nv, None, None)
         else:
-            try:
-                value = value * qs.inverse() ** (-exp)
-            except NonUnitError as exc:
-                raise NonGenericResidueError(str(exc)) from exc
-    return value
+            fser = _inverse_power(unit, -e, order, nv, None, None)
+            den = den.mul(unit[0].pow(order - e))
+        series = _series_mul(series, fser, order, nv, None, None)
+    den = _project_w(den, widx)
+    coeffs = [RatFunc(_project_w(c, widx) * term.coeff, den) for c in series]
+    return coeffs[0] if qv is None else QSeries(order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +497,21 @@ def flag_residue(local_factors, flag, integrand, D=None):
 
 
 def jk_residue(integrand: FactorizedIntegrand, point, active_weights, xi_tilde,
-               basis, D: int | None = None, flags=None, collect=None):
+               basis, flags=None, collect=None):
     """Jeffrey-Kirwan residue at one point: the sum of flag residues over all
     proper stable flags of the active weights (empty set contributes zero).
 
-    `collect`, when given, receives (flag, contribution) pairs in enumeration
-    order for diagnostics.
+    The multiplicative kinds use `integrand.denom_scale` as D, or this
+    point's `denominator_scale` when it is None.  `collect`, when given,
+    receives (flag, contribution) pairs in enumeration order for diagnostics.
     """
     k = integrand.rank
     if flags is None:
         flags = arrangement.enumerate_flags(active_weights, xi_tilde, basis) if k > 0 \
             else [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
+    D = integrand.denom_scale
     if integrand.kind != "additive" and D is None:
-        D = integrand.denom_scale or denominator_scale(integrand, [(point, flags)])
+        D = denominator_scale(integrand, [(point, flags)])
     total = Fraction(0) if integrand.kind == "additive" else _zero_value(integrand)
     for flag in flags:
         value = flag_residue(_localized(integrand, point, flag), flag, integrand, D)

@@ -362,8 +362,7 @@ def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, 
             point = pt.point if kd != "additive" else \
                 tuple(integrand.s * x for x in pt.point)
             value = engine.jk_residue(integrand, point, pt.active_weights,
-                                      pert.xi_tilde, basis, D=D, flags=flags,
-                                      collect=collect)
+                                      pert.xi_tilde, basis, flags=flags, collect=collect)
             pdiag.contributions[kd] = value
             pdiag.flag_contributions[kd] = [v for _, v in collect]
             total = value if total is None else total + value

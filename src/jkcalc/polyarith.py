@@ -505,19 +505,6 @@ class RatFunc:
         cont, den = self.num.content_normalize()
         return RatFunc._reduced(self.den * (ONE / cont), den)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = RatFunc.const(1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            n >>= 1
-            if n:
-                b = b * b
-        return r
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -623,25 +610,6 @@ class QSeries:
                     acc = acc + self.coeffs[j] * out[t - j]
             out.append(-inv0 * acc)
         return QSeries(self.order, out)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = QSeries.const(self.order, 1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            n >>= 1
-            if n:
-                b = b * b
-        return r
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -5,7 +5,7 @@ arithmetic, never through the residue pipeline under test.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 
 def series_mul(a, b, order):
@@ -96,3 +96,35 @@ def chi_y_virtual_laurent(betti, dim, d):
 def chi_y_laurent_as_y_exponents(laurent, denom_scale):
     """Convert a w-exponent laurent dict (w = y^(1/(2D))) to y-exponent keys."""
     return {Fraction(e, 2 * denom_scale): c for e, c in laurent.items()}
+
+
+def weighted_projective_chi_y(weights):
+    """Naive (untwisted-sector) Hirzebruch-Riemann-Roch chi_y of the weighted
+    projective stack P(a_0, ..., a_n), in the pipeline's normalisation.
+
+    (-1)^n y^(-n/2) / (prod a_i) * [u^n] prod_i a_i u (1 - y e^(-a_i u)) /
+    (1 - e^(-a_i u)), divided by (1 - y) for the trivial summand of the Euler
+    sequence; returned as a map from rational y-exponents to coefficients.
+    Kawasaki's orbifold Riemann-Roch would add the twisted sectors; this
+    integral leaves them out.
+    """
+    n = len(weights) - 1
+    terms = {(0, 0): Fraction(1)}   # (power of u, power of y) -> coefficient
+    for a in weights:
+        # a u / (1 - e^(-a u)), and the same times e^(-a u)
+        todd = series_inv([Fraction((-a) ** m, factorial(m + 1)) for m in range(n + 1)], n)
+        shifted = series_mul(todd, [Fraction((-a) ** m, factorial(m)) for m in range(n + 1)], n)
+        factor = {(m, 0): todd[m] for m in range(n + 1)}
+        factor.update({(m, 1): -shifted[m] for m in range(n + 1)})
+        product = {}
+        for (m1, p1), c1 in terms.items():
+            for (m2, p2), c2 in factor.items():
+                if m1 + m2 <= n:
+                    key = (m1 + m2, p1 + p2)
+                    product[key] = product.get(key, Fraction(0)) + c1 * c2
+        terms = product
+    top = [terms.get((n, p), Fraction(0)) for p in range(n + 2)]
+    quotient = [sum(top[: p + 1]) for p in range(n + 1)]   # top = (1 - y) * quotient
+    assert quotient[-1] + top[-1] == 0
+    scale = Fraction((-1) ** n, prod(weights))
+    return {Fraction(p) - Fraction(n, 2): scale * c for p, c in enumerate(quotient) if c}

@@ -10,7 +10,8 @@ from jkcalc import builders, invariants
 from jkcalc.arrangement import Flag
 from jkcalc.engine import (FactorizedIntegrand, IntegrandFactor, LocalFactor,
                            flag_residue_additive, flag_residue_multiplicative,
-                           jk_residue, localize, multiplicativize)
+                           _prefactor_pieces, jk_residue, localize,
+                           multiplicativize)
 from jkcalc.polyarith import MultiPoly, RatFunc
 
 F = Fraction
@@ -118,6 +119,7 @@ class TestMultiplicativize:
         assert num.mul(w.pow(2)) == (w.pow(4) - 1).mul(den)
 
     def test_theta_truncated_product(self):
+        # the residues use the theta image modulo q^(N+1) only
         lf = LocalFactor(const=F(0), lin=(F(1),), exponent=1, origin="weight-den")
         pieces = multiplicativize(lf, "theta", 1, 1, rank=1)
         num, den = _pieces_as_fraction_pair(pieces, 3)
@@ -128,7 +130,41 @@ class TestMultiplicativize:
         expect_num = (s.mul(s) - 1).mul(one - q).mul(one - q.mul(s.pow(2))) \
             .mul(s.pow(2) - q)
         expect_den = s.pow(3)
-        assert num.mul(expect_den) == expect_num.mul(den)
+        assert num.mul(expect_den, 2, 1) == expect_num.mul(den, 2, 1)
+
+    @pytest.mark.parametrize("N", range(11))
+    def test_triple_product_piece_is_the_truncated_product(self, N):
+        # variables S, w, q; Y^(1/2) = w^b S^a for the factor b + a z
+        nv, q = 3, MultiPoly.variable(3, 2)
+        one = MultiPoly.const(nv, 1)
+        for b, a in ((0, 1), (1, 2), (-2, 1), (3, -1)):
+            lf = LocalFactor(const=F(b), lin=(F(a),), exponent=1, origin="weight-num")
+            pieces = multiplicativize(lf, "theta", 1, N, rank=1)
+            assert len(pieces[0][0].terms) <= 2 * N + 2
+            num, den = _pieces_as_fraction_pair(pieces, nv)
+            m1 = MultiPoly.monomial(nv, [max(a, 0), max(b, 0), 0])
+            m2 = MultiPoly.monomial(nv, [max(-a, 0), max(-b, 0), 0])
+            y, yinv = m1.mul(m1), m2.mul(m2)   # Y = y / yinv
+            # (Y^(1/2) - Y^(-1/2)) prod_{n<=N} (1-q^n)(1-q^n Y)(1-q^n/Y) mod q^(N+1)
+            expect_num = y - yinv
+            expect_den = m1.mul(m2)
+            for n in range(1, N + 1):
+                qn = q.pow(n)
+                for f in (one - qn, yinv - qn.mul(y), y - qn.mul(yinv)):
+                    expect_num = expect_num.mul(f, 2, N)
+                expect_den = expect_den.mul(y).mul(yinv)
+            assert num.mul(expect_den, 2, N) == expect_num.mul(den, 2, N), (N, b, a)
+
+    @pytest.mark.parametrize("N", range(11))
+    def test_pentagonal_piece_is_the_euler_product(self, N):
+        prob = builders.projective_space(1, (1, 0), degree=1)
+        ig = invariants.build_integrand(prob, "theta", q_order=N)
+        *_, (euler, e) = _prefactor_pieces(ig, 1)
+        q = MultiPoly.variable(3, 2)
+        expect = MultiPoly.const(3, 1)
+        for n in range(1, N + 1):
+            expect = expect.mul(1 - q.pow(n), 2, N)
+        assert (euler, e) == (expect, 3 * ig.rank)
 
     def test_denominator_scale_must_clear_data(self):
         lf = LocalFactor(const=F(1, 2), lin=(F(1),), exponent=1, origin="weight-den")

@@ -2,7 +2,8 @@
 
 Every run must end in a documented exit code (0, or 2, 3, 4 for validation,
 config and internal errors) without an escaping exception, and every success
-must satisfy the specialization identities and the s-independence of DT.
+must satisfy the specialization identities and the independence of DT from
+s and from the perturbation seed.
 """
 
 import contextlib
@@ -47,5 +48,7 @@ def test_raw_config_exits_cleanly_and_satisfies_identities(text, monkeypatch):
     if code == 0:
         result = cli.result_from_json(out.getvalue())
         invariants.specialize(result)
-        problem = parse_config(text).build_problem()
+        cfg = parse_config(text)
+        problem = cfg.build_problem()
         assert invariants.compute(problem, kind="additive", s=2).dt == result.dt
+        assert invariants.compute(problem, kind="additive", seed=cfg.seed + 1).dt == result.dt

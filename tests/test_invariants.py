@@ -1,17 +1,19 @@
 """Pipeline-level behavior: validation, integrand assembly, invariants,
 specialization identities and the reduction of fractional intersections."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import oracles
 import pytest
 
-from jkcalc import arrangement, builders, invariants
+from jkcalc import arrangement, builders, engine, invariants
 from jkcalc.invariants import (GITProblem, ValidationError, WeightEntry,
                                build_integrand, compute, make_problem, specialize,
                                validate)
-from jkcalc.polyarith import poly_gcd
+from jkcalc.polyarith import RatFunc, poly_gcd
 
 F = Fraction
 
@@ -421,3 +423,44 @@ def test_rational_chi_y_is_fully_reduced():
     assert (chi.ratfunc.num.num_terms(), chi.ratfunc.den.num_terms()) == (93, 57)
     assert poly_gcd(chi.ratfunc.num, chi.ratfunc.den).is_constant()
     specialize(result)
+
+
+WEIGHTED_PROJECTIVE_STACKS = [
+    (1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (1, 1, 2), (1, 2, 3), (1, 1, 4),
+    (2, 2, 3), (2, 3, 4), (1, 3, 4), (1, 1, 1, 3), (1, 1, 2, 2), (1, 2, 3, 4),
+    (2, 4), (4, 4), (2, 2, 4),
+]
+
+
+@pytest.mark.parametrize("weights", WEIGHTED_PROJECTIVE_STACKS)
+def test_weighted_projective_stack_gives_the_naive_hrr_integral(weights):
+    # flag residues take the branch S_j = 1 only, so chi_y is the untwisted
+    # sector; weights with a common factor g are taken on the lattice they
+    # span, i.e. as P(a_i / g)
+    g = math.gcd(*weights)
+    expected = oracles.weighted_projective_chi_y([a // g for a in weights])
+    prob = make_problem(1, [((a,), 0, 1) for a in weights], [], (1,))
+    res = compute(prob, kind="all", q_order=0)
+    assert oracles.chi_y_laurent_as_y_exponents(
+        res.chi_y.laurent, res.chi_y.denom_scale) == expected
+    assert res.dt == sum(expected.values())
+
+
+@pytest.mark.parametrize("problem, q_order", [
+    (builders.projective_bundle(4, (5,)), 3),
+    (make_problem(1, [((2,), 1, 1), ((3,), 2, 1)], [], (1,), degree=2), 2),
+])
+def test_theta_assembly_reduces_once_per_q_coefficient(problem, q_order, monkeypatch):
+    reductions = count_calls(monkeypatch, RatFunc, "_reduce")
+    per_call = []
+    assemble = engine._assemble_multiplicative
+
+    def counting(*args):
+        before = len(reductions)
+        out = assemble(*args)
+        per_call.append(len(reductions) - before)
+        return out
+
+    monkeypatch.setattr(engine, "_assemble_multiplicative", counting)
+    compute(problem, kind="theta", q_order=q_order)
+    assert per_call and max(per_call) <= q_order + 1

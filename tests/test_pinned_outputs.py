@@ -1,0 +1,60 @@
+"""Pinned outputs: the emitted JSON (values and diagnostics) of a few small
+problems must stay byte-identical.
+
+The cases cover sine and theta with denominator scale D = 1, 2, 3 and 6, a
+rank-2 problem, q-orders 0 to 3, and a chi_y that is not a Laurent
+polynomial.  To regenerate the expected documents after a deliberate change
+of the output, run `PYTHONPATH=src python tests/test_pinned_outputs.py`.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from jkcalc import cli
+
+DATA = Path(__file__).with_name("data") / "pinned_outputs.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+CASES = {
+    "quintic-q3": ((CONFIGS / "quintic.cfg").read_text(), 3),
+    "ci-p4-5-q0": ("mode projective-bundle\nlabel ci-p4-5\nn 4\ndegrees [5]\n", 0),
+    "ci-p5-3-3-q1": ("mode projective-bundle\nlabel ci-p5-3-3\nn 5\ndegrees [3,3]\n", 1),
+    "cy3-g24-q2": ((CONFIGS / "cy3-g24.cfg").read_text(), 2),
+    "p21-q2": ("mode raw\nlabel p21\nrank 1\nxi [1]\nweight [2] 1 1\nweight [1] 0 1\n", 2),
+    "wp12-q1": ("mode raw\nlabel wp12\nrank 1\nxi [1]\nweight [1] 0 1\nweight [2] 0 1\n", 1),
+    "wp123-q1": ("mode raw\nlabel wp123\nrank 1\nxi [1]\nweight [1] 0 1\n"
+                 "weight [2] 0 1\nweight [3] 1 1\n", 1),
+    "wp23-degree2-q2": ("mode raw\nlabel wp23\nrank 1\ndegree 2\nxi [1]\n"
+                        "weight [2] 1 1\nweight [3] 2 1\n", 2),
+    "rational-chi-y-q1": ("mode raw\nrank 1\ndegree -1\nxi [2]\nweight [2] 3 3\n"
+                          "weight [-2] 3 1\nweight [-3] 2 2\n", 1),
+}
+
+
+def emitted(text, q_order):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            code = cli.run(["-", "--invariant", "all", "--q-order", str(q_order),
+                            "--emit", "json"])
+        finally:
+            sys.stdin = stdin
+    assert code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_emitted_json_is_byte_identical(name):
+    expected = json.loads(DATA.read_text())[name]
+    assert emitted(*CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    DATA.write_text(json.dumps({name: emitted(*case) for name, case in CASES.items()},
+                               indent=1, sort_keys=True) + "\n")
