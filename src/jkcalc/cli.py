@@ -16,7 +16,7 @@ from .arrangement import FlagStabilityError, PerturbationError
 from .config import INVARIANT_KINDS, ConfigError, parse_config
 from .engine import NonGenericResidueError
 from .invariants import (InvariantResult, PipelineError, ValidationError,
-                         fractional_reduction_check, integrality_scale, specialize)
+                         integrality_scale, specialize)
 from .polyarith import MultiPoly, QSeries, RatFunc
 
 
@@ -283,15 +283,18 @@ def run(argv=None) -> int:
 def _run_cross_checks(problem, cfg, result):
     if result.dt is not None and result.chi_y is not None:
         specialize(result)
+    # the reruns reuse the validation and the perturbation walls of `result`
     if result.dt is not None:
-        alt = invariants.compute(problem, kind="additive", seed=cfg.seed, s=2)
+        alt = invariants._rerun(result, problem, "additive", seed=cfg.seed, s=2)
         if alt.dt != result.dt:
             raise PipelineError("DT changed between s=1 and s=2")
-        reseeded = invariants.compute(problem, kind="additive", seed=cfg.seed + 1000)
+        reseeded = invariants._rerun(result, problem, "additive", seed=cfg.seed + 1000)
         if reseeded.dt != result.dt:
             raise PipelineError("DT changed under an independent perturbation seed")
     if integrality_scale(problem, result.diagnostics.hypothesis.stable_points) > 1:
-        fractional_reduction_check(problem, q_order=min(cfg.q_order, 2), seed=cfg.seed)
+        q_order = min(cfg.q_order, 2)
+        direct = invariants._rerun(result, problem, "all", q_order, cfg.seed)
+        invariants._fractional_reduction(problem, direct, q_order, cfg.seed)
 
 
 def main() -> None:

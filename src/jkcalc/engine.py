@@ -19,6 +19,17 @@ constants cancel exactly against the 2i / pi*hbar bookkeeping, enforced by a
 counting assertion on the factor list.  Their finished value is expanded in q
 by the same series arithmetic (sine is order 0), and each q^t coefficient is
 reduced once, as one rational function of w.
+
+Every series product runs in Kronecker form (`kronecker.Kronecker`): the
+coefficients are grouped by every exponent but one packed variable, w for
+the multiplicative kinds (the residue steps and the q-expansion) and the
+last flag coordinate for the additive kind, and each group becomes one
+integer.  `_expand` packs its inputs once, multiplies them packed and
+unpacks only its result.  The slot width is one sign bit above a bound on
+the L1 norm of each unpacked coefficient: `_norm_bound` runs the same
+products and recursions on the coefficient norms, and no coefficient of a
+product exceeds the product of the norms, so the balanced digits read back
+are the exact coefficients.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from math import lcm
 
 from . import arrangement, linalg
 from .arrangement import Flag
+from .kronecker import Kronecker
 from .polyarith import MultiPoly, QSeries, RatFunc
 
 KINDS = ("additive", "sine", "theta")
@@ -167,54 +179,29 @@ def _merge_factor(factors: dict, poly: MultiPoly, exp: int) -> Fraction:
     return cont**exp
 
 
-def _series_mul(a, b, target, nv, qv, qcap):
-    outs = [dict() for _ in range(target + 1)]
+def _series_mul(a, b, target, kr):
+    out = [{} for _ in range(target + 1)]
     for i, pa in enumerate(a):
-        ta = pa.terms
-        if not ta:
-            continue
-        for j in range(target + 1 - i):
-            tb = b[j].terms
-            if not tb:
-                continue
-            dst = outs[i + j]
-            for ka, ca in ta.items():
-                for kb, cb in tb.items():
-                    if qv is not None and ka[qv] + kb[qv] > qcap:
-                        continue
-                    k = tuple(x + y for x, y in zip(ka, kb))
-                    s = dst.get(k)
-                    if s is None:
-                        dst[k] = ca * cb
-                    else:
-                        s = s + ca * cb
-                        if s:
-                            dst[k] = s
-                        else:
-                            del dst[k]
-    return [MultiPoly(nv, d) for d in outs]
-
-
-def _series_pow(a, n, target, nv, qv, qcap):
-    out = [MultiPoly.const(nv, 1)] + [MultiPoly.zero(nv) for _ in range(target)]
-    base = a
-    while n:
-        if n & 1:
-            out = _series_mul(out, base, target, nv, qv, qcap)
-        n >>= 1
-        if n:
-            base = _series_mul(base, base, target, nv, qv, qcap)
+        if pa:
+            for j in range(target + 1 - i):
+                if b[j]:
+                    kr.mul_into(out[i + j], pa, b[j])
     return out
 
 
-def _pad(series, target, nv):
-    series = list(series[: target + 1])
-    while len(series) < target + 1:
-        series.append(MultiPoly.zero(nv))
-    return series
+def _series_pow(a, n, target, kr):
+    """a^n for n >= 1."""
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else _series_mul(out, a, target, kr)
+        n >>= 1
+        if n:
+            a = _series_mul(a, a, target, kr)
+    return out
 
 
-def _inverse_power(unit, p, target, nv, qv, qcap):
+def _inverse_power(unit, p, target, kr):
     """V with (sum unit_t v^t)^(-p) = sum V_t v^t / p0^(target+p), V_t polynomial.
 
     The inverse is sum W_t v^t / p0^(t+1) with W_0 = 1 and W_t = -sum_j
@@ -222,28 +209,76 @@ def _inverse_power(unit, p, target, nv, qv, qcap):
     coefficient to the common power p0^(target+p) keeps the sum division-free.
     """
     p0 = unit[0]
-    if not _is_q_unit(p0, qv):
+    if not p0 or (kr.qvar is not None and all(others[kr.qvar] for others, _ in p0)):
         raise NonGenericResidueError("denominator constant term is not a q-adic unit")
-    p0_pows = [MultiPoly.const(nv, 1)]
-    for _ in range(target):
-        p0_pows.append(p0_pows[-1].mul(p0, qv, qcap))
-    W = [MultiPoly.const(nv, 1)]
+    p0_pows = [kr.one(), p0]
+    for _ in range(target - 1):
+        p0_pows.append(kr.mul_into({}, p0_pows[-1], p0))
+    W = [kr.one()]
     for t in range(1, target + 1):
-        acc = MultiPoly.zero(nv)
-        for j in range(1, min(t, len(unit) - 1) + 1):
-            term = unit[j].mul(W[t - j], qv, qcap)
-            if j > 1:
-                term = term.mul(p0_pows[j - 1], qv, qcap)
-            acc = acc + term
-        W.append(-acc)
-    S = _series_pow(W, p, target, nv, qv, qcap)
-    return [S[t].mul(p0_pows[target - t], qv, qcap) for t in range(target + 1)]
+        acc = {}
+        for j in range(1, t + 1):
+            if j == 1:
+                kr.mul_into(acc, unit[1], W[t - 1])
+            elif unit[j]:
+                kr.mul_into(acc, kr.mul_into({}, unit[j], W[t - j]), p0_pows[j - 1])
+        W.append({key: (low, -v) for key, (low, v) in acc.items()})
+    S = _series_pow(W, p, target, kr)
+    return [kr.mul_into({}, S[t], p0_pows[target - t]) for t in range(target)] + [S[target]]
 
 
-def _is_q_unit(poly: MultiPoly, qv: int | None) -> bool:
-    if qv is None:
-        return not poly.is_zero()
-    return any(k[qv] == 0 for k in poly.terms)
+def _norm_bound(series, factors, target):
+    """Bounds on the L1 norms of the coefficients 0..target that `_expand`
+    returns: its products and recursions, run on the coefficient norms."""
+    def mul(a, b):
+        out = [0] * (target + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j in range(target + 1 - i):
+                    out[i + j] += x * b[j]
+        return out
+
+    def norms(polys):
+        out = [sum(map(abs, p.terms.values())) for p in polys[:target + 1]]
+        return out + [0] * (target + 1 - len(out))
+
+    out = norms(series)
+    for unit, e in factors:
+        u = w = norms(unit)
+        if e < 0:
+            w = [1]
+            for t in range(1, target + 1):
+                w.append(sum(u[j] * w[t - j] * u[0] ** (j - 1) for j in range(1, t + 1)))
+        f = w
+        for _ in range(abs(e) - 1):
+            f = mul(f, w)
+        if e < 0:
+            f = [x * u[0] ** (target - t) for t, x in enumerate(f)]
+        out = mul(out, f)
+    return out
+
+
+def _expand(series, factors, target, pv, qv, qcap, first=0):
+    """Coefficients first..target in v of series * prod unit^e over the
+    (unit, e) pairs, each negative power scaled by p0^(target-e) (see
+    `_inverse_power`); every list is a series sum_t poly_t v^t of integer
+    polynomials, packed in variable pv."""
+    nv = series[0].nvars
+    kr = Kronecker(nv, pv, max(_norm_bound(series, factors, target)[first:]),
+                   series[:target + 1] + [p for unit, _ in factors for p in unit[:target + 1]],
+                   qv, qcap)
+
+    def packed(polys):
+        return [kr.pack(p) for p in polys[:target + 1]] + [{}] * (target + 1 - len(polys))
+
+    out = packed(series)
+    for unit, e in factors:
+        if e > 0:
+            fser = _series_pow(packed(unit), e, target, kr)
+        else:
+            fser = _inverse_power(packed(unit), -e, target, kr)
+        out = _series_mul(out, fser, target, kr)
+    return [kr.unpack(c) for c in out[first:]]
 
 
 @dataclass
@@ -253,10 +288,10 @@ class _Term:
     factors: dict
 
 
-def _residue_step(term: _Term, var: int, center, qv, qcap) -> _Term | None:
-    """One univariate residue in `var` at `center`; None means zero residue."""
+def _residue_step(term: _Term, var: int, center, pv, qv, qcap) -> _Term | None:
+    """One univariate residue in `var` at `center`, variable pv packed in the
+    series products; None means zero residue."""
     hot = term.hot
-    nv = hot.nvars
     coeff = term.coeff
     carry: dict = {}
     active = []
@@ -276,16 +311,11 @@ def _residue_step(term: _Term, var: int, center, qv, qcap) -> _Term | None:
     if total_val >= 0:
         return None
     target = -total_val - 1
-    series = _pad(hot.coefficients_in(var)[hv:], target, nv)
     new_factors = carry
     for unit, e in active:
-        if e > 0:
-            fser = _series_pow(_pad(unit, target, nv), e, target, nv, qv, qcap)
-        else:
-            fser = _inverse_power(unit, -e, target, nv, qv, qcap)
+        if e < 0:
             coeff *= _merge_factor(new_factors, unit[0], e - target)
-        series = _series_mul(series, fser, target, nv, qv, qcap)
-    s = series[target]
+    [s] = _expand(hot.coefficients_in(var)[hv:], active, target, pv, qv, qcap, target)
     if s.is_zero():
         return None
     cont, s = s.content_normalize()
@@ -318,7 +348,7 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
         coeff *= _merge_factor(factors, poly, lf.exponent)
     term = _Term(coeff=coeff, hot=hot, factors=factors)
     for i in range(k):
-        term = _residue_step(term, i, 0, None, None)
+        term = _residue_step(term, i, 0, k - 1, None, None)
         if term is None:
             return Fraction(0)
     value = term.coeff * Fraction(term.hot.constant_value())
@@ -432,7 +462,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     for i in range(k):
         coeff_adj = _merge_factor(term.factors, MultiPoly.variable(nv, i), -1)
         term.coeff *= coeff_adj * 2 * D
-        term = _residue_step(term, i, 1, qv, qcap)
+        term = _residue_step(term, i, 1, widx, qv, qcap)
         if term is None:
             return _zero_value(integrand)
     term.coeff *= flag.lattice_factor
@@ -454,21 +484,16 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
     RatFunc in w, reduced once.
     """
     order = integrand.q_order if qv is not None else 0
-    nv = term.hot.nvars
 
     def q_coefficients(poly):
-        return _pad(poly.coefficients_in(qv) if qv is not None else [poly], order, nv)
+        return poly.coefficients_in(qv) if qv is not None else [poly]
 
-    series = q_coefficients(term.hot)
-    den = MultiPoly.const(nv, 1)
-    for poly, e in term.factors.values():
-        unit = q_coefficients(poly)
-        if e > 0:
-            fser = _series_pow(unit, e, order, nv, None, None)
-        else:
-            fser = _inverse_power(unit, -e, order, nv, None, None)
+    factors = [(q_coefficients(poly), e) for poly, e in term.factors.values()]
+    series = _expand(q_coefficients(term.hot), factors, order, widx, None, None)
+    den = MultiPoly.const(term.hot.nvars, 1)
+    for unit, e in factors:
+        if e < 0:
             den = den.mul(unit[0].pow(order - e))
-        series = _series_mul(series, fser, order, nv, None, None)
     den = _project_w(den, widx)
     coeffs = [RatFunc(_project_w(c, widx) * term.coeff, den) for c in series]
     return coeffs[0] if qv is None else QSeries(order, coeffs)

@@ -251,6 +251,7 @@ class Diagnostics:
     denom_scale: int = 1
     seed: int = 0
     retries: int = 0    # always 0 since compute never retries; kept in the JSON format
+    walls: arrangement.PerturbationWalls | None = None
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
 
@@ -300,17 +301,32 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
             "properness of the fixed locus fails the exact abelian criterion: "
             + report.properness_note
         )
-    stable = report.stable_points
+    return _compute(problem, report, None, kind, q_order, seed, s, xi_tilde, t0)
+
+
+def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int = DEFAULT_Q_ORDER,
+           seed: int = 0, s=1) -> InvariantResult:
+    """`compute` on the problem of the run `first` again, reusing its
+    validation report and perturbation walls, which depend on neither s, the
+    seed, the kind nor q_order."""
+    diag = first.diagnostics
+    return _compute(problem, diag.hypothesis, diag.walls, kind, q_order, seed, s, None,
+                    time.monotonic())
+
+
+def _compute(problem, report, walls, kind, q_order, seed, s, xi_tilde, t0):
     weights = problem.nonzero_weights()
     basis = arrangement.lattice_basis(weights) if problem.rank > 0 else []
-    walls = arrangement.perturbation_walls([pt.active_weights for pt in stable], weights,
-                                           problem.rank)
+    if walls is None:
+        walls = arrangement.perturbation_walls(
+            [pt.active_weights for pt in report.stable_points], weights, problem.rank)
     if xi_tilde is not None:
         pert = arrangement.verify_perturbation(problem.xi, xi_tilde, walls, seed=seed)
     else:
         pert = arrangement.sum_regular_perturbation(problem.xi, walls, seed=seed)
     result = _compute_with_perturbation(
-        problem, _KIND_SETS[kind], q_order, s, pert, stable, basis, report)
+        problem, _KIND_SETS[kind], q_order, s, pert, report.stable_points, basis, report)
+    result.diagnostics.walls = walls
     result.diagnostics.seed = seed
     result.diagnostics.elapsed = time.monotonic() - t0
     if report.root_condition != "ok":
@@ -477,7 +493,12 @@ def fractional_reduction_check(problem: GITProblem, q_order: int = 2, seed: int 
     direct value at y^k matches the rescaled value at y.  Both sides are put
     over a common fractional power of y and compared exactly.
     """
-    direct = compute(problem, kind="all", q_order=q_order, seed=seed)
+    return _fractional_reduction(problem, compute(problem, kind="all", q_order=q_order, seed=seed),
+                                 q_order, seed)
+
+
+def _fractional_reduction(problem, direct, q_order, seed) -> dict:
+    """`fractional_reduction_check` with the direct run given."""
     kfac = integrality_scale(problem, direct.diagnostics.hypothesis.stable_points)
     rescaled_problem = rescale_r_charges(problem, kfac)
     rescaled = compute(rescaled_problem, kind="all", q_order=q_order, seed=seed)

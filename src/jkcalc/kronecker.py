@@ -1,0 +1,108 @@
+"""Kronecker substitution for integer polynomials (Harvey, J. Symb. Comput.
+2009): fast exact products of sparse multivariate polynomials with one
+variable packed into Python integers.
+
+The terms of a polynomial are grouped by the exponents of every variable but
+the packed one, and each group's coefficients, from the group's own least
+exponent of the packed variable, become the digits of one Python integer at
+a fixed number of bits per slot.  Multiplying two groups is one integer
+product, because evaluation at 2^bits is a ring map.  Reading the digits
+back in balanced base 2^bits (digits in [-2^(bits-1), 2^(bits-1))) is exact
+when each coefficient read is smaller in absolute value than 2^(bits-1); the
+caller provides a bound on the L1 norm of every polynomial it reads back,
+which bounds each of its coefficients, and bits is the bound's bit length
+plus one sign bit.  Values that are never read back need no bound.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+from operator import add
+
+from .polyarith import MultiPoly
+
+
+def _digits(v: int, n: int, bits: int) -> list[int]:
+    """The n balanced base-2^bits digits of v, lowest first, split in halves:
+    the low h digits are the residue of v mod 2^(bits h) of least absolute
+    value, as long as every digit is below 2^(bits-1) in absolute value."""
+    if n == 1:
+        return [v]
+    h = n // 2
+    size = bits * h
+    low = v & ((1 << size) - 1)
+    if low >> (size - 1):
+        low -= 1 << size
+    return _digits(low, h, bits) + _digits((v - low) >> size, n - h, bits)
+
+
+class Kronecker:
+    """The Kronecker layout of integer polynomials in `nvars` variables with
+    `var` packed (see the module docstring); products drop every term whose
+    exponent of `qvar` exceeds `qcap`.  A group is keyed by (the other
+    exponents, low mod stride), with slots `stride` apart: the gcd of the
+    exponent gaps inside the groups of `polys`, so no slot is spent on a gap
+    that no term can fill.  Unpacking is exact for coefficients of absolute
+    value at most `bound`.
+    """
+
+    __slots__ = ("nvars", "var", "bits", "stride", "qvar", "qcap")
+
+    def __init__(self, nvars: int, var: int, bound: int, polys, qvar=None, qcap=None):
+        self.nvars, self.var, self.bits = nvars, var, bound.bit_length() + 1
+        self.qvar = None if qvar is None else qvar - (qvar > var)
+        self.qcap = qcap
+        s = 0
+        for p in polys:
+            first: dict = {}
+            for k in p.terms:
+                e = k[var]
+                s = gcd(s, e - first.setdefault(k[:var] + k[var + 1:], e))
+        self.stride = s or 1
+
+    def one(self) -> dict:
+        return {((0,) * (self.nvars - 1), 0): (0, 1)}
+
+    def pack(self, poly: MultiPoly) -> dict:
+        var, bits, s = self.var, self.bits, self.stride
+        groups: dict = {}
+        for k, c in poly.terms.items():
+            e = k[var]
+            groups.setdefault((k[:var] + k[var + 1:], e % s), []).append((e, c))
+        out = {}
+        for key, terms in groups.items():
+            low = min(e for e, _ in terms)
+            out[key] = (low, sum(c << bits * ((e - low) // s) for e, c in terms))
+        return out
+
+    def mul_into(self, dst: dict, a: dict, b: dict) -> dict:
+        """dst += a * b."""
+        bits, s, qvar, qcap = self.bits, self.stride, self.qvar, self.qcap
+        for (oa, ra), (la, va) in a.items():
+            for (ob, rb), (lb, vb) in b.items():
+                others = tuple(map(add, oa, ob))
+                if qvar is not None and others[qvar] > qcap:
+                    continue
+                key = others, (ra + rb) % s
+                low, v = la + lb, va * vb
+                old = dst.get(key)
+                if old is not None:
+                    if old[0] < low:
+                        low, v = old[0], old[1] + (v << bits * ((low - old[0]) // s))
+                    else:
+                        v += old[1] << bits * ((old[0] - low) // s)
+                    if not v:
+                        del dst[key]
+                        continue
+                dst[key] = (low, v)
+        return dst
+
+    def unpack(self, packed: dict) -> MultiPoly:
+        var, bits, s = self.var, self.bits, self.stride
+        terms = {}
+        for (others, _), (low, v) in packed.items():
+            head, tail = others[:var], others[var:]
+            for i, c in enumerate(_digits(v, abs(v).bit_length() // bits + 1, bits)):
+                if c:
+                    terms[head + (low + s * i,) + tail] = c
+        return MultiPoly(self.nvars, terms)

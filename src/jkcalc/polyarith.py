@@ -11,6 +11,9 @@ That form is canonical, so equality compares num and den term by term, and a
 value is a Laurent polynomial exactly when den is a single monomial.
 QSeries is a truncation-order-N power series in q whose coefficients are
 rational functions.
+
+`MultiPoly.mul` is the general product; the residue core multiplies its
+integer polynomials packed into Python integers (`kronecker.Kronecker`).
 """
 
 from __future__ import annotations
@@ -159,8 +162,7 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def mul(self, other, qvar: int | None = None, qcap: int | None = None):
-        """Product, optionally truncating exponents of variable qvar above qcap."""
+    def mul(self, other):
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.nvars)
         a, b = self.terms, other.terms
@@ -170,8 +172,6 @@ class MultiPoly:
         for ka, ca in a.items():
             for kb, cb in b.items():
                 k = tuple(x + y for x, y in zip(ka, kb))
-                if qvar is not None and k[qvar] > qcap:
-                    continue
                 s = out.get(k)
                 if s is None:
                     out[k] = ca * cb
@@ -186,17 +186,17 @@ class MultiPoly:
     def __pow__(self, n):
         return self.pow(n)
 
-    def pow(self, n: int, qvar=None, qcap=None):
+    def pow(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = MultiPoly.const(self.nvars, 1)
         base = self
         while n:
             if n & 1:
-                result = result.mul(base, qvar, qcap)
+                result = result.mul(base)
             n >>= 1
             if n:
-                base = base.mul(base, qvar, qcap)
+                base = base.mul(base)
         return result
 
     def degree_in(self, var):

@@ -1,0 +1,70 @@
+"""Reference series arithmetic of the residue core: one dict update per term
+product, as `engine._series_mul` multiplied before its coefficient products
+were packed.  Series are lists of `MultiPoly` coefficients; `qv`, when not
+None, drops every term whose exponent of that variable exceeds `qcap`.
+Tests compare the packed products with these."""
+
+from jkcalc.polyarith import MultiPoly
+
+
+def series_mul(a, b, target, nv, qv, qcap):
+    outs = [dict() for _ in range(target + 1)]
+    for i, pa in enumerate(a):
+        ta = pa.terms
+        if not ta:
+            continue
+        for j in range(target + 1 - i):
+            tb = b[j].terms
+            if not tb:
+                continue
+            dst = outs[i + j]
+            for ka, ca in ta.items():
+                for kb, cb in tb.items():
+                    if qv is not None and ka[qv] + kb[qv] > qcap:
+                        continue
+                    k = tuple(x + y for x, y in zip(ka, kb))
+                    s = dst.get(k)
+                    if s is None:
+                        dst[k] = ca * cb
+                    else:
+                        s = s + ca * cb
+                        if s:
+                            dst[k] = s
+                        else:
+                            del dst[k]
+    return [MultiPoly(nv, d) for d in outs]
+
+
+def poly_mul(a, b, nv, qv, qcap):
+    return series_mul([a], [b], 0, nv, qv, qcap)[0]
+
+
+def series_pow(a, n, target, nv, qv, qcap):
+    out = [MultiPoly.const(nv, 1)] + [MultiPoly.zero(nv) for _ in range(target)]
+    base = a
+    while n:
+        if n & 1:
+            out = series_mul(out, base, target, nv, qv, qcap)
+        n >>= 1
+        if n:
+            base = series_mul(base, base, target, nv, qv, qcap)
+    return out
+
+
+def inverse_power(unit, p, target, nv, qv, qcap):
+    """V with (sum unit_t v^t)^(-p) = sum V_t v^t / unit_0^(target+p)."""
+    p0 = unit[0]
+    p0_pows = [MultiPoly.const(nv, 1)]
+    for _ in range(target):
+        p0_pows.append(poly_mul(p0_pows[-1], p0, nv, qv, qcap))
+    W = [MultiPoly.const(nv, 1)]
+    for t in range(1, target + 1):
+        acc = MultiPoly.zero(nv)
+        for j in range(1, min(t, len(unit) - 1) + 1):
+            term = poly_mul(unit[j], W[t - j], nv, qv, qcap)
+            if j > 1:
+                term = poly_mul(term, p0_pows[j - 1], nv, qv, qcap)
+            acc = acc + term
+        W.append(-acc)
+    S = series_pow(W, p, target, nv, qv, qcap)
+    return [poly_mul(S[t], p0_pows[target - t], nv, qv, qcap) for t in range(target + 1)]

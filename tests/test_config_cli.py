@@ -243,6 +243,29 @@ class TestCliProcess:
         cfg.write_text("mode projective-bundle\nn 2\ndegrees [2]\nq-order 1\n")
         assert cli.run([str(cfg), "--cross-check"]) == 0
 
+    def test_cross_check_validates_each_problem_once(self, tmp_path, capsys, monkeypatch):
+        # p21 and its rescaled problem: the reruns for s = 2, the second seed
+        # and the direct side of the fractional check reuse the first run's
+        # validation and walls
+        cfg = tmp_path / "p21.cfg"
+        cfg.write_text("mode raw\nlabel p21\nrank 1\nxi [1]\nweight [2] 1 1\n"
+                       "weight [1] 0 1\nq-order 1\n")
+        assert cli.run([str(cfg), "--emit", "json"]) == 0
+        plain = capsys.readouterr().out
+        counts = Counter()
+        for owner, name in ((invariants, "validate"),
+                            (invariants.arrangement, "perturbation_walls")):
+            real = getattr(owner, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        assert cli.run([str(cfg), "--emit", "json", "--cross-check"]) == 0
+        assert capsys.readouterr().out == plain
+        assert counts == {"validate": 2, "perturbation_walls": 2}
+
     def test_degree_override(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("mode raw\nrank 1\ndegree 1\nxi [1]\nweight [1] 1 1\nweight [1] 0 1\n")

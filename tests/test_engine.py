@@ -90,6 +90,11 @@ class TestFlagResidueAdditive:
         assert flag_residue_additive(local, flag, ig) == 200
 
 
+def _mod_q(poly, N, qv=2):
+    """poly with every term of q-degree above N dropped."""
+    return MultiPoly(poly.nvars, {k: c for k, c in poly.terms.items() if k[qv] <= N})
+
+
 def _pieces_as_fraction_pair(pieces, nv):
     num = MultiPoly.const(nv, 1)
     den = MultiPoly.const(nv, 1)
@@ -130,7 +135,7 @@ class TestMultiplicativize:
         expect_num = (s.mul(s) - 1).mul(one - q).mul(one - q.mul(s.pow(2))) \
             .mul(s.pow(2) - q)
         expect_den = s.pow(3)
-        assert num.mul(expect_den, 2, 1) == expect_num.mul(den, 2, 1)
+        assert _mod_q(num.mul(expect_den), 1) == _mod_q(expect_num.mul(den), 1)
 
     @pytest.mark.parametrize("N", range(11))
     def test_triple_product_piece_is_the_truncated_product(self, N):
@@ -151,9 +156,9 @@ class TestMultiplicativize:
             for n in range(1, N + 1):
                 qn = q.pow(n)
                 for f in (one - qn, yinv - qn.mul(y), y - qn.mul(yinv)):
-                    expect_num = expect_num.mul(f, 2, N)
+                    expect_num = _mod_q(expect_num.mul(f), N)
                 expect_den = expect_den.mul(y).mul(yinv)
-            assert num.mul(expect_den, 2, N) == expect_num.mul(den, 2, N), (N, b, a)
+            assert _mod_q(num.mul(expect_den), N) == _mod_q(expect_num.mul(den), N), (N, b, a)
 
     @pytest.mark.parametrize("N", range(11))
     def test_pentagonal_piece_is_the_euler_product(self, N):
@@ -163,7 +168,7 @@ class TestMultiplicativize:
         q = MultiPoly.variable(3, 2)
         expect = MultiPoly.const(3, 1)
         for n in range(1, N + 1):
-            expect = expect.mul(1 - q.pow(n), 2, N)
+            expect = _mod_q(expect.mul(1 - q.pow(n)), N)
         assert (euler, e) == (expect, 3 * ig.rank)
 
     def test_denominator_scale_must_clear_data(self):

@@ -32,10 +32,14 @@ def fuzz_config(rng):
 
 
 _rng = random.Random(1)
-CONFIGS = {f"fuzz-{i:02d}": fuzz_config(_rng) for i in range(24)}
+CONFIGS = {f"fuzz-{i:02d}": fuzz_config(_rng) for i in range(50)}
 # ran for minutes before rational values were reduced by one integer gcd
 CONFIGS["slow-gcd"] = ("mode raw\nrank 1\ndegree -1\nxi [2]\nweight [2] 3 3\n"
                        "weight [-2] 3 1\nweight [-3] 2 2\n")
+# the S_1 and w exponents of its rank-2 flags are correlated: the packed
+# series products must follow a w range that drifts with S_1
+CONFIGS["rank2-drift"] = ("mode raw\nrank 2\ndegree -1\nxi [-3,-3]\nweight [2,-1] 0 3\n"
+                          "weight [3,3] 0 2\nweight [-1,2] 1 3\nweight [-1,-2] 2 3\n")
 
 
 @pytest.mark.parametrize("text", CONFIGS.values(), ids=CONFIGS.keys())

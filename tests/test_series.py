@@ -1,0 +1,184 @@
+"""Packed series arithmetic of the residue core against the dict reference
+in `series_reference.py`.
+
+Series are lists of polynomials in (S, w, q); w is the packed variable and q
+the truncated one, as in the multiplicative residue steps.  The layout of
+each product is built as `engine._expand` builds it, from `_norm_bound`.
+"""
+
+import random
+
+import pytest
+
+import series_reference as ref
+from jkcalc import engine
+from jkcalc.engine import NonGenericResidueError
+from jkcalc.kronecker import Kronecker
+from jkcalc.polyarith import MultiPoly
+
+NV, PV, QV = 3, 1, 2
+
+
+def random_poly(rng, *, big=False, drift=0, offset=3, q_max=0, stride=2, terms=6):
+    """Terms S^s w^(offset + drift*s + stride*j) q^t; drift couples the w
+    range of a group to its S exponent, as on rank-2 flags."""
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        s = rng.randint(0, 4)
+        key = (s, offset + drift * s + stride * rng.randint(0, 5), rng.randint(0, q_max))
+        c = rng.randint(-2**70, 2**70) if big else rng.randint(-9, 9)
+        if c:
+            out[key] = c
+    return MultiPoly(NV, out)
+
+
+CASES = {
+    "small": {},
+    "above-2^64": {"big": True},
+    "s-drift": {"drift": 5, "offset": 7},
+    "odd-stride": {"stride": 3, "offset": 1},
+    "q-truncated": {"q_max": 2},
+}
+
+
+def random_series(rng, length, shape, empty=0.25):
+    return [MultiPoly.zero(NV) if t and rng.random() < empty else random_poly(rng, **shape)
+            for t in range(length)]
+
+
+def layout(series, factors, target, qcap):
+    bound = max(engine._norm_bound(series, factors, target))
+    polys = series + [p for unit, _ in factors for p in unit]
+    return Kronecker(NV, PV, bound, polys, None if qcap is None else QV, qcap)
+
+
+def packed(kr, series, target):
+    return [kr.pack(p) for p in series[:target + 1]] + [{}] * (target + 1 - len(series))
+
+
+def qcap_of(shape):
+    """Inputs are truncated at the cap, as the residue steps keep them."""
+    return shape.get("q_max")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", CASES)
+def test_series_mul_matches_reference(name, seed):
+    rng = random.Random(f"{name}-{seed}")
+    shape, qcap = CASES[name], qcap_of(CASES[name])
+    for target in range(4):
+        a = random_series(rng, rng.randint(1, target + 2), shape)
+        b = random_series(rng, rng.randint(1, target + 2), shape)
+        kr = layout(a, [(b, 1)], target, qcap)
+        got = engine._series_mul(packed(kr, a, target), packed(kr, b, target), target, kr)
+        want = ref.series_mul(ref_pad(a, target), ref_pad(b, target), target, NV,
+                              None if qcap is None else QV, qcap)
+        assert [kr.unpack(c) for c in got] == want
+
+
+def ref_pad(series, target):
+    return series[:target + 1] + [MultiPoly.zero(NV)] * (target + 1 - len(series))
+
+
+def test_cancelling_products_leave_no_terms():
+    rng = random.Random(5)
+    p, q = random_poly(rng, drift=2), random_poly(rng, big=True)
+    a, b = [p, p], [q, -q]    # the v^1 coefficient is p q - p q
+    kr = layout(a, [(b, 1)], 1, None)
+    got = engine._series_mul(packed(kr, a, 1), packed(kr, b, 1), 1, kr)
+    assert got[1] == {}
+    assert kr.unpack(got[0]) == p.mul(q)
+    # (w^3 - 1)(w^3 + 1): the middle slots cancel inside one group
+    w3 = MultiPoly.monomial(NV, (0, 3, 0))
+    c = [w3 - 1]
+    kr = layout(c, [([w3 + 1], 1)], 0, None)
+    [got] = engine._series_mul(packed(kr, c, 0), packed(kr, [w3 + 1], 0), 0, kr)
+    assert kr.unpack(got) == w3.mul(w3) - 1
+
+
+def test_positive_products_need_the_sign_bit():
+    # the product 5 * 7 w^2 is its own L1 bound; read without the sign bit it
+    # would come back negative
+    a, b = [MultiPoly.monomial(NV, (0, 1, 0), 5)], [MultiPoly.monomial(NV, (0, 1, 0), 7)]
+    kr = layout(a, [(b, 1)], 0, None)
+    [got] = engine._series_mul(packed(kr, a, 0), packed(kr, b, 0), 0, kr)
+    assert kr.unpack(got) == MultiPoly.monomial(NV, (0, 2, 0), 35)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+@pytest.mark.parametrize("name", CASES)
+def test_series_pow_matches_reference(name, n):
+    rng = random.Random(f"pow-{name}-{n}")
+    shape, qcap = CASES[name], qcap_of(CASES[name])
+    one = [MultiPoly.const(NV, 1)]
+    for target in range(4):
+        a = ref_pad(random_series(rng, target + 1, shape), target)
+        kr = layout(one, [(a, n)], target, qcap)
+        got = engine._series_pow(packed(kr, a, target), n, target, kr)
+        want = ref.series_pow(a, n, target, NV, None if qcap is None else QV, qcap)
+        assert [kr.unpack(c) for c in got] == want
+
+
+def unit_series(rng, target, shape):
+    """A series whose constant term has a term free of q."""
+    series = ref_pad(random_series(rng, target + 1, shape), target)
+    series[0] = series[0] + MultiPoly.monomial(NV, (rng.randint(0, 3), 4, 0), rng.choice((-3, 2)))
+    return series
+
+
+@pytest.mark.parametrize("p", (1, 2, 4))
+@pytest.mark.parametrize("name", CASES)
+def test_inverse_power_matches_reference(name, p):
+    rng = random.Random(f"inv-{name}-{p}")
+    shape, qcap = CASES[name], qcap_of(CASES[name])
+    one = [MultiPoly.const(NV, 1)]
+    for target in range(5):
+        unit = unit_series(rng, target, shape)
+        kr = layout(one, [(unit, -p)], target, qcap)
+        got = engine._inverse_power(packed(kr, unit, target), p, target, kr)
+        want = ref.inverse_power(unit, p, target, NV, None if qcap is None else QV, qcap)
+        assert [kr.unpack(c) for c in got] == want
+
+
+def test_inverse_power_rejects_a_non_unit():
+    unit = [MultiPoly.monomial(NV, (0, 1, 1)), MultiPoly.const(NV, 1)]
+    kr = layout([MultiPoly.const(NV, 1)], [(unit, -1)], 1, 3)
+    with pytest.raises(NonGenericResidueError):
+        engine._inverse_power(packed(kr, unit, 1), 1, 1, kr)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_expand_matches_the_reference_chain(name):
+    rng = random.Random(f"expand-{name}")
+    shape, qcap = CASES[name], qcap_of(CASES[name])
+    qv = None if qcap is None else QV
+    for target in range(4):
+        series = random_series(rng, target + 1, shape)
+        factors = [(unit_series(rng, target, shape), e) for e in (2, -1, -2)]
+        want = ref_pad(series, target)
+        for unit, e in factors:
+            fser = ref.series_pow(unit, e, target, NV, qv, qcap) if e > 0 else \
+                ref.inverse_power(unit, -e, target, NV, qv, qcap)
+            want = ref.series_mul(want, fser, target, NV, qv, qcap)
+        assert engine._expand(series, factors, target, PV, qv, qcap) == want
+        assert engine._expand(series, factors, target, PV, qv, qcap, target) == want[target:]
+
+
+def test_norm_bound_covers_every_rescaled_coefficient():
+    # (-1 + 1000 v) * 1000^2 / (1000 + v) to order v: the v coefficient
+    # 1000^2 + 1 is read back only if the bound scales V_0 by p0 before the
+    # product with the series
+    c = [MultiPoly.const(NV, x) for x in (-1, 1000, 1000, 1)]
+    [got] = engine._expand(c[:2], [(c[2:], -1)], 1, PV, None, None, 1)
+    assert got == MultiPoly.const(NV, 1000 ** 2 + 1)
+
+
+def test_groups_whose_slots_do_not_line_up_stay_apart():
+    # stride 2 from 1 + w^2; S w^0 and S w^1 land in one S group with slots
+    # of opposite parity, which no shift by whole slots can align
+    a = [MultiPoly(NV, {(0, 0, 0): 1, (1, 1, 0): 1})]
+    b = [MultiPoly(NV, {(0, 0, 0): 1, (0, 2, 0): 1, (1, 0, 0): 1})]
+    kr = layout(a, [(b, 1)], 0, None)
+    assert kr.stride == 2
+    [got] = engine._series_mul(packed(kr, a, 0), packed(kr, b, 0), 0, kr)
+    assert kr.unpack(got) == a[0].mul(b[0])
