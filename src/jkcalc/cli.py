@@ -17,7 +17,7 @@ from .config import INVARIANT_KINDS, ConfigError, parse_config
 from .engine import NonGenericResidueError
 from .invariants import (InvariantResult, PipelineError, ValidationError,
                          integrality_scale, specialize)
-from .polyarith import MultiPoly, QSeries, RatFunc
+from .polyarith import QSeries, RatFunc
 
 
 def _fmt_y_power(exp: int, D: int) -> str:
@@ -83,20 +83,20 @@ def emit_text(result: InvariantResult, out) -> None:
             out.write(f"  q^{i}: {body}\n")
 
 
-def _poly_pairs(poly: MultiPoly):
-    return [[k[0], c.numerator, c.denominator] for k, c in sorted(poly.terms.items())]
+def _json_pairs(pairs):
+    return [[e, c.numerator, c.denominator] for e, c in pairs]
 
 
-def _poly_from_pairs(pairs) -> MultiPoly:
-    return MultiPoly(1, {(int(e),): Fraction(int(n), int(d)) for e, n, d in pairs})
+def _pairs_from_json(entries):
+    return [(int(e), Fraction(int(n), int(d))) for e, n, d in entries]
 
 
 def _ratfunc_json(rf: RatFunc, D: int):
     laur = invariants.laurent_form(rf)
     if laur is not None:
-        return {"laurent": [[e, laur[e].numerator, laur[e].denominator]
-                            for e in sorted(laur)]}
-    return {"ratfunc": {"num": _poly_pairs(rf.num), "den": _poly_pairs(rf.den)}}
+        return {"laurent": _json_pairs(sorted(laur.items()))}
+    num, den = rf.pairs()
+    return {"ratfunc": {"num": _json_pairs(num), "den": _json_pairs(den)}}
 
 
 def emit_json(result: InvariantResult, out, diagnostics: bool = True) -> None:
@@ -136,17 +136,9 @@ def emit_json(result: InvariantResult, out, diagnostics: bool = True) -> None:
 
 def _ratfunc_from_json(doc) -> RatFunc:
     if "laurent" in doc:
-        num = {}
-        shift = 0
-        entries = doc["laurent"]
-        if entries:
-            shift = -min(int(e) for e, _, _ in entries)
-            shift = max(shift, 0)
-        for e, n, d in entries:
-            num[(int(e) + shift,)] = Fraction(int(n), int(d))
-        return RatFunc(MultiPoly(1, num), MultiPoly.monomial(1, (shift,)))
+        return RatFunc(_pairs_from_json(doc["laurent"]))
     rf = doc["ratfunc"]
-    return RatFunc(_poly_from_pairs(rf["num"]), _poly_from_pairs(rf["den"]))
+    return RatFunc(_pairs_from_json(rf["num"]), _pairs_from_json(rf["den"]))
 
 
 def result_from_json(doc: dict) -> InvariantResult:

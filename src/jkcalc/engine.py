@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from . import arrangement, linalg
 from .arrangement import Flag
@@ -421,13 +421,6 @@ def _prefactor_pieces(integrand: FactorizedIntegrand, D: int):
     return pieces
 
 
-def _project_w(poly: MultiPoly, widx: int) -> MultiPoly:
-    out = {}
-    for kexp, c in poly.terms.items():
-        out[(kexp[widx],)] = c
-    return MultiPoly(1, out)
-
-
 def flag_residue_multiplicative(local_factors, flag: Flag, integrand: FactorizedIntegrand,
                                 D: int):
     """Iterated multiplicative residue along one flag.
@@ -488,14 +481,14 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
     def q_coefficients(poly):
         return poly.coefficients_in(qv) if qv is not None else [poly]
 
+    def in_w(poly):
+        return RatFunc([(k[widx], c) for k, c in poly.terms.items()])
+
     factors = [(q_coefficients(poly), e) for poly, e in term.factors.values()]
     series = _expand(q_coefficients(term.hot), factors, order, widx, None, None)
-    den = MultiPoly.const(term.hot.nvars, 1)
-    for unit, e in factors:
-        if e < 0:
-            den = den.mul(unit[0].pow(order - e))
-    den = _project_w(den, widx)
-    coeffs = [RatFunc(_project_w(c, widx) * term.coeff, den) for c in series]
+    den = prod([in_w(unit[0]) ** (order - e) for unit, e in factors if e < 0],
+               start=RatFunc.const(1))
+    coeffs = [in_w(c) * term.coeff / den for c in series]
     return coeffs[0] if qv is None else QSeries(order, coeffs)
 
 

@@ -15,7 +15,7 @@ from . import arrangement, engine, linalg
 from .arrangement import AffineForm, PerturbationError
 from .engine import (FactorizedIntegrand, IntegrandFactor, ORIGIN_ROOT_DEN,
                      ORIGIN_ROOT_NUM, ORIGIN_WEIGHT_DEN, ORIGIN_WEIGHT_NUM)
-from .polyarith import MultiPoly, QSeries, RatFunc
+from .polyarith import QSeries, RatFunc
 
 DEFAULT_Q_ORDER = 6
 
@@ -403,31 +403,16 @@ def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, 
 
 
 def laurent_form(rf: RatFunc) -> dict | None:
-    """Exact Laurent-polynomial form {exponent: coefficient}, or None.
-
-    A RatFunc is always fully reduced, with den primitive and positive, so it
-    is a Laurent polynomial exactly when den is the single monomial w^e.
-    """
-    if rf.den.num_terms() != 1:
-        return None
-    ((dexp,),) = rf.den.terms
-    return {k[0] - dexp: Fraction(c) for k, c in rf.num.terms.items()}
+    """Exact Laurent-polynomial form {exponent: coefficient}, or None."""
+    return rf.laurent()
 
 
 def limit_at_one(rf: RatFunc) -> Fraction:
     """Exact limit of a univariate rational function at w = 1."""
-    if rf.is_zero():
-        return Fraction(0)
-    num = rf.num.subst_shift(0, 1)
-    den = rf.den.subst_shift(0, 1)
-    vd = den.valuation_in(0)
-    vn = num.valuation_in(0)
-    if vn < vd:
+    value = rf.value_at_one()
+    if value is None:
         raise PipelineError("pole at w=1: the chi_y -> DT limit does not exist")
-    if vn > vd:
-        return Fraction(0)
-    lead_num = Fraction(num.coefficient_of(0, vn).constant_value())
-    return lead_num / Fraction(den.coefficient_of(0, vd).constant_value())
+    return value
 
 
 def specialize(result: InvariantResult) -> dict:
@@ -481,10 +466,6 @@ def integrality_scale(problem: GITProblem, stable_points) -> int:
     return k
 
 
-def _scale_w_exponents(poly: MultiPoly, m: int) -> MultiPoly:
-    return MultiPoly(1, {(k[0] * m,): c for k, c in poly.terms.items()})
-
-
 def fractional_reduction_check(problem: GITProblem, q_order: int = 2, seed: int = 0) -> dict:
     """Compare the direct run on a fractional arrangement with the rescaled run.
 
@@ -510,14 +491,10 @@ def _fractional_reduction(problem, direct, q_order, seed) -> dict:
     md = kfac * Dr
     mr = Dd
 
-    def _cmp_ratfunc(rf_d, rf_r):
-        lhs = RatFunc(_scale_w_exponents(rf_d.num, md), _scale_w_exponents(rf_d.den, md))
-        rhs = RatFunc(_scale_w_exponents(rf_r.num, mr), _scale_w_exponents(rf_r.den, mr))
-        return lhs == rhs
-
-    report["chi_y_equal"] = _cmp_ratfunc(direct.chi_y.ratfunc, rescaled.chi_y.ratfunc)
+    report["chi_y_equal"] = \
+        direct.chi_y.ratfunc.compose_power(md) == rescaled.chi_y.ratfunc.compose_power(mr)
     report["ell_equal"] = all(
-        _cmp_ratfunc(a, b)
+        a.compose_power(md) == b.compose_power(mr)
         for a, b in zip(direct.ell.series.coeffs, rescaled.ell.series.coeffs)
     )
     report["ok"] = report["dt_equal"] and report["chi_y_equal"] and report["ell_equal"]

@@ -19,21 +19,7 @@ from __future__ import annotations
 from math import gcd
 from operator import add
 
-from .polyarith import MultiPoly
-
-
-def _digits(v: int, n: int, bits: int) -> list[int]:
-    """The n balanced base-2^bits digits of v, lowest first, split in halves:
-    the low h digits are the residue of v mod 2^(bits h) of least absolute
-    value, as long as every digit is below 2^(bits-1) in absolute value."""
-    if n == 1:
-        return [v]
-    h = n // 2
-    size = bits * h
-    low = v & ((1 << size) - 1)
-    if low >> (size - 1):
-        low -= 1 << size
-    return _digits(low, h, bits) + _digits((v - low) >> size, n - h, bits)
+from .polyarith import MultiPoly, _digits
 
 
 class Kronecker:

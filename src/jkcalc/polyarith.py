@@ -2,25 +2,30 @@
 functions in one variable and truncated q-power series.
 
 A MultiPoly maps exponent tuples to Fraction coefficients, stored as plain
-int when integral; zero coefficients are never stored.  RatFunc is a rational
-function of the single variable w, and every RatFunc is kept fully reduced by
-one rule (`RatFunc._reduce`): the common power of w and the integer content
-are stripped, and num and den are divided by their integer gcd (`poly_gcd`),
-so den is a primitive integer polynomial with positive leading coefficient.
-That form is canonical, so equality compares num and den term by term, and a
-value is a Laurent polynomial exactly when den is a single monomial.
+int when integral; zero coefficients are never stored.  The residue core
+multiplies them packed into Python integers (`kronecker.Kronecker`).
+
+RatFunc is a rational function of w in one canonical form c * w^v * num(w) /
+den(w): c is a Fraction, v an int, and num and den are ascending lists of
+integer coefficients, coprime, primitive, with nonzero constant terms and
+positive leading coefficients (zero is c = 0, v = 0, num = [], den = [1]).
+The form is unique, so equality compares the four parts, and a value is a
+Laurent polynomial exactly when den == [1].  Only this module knows the
+layout: callers build a RatFunc from (exponent, coefficient) pairs and read
+it through its methods.  Lists are multiplied as one product of packed
+Python integers (Kronecker substitution, Harvey, J. Symb. Comput. 2009), and
+num and den are made coprime by one integer gcd (`poly_gcd`), run on the
+lists divided by the stride of their exponents.
+
 QSeries is a truncation-order-N power series in q whose coefficients are
 rational functions.
-
-`MultiPoly.mul` is the general product; the residue core multiplies its
-integer polynomials packed into Python integers (`kronecker.Kronecker`).
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,9 +117,6 @@ class MultiPoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
-
-    def num_terms(self):
-        return len(self.terms)
 
     def key(self):
         return (self.nvars, tuple(sorted(self.terms.items())))
@@ -220,15 +222,6 @@ class MultiPoly:
             out[d][tuple(kk)] = c
         return [MultiPoly(self.nvars, t) for t in out]
 
-    def coefficient_of(self, var, power):
-        out = {}
-        for k, c in self.terms.items():
-            if k[var] == power:
-                kk = list(k)
-                kk[var] = 0
-                out[tuple(kk)] = c
-        return MultiPoly(self.nvars, out)
-
     def subst_shift(self, var, a):
         """Substitute x_var -> x_var + a."""
         a = _ncoeff(Fraction(a))
@@ -309,185 +302,226 @@ class MultiPoly:
             return None
         return MultiPoly(self.nvars, quot)
 
-    def to_string(self, names=None):
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"x{i}" for i in range(self.nvars)]
-        parts = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            mono = "*".join(
-                f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(k) if e
-            )
-            if mono:
-                coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{coeff}{mono}")
-            else:
-                parts.append(str(c))
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
-
     def __repr__(self):
-        return f"MultiPoly({self.to_string()})"
+        return f"MultiPoly({self.nvars}, {self.terms})"
 
 
-def _dense_primitive(p: MultiPoly) -> tuple[int, list[int]]:
-    """(valuation v, ascending coprime integer coefficients of p / w^v)."""
-    _, prim = p.content_normalize()
-    v = prim.valuation_in(0)
-    out = [0] * (prim.degree_in(0) - v + 1)
-    for (e,), c in prim.terms.items():
-        out[e - v] = c
-    return v, out
+def _digits(v: int, n: int, bits: int) -> list[int]:
+    """The n balanced base-2^bits digits of v, lowest first, split in halves:
+    the low h digits are the residue of v mod 2^(bits h) of least absolute
+    value, as long as every digit is below 2^(bits-1) in absolute value."""
+    if n == 1:
+        return [v]
+    h = n // 2
+    size = bits * h
+    low = v & ((1 << size) - 1)
+    if low >> (size - 1):
+        low -= 1 << size
+    return _digits(low, h, bits) + _digits((v - low) >> size, n - h, bits)
 
 
-def _divides(d: list[int], f: list[int]) -> bool:
-    """Whether d divides f in Z[w], for ascending integer coefficient lists."""
+def _pack(a: list[int], bits: int) -> int:
+    """a at w = 2^bits, computed in halves: the inverse of `_digits`."""
+    if len(a) == 1:
+        return a[0]
+    h = len(a) // 2
+    return _pack(a[:h], bits) + (_pack(a[h:], bits) << bits * h)
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of ascending integer coefficient lists by one integer product:
+    its coefficients are at most min(len) * max|a| * max|b| in absolute
+    value, so one sign bit above that bound reads them back exactly."""
+    if len(a) == 1 or len(b) == 1:
+        s, p = (a[0], b) if len(a) == 1 else (b[0], a)
+        return [s * x for x in p]
+    bits = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+    return _digits(_pack(a, bits) * _pack(b, bits), len(a) + len(b) - 1, bits)
+
+
+def _spread(a: list[int], s: int) -> list[int]:
+    """a(w^s)."""
+    out = [0] * ((len(a) - 1) * s + 1)
+    out[::s] = a
+    return out
+
+
+def _primitive(a: list[int]) -> tuple[int, int, list[int]]:
+    """(g, v, p) with a = g * w^v * p, p primitive with a nonzero constant term
+    and a positive leading coefficient; (0, 0, []) when a is zero."""
+    nonzero = [i for i, x in enumerate(a) if x]
+    if not nonzero:
+        return 0, 0, []
+    p = a[nonzero[0]:nonzero[-1] + 1]
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return g, nonzero[0], (p if g == 1 else [x // g for x in p])
+
+
+def _from_pairs(pairs) -> tuple[int, int, list[int]]:
+    """(l, v, a) with sum c w^e over the (e, c) pairs = w^v * a(w) / l."""
+    pairs = [(e, Fraction(c)) for e, c in pairs]
+    l = lcm(*(c.denominator for _, c in pairs))
+    v = min((e for e, _ in pairs), default=0)
+    out = [0] * (max((e for e, _ in pairs), default=v) - v + 1)
+    for e, c in pairs:
+        out[e - v] += c.numerator * (l // c.denominator)
+    return l, v, out
+
+
+def _divides(d: list[int], f: list[int]) -> list[int] | None:
+    """The quotient f/d in Z[w] when d divides f, else None, for ascending
+    integer coefficient lists."""
     r = f[:]
     n = len(d) - 1
+    q = [0] * (len(f) - n)
     while len(r) > n:
-        q, m = divmod(r.pop(), d[-1])
+        c, m = divmod(r.pop(), d[-1])
         if m:
-            return False
+            return None
         shift = len(r) - n
+        q[shift] = c
         for i in range(n):
-            r[shift + i] -= q * d[i]
-    return not any(r)
+            r[shift + i] -= c * d[i]
+    return None if any(r) else q
 
 
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Gcd of two polynomials in one variable, primitive over Z with positive
-    leading coefficient; 0 only when both are 0.
+def poly_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f/h, g/h) for h the gcd of two primitive integer polynomials in w,
+    given as ascending coefficient lists; h is primitive, its leading
+    coefficient positive.
 
-    Heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989) on the
-    content-free integer coefficients f and g: for xi >= 2 min(|f|, |g|) + 2,
-    the integer gcd of f(xi) and g(xi), written in balanced base xi, has a
-    primitive part that is the gcd as soon as it divides f and g.  Otherwise
-    xi is doubled; the gcd of the cofactors at xi divides their resultant, so
-    some xi succeeds and the loop needs no bound.
+    Heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989): for
+    a power of two xi >= 2 min(|f|, |g|) + 2, the integer gcd of f(xi) and
+    g(xi), read in balanced base xi, has a primitive part that is the gcd as
+    soon as it divides f and g, and the divisions give the cofactors; else xi
+    doubles, and since the gcd of the cofactors at xi divides their resultant
+    some xi succeeds.  Where all exponents of nonzero terms are multiples of
+    s, gcd(F(w^s), G(w^s)) = gcd(F, G)(w^s): GCDHEU runs on F and G.
     """
-    if a.nvars != 1 or b.nvars != 1:
-        raise ValueError("poly_gcd takes polynomials in one variable")
-    if a.is_zero() or b.is_zero():
-        return (b if a.is_zero() else a).content_normalize()[1]
-    va, f = _dense_primitive(a)
-    vb, g = _dense_primitive(b)
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    s = gcd(*(i for p in (f, g) for i, c in enumerate(p) if c)) or 1
+    f, g = f[::s], g[::s]
+    bits = (2 * min(max(map(abs, f)), max(map(abs, g))) + 2).bit_length()
     while True:
-        fx = gx = 0
-        for c in reversed(f):
-            fx = fx * xi + c
-        for c in reversed(g):
-            gx = gx * xi + c
-        gamma = gcd(fx, gx)
-        h = []
-        while gamma:
-            c = gamma % xi
-            if 2 * c > xi:
-                c -= xi
-            h.append(c)
-            gamma = (gamma - c) // xi
+        gamma = gcd(_pack(f, bits), _pack(g, bits))
+        h = _digits(gamma, gamma.bit_length() // bits + 1, bits)
         cont = gcd(*h) if h[-1] > 0 else -gcd(*h)
         h = [c // cont for c in h]
-        if _divides(h, f) and _divides(h, g):
-            break
-        xi *= 2
-    v = min(va, vb)
-    return MultiPoly(1, {(i + v,): c for i, c in enumerate(h) if c})
+        cf = _divides(h, f)
+        cg = None if cf is None else _divides(h, g)
+        if cg is not None:
+            return _spread(h, s), _spread(cf, s), _spread(cg, s)
+        bits += 1
 
 
 class RatFunc:
-    """Rational function num/den of w, always fully reduced (see `_reduce`)."""
+    """The rational function c * w^v * num(w) / den(w) in canonical form (see
+    the module docstring), built from (exponent, coefficient) pairs."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("c", "v", "num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.const(1, 1)
-        if num.nvars != 1 or den.nvars != 1:
-            raise ValueError("RatFunc is a function of one variable")
-        if den.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        self.num = num
-        self.den = den
-        self._reduce()
+    def __init__(self, num, den=((0, 1),)):
+        """sum c w^e over the (e, c) pairs of num, divided by that of den."""
+        ln, vn, n = _from_pairs(num)
+        ld, vd, d = _from_pairs(den)
+        self._normalize(Fraction(ld, ln), vn - vd, n, d)
 
     @classmethod
-    def _reduced(cls, num: MultiPoly, den: MultiPoly) -> RatFunc:
-        """Wrap a num/den pair that is already in reduced form."""
+    def _make(cls, c: Fraction, v: int, num: list[int], den: list[int]) -> RatFunc:
+        """Wrap parts that are already in canonical form."""
         out = object.__new__(cls)
-        out.num = num
-        out.den = den
+        out.c, out.v, out.num, out.den = c, v, num, den
         return out
 
     @classmethod
     def const(cls, value):
-        return cls(MultiPoly.const(1, value))
+        value = Fraction(value)
+        return cls._make(value, 0, [1] if value else [], [1])
+
+    def _normalize(self, c: Fraction, v: int, num: list[int], den: list[int]) -> RatFunc:
+        """Set self to c * w^v * num / den, for integer lists, in canonical form."""
+        gd, vd, den = _primitive(den)
+        if not gd:
+            raise ZeroDivisionError("division by the zero function")
+        gn, vn, num = _primitive(num)
+        self.c, self.v, self.num, self.den = \
+            (c * gn / gd, v + vn - vd, num, den) if gn else (ZERO, 0, [], [1])
+        if len(num) > 1 and len(den) > 1:
+            self._reduce()
+        return self
 
     def _reduce(self):
-        """The one reduction rule: num and den coprime, no common power of w,
-        den primitive over Z with positive leading coefficient."""
-        num, den = self.num, self.den
-        if num.is_zero():
-            self.den = MultiPoly.const(1, 1)
-            return
-        shift = min(min(num.terms), min(den.terms))[0]
-        if shift:
-            num = MultiPoly(1, {(e - shift,): c for (e,), c in num.terms.items()})
-            den = MultiPoly(1, {(e - shift,): c for (e,), c in den.terms.items()})
-        cn, num = num.content_normalize()
-        cd, den = den.content_normalize()
-        # with the common power of w gone, a monomial den is coprime to num
-        if den.num_terms() > 1:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num, den = num.exact_div(g), den.exact_div(g)
-        self.num = num * (cn / cd)
-        self.den = den
+        """The one reduction rule: num and den divided by their gcd."""
+        _, self.num, self.den = poly_gcd(self.num, self.den)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
         if isinstance(other, (int, Fraction)):
             return RatFunc.const(other)
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
-        return None
+        return other if isinstance(other, RatFunc) else None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num.mul(other.den) + other.num.mul(self.den), self.den.mul(other.den))
+        a, b = (self, other) if self.v <= other.v else (other, self)
+        if not b.num or not a.num:
+            return a if a.num else b
+        if a.den == b.den:
+            den, na, nb = a.den, a.num, b.num
+        else:
+            den, na, nb = _mul(a.den, b.den), _mul(a.num, b.den), _mul(b.num, a.den)
+        ka, kb = a.c.numerator * b.c.denominator, b.c.numerator * a.c.denominator
+        shift = b.v - a.v
+        out = [ka * x for x in na] + [0] * (len(nb) + shift - len(na))
+        for i, x in enumerate(nb, shift):
+            out[i] += kb * x
+        return object.__new__(RatFunc)._normalize(
+            Fraction(1, a.c.denominator * b.c.denominator), a.v, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._reduced(-self.num, self.den)
+        return RatFunc._make(-self.c, self.v, self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RatFunc._make(self.c * other, self.v, self.num, self.den) if other \
+                else RatFunc.const(0)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num.mul(other.num), self.den.mul(other.den))
+        if not self.num or not other.num:
+            return RatFunc.const(0)
+        # products of primitive lists are primitive (Gauss), and only the num
+        # of one side and the den of the other can share a factor
+        out = RatFunc._make(self.c * other.c, self.v + other.v,
+                            _mul(self.num, other.num), _mul(self.den, other.den))
+        if len(self.num) > 1 and len(other.den) > 1 or len(other.num) > 1 and len(self.den) > 1:
+            out._reduce()
+        return out
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        """self^n for n >= 1; powers of coprime primitive lists stay so."""
+        if n < 1:
+            raise ValueError("RatFunc powers start at 1")
+        if not self.num:
+            return self
+        num, den = self.num, self.den
+        for bit in bin(n)[3:]:
+            num, den = _mul(num, num), _mul(den, den)
+            if bit == "1":
+                num, den = _mul(num, self.num), _mul(den, self.den)
+        return RatFunc._make(self.c ** n, self.v * n, num, den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -495,32 +529,51 @@ class RatFunc:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other * self.inverse()
-
     def inverse(self):
-        if self.is_zero():
+        if not self.num:
             raise ZeroDivisionError("division by the zero function")
-        cont, den = self.num.content_normalize()
-        return RatFunc._reduced(self.den * (ONE / cont), den)
+        return RatFunc._make(1 / self.c, -self.v, self.den, self.num)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.c, self.v, self.num, self.den) == (other.c, other.v, other.num, other.den)
 
-    def __hash__(self):
-        raise TypeError("RatFunc is not hashable")
+    def laurent(self) -> dict | None:
+        """{exponent: coefficient} when the value is a Laurent polynomial, else None."""
+        return {self.v + i: self.c * x for i, x in enumerate(self.num) if x} \
+            if self.den == [1] else None
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num.constant_value()) / Fraction(self.den.constant_value())
+    def pairs(self) -> tuple[list, list]:
+        """(num, den) as ascending (exponent, coefficient) pairs of coprime
+        polynomials with no common power of w, den primitive with positive
+        leading coefficient."""
+        a, b = max(self.v, 0), max(-self.v, 0)
+        return ([(a + i, self.c * x) for i, x in enumerate(self.num) if x],
+                [(b + i, x) for i, x in enumerate(self.den) if x])
+
+    def compose_power(self, m: int) -> RatFunc:
+        """w -> self(w^m) for m >= 1, still reduced: gcd(F(w^m), G(w^m)) = gcd(F, G)(w^m)."""
+        return RatFunc._make(self.c, self.v * m, _spread(self.num, m), _spread(self.den, m))
+
+    def value_at_one(self) -> Fraction | None:
+        """The value at w = 1, or None at a pole: num and den are coprime, so
+        w = 1 is a pole exactly when den(1) = 0."""
+        d = sum(self.den)
+        return self.c * sum(self.num) / d if d else None
 
     def to_string(self, names=None):
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return self.num.to_string(names)
-        return f"({self.num.to_string(names)}) / ({self.den.to_string(names)})"
+        name = names[0] if names else "x0"
+
+        def poly(pairs):
+            parts = [str(c) if e == 0 else
+                     ("" if c == 1 else "-" if c == -1 else f"{c}*")
+                     + (name if e == 1 else f"{name}^{e}") for e, c in reversed(pairs)]
+            return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+        num, den = self.pairs()
+        return poly(num) if den == [(0, 1)] else f"({poly(num)}) / ({poly(den)})"
 
     def __repr__(self):
         return f"RatFunc({self.to_string()})"
@@ -579,6 +632,8 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QSeries(self.order, [a * other for a in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -616,9 +671,6 @@ class QSeries:
         if other is None:
             return NotImplemented
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        raise TypeError("QSeries is not hashable")
 
     def to_string(self, names=None):
         parts = []

@@ -3,7 +3,8 @@
 Every run must end in a documented exit code (0, or 2, 3, 4 for validation,
 config and internal errors) without an escaping exception, and every success
 must satisfy the specialization identities and the independence of DT from
-s and from the perturbation seed.
+s and from the perturbation seed; a success with fractional stable points
+must also pass the fractional reduction check.
 """
 
 import contextlib
@@ -56,3 +57,5 @@ def test_raw_config_exits_cleanly_and_satisfies_identities(text, monkeypatch):
         problem = cfg.build_problem()
         assert invariants.compute(problem, kind="additive", s=2).dt == result.dt
         assert invariants.compute(problem, kind="additive", seed=cfg.seed + 1).dt == result.dt
+        if invariants.integrality_scale(problem, invariants.validate(problem).stable_points) > 1:
+            assert invariants.fractional_reduction_check(problem, q_order=0)["ok"]

@@ -1,5 +1,5 @@
-"""Pinned outputs: the emitted JSON (values and diagnostics) of a few small
-problems must stay byte-identical.
+"""Pinned outputs: the emitted JSON (values and diagnostics) and the text
+output of a few small problems must stay byte-identical.
 
 The cases cover sine and theta with denominator scale D = 1, 2, 3 and 6, a
 rank-2 problem, q-orders 0 to 3, and a chi_y that is not a Laurent
@@ -18,6 +18,7 @@ import pytest
 from jkcalc import cli
 
 DATA = Path(__file__).with_name("data") / "pinned_outputs.json"
+TEXT = DATA.with_name("pinned_text.json")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CASES = {
@@ -36,13 +37,13 @@ CASES = {
 }
 
 
-def emitted(text, q_order):
+def emitted(text, q_order, emit="json"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         stdin, sys.stdin = sys.stdin, io.StringIO(text)
         try:
             code = cli.run(["-", "--invariant", "all", "--q-order", str(q_order),
-                            "--emit", "json"])
+                            "--emit", emit])
         finally:
             sys.stdin = stdin
     assert code == 0
@@ -55,6 +56,14 @@ def test_emitted_json_is_byte_identical(name):
     assert emitted(*CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_emitted_text_is_byte_identical(name):
+    expected = json.loads(TEXT.read_text())[name]
+    assert emitted(*CASES[name], emit="text") == expected
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({name: emitted(*case) for name, case in CASES.items()},
+                               indent=1, sort_keys=True) + "\n")
+    TEXT.write_text(json.dumps({name: emitted(*case, emit="text") for name, case in CASES.items()},
                                indent=1, sort_keys=True) + "\n")
