@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 from . import linalg
 from .linalg import fvec, is_zero_vec, primitive
@@ -124,7 +125,18 @@ def isolated_intersections(forms, rank: int) -> list[IntersectionPoint]:
 
 
 def _build_point(point, forms):
-    active = tuple(i for i, f in enumerate(forms) if f.value_at(point) == 0)
+    """The intersection point at `point` with every form that vanishes there.
+
+    The test runs in integers: with point = P/d and each form cleared to an
+    integral (rho, const), the form vanishes when rho.P + const*d == 0.
+    """
+    ints, d = linalg.cleared(point)
+    active = []
+    for i, f in enumerate(forms):
+        *rho, const = linalg.cleared(f.rho + (f.const,))[0]
+        if sum(map(mul, rho, ints)) + const * d == 0:
+            active.append(i)
+    active = tuple(active)
     weights = []
     seen = set()
     for i in active:

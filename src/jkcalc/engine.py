@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 from . import arrangement, linalg
 from .arrangement import Flag
@@ -114,26 +115,31 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
     """Rewrite every affine factor as c + l.z with z_i = kappa_i(u - P).
 
     The change of basis sends rho to rho * K^{-1} where K has the kappa
-    covectors as rows; duplicate (c, l) pairs merge their exponents.
+    covectors as rows; duplicate (c, l) pairs merge their exponents.  The
+    products run on integers: K^{-1} and P are each cleared to integers over
+    one denominator, and rho.P and l are computed once for each distinct rho.
     """
     k = integrand.rank
-    point = linalg.fvec(point)
+    point_ints, point_den = linalg.cleared(point)
+    columns, kinv_den = [], 1
     if k > 0:
         kinv = linalg.inverse([linalg.fvec(ka) for ka in flag.kappa])
         if kinv is None:
             raise ValueError("kappa of a proper flag must be invertible")
+        kinv_ints, kinv_den = linalg.cleared([x for row in kinv for x in row])
+        columns = [kinv_ints[j::k] for j in range(k)]
+    at_rho: dict = {}
     merged: dict = {}
     order: list = []
     for f in integrand.factors:
-        c = linalg.vec_dot(f.rho, point) + f.const
-        if k > 0:
-            ell = tuple(
-                sum((f.rho[i] * kinv[i][j] for i in range(k)), Fraction(0))
-                for j in range(k)
-            )
-        else:
-            ell = ()
-        key = (c, ell)
+        hit = at_rho.get(f.rho)
+        if hit is None:
+            rho_ints, rho_den = linalg.cleared(f.rho)
+            hit = at_rho[f.rho] = (
+                Fraction(sum(map(mul, rho_ints, point_ints)), rho_den * point_den),
+                tuple(Fraction(sum(map(mul, rho_ints, col)), rho_den * kinv_den)
+                      for col in columns))
+        key = (hit[0] + f.const, hit[1])
         if key in merged:
             merged[key][0] += f.exponent
         else:

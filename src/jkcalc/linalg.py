@@ -1,24 +1,23 @@
-"""Exact linear algebra over Fraction vectors, plus integer Hermite normal form.
+"""Exact linear algebra over rational vectors, plus integer Hermite normal form.
 
 Vectors are tuples of Fraction (or int); matrices are lists of row tuples.
 Everything here is dense and desk-scale: ranks up to ~6, a few hundred rows.
-Integer entries stay `int` until a pivot division touches their row, so
-integral input (primitive normals, identity blocks) is eliminated with int
-arithmetic as far as it goes; every reduced row `_echelon` returns has been
-divided by its pivot and so holds Fractions.
+The arithmetic runs on integers: each row is first cleared of denominators
+(`cleared`), eliminations are fraction-free, and a Fraction is built only for
+an entry that is returned.
 
 There is one Gauss-Jordan elimination, `_echelon`.  `rank`, `rref`, `solve`,
 `inverse`, `solve_coords`, `in_span` and `kernel_line` each eliminate one
 matrix with it (augmented by a right-hand side, an identity block or a target
 column) and read their answer off the pivots and reduced rows.  `det` keeps
-its own forward elimination because it needs the unscaled pivot product and
-the sign of the row swaps, which `_echelon` discards.
+its own elimination (Bareiss) because it needs the pivot product and the sign
+of the row swaps, which `_echelon` discards.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def fvec(v) -> tuple[Fraction, ...]:
@@ -42,31 +41,40 @@ def is_zero_vec(a) -> bool:
     return all(x == 0 for x in a)
 
 
+def cleared(v) -> tuple[list[int], int]:
+    """(ints, d) with v = ints / d, d > 0 the least common denominator."""
+    d = 1
+    for x in v:
+        if x.denominator != 1:
+            d = lcm(d, x.denominator)
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _primitive_row(row) -> list[int]:
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def primitive(v) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector with a canonical sign."""
-    v = fvec(v)
-    if is_zero_vec(v):
-        return tuple(0 for _ in v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
+    ints = _primitive_row(cleared(v)[0])
+    if next((x for x in ints if x != 0), 0) < 0:
+        ints = [-x for x in ints]
     return tuple(ints)
 
 
 def _echelon(rows):
     """Gauss-Jordan elimination of a copy of `rows`; returns (reduced nonzero
-    rows, pivot column list)."""
-    mat = [list(r) for r in rows]
+    rows, pivot column list).
+
+    Fraction-free: rows are cleared of denominators, a row update is
+    row_i <- p*row_i - f*row_r (p the pivot, f the entry to clear, both
+    divided by their gcd) followed by division by the row's content, and
+    each pivot row is divided by its pivot only at the end.  Row scalings do
+    not change the reduced row echelon form, which is unique, so the result
+    is the same as elimination in Fractions.
+    """
+    mat = [_primitive_row(cleared(r)[0]) for r in rows]
     ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
@@ -79,17 +87,20 @@ def _echelon(rows):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r]
+        p = prow[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                mat[i] = _primitive_row([a * x - b * y for x, y in zip(mat[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return [tuple(Fraction(x, row[c]) for x in row)
+            for row, c in zip(mat, pivots)], pivots
 
 
 def rank(rows) -> int:
@@ -118,34 +129,34 @@ def in_span(v, rows) -> bool:
 
 
 def det(mat) -> Fraction:
-    """Determinant by forward elimination.
+    """Determinant by Bareiss' fraction-free elimination (Math. Comp. 22, 1968).
 
-    Kept apart from `_echelon`, which scales pivots to 1 and does not count
-    row swaps: the determinant is the product of the unscaled pivots times
-    the swap sign.
+    Each row is cleared of denominators first and the scales are divided out
+    at the end.  Kept apart from `_echelon`, which does not count row swaps:
+    each swap flips the sign.
     """
-    m = [list(fvec(r)) for r in mat]
+    m = []
+    scale = 1
+    for row in mat:
+        ints, d = cleared(row)
+        m.append(ints)
+        scale *= d
     n = len(m)
     sign = 1
-    d = Fraction(1)
+    prev = 1
     for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
+        if m[c][c] == 0:
+            piv = next((i for i in range(c + 1, n) if m[i][c] != 0), None)
+            if piv is None:
+                return Fraction(0)
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
-        d *= m[c][c]
-        inv = Fraction(1) / m[c][c]
+        p = m[c][c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d * sign
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[c])]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def solve(mat, b):

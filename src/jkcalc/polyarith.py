@@ -246,9 +246,19 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     def content_normalize(self):
-        """Return (content, primitive) with the canonical leading coeff positive."""
+        """Return (content, primitive) with the canonical leading coeff positive.
+
+        The content is a Fraction; integer coefficients take one gcd and
+        floor divisions, with no Fraction arithmetic.
+        """
         if not self.terms:
             return ONE, self
+        coeffs = self.terms.values()
+        if all(type(c) is int for c in coeffs):
+            g = gcd(*coeffs)
+            if self.terms[max(self.terms)] < 0:
+                g = -g
+            return Fraction(g), MultiPoly(self.nvars, {k: c // g for k, c in self.terms.items()})
         cont = _content(self.terms)
         lead = self.terms[max(self.terms)]
         if lead < 0:

@@ -1,0 +1,57 @@
+"""One SHA-256 over everything the benchmark decks emit.
+
+    python3 tests/deck_digest.py [seed ...]        # default seeds: 3 424242
+
+Runs every problem of the three `perfbench` decks (`request-mix`,
+`quiver-dt`, `elliptic-genus`) at each seed, the way `perfbench/run.py` does,
+and hashes, per problem in deck order, the emitted JSON with diagnostics and
+the perturbation certificate (`xi_tilde`, `chamber_checks`, `sum_checks`,
+`seed`).  A problem that raises contributes its exception instead.  Prints
+the document count and the digest; two source trees that emit the same
+results print the same line.  jkcalc is imported from the `src/` of the
+checkout the script sits in, as `perfbench` does.  Not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+DEFAULT_SEEDS = (3, 424242)
+
+
+def document(jk, item) -> str:
+    try:
+        result = run.execute(jk, item)[0]
+    except Exception as exc:  # noqa: BLE001 - a failure is part of the output
+        return f"{type(exc).__name__}: {exc}\n"
+    cert = result.diagnostics.perturbation
+    if cert is not None:
+        cert = (cert.xi_tilde, cert.chamber_checks, cert.sum_checks, cert.seed)
+    return run.emit(jk, result) + repr(cert) + "\n"
+
+
+def main(argv) -> int:
+    seeds = [int(s) for s in argv] or DEFAULT_SEEDS
+    sys.path.insert(0, str(run.SRC))
+    jk = run.import_jkcalc()
+    digest = hashlib.sha256()
+    count = 0
+    for seed in seeds:
+        for workload in workloads.WORKLOADS:
+            for item in workloads.generate(workload, seed, jk["builders"]):
+                digest.update(f"{workload} {seed} {item.name}\n".encode())
+                digest.update(document(jk, item).encode())
+                count += 1
+    print(f"{count} documents  sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -52,6 +52,23 @@ class TestIsolatedIntersections:
             assert len(set(pt.active_weights)) == len(pt.active_weights)
 
 
+    def test_activity_at_denominators_3_and_7(self):
+        # P = (1/3, 2/7) = (7, 6)/21: 3 u1 + 7 u2 - 3 vanishes there, and
+        # 3 u1 + 7 u2 - 63 would vanish if its constant were not scaled by 21
+        point = (Fraction(1, 3), Fraction(2, 7))
+        forms = [AffineForm.make((3, 7), -3), AffineForm.make((3, 7), -63),
+                 AffineForm.make((Fraction(1, 2), 0), Fraction(-1, 6)),
+                 AffineForm.make((0, 14), -4), AffineForm.make((0, 14), -3),
+                 AffineForm.make((0, 0), 0), AffineForm.make((0, 0), 1),
+                 AffineForm.make((21, -21), 1)]
+        pt = arr._build_point(point, forms)
+        assert pt.point == point
+        assert pt.active_indices == (0, 2, 3, 5)
+        assert pt.active_indices == tuple(i for i, f in enumerate(forms)
+                                          if f.value_at(point) == 0)
+        assert pt.active_weights == (forms[0].rho, forms[2].rho, forms[3].rho)
+
+
 class TestConeMembership:
     def test_origin_cone_contains_xi(self):
         ok, mult = arr.cone_membership(CY3_XI, [(-1, 0), (0, -1)])

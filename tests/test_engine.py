@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import localize_reference
 from jkcalc import arrangement as arr
 from jkcalc import builders, invariants
 from jkcalc.arrangement import Flag
@@ -63,6 +64,55 @@ class TestLocalize:
         flag = simple_flag([(1,)], [(1,)])
         [lf] = localize(ig, (0,), flag)
         assert lf.exponent == -3
+
+
+def _seeded_raw_problems(rank, count, seed=2024):
+    """Rank-`rank` raw problems with a fractional stable point that compute."""
+    rng = random.Random(f"{seed}:{rank}")
+    found = []
+    while len(found) < count:
+        weights = [(tuple(rng.randint(-3, 3) for _ in range(rank)), rng.randint(0, 3),
+                    rng.randint(1, 2)) for _ in range(rng.randint(rank + 1, rank + 2))]
+        xi = tuple(rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(rank))
+        prob = invariants.make_problem(rank, weights, [], xi, degree=rng.choice((1, 2)))
+        try:
+            points = invariants.compute(prob, kind="additive").diagnostics.points
+        except (invariants.ValidationError, arr.PerturbationError):
+            continue
+        if any(x.denominator != 1 for p in points for x in p.point) \
+                and any(p.flags for p in points):
+            found.append((prob, points))
+    return found
+
+
+class TestLocalizeAgainstReference:
+    """The integer localization returns the factors of the Fraction reference
+    in `localize_reference.py`: same order, values, exponents and origins."""
+
+    @staticmethod
+    def assert_same(integrand, point, flags):
+        for flag in flags:
+            got = localize(integrand, point, flag)
+            assert got == localize_reference.localize(integrand, point, flag)
+            assert all(type(lf.const) is F and all(type(x) is F for x in lf.lin)
+                       for lf in got)
+
+    @pytest.mark.parametrize("charges", [(1, 1, 1), (1, 2, 2)])
+    def test_every_point_and_flag_of_a3_quivers(self, charges):
+        problem = builders.framed_a3_problem(3, 1, charges)
+        result = invariants.compute(problem, kind="additive")
+        integrand = invariants.build_integrand(problem, "additive")
+        assert sum(len(p.flags) for p in result.diagnostics.points) > 10
+        for p in result.diagnostics.points:
+            self.assert_same(integrand, p.point, p.flags)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_fractional_points_of_raw_problems_at_s_2(self, rank):
+        for problem, points in _seeded_raw_problems(rank, 3):
+            integrand = invariants.build_integrand(problem, "additive", s=2)
+            for p in points:
+                # the additive pole at s = 2 sits at 2 P
+                self.assert_same(integrand, tuple(2 * x for x in p.point), p.flags)
 
 
 class TestFlagResidueAdditive:

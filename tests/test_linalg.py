@@ -1,10 +1,12 @@
-"""Exact property checks of the linear algebra on seeded random integer matrices."""
+"""Exact property checks of the linear algebra on seeded random matrices, and
+the fraction-free elimination against the Fraction reference."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
-from jkcalc import linalg
+import linalg_reference
+from jkcalc import builders, invariants, linalg
 
 RNG_SEED = 20231107
 TRIALS = 60
@@ -134,3 +136,94 @@ def test_hyperplane_normal_is_primitive_and_orthogonal():
         assert g == 1
         assert next(x for x in normal if x != 0) > 0
         assert all(linalg.vec_dot(normal, row) == 0 for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against the Fraction reference
+
+def _entry(rng, style):
+    if style == "int":
+        return rng.randint(-4, 4)
+    if style == "small":
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+    if style == "large":
+        return Fraction(rng.randint(-10**12, 10**12), rng.choice((10**9 + 7, 2**61 - 1, 3**30)))
+    return _entry(rng, rng.choice(("int", "small", "large")))     # "mixed"
+
+
+def _rational_matrix(rng, nrows, ncols, rank, style):
+    """nrows x ncols of rank at most `rank`, with duplicate, zero and scaled
+    rows and zero columns mixed in."""
+    b = [[_entry(rng, style) for _ in range(rank)] for _ in range(nrows)]
+    c = [[_entry(rng, style) for _ in range(ncols)] for _ in range(rank)]
+    mat = [[sum((b[i][k] * c[k][j] for k in range(rank)), 0) for j in range(ncols)]
+           for i in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        mat[rng.randrange(nrows)] = [x * _entry(rng, "small") for x in mat[rng.randrange(nrows)]]
+    if rng.random() < 0.2:
+        mat[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.2:
+        col = rng.randrange(ncols)
+        for row in mat:
+            row[col] = 0
+    return [tuple(row) for row in mat]
+
+
+def _elimination_cases(rng):
+    for style in ("int", "small", "large", "mixed"):
+        for _ in range(TRIALS):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)    # wide, tall, square
+            yield _rational_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), style)
+            n = rng.randint(1, 4)
+            a = _rational_matrix(rng, n, n, rng.randint(1, n), style)
+            yield [row + (_entry(rng, style),) for row in a]                    # [A | b]
+            yield [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a)]  # [A | I]
+
+
+def test_echelon_matches_fraction_reference():
+    rng = random.Random(RNG_SEED + 6)
+    count = 0
+    for mat in _elimination_cases(rng):
+        rows, pivots = linalg._echelon(mat)
+        assert (rows, pivots) == linalg_reference.echelon(mat), mat
+        assert all(type(x) is Fraction for row in rows for x in row)
+        count += 1
+    assert count == 4 * 3 * TRIALS
+
+
+def test_det_matches_fraction_reference_with_row_swaps():
+    assert linalg.det([[0, 1], [1, 0]]) == -1
+    assert linalg.det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert linalg.det([[0, 2, 1], [0, 0, 3], [5, 0, 0]]) == 30
+    assert linalg.det([[0, Fraction(1, 2)], [Fraction(2, 3), 0]]) == Fraction(-1, 3)
+    assert linalg.det([[0, 1], [0, 2]]) == 0
+    assert linalg.det([]) == 1
+    rng = random.Random(RNG_SEED + 7)
+    swaps = 0
+    for style in ("int", "small", "large", "mixed"):
+        for _ in range(TRIALS):
+            n = rng.randint(1, 5)
+            mat = [list(row) for row in _rational_matrix(rng, n, n, rng.randint(1, n), style)]
+            for i in rng.sample(range(n), rng.randint(0, n)):
+                mat[i][i] = 0           # zeros on the diagonal force row swaps
+            swaps += mat[0][0] == 0 and any(row[0] != 0 for row in mat)
+            got = linalg.det(mat)
+            assert got == linalg_reference.det(mat), mat
+            assert type(got) is Fraction
+    assert swaps > TRIALS
+
+
+def test_echelon_calls_of_a_pipeline_match_the_reference(monkeypatch):
+    calls = []
+    echelon = linalg._echelon
+
+    def shadow(rows):
+        out = echelon(rows)
+        calls.append((list(rows), out))
+        return out
+
+    monkeypatch.setattr(linalg, "_echelon", shadow)
+    result = invariants.compute(builders.framed_a3_problem(2, 1, (1, 1, 1)), kind="additive")
+    assert result.dt == 12 and calls
+    for rows, out in calls:
+        assert out == linalg_reference.echelon(rows)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -199,6 +200,38 @@ class TestMultiPoly:
                 naive = naive + rest * (MultiPoly.variable(3, 1) + a) ** e1
             assert p.subst_shift(1, a) == naive
         assert p.subst_shift(1, 0) == p
+
+
+class TestContentNormalize:
+    @staticmethod
+    def seeded_cases():
+        """Integer trivariate polynomials: content 1 or > 1, either leading sign."""
+        rng = random.Random(11)
+        for content in (1, 1, 6, 35, 2**40):
+            for sign in (1, -1):
+                terms = {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2)):
+                         rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 8))}
+                terms[max(terms)] = sign * rng.randint(1, 9)
+                yield MultiPoly(3, {k: content * c for k, c in terms.items()})
+
+    def test_integer_path_matches_the_fraction_path(self):
+        for p in self.seeded_cases():
+            cont, prim = p.content_normalize()
+            twin = MultiPoly(3, {k: Fraction(c) for k, c in p.terms.items()})
+            assert (cont, prim) == twin.content_normalize()
+            assert type(cont) is Fraction
+            assert all(type(c) is int for c in prim.terms.values())
+            assert prim.terms[max(prim.terms)] > 0
+            assert gcd(*prim.terms.values()) == 1
+            assert MultiPoly(3, {k: cont * c for k, c in prim.terms.items()}) == p
+
+    def test_fraction_path(self):
+        p = MultiPoly(1, {(2,): Fraction(-3, 4), (1,): Fraction(1, 2), (0,): 6})
+        cont, prim = p.content_normalize()
+        assert cont == Fraction(-1, 4) and type(cont) is Fraction
+        assert prim.terms == {(2,): 3, (1,): -2, (0,): -24}
+        assert all(type(c) is int for c in prim.terms.values())
+        assert MultiPoly.zero(2).content_normalize() == (1, MultiPoly.zero(2))
 
 
 class TestPolyGcd:
