@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from operator import mul
 
 from . import linalg
@@ -358,8 +359,9 @@ def lattice_basis(weights):
 
 def kappa_determinant(kappa, basis) -> Fraction:
     """det of the kappa tuple expressed in the given lattice basis, which is
-    det(kappa) / det(basis)."""
-    return linalg.det(kappa) / linalg.det(basis)
+    det(kappa) / det(basis).  The basis is `lattice_basis`'s square upper
+    triangular Hermite normal form, so det(basis) is its diagonal product."""
+    return linalg.det(kappa) / prod(row[i] for i, row in enumerate(basis))
 
 
 def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:

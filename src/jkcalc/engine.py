@@ -20,6 +20,13 @@ counting assertion on the factor list.  Their finished value is expanded in q
 by the same series arithmetic (sine is order 0), and each q^t coefficient is
 reduced once, as one rational function of w.
 
+Before any of this, `_screened_zero` decides a flag whose residue vanishes
+by its pole count alone: it walks the residue steps on the localized (c, l)
+patterns, where a factor has valuation 1 at step i exactly when c = 0,
+l_i != 0 and l_j = 0 for every j > i, and returns zero as soon as the
+exponents of those factors sum to >= 0.  The rule is the same at S_i = 1, so
+one screen serves all three kinds.
+
 Every series product runs in Kronecker form (`kronecker.Kronecker`): the
 coefficients are grouped by every exponent but one packed variable, w for
 the multiplicative kinds (the residue steps and the q-expansion) and the
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from operator import mul
 
@@ -82,6 +90,21 @@ class FactorizedIntegrand:
     # (point, flag) -> `localize` result, when the caller shares localizations
     localized: dict | None = field(default=None, repr=False, compare=False)
 
+    @cached_property
+    def cleared_factors(self):
+        """The factors on integers: (R, rhos, rows), with every rho and constant
+        an integer over the common denominator R, `rhos` the distinct rho
+        numerators, and one (rho index, const numerator, exponent, origin) row
+        per factor, in factor order."""
+        R = lcm(*(x.denominator for f in self.factors for x in (*f.rho, f.const)))
+        index: dict = {}
+        rows = []
+        for f in self.factors:
+            rho = tuple(x.numerator * (R // x.denominator) for x in f.rho)
+            rows.append((index.setdefault(rho, len(index)),
+                         f.const.numerator * (R // f.const.denominator), f.exponent, f.origin))
+        return R, list(index), rows
+
     def assert_structure(self):
         counts = {ORIGIN_ROOT_NUM: 0, ORIGIN_ROOT_DEN: 0,
                   ORIGIN_WEIGHT_NUM: 0, ORIGIN_WEIGHT_DEN: 0}
@@ -116,40 +139,41 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
 
     The change of basis sends rho to rho * K^{-1} where K has the kappa
     covectors as rows; duplicate (c, l) pairs merge their exponents.  The
-    products run on integers: K^{-1} and P are each cleared to integers over
-    one denominator, and rho.P and l are computed once for each distinct rho.
+    products run on integers (`FactorizedIntegrand.cleared_factors`, and K^{-1}
+    and P each cleared over one denominator): rho.P and l are computed once
+    for each distinct rho.  K^{-1} is invertible, so distinct rhos have
+    distinct l, and (rho index, numerator of c) keys the merge.  A Fraction is
+    built only for the factors returned.
     """
     k = integrand.rank
+    R, rhos, rows = integrand.cleared_factors
     point_ints, point_den = linalg.cleared(point)
     columns, kinv_den = [], 1
     if k > 0:
-        kinv = linalg.inverse([linalg.fvec(ka) for ka in flag.kappa])
+        kinv = linalg.inverse(flag.kappa)
         if kinv is None:
             raise ValueError("kappa of a proper flag must be invertible")
         kinv_ints, kinv_den = linalg.cleared([x for row in kinv for x in row])
         columns = [kinv_ints[j::k] for j in range(k)]
-    at_rho: dict = {}
+    at_point = [sum(map(mul, rho, point_ints)) for rho in rhos]
     merged: dict = {}
-    order: list = []
-    for f in integrand.factors:
-        hit = at_rho.get(f.rho)
-        if hit is None:
-            rho_ints, rho_den = linalg.cleared(f.rho)
-            hit = at_rho[f.rho] = (
-                Fraction(sum(map(mul, rho_ints, point_ints)), rho_den * point_den),
-                tuple(Fraction(sum(map(mul, rho_ints, col)), rho_den * kinv_den)
-                      for col in columns))
-        key = (hit[0] + f.const, hit[1])
-        if key in merged:
-            merged[key][0] += f.exponent
+    for g, const, exponent, origin in rows:
+        key = (g, at_point[g] + const * point_den)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [exponent, origin]
         else:
-            merged[key] = [f.exponent, f.origin]
-            order.append(key)
+            entry[0] += exponent
+    lins: dict = {}
     out = []
-    for key in order:
-        exp, origin = merged[key]
-        if exp != 0:
-            out.append(LocalFactor(const=key[0], lin=key[1], exponent=exp, origin=origin))
+    for (g, c), (exponent, origin) in merged.items():
+        if exponent != 0:
+            lin = lins.get(g)
+            if lin is None:
+                lin = lins[g] = tuple(Fraction(sum(map(mul, rhos[g], col)), R * kinv_den)
+                                      for col in columns)
+            out.append(LocalFactor(const=Fraction(c, R * point_den), lin=lin,
+                                   exponent=exponent, origin=origin))
     return out
 
 
@@ -329,6 +353,42 @@ def _residue_step(term: _Term, var: int, center, pv, qv, qcap) -> _Term | None:
     return _Term(coeff=coeff, hot=s, factors=new_factors)
 
 
+def _screened_zero(local_factors, rank: int) -> bool:
+    """True when the flag's residue is zero by the pole count alone.
+
+    Walks the residue steps on the (c, l) patterns, taking the hot
+    numerator's valuation as 0.  Only factors with c = 0 can vanish, so only
+    they are followed, by their tails l_i, l_(i+1), ... at step i.  Such a
+    factor has valuation 1 at step i exactly when l_i != 0 and every later
+    l_j is 0, else 0, for its sine and theta images at S_i = 1 as well; the
+    sum of the exponents of the valuation-1 factors bounds the integrand's
+    order in z_i from below, and the residue vanishes once it is >= 0.  As in
+    `_residue_step`, factors with l_i = 0 are carried unchanged, those with
+    e > 0 go into the numerator (dropped), and the others with e < 0 are
+    carried with l_i set to 0 and exponent e - target; every exponent stays
+    at or below the true one.  An identically zero factor is left to the
+    full computation.
+    """
+    live = []
+    for lf in local_factors:
+        if lf.const == 0:
+            if not any(lf.lin):
+                return False
+            live.append((lf.lin, lf.exponent))
+    for i in range(rank):
+        bound = sum(e for tail, e in live if tail[0] and not any(tail[1:]))
+        if bound >= 0:
+            return True
+        carried = []
+        for tail, e in live:
+            if not tail[0]:
+                carried.append((tail[1:], e))
+            elif e < 0 and any(tail[1:]):
+                carried.append((tail[1:], e + bound + 1))
+        live = carried
+    return False
+
+
 # ---------------------------------------------------------------------------
 # additive kind
 
@@ -337,6 +397,8 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     """Iterated residue of the rational integrand along one flag, times the
     lattice normalization |d(mu) / (kappa_1 ^ ... ^ kappa_k)|."""
     k = integrand.rank
+    if _screened_zero(local_factors, k):
+        return Fraction(0)
     nv = max(k, 1)
     ds = integrand.degree * integrand.s
     coeff = (Fraction(1) / ds) ** k
@@ -438,6 +500,10 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     """
     kind = integrand.kind
     k = integrand.rank
+    assert sum(lf.exponent for lf in local_factors) == 0, \
+        "sine factor count must balance the prefactor copies"
+    if _screened_zero(local_factors, k):
+        return _zero_value(integrand)
     widx = k
     theta = kind == "theta"
     nv = k + 1 + (1 if theta else 0)
@@ -445,16 +511,13 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     qcap = integrand.q_order if theta else None
     coeff = Fraction(1)
     factors: dict = {}
-    balance = 0
     for lf in local_factors:
         if lf.const == 0 and all(x == 0 for x in lf.lin):
             if lf.exponent > 0:
                 return _zero_value(integrand)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
-        balance += lf.exponent
         for poly, e in multiplicativize(lf, kind, D, integrand.q_order, k):
             coeff *= _merge_factor(factors, poly, e)
-    assert balance == 0, "sine factor count must balance the prefactor copies"
     for poly, e in _prefactor_pieces(integrand, D):
         coeff *= _merge_factor(factors, poly, e)
     term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)

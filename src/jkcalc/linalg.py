@@ -21,7 +21,8 @@ from math import gcd, lcm
 
 
 def fvec(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
+    """v as a tuple of Fraction; entries that already are one are kept."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
 
 
 def vec_add(a, b):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 import localize_reference
+import test_fuzz
 from jkcalc import arrangement as arr
-from jkcalc import builders, invariants
+from jkcalc import builders, engine, invariants
+from jkcalc.config import ConfigError, parse_config
 from jkcalc.arrangement import Flag
 from jkcalc.engine import (FactorizedIntegrand, IntegrandFactor, LocalFactor,
                            flag_residue_additive, flag_residue_multiplicative,
@@ -101,10 +103,12 @@ class TestLocalizeAgainstReference:
     def test_every_point_and_flag_of_a3_quivers(self, charges):
         problem = builders.framed_a3_problem(3, 1, charges)
         result = invariants.compute(problem, kind="additive")
-        integrand = invariants.build_integrand(problem, "additive")
         assert sum(len(p.flags) for p in result.diagnostics.points) > 10
-        for p in result.diagnostics.points:
-            self.assert_same(integrand, p.point, p.flags)
+        for s in (1, F(3, 2)):   # s = 3/2 makes constants fractional
+            integrand = invariants.build_integrand(problem, "additive", s=s)
+            for p in result.diagnostics.points:
+                # the additive pole at s sits at s P
+                self.assert_same(integrand, tuple(s * x for x in p.point), p.flags)
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_fractional_points_of_raw_problems_at_s_2(self, rank):
@@ -113,6 +117,44 @@ class TestLocalizeAgainstReference:
             for p in points:
                 # the additive pole at s = 2 sits at 2 P
                 self.assert_same(integrand, tuple(2 * x for x in p.point), p.flags)
+
+
+    def test_repeated_rhos_with_different_constants(self):
+        # (1, 0) comes with four constants, two of which localize to the same
+        # c and cancel; (2, 0) and (1, 0) share a line but not an l
+        ig = bare_integrand(2, [
+            IntegrandFactor(rho=(F(1), F(0)), const=F(1, 2), exponent=1, origin="weight-num"),
+            IntegrandFactor(rho=(F(1), F(0)), const=F(-1, 3), exponent=-2, origin="weight-den"),
+            IntegrandFactor(rho=(F(2), F(0)), const=F(1, 2), exponent=-1, origin="weight-den"),
+            IntegrandFactor(rho=(F(1), F(0)), const=F(1, 2), exponent=-1, origin="root-den"),
+            IntegrandFactor(rho=(F(0), F(3, 2)), const=F(0), exponent=1, origin="root-num"),
+            IntegrandFactor(rho=(F(1), F(0)), const=F(5, 6), exponent=2, origin="root-num"),
+        ])
+        flags = [simple_flag([(1, 0), (0, 1)], [(1, 0), (0, 1)]),
+                 simple_flag([(1, 1), (0, 2)], [(1, 0), (0, 1)])]
+        self.assert_same(ig, (F(1, 3), F(-1, 2)), flags)
+        assert len(localize(ig, (F(1, 3), F(-1, 2)), flags[0])) == 4
+
+    def test_localize_hashes_no_fraction(self, monkeypatch):
+        problem = builders.framed_a3_problem(3, 1, (1, 1, 2))
+        points = invariants.compute(problem, kind="additive",
+                                    allow_root_incidence=True).diagnostics.points
+        integrand = invariants.build_integrand(problem, "additive", s=F(3, 2))
+        hashes = []
+        fraction_hash = F.__hash__
+
+        def counted(self):
+            hashes.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(F, "__hash__", counted)
+        for p in points:
+            for flag in p.flags:
+                localize(integrand, tuple(F(3, 2) * x for x in p.point), flag)
+        assert hashes == []
+        # the count sees a localization that keys its merge by Fractions
+        localize_reference.localize(integrand, points[0].point, points[0].flags[0])
+        assert hashes
 
 
 class TestFlagResidueAdditive:
@@ -344,6 +386,80 @@ class TestJKResidue:
             scaled = jk_residue(bare_integrand(k, scaled_factors(lam)), (0,) * k,
                                 weights, xi_t, basis)
             assert scaled == lam ** (-k) * base, (trial, k, lam)
+
+
+def _screen_problem(case):
+    """(problem, compute keywords) of a zero-screen case: a framed A^3 quiver
+    of length 3, rank 1, by its charges, or a fuzz config by name."""
+    if isinstance(case, tuple):
+        return builders.framed_a3_problem(3, 1, case), \
+            {"allow_root_incidence": case in ((1, 1, 2), (1, 2, 3))}
+    cfg = parse_config(test_fuzz.CONFIGS[case])
+    return cfg.build_problem(), {"seed": cfg.seed}
+
+
+SCREEN_CASES = [(1, 1, 1), (1, 2, 2), (1, 1, 2), (1, 2, 3), *test_fuzz.CONFIGS]
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES, ids=map(str, SCREEN_CASES))
+def test_screened_flags_have_zero_residue(case, monkeypatch):
+    """Every flag the zero screen decides has residue exactly zero when the
+    residue is computed in full: for all three kinds at q-order 1 on the fuzz
+    configs, and for the additive and sine kinds on the quivers, whose 60
+    screened flags take 15-30 s of full theta residues at q-order 1."""
+    try:
+        problem, kwargs = _screen_problem(case)
+        points = invariants.compute(problem, kind="additive", **kwargs).diagnostics.points
+    except (ConfigError, ValueError, invariants.ValidationError, arr.PerturbationError):
+        return   # the fuzz config is rejected before any residue is taken
+    additive = invariants.build_integrand(problem, "additive")
+    screened = [(p.point, flag) for p in points for flag in p.flags
+                if engine._screened_zero(localize(additive, p.point, flag), problem.rank)]
+    if case == (1, 1, 2):
+        assert len(screened) >= 24
+    monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
+    for kind in engine.KINDS[:2] if isinstance(case, tuple) else engine.KINDS:
+        integrand = invariants.build_integrand(problem, kind, q_order=1)
+        D = engine.denominator_scale(integrand, [(p.point, p.flags) for p in points])
+        for point, flag in screened:
+            value = engine.flag_residue(localize(integrand, point, flag), flag, integrand, D)
+            assert (value == 0) if kind == "additive" else value.is_zero(), (kind, point)
+
+
+def _local(*factors):
+    """LocalFactors from (c, l, exponent) triples, plus a constant factor that
+    balances the factor count as the sine kind requires."""
+    out = [LocalFactor(const=F(c), lin=tuple(map(F, lin)), exponent=e, origin="weight-den")
+           for c, lin, e in factors]
+    return out + [LocalFactor(const=F(1), lin=(F(0),) * len(factors[0][1]),
+                              exponent=-sum(e for _, _, e in factors), origin="weight-num")]
+
+
+def test_screen_bounds_the_pole_order_of_rank2_integrands(monkeypatch):
+    """Rank-2 integrands at the origin with the flag kappa = identity: every
+    one the screen decides has zero additive and sine residues.  The first
+    two have nonzero residues: (z0+z1)^2 / (z0 z1)^2 is 2, and
+    z1 / (z0^2 (z0+z1)) is -1.  A screen that carries a numerator factor
+    with its exponent, or a denominator factor without the e - target
+    update, decides them.  The seeded ones have factors c + l.z with c in
+    {0, 1}, l in [-2, 2]^2 and exponent in [-3, 2]."""
+    cases = [_local((0, (1, 1), 2), (0, (1, 0), -2), (0, (0, 1), -2)),
+             _local((0, (0, 1), 1), (0, (1, 0), -2), (0, (1, 1), -1))]
+    rng = random.Random(11)
+    for _ in range(400):
+        factors = [(rng.choice((0, 0, 1)), (rng.randint(-2, 2), rng.randint(-2, 2)),
+                    rng.choice((-3, -2, -1, 1, 2))) for _ in range(rng.randint(2, 5))]
+        cases.append(_local(*[f for f in factors if any(f[1])] or [(1, (1, 0), 1)]))
+    screened = [local for local in cases if engine._screened_zero(local, 2)]
+    # decided at the second step, where the carried exponents matter
+    assert sum(not engine._screened_zero(local, 1) for local in screened) >= 20
+    monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
+    flag = simple_flag([(1, 0), (0, 1)], [(1, 0), (0, 1)])
+    additive = bare_integrand(2, [])
+    sine = bare_integrand(2, [], kind="sine")
+    for local in screened:
+        assert flag_residue_additive(local, flag, additive) == 0, local
+        assert flag_residue_multiplicative(local, flag, sine, 1).is_zero(), local
 
 
 def test_denominator_scale_collects_fractions():
