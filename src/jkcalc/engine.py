@@ -16,16 +16,22 @@ acting as transcendentals.  Intermediate values are kept as one expanded
 denominator is ever expanded and no gcd is needed along the way.  The
 multiplicative kinds take residues at S_j = 1; the per-step Jacobian
 constants cancel exactly against the 2i / pi*hbar bookkeeping, enforced by a
-counting assertion on the factor list.  Their finished value is expanded in q
-by the same series arithmetic (sine is order 0), and each q^t coefficient is
-reduced once, as one rational function of w.
+counting assertion on the factor list.  Their finished value is expanded in
+q by the same series arithmetic (sine is order 0), and each q^t coefficient
+is reduced once, as one rational function of w.  No step shifts a
+polynomial in full: it finds each factor's valuation at the center first,
+which fixes the target degree, and then computes only the Taylor
+coefficients at the center that the residue reads, those below the target
+(`_residue_step`).
 
 Before any of this, `_screened_zero` decides a flag whose residue vanishes
 by its pole count alone: it walks the residue steps on the localized (c, l)
 patterns, where a factor has valuation 1 at step i exactly when c = 0,
 l_i != 0 and l_j = 0 for every j > i, and returns zero as soon as the
-exponents of those factors sum to >= 0.  The rule is the same at S_i = 1, so
-one screen serves all three kinds.
+exponents of those factors sum to >= 0.  A factor that keeps a later l_j != 0
+is carried to the next step with exponent e - target, a numerator factor
+only while that is positive.  The rule is the same at S_i = 1, so one screen
+serves all three kinds.
 
 Every series product runs in Kronecker form (`kronecker.Kronecker`): the
 coefficients are grouped by every exponent but one packed variable, w for
@@ -320,37 +326,54 @@ class _Term:
 
 def _residue_step(term: _Term, var: int, center, pv, qv, qcap) -> _Term | None:
     """One univariate residue in `var` at `center`, variable pv packed in the
-    series products; None means zero residue."""
-    hot = term.hot
+    series products; None means zero residue.
+
+    Only the Taylor coefficients at the center that the step reads are
+    computed (`MultiPoly.shift_coefficients`).  A factor's valuation v there
+    is found window by window, [0, 2), [2, 4), [4, 8), ... up to its degree,
+    until a window has a nonzero coefficient.  With B = -sum v e over the
+    factors, the residue is the coefficient of degree target = B - 1 - hv,
+    for hv the hot numerator's valuation, so the step reads the hot
+    numerator's coefficients j < B, whatever hv is, and a factor's
+    j < v + target + 1 (none above its degree are nonzero).  A hot numerator
+    with none nonzero below B gives zero before any series work.
+    """
     coeff = term.coeff
     carry: dict = {}
     active = []
-    if center != 0:
-        hot = hot.subst_shift(var, center)
-    hv = hot.valuation_in(var)
-    total_val = hv
-    for _, (p, e) in term.factors.items():
-        if p.degree_in(var) == 0:
+    bound = 0
+    for p, e in term.factors.values():
+        deg = p.degree_in(var)
+        if deg == 0:
             coeff *= _merge_factor(carry, p, e)
             continue
-        ps = p.subst_shift(var, center) if center != 0 else p
-        v = ps.valuation_in(var)
-        unit = ps.coefficients_in(var)[v:]
-        total_val += v * e
-        active.append((unit, e))
-    if total_val >= 0:
+        head, hi = [], 2
+        while not any(head):
+            head += p.shift_coefficients(var, len(head), min(hi, deg + 1), center)
+            hi *= 2
+        v = next(j for j, c in enumerate(head) if c)
+        bound -= v * e
+        active.append((p, e, v, deg, head))
+    hot = term.hot.shift_coefficients(var, 0, bound, center)
+    hv = next((j for j, c in enumerate(hot) if c), None)
+    if hv is None:
         return None
-    target = -total_val - 1
-    new_factors = carry
-    for unit, e in active:
+    target = bound - 1 - hv
+    units = []
+    for p, e, v, deg, head in active:
+        end = min(v + target, deg) + 1
+        unit = head[v:end]
+        if end > len(head):
+            unit += p.shift_coefficients(var, len(head), end, center)
         if e < 0:
-            coeff *= _merge_factor(new_factors, unit[0], e - target)
-    [s] = _expand(hot.coefficients_in(var)[hv:], active, target, pv, qv, qcap, target)
+            coeff *= _merge_factor(carry, unit[0], e - target)
+        units.append((unit, e))
+    [s] = _expand(hot[hv:], units, target, pv, qv, qcap, target)
     if s.is_zero():
         return None
     cont, s = s.content_normalize()
     coeff *= cont
-    return _Term(coeff=coeff, hot=s, factors=new_factors)
+    return _Term(coeff=coeff, hot=s, factors=carry)
 
 
 def _screened_zero(local_factors, rank: int) -> bool:
@@ -363,11 +386,13 @@ def _screened_zero(local_factors, rank: int) -> bool:
     l_j is 0, else 0, for its sine and theta images at S_i = 1 as well; the
     sum of the exponents of the valuation-1 factors bounds the integrand's
     order in z_i from below, and the residue vanishes once it is >= 0.  As in
-    `_residue_step`, factors with l_i = 0 are carried unchanged, those with
-    e > 0 go into the numerator (dropped), and the others with e < 0 are
-    carried with l_i set to 0 and exponent e - target; every exponent stays
-    at or below the true one.  An identically zero factor is left to the
-    full computation.
+    `_residue_step`, factors with l_i = 0 are carried unchanged, those of
+    valuation 1 become constants (dropped), and the others are carried with
+    l_i set to 0 and exponent e - target, a numerator factor only while that
+    is > 0: the coefficient of z_i^j in (a z_i + L)^e is a multiple of
+    L^(e-j), and likewise for the sine and theta images, whose value at
+    S_i = 1 is the image of L.  Every exponent stays at or below the true
+    one.  An identically zero factor is left to the full computation.
     """
     live = []
     for lf in local_factors:
@@ -383,7 +408,7 @@ def _screened_zero(local_factors, rank: int) -> bool:
         for tail, e in live:
             if not tail[0]:
                 carried.append((tail[1:], e))
-            elif e < 0 and any(tail[1:]):
+            elif any(tail[1:]) and (e < 0 or e + bound + 1 > 0):
                 carried.append((tail[1:], e + bound + 1))
         live = carried
     return False
@@ -548,7 +573,7 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
     order = integrand.q_order if qv is not None else 0
 
     def q_coefficients(poly):
-        return poly.coefficients_in(qv) if qv is not None else [poly]
+        return poly.shift_coefficients(qv, 0, order + 1, 0) if qv is not None else [poly]
 
     def in_w(poly):
         return RatFunc([(k[widx], c) for k, c in poly.terms.items()])

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd, lcm
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -206,44 +208,40 @@ class MultiPoly:
             return 0
         return max(k[var] for k in self.terms)
 
-    def valuation_in(self, var):
-        if not self.terms:
-            return 0
-        return min(k[var] for k in self.terms)
+    def shift_coefficients(self, var, lo, hi, a=1):
+        """Coefficients lo..hi-1 in x_var of self(x_var + a), var slot zeroed,
+        for a = 1 (the Taylor coefficients at x_var = 1) or a = 0 (self split
+        by degree in x_var).
 
-    def coefficients_in(self, var):
-        """Dense list of coefficient polynomials by degree in `var` (var slot zeroed)."""
-        deg = self.degree_in(var)
-        out = [dict() for _ in range(deg + 1)]
-        for k, c in self.terms.items():
-            kk = list(k)
-            d = kk[var]
-            kk[var] = 0
-            out[d][tuple(kk)] = c
-        return [MultiPoly(self.nvars, t) for t in out]
-
-    def subst_shift(self, var, a):
-        """Substitute x_var -> x_var + a."""
-        a = _ncoeff(Fraction(a))
+        Only the coefficients asked for are computed.  For a = 1 the terms
+        are grouped by their other exponents, and the j-th coefficient of a
+        group sum c * x_var^e is sum c * comb(e, j), one sum per group and j.
+        """
+        outs = [{} for _ in range(lo, hi)]
         if a == 0:
-            return self
-        rows = {}   # exponent e -> [comb(e, j) * a^(e-j) for j = 0..e]
-        out = {}
+            for k, c in self.terms.items():
+                if lo <= k[var] < hi:
+                    outs[k[var] - lo][k[:var] + (0,) + k[var + 1:]] = c
+            return [MultiPoly(self.nvars, d) for d in outs]
+        if a != 1:
+            raise ValueError("shift_coefficients shifts by 0 or 1")
+        groups: dict = {}
         for k, c in self.terms.items():
             e = k[var]
-            row = rows.get(e)
-            if row is None:
-                row = rows[e] = [comb(e, j) if a == 1 else comb(e, j) * a ** (e - j)
-                                 for j in range(e + 1)]
-            head, tail = k[:var], k[var + 1:]
-            for j, b in enumerate(row):
-                kk = head + (j,) + tail
-                s = out.get(kk, 0) + c * b
-                if s:
-                    out[kk] = s
+            if e >= lo:
+                kk = k[:var] + (0,) + k[var + 1:]
+                g = groups.get(kk)
+                if g is None:
+                    groups[kk] = ([e], [c])
                 else:
-                    out.pop(kk, None)
-        return MultiPoly(self.nvars, out)
+                    g[0].append(e)
+                    g[1].append(c)
+        for k, (es, cs) in groups.items():
+            for j in range(lo, min(max(es) + 1, hi)):
+                s = sum(map(mul, cs, map(comb, es, repeat(j))))
+                if s:
+                    outs[j - lo][k] = s
+        return [MultiPoly(self.nvars, d) for d in outs]
 
     def content_normalize(self):
         """Return (content, primitive) with the canonical leading coeff positive.

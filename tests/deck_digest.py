@@ -7,9 +7,12 @@ Runs every problem of the three `perfbench` decks (`request-mix`,
 and hashes, per problem in deck order, the emitted JSON with diagnostics and
 the perturbation certificate (`xi_tilde`, `chamber_checks`, `sum_checks`,
 `seed`).  A problem that raises contributes its exception instead.  Prints
-the document count and the digest; two source trees that emit the same
-results print the same line.  jkcalc is imported from the `src/` of the
-checkout the script sits in, as `perfbench` does.  Not collected by pytest.
+one line per workload, with its document count and its own digest over its
+documents at every seed, then the total count and the digest over all; two
+source trees that emit the same results print the same lines, and when the
+total moves, the workload lines name the decks that moved.  jkcalc is
+imported from the `src/` of the checkout the script sits in, as `perfbench`
+does.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -42,14 +45,17 @@ def main(argv) -> int:
     sys.path.insert(0, str(run.SRC))
     jk = run.import_jkcalc()
     digest = hashlib.sha256()
-    count = 0
+    decks = {workload: [0, hashlib.sha256()] for workload in workloads.WORKLOADS}
     for seed in seeds:
-        for workload in workloads.WORKLOADS:
+        for workload, deck in decks.items():
             for item in workloads.generate(workload, seed, jk["builders"]):
-                digest.update(f"{workload} {seed} {item.name}\n".encode())
-                digest.update(document(jk, item).encode())
-                count += 1
-    print(f"{count} documents  sha256 {digest.hexdigest()}")
+                data = f"{workload} {seed} {item.name}\n{document(jk, item)}".encode()
+                digest.update(data)
+                deck[1].update(data)
+                deck[0] += 1
+    for workload, (count, deck_digest) in decks.items():
+        print(f"{workload:<16}{count:>4} documents  sha256 {deck_digest.hexdigest()}")
+    print(f"{sum(count for count, _ in decks.values())} documents  sha256 {digest.hexdigest()}")
     return 0
 
 

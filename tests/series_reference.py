@@ -2,7 +2,14 @@
 product, as `engine._series_mul` multiplied before its coefficient products
 were packed.  Series are lists of `MultiPoly` coefficients; `qv`, when not
 None, drops every term whose exponent of that variable exceeds `qcap`.
-Tests compare the packed products with these."""
+Tests compare the packed products with these.
+
+`subst_shift` is the full shift x_var -> x_var + a that the residue steps
+applied to every polynomial before they computed only the Taylor
+coefficients they read (`MultiPoly.shift_coefficients`)."""
+
+from fractions import Fraction
+from math import comb
 
 from jkcalc.polyarith import MultiPoly
 
@@ -68,3 +75,28 @@ def inverse_power(unit, p, target, nv, qv, qcap):
         W.append(-acc)
     S = series_pow(W, p, target, nv, qv, qcap)
     return [poly_mul(S[t], p0_pows[target - t], nv, qv, qcap) for t in range(target + 1)]
+
+
+def subst_shift(poly, var, a):
+    """poly with x_var -> x_var + a substituted, every term in full."""
+    a = Fraction(a)
+    out = {}
+    for k, c in poly.terms.items():
+        e = k[var]
+        for j in range(e + 1):
+            kk = k[:var] + (j,) + k[var + 1:]
+            s = out.get(kk, 0) + c * comb(e, j) * a ** (e - j)
+            if s:
+                out[kk] = s if s.denominator != 1 else s.numerator
+            else:
+                out.pop(kk, None)
+    return MultiPoly(poly.nvars, out)
+
+
+def coefficients_in(poly, var, n):
+    """The first n coefficient polynomials of poly in x_var, var slot zeroed."""
+    out = [{} for _ in range(n)]
+    for k, c in poly.terms.items():
+        if k[var] < n:
+            out[k[var]][k[:var] + (0,) + k[var + 1:]] = c
+    return [MultiPoly(poly.nvars, t) for t in out]

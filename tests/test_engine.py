@@ -1,7 +1,10 @@
 """Residue engine: localization, multiplicative images, flag and JK residues."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -405,8 +408,8 @@ SCREEN_CASES = [(1, 1, 1), (1, 2, 2), (1, 1, 2), (1, 2, 3), *test_fuzz.CONFIGS]
 def test_screened_flags_have_zero_residue(case, monkeypatch):
     """Every flag the zero screen decides has residue exactly zero when the
     residue is computed in full: for all three kinds at q-order 1 on the fuzz
-    configs, and for the additive and sine kinds on the quivers, whose 60
-    screened flags take 15-30 s of full theta residues at q-order 1."""
+    configs, and for the additive and sine kinds on the quivers, whose 109
+    screened flags take about 7 s of full theta residues at q-order 1."""
     try:
         problem, kwargs = _screen_problem(case)
         points = invariants.compute(problem, kind="additive", **kwargs).diagnostics.points
@@ -460,6 +463,39 @@ def test_screen_bounds_the_pole_order_of_rank2_integrands(monkeypatch):
     for local in screened:
         assert flag_residue_additive(local, flag, additive) == 0, local
         assert flag_residue_multiplicative(local, flag, sine, 1).is_zero(), local
+
+
+def _deck(workload, seed):
+    """The problems of a `perfbench` deck, generated as the benchmark does."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)   # its dataclasses look their module up
+    return workloads.generate(workload, seed, builders)
+
+
+def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):
+    """The seed-3 `quiver-dt` deck has 199 flags, 115 of them with zero
+    residue: the screen decides at least 100 of those, and every flag it
+    decides has residue zero when computed in full."""
+    screen = engine._screened_zero
+    monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
+    flags = zero = decided = 0
+    for item in _deck("quiver-dt", 3):
+        problem = item.problem
+        points = invariants.compute(problem, **item.kwargs).diagnostics.points
+        integrand = invariants.build_integrand(problem, "additive")
+        for p in points:
+            for flag in p.flags:
+                local = localize(integrand, p.point, flag)
+                value = engine.flag_residue(local, flag, integrand)
+                screened = screen(local, problem.rank)
+                assert value == 0 or not screened, (item.name, p.point)
+                flags += 1
+                zero += value == 0
+                decided += screened
+    assert (flags, zero) == (199, 115)
+    assert decided >= 100
 
 
 def test_denominator_scale_collects_fractions():

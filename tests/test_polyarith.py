@@ -176,32 +176,6 @@ class TestListProduct:
             assert polyarith._mul(a, b) == want
 
 
-class TestMultiPoly:
-    def test_integral_coefficients_stay_int(self):
-        p = MultiPoly.variable(1, 0) ** 2 - 1
-        shifted = p.subst_shift(0, 1)
-        assert p == MultiPoly(1, {(2,): 1, (0,): -1})
-        assert shifted == MultiPoly(1, {(2,): 1, (1,): 2})
-        for poly in (p, shifted):
-            assert all(type(c) is int for c in poly.terms.values())
-
-    def test_subst_shift_matches_naive_expansion(self):
-        # x_1 -> x_1 + a in a random trivariate polynomial, against the sum of
-        # its terms with the power of x_1 multiplied out as (x_1 + a)^e
-        rng = random.Random(5)
-        terms = {(rng.randint(0, 3), rng.randint(0, 6), rng.randint(0, 2)):
-                 rng.choice((rng.randint(1, 9), Fraction(-rng.randint(1, 9), 4)))
-                 for _ in range(25)}
-        p = MultiPoly(3, terms)
-        for a in (1, -1, Fraction(-2, 3)):
-            naive = MultiPoly.zero(3)
-            for (e0, e1, e2), c in p.terms.items():
-                rest = MultiPoly.monomial(3, (e0, 0, e2), c)
-                naive = naive + rest * (MultiPoly.variable(3, 1) + a) ** e1
-            assert p.subst_shift(1, a) == naive
-        assert p.subst_shift(1, 0) == p
-
-
 class TestContentNormalize:
     @staticmethod
     def seeded_cases():

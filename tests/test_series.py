@@ -7,6 +7,7 @@ each product is built as `engine._expand` builds it, from `_norm_bound`.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -182,3 +183,73 @@ def test_groups_whose_slots_do_not_line_up_stay_apart():
     assert kr.stride == 2
     [got] = engine._series_mul(packed(kr, a, 0), packed(kr, b, 0), 0, kr)
     assert kr.unpack(got) == a[0].mul(b[0])
+
+
+# ---------------------------------------------------------------------------
+# Taylor coefficients of a residue step, against the full shift
+
+
+def test_subst_shift_matches_naive_expansion():
+    # x_1 -> x_1 + a in a random trivariate polynomial, against the sum of
+    # its terms with the power of x_1 multiplied out as (x_1 + a)^e
+    rng = random.Random(5)
+    terms = {(rng.randint(0, 3), rng.randint(0, 6), rng.randint(0, 2)):
+             rng.choice((rng.randint(1, 9), Fraction(-rng.randint(1, 9), 4)))
+             for _ in range(25)}
+    p = MultiPoly(3, terms)
+    for a in (1, -1, Fraction(-2, 3)):
+        naive = MultiPoly.zero(3)
+        for (e0, e1, e2), c in p.terms.items():
+            rest = MultiPoly.monomial(3, (e0, 0, e2), c)
+            naive = naive + rest * (MultiPoly.variable(3, 1) + a) ** e1
+        assert ref.subst_shift(p, 1, a) == naive
+    assert ref.subst_shift(p, 1, 0) == p
+
+
+def test_integral_coefficients_stay_int():
+    p = MultiPoly.variable(1, 0) ** 2 - 1
+    shifted = ref.subst_shift(p, 0, 1)
+    assert shifted == MultiPoly(1, {(2,): 1, (1,): 2})
+    window = p.shift_coefficients(0, 0, 3)
+    assert window == [MultiPoly.zero(1), MultiPoly.const(1, 2), MultiPoly.const(1, 1)]
+    for poly in (p, shifted, *window):
+        assert all(type(c) is int for c in poly.terms.values())
+
+
+def shift_cases():
+    """Seeded trivariate polynomials, with integer coefficients (some above
+    2^64) or small ones, some of them fractions, with every variable as the shifted one and every window [lo, hi) from
+    empty (hi = lo - 1, hi = lo) to past the degree, with its expected
+    coefficients: a slice of the reference's full shift (a = 1) or split
+    (a = 0)."""
+    rng = random.Random(23)
+    for n in range(30):
+        def coefficient():
+            if n % 3 == 0:
+                return rng.randint(-2**70, 2**70)
+            return rng.choice((rng.randint(-9, 9) or 1, Fraction(rng.randint(1, 9), 4)))
+
+        poly = MultiPoly(3, {(rng.randint(0, 6), rng.randint(0, 4), rng.randint(0, 2)):
+                             coefficient() for _ in range(rng.randint(1, 12))})
+        for var in range(3):
+            deg = poly.degree_in(var)
+            for a in (0, 1):
+                full = ref.coefficients_in(ref.subst_shift(poly, var, a), var, deg + 4)
+                for lo in range(deg + 3):
+                    for hi in range(lo - 1, deg + 4):
+                        yield poly, var, lo, hi, a, full[lo:max(lo, hi)]
+
+
+def test_shift_coefficients_match_the_full_shift():
+    cases = caught = 0
+    for poly, var, lo, hi, a, want in shift_cases():
+        assert poly.shift_coefficients(var, lo, hi, a) == want, (poly, var, lo, hi, a)
+        cases += 1
+        # mutation check: the same window read one coefficient too high
+        caught += hi > lo and poly.shift_coefficients(var, lo + 1, hi + 1, a) != want
+    assert cases > 3000 and caught > cases // 2
+
+
+def test_shift_coefficients_shift_by_zero_or_one_only():
+    with pytest.raises(ValueError):
+        MultiPoly.variable(1, 0).shift_coefficients(0, 0, 2, -1)
