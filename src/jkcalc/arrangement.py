@@ -2,16 +2,17 @@
 
 Covers the combinatorial half of the localization recipe: isolated and stable
 intersections, exact cone-membership tests, regularity of the stability
-parameter, sum-regular perturbations with re-verifiable certificates, the
-integer lattice spanned by the weights, and enumeration of proper stable
-flags with their lattice normalization factors.
+parameter, its symbolic lexicographic perturbation (a signed order of the
+coordinates, which breaks every tie of the flag-stability test), the integer
+lattice spanned by the weights, and enumeration of proper stable flags with
+their lattice normalization factors.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
@@ -21,19 +22,9 @@ from . import linalg
 from .linalg import fvec, is_zero_vec, primitive
 
 
-# random directions r that sum_regular_perturbation draws before it gives up;
-# at most 2 were drawn on the benchmark decks (seeds 3 and 424242) and in 1,353
-# perturbations of seeded fuzz configs
-PERTURBATION_DIRECTIONS = 5
-
-
 class PerturbationError(Exception):
-    """xi is not regular, or a given xi_tilde fails a chamber or sum-wall check,
-    or every drawn direction lies on a sum wall through xi."""
-
-
-class FlagStabilityError(Exception):
-    """A flag-stability multiplier vanished: the perturbation is on a face."""
+    """xi is not regular, or a signed order does not name every coordinate of
+    xi exactly once."""
 
 
 @dataclass(frozen=True)
@@ -76,14 +67,14 @@ class Flag:
     lattice_factor: Fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class Perturbation:
-    """A verified sum-regular perturbation of the stability covector."""
+    """The stability covector perturbed to xi + eps s_1 e_j1 + eps^2 s_2 e_j2 +
+    ... for an infinitesimal eps > 0: `order` holds the pairs (j_t, s_t), s_t
+    = +1 or -1, in increasing powers of eps."""
 
-    xi_tilde: tuple[Fraction, ...]
+    order: tuple[tuple[int, int], ...]
     seed: int
-    chamber_checks: list = field(default_factory=list)   # (normal, sign of xi.n)
-    sum_checks: list = field(default_factory=list)       # normals with xi_tilde.n != 0
 
 
 def _dedup_hyperplane_forms(forms):
@@ -219,125 +210,32 @@ def stable_intersections(forms, rank, xi) -> list[IntersectionPoint]:
     return intersections(forms, rank, xi)[1]
 
 
-def wall_normals(vectors, dim, memo):
-    """Primitive normals of all hyperplanes spanned by dim-1 independent vectors.
+def verify_perturbation(xi, order, seed=-1) -> Perturbation:
+    """The perturbation of xi by the signed order `order` of its coordinates.
 
-    `memo` maps each sorted (dim-1)-tuple of primitive vectors to its normal
-    (None when dependent), so a spanning set is eliminated once per problem.
+    Raises PerturbationError unless `order` names every coordinate of xi
+    exactly once, each with the sign +1 or -1.
     """
-    vectors = sorted({primitive(v) for v in vectors} - {(0,) * dim})
-    normals = set()
-    for combo in itertools.combinations(vectors, dim - 1):
-        if combo not in memo:
-            memo[combo] = linalg.hyperplane_normal(list(combo), dim)
-        if memo[combo] is not None:
-            normals.add(memo[combo])
-    return normals
+    order = tuple((j, s) for j, s in order)
+    if sorted(j for j, _ in order) != list(range(len(xi))) or \
+            any(s not in (1, -1) for _, s in order):
+        raise PerturbationError(f"{order} is not a signed order of {len(xi)} coordinates")
+    return Perturbation(order, seed)
 
 
-def subset_sums(weights):
-    """All distinct nonzero subset sums of a set of covectors."""
-    sums = {tuple(Fraction(0) for _ in weights[0])} if weights else set()
-    for w in weights:
-        w = fvec(w)
-        sums |= {linalg.vec_add(s, w) for s in sums}
-    return [s for s in sums if not is_zero_vec(s)]
+def sum_regular_perturbation(xi, seed: int = 0) -> Perturbation:
+    """The seeded lexicographic perturbation of xi: Simulation of Simplicity
+    (Edelsbrunner and Muecke, ACM TOG 9(1), 1990).
 
-
-@dataclass(frozen=True)
-class PerturbationWalls:
-    """The walls a perturbation of xi must not cross or touch, built once per
-    problem: primitive normals of the chamber walls of all weights and of the
-    subset-sum walls of every distinct active-weight set, each sorted."""
-
-    chamber: tuple[tuple[int, ...], ...]
-    sums: tuple[tuple[int, ...], ...]
-
-
-def perturbation_walls(point_weight_sets, all_weights, dim) -> PerturbationWalls:
-    """The walls of one problem: all its weights and its points' active weights."""
-    if dim == 0:
-        return PerturbationWalls(chamber=(), sums=())
-    memo = {}
-    chamber = wall_normals(all_weights, dim, memo)
-    sum_normals = set()
-    for wp in dict.fromkeys(frozenset(fvec(w) for w in wp) for wp in point_weight_sets):
-        sum_normals |= wall_normals(subset_sums(list(wp)), dim, memo)
-    return PerturbationWalls(chamber=tuple(sorted(chamber)), sums=tuple(sorted(sum_normals)))
-
-
-def verify_perturbation(xi, xi_tilde, walls: PerturbationWalls, seed=-1) -> Perturbation:
-    """Check same-chamber and sum-regularity for a candidate, returning the certificate.
-
-    Raises PerturbationError when a check fails.
+    A nonzero normal n is nonzero on some e_j, so n.(xi + eps s_1 e_j1 + ...)
+    is a nonzero polynomial in eps: xi_tilde lies on no wall, and for eps
+    small enough in the chamber of xi.  The JK sum is the same for every such
+    xi_tilde; the seed draws the order and the signs, so that another seed is
+    an independent check.
     """
-    xi = fvec(xi)
-    xi_tilde = fvec(xi_tilde)
-    pert = Perturbation(xi_tilde=xi_tilde, seed=seed)
-    for n in walls.chamber:
-        s_xi = linalg.vec_dot(n, xi)
-        if s_xi == 0:
-            continue  # xi sits on this wall's span; regularity vetted it separately
-        s_new = linalg.vec_dot(n, xi_tilde)
-        if s_new == 0 or (s_new > 0) != (s_xi > 0):
-            raise PerturbationError(f"chamber wall crossed: normal {n}")
-        pert.chamber_checks.append((n, 1 if s_xi > 0 else -1))
-    for n in walls.sums:
-        if linalg.vec_dot(n, xi_tilde) == 0:
-            raise PerturbationError(f"perturbation lies on a subset-sum wall: normal {n}")
-        pert.sum_checks.append(n)
-    return pert
-
-
-def recheck_certificate(pert: Perturbation, xi) -> bool:
-    """Re-verify every recorded sign condition of a certificate exactly."""
-    xi = fvec(xi)
-    for n, sign in pert.chamber_checks:
-        s_xi = linalg.vec_dot(n, xi)
-        s_new = linalg.vec_dot(n, pert.xi_tilde)
-        if s_xi == 0 or s_new == 0:
-            return False
-        if (1 if s_xi > 0 else -1) != sign or (s_new > 0) != (s_xi > 0):
-            return False
-    for n in pert.sum_checks:
-        if linalg.vec_dot(n, pert.xi_tilde) == 0:
-            return False
-    return True
-
-
-def sum_regular_perturbation(xi, walls: PerturbationWalls, seed: int = 0) -> Perturbation:
-    """The certificate of a seeded xi_tilde = xi + eps*r, built in closed form.
-
-    The JK sum is the same for every sum-regular xi_tilde in xi's chamber, so
-    xi_tilde = xi when no sum wall passes through xi (always so in rank 1).
-    Otherwise r is the first seeded direction on no sum wall through xi, and
-    eps the largest 2^-j/10 strictly below every chamber bound |n.xi|/|n.r|
-    that is none of the finitely many eps where a sum wall vanishes.
-    """
-    xi = fvec(xi)
-    at_xi = {n: linalg.vec_dot(n, xi) for n in walls.chamber + walls.sums}
-    through = [n for n in walls.sums if at_xi[n] == 0]
-    if not through:
-        return verify_perturbation(xi, xi, walls, seed=seed)
     rng = random.Random(seed)
-    for _ in range(PERTURBATION_DIRECTIONS):
-        r = tuple(rng.randint(-9, 9) for _ in xi)
-        if any(linalg.vec_dot(n, r) == 0 for n in through):
-            continue  # r (say r = 0) lies on a sum wall through xi
-
-        def vanishing_eps(n):
-            """The eps > 0 with n.(xi + eps r) = 0, or None."""
-            a, b = at_xi[n], linalg.vec_dot(n, r)
-            return -a / b if a and b and (a > 0) != (b > 0) else None
-
-        bounds = [t for t in map(vanishing_eps, walls.chamber) if t is not None]
-        forbidden = set(map(vanishing_eps, walls.sums))
-        eps = Fraction(1, 10)
-        while any(eps >= t for t in bounds) or eps in forbidden:
-            eps /= 2
-        return verify_perturbation(xi, linalg.vec_add(xi, linalg.vec_scale(r, eps)), walls,
-                                   seed=seed)
-    raise PerturbationError("every drawn direction lies on a sum wall through xi")
+    coords = rng.sample(range(len(xi)), len(xi))
+    return verify_perturbation(xi, [(j, rng.choice((1, -1))) for j in coords], seed)
 
 
 def lattice_basis(weights):
@@ -364,8 +262,9 @@ def kappa_determinant(kappa, basis) -> Fraction:
     return linalg.det(kappa) / prod(row[i] for i, row in enumerate(basis))
 
 
-def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
-    """All proper stable flags generated by the active weights at one point.
+def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
+    """All proper stable flags generated by the active weights at one point,
+    for the perturbation of xi by the signed order `order` (see Perturbation).
 
     Chains F_1 < ... < F_k grow as a prefix tree, level by level in
     lexicographic order of the generator tuples; each chain keeps the first
@@ -374,13 +273,15 @@ def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
     lies in it, which gives the children of F and kappa(F), the sum of the
     distinct active weights inside F.  F_k is the whole space, so kappa_k is
     the sum of all of them.  A flag is kept when kappa is a basis and
-    xi_tilde has strictly positive coordinates in it.  A zero coordinate is
-    surfaced as FlagStabilityError since it contradicts sum-regularity of
-    the perturbation.
+    xi_tilde has strictly positive coordinates in it (Szenes and Vergne,
+    Invent. Math. 158, 2004).  They are c + sum_t eps^t s_t inv[j_t], with c
+    the coordinates of xi and inv[j], row j of kappa's inverse, those of e_j.
+    So where c_i = 0 the sign is that of the first nonzero s_t inv[j_t][i],
+    which exists since inv is invertible.
     """
     weights = [fvec(w) for w in dict.fromkeys(tuple(fvec(w)) for w in active_weights)]
-    xi_tilde = fvec(xi_tilde)
-    dim = len(xi_tilde)
+    xi = fvec(xi)
+    dim = len(xi)
     if dim == 0:
         return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
     zero = tuple(Fraction(0) for _ in range(dim))
@@ -408,23 +309,19 @@ def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
     flags = []
     for chain, gens in sorted(chains.items()):
         kappa = [kappas[sub] for sub in chain[:-1]] + [everything]
-        coords = linalg.solve_coords(kappa, xi_tilde)
-        if coords is None:
-            continue  # kappa is dependent: the flag is not proper
-        if any(c == 0 for c in coords):
-            raise FlagStabilityError(
-                "stability multiplier vanished on a flag; perturbation is not sum-regular"
-            )
-        if not all(c > 0 for c in coords):
-            continue
-        d = kappa_determinant(kappa, basis)
-        if d == 0:
-            continue
+        coords = linalg.solve_coords(kappa, xi)
+        if coords is None or any(c < 0 for c in coords):
+            continue  # kappa is dependent (the flag is not proper), or unstable
+        if 0 in coords:
+            inv = linalg.inverse(kappa)
+            if any(next(s * inv[j][i] for j, s in order if inv[j][i]) < 0
+                   for i, c in enumerate(coords) if c == 0):
+                continue
         flags.append(Flag(
             generators=tuple(weights[i] for i in gens),
             chain=chain,
             kappa=tuple(kappa),
-            lattice_factor=Fraction(1) / abs(d),
+            lattice_factor=Fraction(1) / abs(kappa_determinant(kappa, basis)),
         ))
     return flags
 

@@ -53,7 +53,7 @@ from functools import cached_property
 from math import lcm, prod
 from operator import mul
 
-from . import arrangement, linalg
+from . import linalg
 from .arrangement import Flag
 from .kronecker import Kronecker
 from .polyarith import MultiPoly, QSeries, RatFunc
@@ -69,7 +69,7 @@ ORIGIN_PREFACTOR = "prefactor"
 
 class NonGenericResidueError(ArithmeticError):
     """A residue step hit a non-invertible leading coefficient: an internal
-    error, as every factor's leading coefficient is a q-unit for any xi_tilde."""
+    error, as every factor's leading coefficient is a q-unit for any perturbation."""
 
 
 @dataclass(frozen=True)
@@ -608,19 +608,15 @@ def flag_residue(local_factors, flag, integrand, D=None):
     return flag_residue_multiplicative(local_factors, flag, integrand, D)
 
 
-def jk_residue(integrand: FactorizedIntegrand, point, active_weights, xi_tilde,
-               basis, flags=None, collect=None):
-    """Jeffrey-Kirwan residue at one point: the sum of flag residues over all
-    proper stable flags of the active weights (empty set contributes zero).
+def jk_residue(integrand: FactorizedIntegrand, point, flags, collect=None):
+    """Jeffrey-Kirwan residue at one point: the sum of flag residues over
+    `flags`, the proper stable flags of its active weights
+    (`arrangement.enumerate_flags`); an empty list contributes zero.
 
     The multiplicative kinds use `integrand.denom_scale` as D, or this
     point's `denominator_scale` when it is None.  `collect`, when given,
     receives (flag, contribution) pairs in enumeration order for diagnostics.
     """
-    k = integrand.rank
-    if flags is None:
-        flags = arrangement.enumerate_flags(active_weights, xi_tilde, basis) if k > 0 \
-            else [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
     D = integrand.denom_scale
     if integrand.kind != "additive" and D is None:
         D = denominator_scale(integrand, [(point, flags)])

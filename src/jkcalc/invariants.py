@@ -251,7 +251,6 @@ class Diagnostics:
     denom_scale: int = 1
     seed: int = 0
     retries: int = 0    # always 0 since compute never retries; kept in the JSON format
-    walls: arrangement.PerturbationWalls | None = None
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
 
@@ -278,17 +277,14 @@ _KIND_SETS = {
 
 
 def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORDER,
-            seed: int = 0, s=1, xi_tilde=None,
+            seed: int = 0, s=1,
             allow_root_incidence: bool = False) -> InvariantResult:
     """Run the full pipeline and return exact invariants plus diagnostics.
 
-    The perturbation is built once: `xi_tilde` when given (verified, else
-    PerturbationError), otherwise `sum_regular_perturbation` at `seed`.  A
-    vanishing flag-stability multiplier (FlagStabilityError) or a non-unit
-    leading coefficient (NonGenericResidueError) is raised, not retried: the
-    first cannot follow a verified perturbation, since every hyperplane
-    spanned by subset sums is a sum wall, and the second does not depend on
-    xi_tilde.  `Diagnostics.retries` is therefore always 0.
+    The perturbation is the signed order `sum_regular_perturbation` draws at
+    `seed`.  A non-unit leading coefficient (NonGenericResidueError) is
+    raised, not retried, since it does not depend on the perturbation.
+    `Diagnostics.retries` is therefore always 0.
     allow_root_incidence demotes the root invertibility hypothesis from a
     hard error to a recorded violation and computes the residue sum anyway.
     """
@@ -301,32 +297,23 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
             "properness of the fixed locus fails the exact abelian criterion: "
             + report.properness_note
         )
-    return _compute(problem, report, None, kind, q_order, seed, s, xi_tilde, t0)
+    return _compute(problem, report, kind, q_order, seed, s, t0)
 
 
 def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int = DEFAULT_Q_ORDER,
            seed: int = 0, s=1) -> InvariantResult:
     """`compute` on the problem of the run `first` again, reusing its
-    validation report and perturbation walls, which depend on neither s, the
-    seed, the kind nor q_order."""
-    diag = first.diagnostics
-    return _compute(problem, diag.hypothesis, diag.walls, kind, q_order, seed, s, None,
+    validation report, which depends on neither s, the seed, the kind nor
+    q_order."""
+    return _compute(problem, first.diagnostics.hypothesis, kind, q_order, seed, s,
                     time.monotonic())
 
 
-def _compute(problem, report, walls, kind, q_order, seed, s, xi_tilde, t0):
-    weights = problem.nonzero_weights()
-    basis = arrangement.lattice_basis(weights) if problem.rank > 0 else []
-    if walls is None:
-        walls = arrangement.perturbation_walls(
-            [pt.active_weights for pt in report.stable_points], weights, problem.rank)
-    if xi_tilde is not None:
-        pert = arrangement.verify_perturbation(problem.xi, xi_tilde, walls, seed=seed)
-    else:
-        pert = arrangement.sum_regular_perturbation(problem.xi, walls, seed=seed)
+def _compute(problem, report, kind, q_order, seed, s, t0):
+    basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
+    pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     result = _compute_with_perturbation(
         problem, _KIND_SETS[kind], q_order, s, pert, report.stable_points, basis, report)
-    result.diagnostics.walls = walls
     result.diagnostics.seed = seed
     result.diagnostics.elapsed = time.monotonic() - t0
     if report.root_condition != "ok":
@@ -335,15 +322,9 @@ def _compute(problem, report, walls, kind, q_order, seed, s, xi_tilde, t0):
 
 
 def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, report):
-    k = problem.rank
-    flags_by_point = []
-    for pt in stable:
-        if k > 0:
-            flags = arrangement.enumerate_flags(pt.active_weights, pert.xi_tilde, basis)
-        else:
-            flags = [arrangement.Flag(generators=(), chain=(), kappa=(),
-                                      lattice_factor=Fraction(1))]
-        flags_by_point.append((pt, flags))
+    flags_by_point = [
+        (pt, arrangement.enumerate_flags(pt.active_weights, problem.xi, basis, pert.order))
+        for pt in stable]
     integrands = {kd: build_integrand(problem, kd, q_order, s) for kd in kinds}
     D = 1
     if any(kd in kinds for kd in ("sine", "theta")):
@@ -377,8 +358,7 @@ def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, 
             # independent of s
             point = pt.point if kd != "additive" else \
                 tuple(integrand.s * x for x in pt.point)
-            value = engine.jk_residue(integrand, point, pt.active_weights,
-                                      pert.xi_tilde, basis, flags=flags, collect=collect)
+            value = engine.jk_residue(integrand, point, flags, collect)
             pdiag.contributions[kd] = value
             pdiag.flag_contributions[kd] = [v for _, v in collect]
             total = value if total is None else total + value

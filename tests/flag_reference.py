@@ -1,12 +1,16 @@
 """Reference flag enumeration: one rref chain and one membership test per
 ordered tuple of active weights, as `arrangement.enumerate_flags` worked
-before it grew its chains as a prefix tree.  Tests compare the two."""
+before it grew its chains as a prefix tree.  The stability test perturbs xi
+lexicographically by a signed order ((j_1, s_1), ..., (j_k, s_k)): the
+kappa-coordinates of xi, s_1 e_j1, ..., s_k e_jk are each solved for, and a
+coordinate of xi_tilde is positive when its vector of coordinates is
+lexicographically positive.  Tests compare the two."""
 
 import itertools
 from fractions import Fraction
 
 from jkcalc import linalg
-from jkcalc.arrangement import Flag, FlagStabilityError
+from jkcalc.arrangement import Flag
 from jkcalc.linalg import fvec
 
 
@@ -21,10 +25,24 @@ def kappa_determinant(kappa, basis) -> Fraction:
     return linalg.det(coords)
 
 
-def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
+def perturbed_coordinates(kappa, xi, order):
+    """Per kappa coordinate, its values in xi, s_1 e_j1, ..., s_k e_jk (the
+    coefficients of eps^0, eps^1, ... of xi_tilde's coordinate); None when
+    kappa is dependent."""
+    dim = len(xi)
+    columns = [linalg.solve_coords(kappa, xi)]
+    for j, s in order:
+        columns.append(linalg.solve_coords(
+            kappa, tuple(Fraction(s * (i == j)) for i in range(dim))))
+    if columns[0] is None:
+        return None
+    return list(zip(*columns))
+
+
+def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
     weights = [fvec(w) for w in dict.fromkeys(tuple(fvec(w)) for w in active_weights)]
-    xi_tilde = fvec(xi_tilde)
-    dim = len(xi_tilde)
+    xi = fvec(xi)
+    dim = len(xi)
     if dim == 0:
         return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
     chains = {}
@@ -39,6 +57,7 @@ def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
         else:
             chains.setdefault(tuple(chain), tuple(gens))
     flags = []
+    zero = (Fraction(0),) * (dim + 1)
     for chain, gens in sorted(chains.items()):
         kappa = []
         for sub in chain:
@@ -47,14 +66,10 @@ def enumerate_flags(active_weights, xi_tilde, basis) -> list[Flag]:
                 if linalg.in_span(w, sub):
                     total = linalg.vec_add(total, w)
             kappa.append(total)
-        coords = linalg.solve_coords(kappa, xi_tilde)
+        coords = perturbed_coordinates(kappa, xi, order)
         if coords is None:
             continue
-        if any(c == 0 for c in coords):
-            raise FlagStabilityError(
-                "stability multiplier vanished on a flag; perturbation is not sum-regular"
-            )
-        if not all(c > 0 for c in coords):
+        if not all(c > zero for c in coords):
             continue
         d = kappa_determinant(kappa, basis)
         if d == 0:

@@ -192,8 +192,9 @@ def _random_rescaling_trial(rng):
         return FactorizedIntegrand(kind="additive", rank=k, degree=F(1), s=F(1),
                                    factors=scaled, n_roots=0, dim_v=0)
 
-    base = jk_residue(integrand(1), (0,) * k, weights, xi_t, basis)
-    scaled = jk_residue(integrand(lam), (0,) * k, weights, xi_t, basis)
+    flags = arr.enumerate_flags(weights, xi_t, basis, tuple((j, 1) for j in range(k)))
+    base = jk_residue(integrand(1), (0,) * k, flags)
+    scaled = jk_residue(integrand(lam), (0,) * k, flags)
     assert scaled == lam ** (-k) * base, (k, lam)
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import flag_reference
-import perturbation_reference
 from jkcalc import arrangement as arr
 from jkcalc import builders, linalg
 from jkcalc.arrangement import AffineForm, PerturbationError
@@ -22,6 +21,10 @@ CY3_FORMS = (
 CY3_WEIGHTS = [(-1, 0), (0, -1), (4, 4)]
 CY3_XI = (-1, -1)
 CY3_XI_TILDE = (Fraction(-11, 10), Fraction(-9, 10))  # the worked choice
+# xi_tilde = (-1 - eps, -1 + eps^2), on the worked choice's side of the sum
+# wall u1 = u2 through xi, and its mirror image (-1 + eps^2, -1 - eps)
+CY3_ORDER = ((0, -1), (1, 1))
+CY3_MIRRORED = ((1, -1), (0, 1))
 
 
 def points_of(points):
@@ -132,76 +135,106 @@ class TestStableIntersections:
             assert arr.cone_membership(CY3_XI, pt.active_weights)[0]
 
 
-class TestPerturbation:
-    def cy3_walls(self):
-        sets = [p.active_weights for p in arr.stable_intersections(CY3_FORMS, 2, CY3_XI)]
-        return arr.perturbation_walls(sets, CY3_WEIGHTS, 2)
+def perturbed(xi, order, eps):
+    """The concrete xi + eps s_1 e_j1 + eps^2 s_2 e_j2 + ... of a signed order."""
+    xi = list(map(Fraction, xi))
+    for t, (j, s) in enumerate(order, 1):
+        xi[j] += s * eps ** t
+    return tuple(xi)
 
+
+def origin_kappas(xi, order):
+    """The kappa bases of the flags kept at the CY3 origin."""
+    basis = arr.lattice_basis(CY3_WEIGHTS)
+    return [f.kappa for f in arr.enumerate_flags([(-1, 0), (0, -1)], xi, basis, order)]
+
+
+class TestPerturbation:
     def test_worked_perturbation_verifies(self):
-        pert = arr.verify_perturbation(CY3_XI, CY3_XI_TILDE, self.cy3_walls())
-        assert arr.recheck_certificate(pert, CY3_XI)
+        pert = arr.verify_perturbation(CY3_XI, CY3_ORDER)
+        assert pert == arr.Perturbation(order=CY3_ORDER, seed=-1)
+        # the order keeps the flag the worked xi_tilde keeps
+        basis = arr.lattice_basis(CY3_WEIGHTS)
+        worked = flag_reference.enumerate_flags([(-1, 0), (0, -1)], CY3_XI_TILDE, basis,
+                                                CY3_ORDER)
+        assert origin_kappas(CY3_XI, CY3_ORDER) == [f.kappa for f in worked]
 
     def test_xi_itself_fails_sum_regularity_for_cy3(self):
-        with pytest.raises(PerturbationError):
-            arr.verify_perturbation(CY3_XI, CY3_XI, self.cy3_walls())
+        # xi has the kappa-coordinates (0, 1) on both flags of the origin, so
+        # the order decides which one is kept (TestFlags)
+        for kappa in ([(-1, 0), (-1, -1)], [(0, -1), (-1, -1)]):
+            assert linalg.solve_coords(kappa, linalg.fvec(CY3_XI)) == (0, 1)
 
-    def test_rank_one_returns_xi(self):
-        walls = arr.perturbation_walls([((1,),)], [(1,), (-3,)], 1)
-        pert = arr.sum_regular_perturbation((1,), walls, seed=4)
-        assert pert.xi_tilde == (1,)
+    def test_rank_one_order_never_decides(self):
+        # in rank one the kappa-coordinate of a regular xi is never 0
+        basis = arr.lattice_basis([(1,), (-3,)])
+        orders = {arr.sum_regular_perturbation((1,), seed=seed).order for seed in range(8)}
+        assert orders == {((0, 1),), ((0, -1),)}
+        for weights in ([(1,)], [(-3,)], [(1,), (-3,)]):
+            assert len({tuple(arr.enumerate_flags(weights, (1,), basis, order))
+                        for order in orders}) == 1
 
     def test_seeded_perturbations_verify_and_differ(self):
-        walls = self.cy3_walls()
-        p0 = arr.sum_regular_perturbation(CY3_XI, walls, seed=0)
-        p1 = arr.sum_regular_perturbation(CY3_XI, walls, seed=1)
-        for p in (p0, p1):
-            assert arr.recheck_certificate(p, CY3_XI)
-            arr.verify_perturbation(CY3_XI, p.xi_tilde, walls)
-
-    def test_certificate_recheck_detects_tampering(self):
-        pert = arr.verify_perturbation(CY3_XI, CY3_XI_TILDE, self.cy3_walls())
-        pert.xi_tilde = (Fraction(-1, 4), Fraction(-1, 4))  # crosses the (4,4) wall
-        assert not arr.recheck_certificate(pert, CY3_XI)
+        orders = [arr.sum_regular_perturbation(CY3_XI, seed=seed).order for seed in range(8)]
+        for order in orders:
+            assert arr.verify_perturbation(CY3_XI, order).order == order
+        assert len(set(orders)) > 2
 
 
 class TestPerturbationAgainstReference:
-    """The closed-form eps gives the certificate of the halving search in
-    `perturbation_reference.py`."""
+    """The symbolic perturbation is the limit of concrete ones: at every
+    stable point, `enumerate_flags` at xi and the seeded order keeps the
+    flags `flag_reference.py` keeps at xi + eps s_1 e_j1 + eps^2 s_2 e_j2 +
+    ... for a concrete eps > 0 small enough that no coordinate vanishes."""
 
-    @staticmethod
-    def assert_same(xi, walls, seed):
-        got = arr.sum_regular_perturbation(xi, walls, seed=seed)
-        ref = perturbation_reference.sum_regular_perturbation(xi, walls, seed=seed)
-        assert (got.xi_tilde, got.chamber_checks, got.sum_checks, got.seed) == \
-            (ref.xi_tilde, ref.chamber_checks, ref.sum_checks, ref.seed)
-        return got.xi_tilde
+    EPS = Fraction(1, 1000)
 
-    def xi_tildes(self, problem, seeds):
+    def assert_same(self, problem, seeds):
+        weights = problem.nonzero_weights()
+        basis = arr.lattice_basis(weights)
         points = validate(problem).stable_points
-        walls = arr.perturbation_walls([p.active_weights for p in points],
-                                       problem.nonzero_weights(), problem.rank)
-        return [self.assert_same(problem.xi, walls, seed) for seed in seeds]
+        orders = []
+        for seed in seeds:
+            order = arr.sum_regular_perturbation(problem.xi, seed=seed).order
+            concrete = perturbed(problem.xi, order, self.EPS)
+            for pt in points:
+                got = arr.enumerate_flags(pt.active_weights, problem.xi, basis, order)
+                # the order and its negation keep the same flags at the
+                # concrete point: none of their coordinates there vanish
+                for signs in (order, [(j, -s) for j, s in order]):
+                    assert got == flag_reference.enumerate_flags(
+                        pt.active_weights, concrete, basis, signs)
+            orders.append(order)
+        return orders
 
     def test_cy3(self):
-        xi_tildes = self.xi_tildes(builders.grassmannian_det(2, 4, 4, degree=1), range(4))
-        assert CY3_XI not in xi_tildes
+        orders = self.assert_same(builders.grassmannian_det(2, 4, 4, degree=1), range(4))
+        assert len(set(orders)) > 1
 
     def test_rank_one_keeps_xi(self):
-        assert self.xi_tildes(builders.projective_bundle(4, (5,)), range(2)) == [(1,), (1,)]
+        # no kappa-coordinate of xi vanishes in rank one: the flags are xi's
+        problem = builders.projective_bundle(4, (5,))
+        self.assert_same(problem, range(2))
+        basis = arr.lattice_basis(problem.nonzero_weights())
+        for pt in validate(problem).stable_points:
+            assert arr.enumerate_flags(pt.active_weights, (1,), basis, ((0, 1),)) == \
+                flag_reference.enumerate_flags(pt.active_weights, (1,), basis, ())
 
     def test_framed_a3_quiver(self):
-        # xi = (1, 1, 1).  Seed 0 draws r = (3, 4, -8), where eps = 1/10 puts
-        # xi_tilde on a sum wall, so eps = 1/20; seed 2 first draws
-        # r = (-8, -7, -7) on the sum wall (0, 1, -1) through xi, then (2, -4, 0)
-        xi_tildes = self.xi_tildes(builders.framed_a3_problem(3, 1), range(4))
-        assert xi_tildes[0] == (Fraction(23, 20), Fraction(6, 5), Fraction(3, 5))
-        assert xi_tildes[2] == (Fraction(6, 5), Fraction(3, 5), Fraction(1))
+        orders = self.assert_same(builders.framed_a3_problem(3, 1), range(4))
+        assert orders[0] == ((1, -1), (2, -1), (0, -1))
+        assert orders[2] == ((0, -1), (2, 1), (1, -1))
 
     def test_eps_stays_strictly_inside_the_chamber(self):
-        # seed 0 draws r = (3, 4), off the sum wall (1, 0) through xi; the
-        # chamber wall (14, -3) vanishes at eps = 1/10 exactly
-        walls = arr.PerturbationWalls(chamber=((14, -3),), sums=((1, 0),))
-        assert self.assert_same((0, 1), walls, 0) == (Fraction(3, 20), Fraction(6, 5))
+        # the concrete perturbations have the stable points of xi
+        for problem in (builders.grassmannian_det(2, 4, 4, degree=1),
+                        builders.framed_a3_problem(3, 1), builders.framed_a3_problem(2, 2)):
+            stable = points_of(validate(problem).stable_points)
+            for seed in range(3):
+                order = arr.sum_regular_perturbation(problem.xi, seed=seed).order
+                xi_tilde = perturbed(problem.xi, order, self.EPS)
+                assert points_of(arr.stable_intersections(
+                    problem.forms(), problem.rank, xi_tilde)) == stable
 
 
 class TestLatticeBasis:
@@ -228,28 +261,26 @@ class TestLatticeBasis:
 class TestFlags:
     def test_cy3_origin_single_stable_flag(self):
         basis = arr.lattice_basis(CY3_WEIGHTS)
-        flags = arr.enumerate_flags([(-1, 0), (0, -1)], CY3_XI_TILDE, basis)
+        flags = arr.enumerate_flags([(-1, 0), (0, -1)], CY3_XI, basis, CY3_ORDER)
         assert len(flags) == 1
-        assert flags[0].kappa == (((-1), 0), ((-1), (-1))) or \
-            flags[0].kappa == ((Fraction(-1), Fraction(0)),
-                               (Fraction(-1), Fraction(-1)))
+        assert flags[0].kappa == ((Fraction(-1), Fraction(0)),
+                                  (Fraction(-1), Fraction(-1)))
         assert flags[0].lattice_factor == 1
 
     def test_cy3_mirrored_perturbation_selects_other_flag(self):
         basis = arr.lattice_basis(CY3_WEIGHTS)
-        flags = arr.enumerate_flags([(-1, 0), (0, -1)],
-                                    (Fraction(-9, 10), Fraction(-11, 10)), basis)
+        flags = arr.enumerate_flags([(-1, 0), (0, -1)], CY3_XI, basis, CY3_MIRRORED)
         assert len(flags) == 1
         assert flags[0].kappa[0] == (Fraction(0), Fraction(-1))
 
     def test_rank_one_single_flag(self):
         basis = arr.lattice_basis([(1,)])
-        assert len(arr.enumerate_flags([(1,)], (Fraction(1),), basis)) == 1
-        assert arr.enumerate_flags([(1,)], (Fraction(-1),), basis) == []
+        assert len(arr.enumerate_flags([(1,)], (Fraction(1),), basis, ((0, 1),))) == 1
+        assert arr.enumerate_flags([(1,)], (Fraction(-1),), basis, ((0, 1),)) == []
 
     def test_repeated_weight_counts_once(self):
         basis = arr.lattice_basis([(1,)])
-        flags = arr.enumerate_flags([(1,), (1,)], (Fraction(1),), basis)
+        flags = arr.enumerate_flags([(1,), (1,)], (Fraction(1),), basis, ((0, -1),))
         assert len(flags) == 1
         assert flags[0].kappa == ((Fraction(1),),)
 
@@ -258,63 +289,63 @@ class TestFlags:
         ws = [(-1, 0), (0, -1), (4, 4)]
         reference = None
         for perm in itertools.permutations(ws):
-            flags = arr.enumerate_flags(list(perm), CY3_XI_TILDE, basis)
+            flags = arr.enumerate_flags(list(perm), CY3_XI, basis, CY3_ORDER)
             signature = sorted((f.kappa, f.lattice_factor) for f in flags)
             if reference is None:
                 reference = signature
             assert signature == reference
 
-    def test_perturbation_on_a_face_is_surfaced(self):
-        # xi itself sits on the face spanned by kappa_2 = -u1-u2: the zero
-        # multiplier contradicts sum-regularity and must raise, not guess
-        basis = arr.lattice_basis(CY3_WEIGHTS)
-        with pytest.raises(arr.FlagStabilityError):
-            arr.enumerate_flags([(-1, 0), (0, -1)], (-1, -1), basis)
+    def test_perturbation_on_a_face_is_decided_by_the_order(self):
+        # xi sits on the face spanned by kappa_2 = -u1-u2 of both flags at
+        # the origin: each of the 8 signed orders keeps exactly one of them
+        kept = Counter()
+        for coords in itertools.permutations(range(2)):
+            for signs in itertools.product((1, -1), repeat=2):
+                kappas = origin_kappas(CY3_XI, tuple(zip(coords, signs)))
+                assert len(kappas) == 1
+                kept[kappas[0]] += 1
+        assert sorted(kept.values()) == [4, 4]
 
     def test_rank_zero_trivial_flag(self):
-        flags = arr.enumerate_flags([], (), [])
+        flags = arr.enumerate_flags([], (), [], ())
         assert len(flags) == 1 and flags[0].lattice_factor == 1
 
 
 class TestFlagsAgainstReference:
     """The prefix-tree enumeration returns the flags of the per-tuple
-    reference in `flag_reference.py`, field by field and in the same order."""
+    reference in `flag_reference.py`, field by field and in the same order;
+    the reference solves for the kappa-coordinates of xi and of each signed
+    e_j separately and compares them lexicographically."""
 
     @staticmethod
-    def flags_of(enumerate_flags, weights, xi_tilde, basis):
-        try:
-            return [(f.generators, f.chain, f.kappa, f.lattice_factor)
-                    for f in enumerate_flags(weights, xi_tilde, basis)]
-        except arr.FlagStabilityError:
-            return "FlagStabilityError"
+    def flags_of(enumerate_flags, weights, xi, basis, order):
+        return [(f.generators, f.chain, f.kappa, f.lattice_factor)
+                for f in enumerate_flags(weights, xi, basis, order)]
 
-    def assert_same(self, weights, xi_tilde, basis):
-        got = self.flags_of(arr.enumerate_flags, weights, xi_tilde, basis)
-        assert got == self.flags_of(flag_reference.enumerate_flags, weights, xi_tilde, basis)
+    def assert_same(self, weights, xi, basis, order):
+        got = self.flags_of(arr.enumerate_flags, weights, xi, basis, order)
+        assert got == self.flags_of(flag_reference.enumerate_flags, weights, xi, basis, order)
         return got
 
-    def assert_same_at_stable_points(self, problem, xi_tildes):
+    def assert_same_at_stable_points(self, problem, orders):
         weights = problem.nonzero_weights()
         basis = arr.lattice_basis(weights)
         points = validate(problem).stable_points
-        walls = arr.perturbation_walls([p.active_weights for p in points], weights,
-                                       problem.rank)
-        xi_tildes = list(xi_tildes) + [arr.sum_regular_perturbation(problem.xi, walls).xi_tilde]
+        orders = list(orders) + [arr.sum_regular_perturbation(problem.xi).order]
         kept = 0
-        for xi_tilde in xi_tildes:
+        for order in orders:
             for pt in points:
-                kept += len(self.assert_same(pt.active_weights, xi_tilde, basis))
+                kept += len(self.assert_same(pt.active_weights, problem.xi, basis, order))
         return len(points), kept
 
     def test_framed_a3_quiver(self):
         n_points, kept = self.assert_same_at_stable_points(
-            builders.framed_a3_problem(3, 1, (2, 2, 2)), [])
-        assert (n_points, kept) == (13, 13)
+            builders.framed_a3_problem(3, 1, (2, 2, 2)), [((0, 1), (1, 1), (2, 1))])
+        assert (n_points, kept) == (13, 26)
 
     def test_cy3(self):
         n_points, kept = self.assert_same_at_stable_points(
-            builders.grassmannian_det(2, 4, 4, degree=1),
-            [CY3_XI_TILDE, (Fraction(-9, 10), Fraction(-11, 10))])
+            builders.grassmannian_det(2, 4, 4, degree=1), [CY3_ORDER, CY3_MIRRORED])
         assert (n_points, kept) == (1, 3)
 
     def test_random_active_sets(self):
@@ -328,12 +359,17 @@ class TestFlagsAgainstReference:
                 if len(weights) < rank or linalg.rank(weights) < rank:
                     continue
                 basis = arr.lattice_basis(weights)
-                xi_tilde = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                                 for _ in range(rank))
-                got = self.assert_same(weights, xi_tilde, basis)
-                outcomes["raised" if isinstance(got, str) else min(len(got), 2)] += 1
-        # every path is exercised: no flag, one flag, several flags, a zero multiplier
-        assert all(outcomes[key] > 0 for key in (0, 1, 2, "raised"))
+                xi = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                           for _ in range(rank))
+                order = tuple((j, rng.choice((1, -1)))
+                              for j in rng.sample(range(rank), rank))
+                got = self.assert_same(weights, xi, basis, order)
+                outcomes[min(len(got), 2)] += 1
+                outcomes["tie"] += any(
+                    0 in linalg.solve_coords(kappa, linalg.fvec(xi)) for _, _, kappa, _ in got)
+        # every path is exercised: no flag, one flag, several flags, and a
+        # kept flag with a kappa-coordinate of xi that only the order decides
+        assert all(outcomes[key] > 0 for key in (0, 1, 2, "tie"))
 
 
 class TestProjectivity:

@@ -246,25 +246,23 @@ class TestCliProcess:
     def test_cross_check_validates_each_problem_once(self, tmp_path, capsys, monkeypatch):
         # p21 and its rescaled problem: the reruns for s = 2, the second seed
         # and the direct side of the fractional check reuse the first run's
-        # validation and walls
+        # validation
         cfg = tmp_path / "p21.cfg"
         cfg.write_text("mode raw\nlabel p21\nrank 1\nxi [1]\nweight [2] 1 1\n"
                        "weight [1] 0 1\nq-order 1\n")
         assert cli.run([str(cfg), "--emit", "json"]) == 0
         plain = capsys.readouterr().out
         counts = Counter()
-        for owner, name in ((invariants, "validate"),
-                            (invariants.arrangement, "perturbation_walls")):
-            real = getattr(owner, name)
+        real = invariants.validate
 
-            def counting(*args, _real=real, _name=name, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
+        def counting(*args, **kwargs):
+            counts["validate"] += 1
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(invariants, "validate", counting)
         assert cli.run([str(cfg), "--emit", "json", "--cross-check"]) == 0
         assert capsys.readouterr().out == plain
-        assert counts == {"validate": 2, "perturbation_walls": 2}
+        assert counts == {"validate": 2}
 
     def test_degree_override(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -317,9 +317,8 @@ class TestJKResidue:
         prob = builders.grassmannian_det(2, 4, 4, degree=1)
         ig = invariants.build_integrand(prob, "additive")
         basis = arr.lattice_basis(prob.nonzero_weights())
-        xi_t = (F(-11, 10), F(-9, 10))
-        value = jk_residue(ig, (0, 0), [(-1, 0), (0, -1)], xi_t, basis)
-        assert value == 352
+        flags = arr.enumerate_flags([(-1, 0), (0, -1)], prob.xi, basis, ((0, -1), (1, 1)))
+        assert jk_residue(ig, (0, 0), flags) == 352
 
     def test_rescaling_lemma_example(self):
         # F = 1/(u1 u2) over the axis arrangement: JK(F(3u)) = (1/9) JK(F(u))
@@ -334,8 +333,9 @@ class TestJKResidue:
                 IntegrandFactor(rho=(F(0), F(scale)), const=F(0), exponent=-1,
                                 origin="weight-den")])
 
-        base = jk_residue(make(1), (0, 0), weights, xi_t, basis)
-        scaled = jk_residue(make(3), (0, 0), weights, xi_t, basis)
+        flags = arr.enumerate_flags(weights, xi_t, basis, ((0, 1), (1, 1)))
+        base = jk_residue(make(1), (0, 0), flags)
+        scaled = jk_residue(make(3), (0, 0), flags)
         assert base == 1
         assert scaled == F(1, 9) * base
 
@@ -344,15 +344,11 @@ class TestJKResidue:
         ig = invariants.build_integrand(prob, "additive")
         basis = arr.lattice_basis(prob.nonzero_weights())
         report = invariants.validate(prob)
-        walls = arr.perturbation_walls([p.active_weights for p in report.stable_points],
-                                       prob.nonzero_weights(), prob.rank)
-        pert = arr.sum_regular_perturbation(prob.xi, walls, seed=0)
+        pert = arr.sum_regular_perturbation(prob.xi, seed=0)
         pt = report.stable_points[0]
-        flags = arr.enumerate_flags(pt.active_weights, pert.xi_tilde, basis)
-        fwd = jk_residue(ig, pt.point, pt.active_weights, pert.xi_tilde, basis,
-                         flags=flags)
-        rev = jk_residue(ig, pt.point, pt.active_weights, pert.xi_tilde, basis,
-                         flags=list(reversed(flags)))
+        flags = arr.enumerate_flags(pt.active_weights, prob.xi, basis, pert.order)
+        fwd = jk_residue(ig, pt.point, flags)
+        rev = jk_residue(ig, pt.point, list(reversed(flags)))
         assert fwd == rev
 
     def test_rescaling_covariance_random(self):
@@ -384,10 +380,9 @@ class TestJKResidue:
                                         const=f.const, exponent=f.exponent,
                                         origin=f.origin) for f in factors]
 
-            base = jk_residue(bare_integrand(k, factors), (0,) * k, weights,
-                              xi_t, basis)
-            scaled = jk_residue(bare_integrand(k, scaled_factors(lam)), (0,) * k,
-                                weights, xi_t, basis)
+            flags = arr.enumerate_flags(weights, xi_t, basis, tuple((j, 1) for j in range(k)))
+            base = jk_residue(bare_integrand(k, factors), (0,) * k, flags)
+            scaled = jk_residue(bare_integrand(k, scaled_factors(lam)), (0,) * k, flags)
             assert scaled == lam ** (-k) * base, (trial, k, lam)
 
 
@@ -504,6 +499,6 @@ def test_denominator_scale_collects_fractions():
     ig = invariants.build_integrand(prob, "sine")
     basis = arr.lattice_basis(prob.nonzero_weights())
     from jkcalc.engine import denominator_scale
-    flags = arr.enumerate_flags([(2,)], (F(1),), basis)
+    flags = arr.enumerate_flags([(2,)], (F(1),), basis, ((0, 1),))
     D = denominator_scale(ig, [((F(-1, 2),), flags)])
     assert D == 2

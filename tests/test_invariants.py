@@ -149,8 +149,7 @@ class TestCompute:
         assert compute(builders.framed_a3_problem(1, 1), kind="additive").dt == 8
 
     def test_diagnostics_record_contributions(self):
-        res = compute(cy3(), kind="additive",
-                      xi_tilde=(F(-11, 10), F(-9, 10)))
+        res = compute(cy3(), kind="additive")
         assert len(res.diagnostics.points) == 1
         pdiag = res.diagnostics.points[0]
         assert pdiag.contributions["additive"] == 352
@@ -254,35 +253,45 @@ class TestIndependenceProperties:
 class TestPerturbationPaths:
     def test_explicit_bad_perturbation_rejected(self):
         from jkcalc.arrangement import PerturbationError
-        with pytest.raises(PerturbationError):
-            compute(cy3(), kind="additive", xi_tilde=(-1, -1))  # not sum-regular
+        # e_1 missing, e_0 twice, e_2 out of range, a sign that is not +-1
+        for order in ([(0, 1)], [(0, 1), (0, -1)], [(0, 1), (2, 1)], [(0, 1), (1, 2)],
+                      [(0, 1), (1, 0)]):
+            with pytest.raises(PerturbationError):
+                arrangement.verify_perturbation(cy3().xi, order)
 
-    def test_explicit_good_perturbation_used(self):
-        res = compute(cy3(), kind="additive", xi_tilde=(F(-11, 10), F(-9, 10)))
-        assert res.dt == 176
-        assert res.diagnostics.perturbation.xi_tilde == (F(-11, 10), F(-9, 10))
+    def test_explicit_good_perturbation_used(self, monkeypatch):
+        # both signed orders of e_0 first pick one flag at the origin, each
+        # its own, and both give DT = 176
+        flags = []
+        for order in (((0, -1), (1, 1)), ((0, 1), (1, -1))):
+            monkeypatch.setattr(
+                arrangement, "sum_regular_perturbation",
+                lambda xi, seed, order=order: arrangement.verify_perturbation(xi, order, seed))
+            res = compute(cy3(), kind="additive")
+            assert res.dt == 176
+            assert res.diagnostics.perturbation.order == order
+            flags += res.diagnostics.points[0].flags
+        assert len(flags) == 2 and flags[0] != flags[1]
 
     def test_non_generic_configuration_exits_four(self, tmp_path, monkeypatch, capsys):
-        # neither error depends on xi_tilde, so the first one ends the run as
+        # the error does not depend on the perturbation, so it ends the run as
         # an internal error instead of triggering a re-perturbation
         from jkcalc import cli, engine
-        from jkcalc.arrangement import FlagStabilityError
         from jkcalc.engine import NonGenericResidueError
         cfg = tmp_path / "p.cfg"
         cfg.write_text("mode grassmannian-det\nk 2\nn 4\npower 4\n")
-        for error in (NonGenericResidueError, FlagStabilityError):
-            calls = []
+        calls = []
 
-            def failing(*args, **kwargs):
-                calls.append(1)
-                raise error("forced non-generic configuration")
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise NonGenericResidueError("forced non-generic configuration")
 
-            monkeypatch.setattr(engine, "jk_residue", failing)
-            assert cli.run([str(cfg), "--invariant", "dt"]) == 4
-            err = capsys.readouterr().err
-            assert "internal error: forced non-generic configuration" in err
-            assert "Traceback" not in err
-            assert len(calls) == 1
+        monkeypatch.setattr(engine, "jk_residue", failing)
+        assert cli.run([str(cfg), "--invariant", "dt"]) == 4
+        err = capsys.readouterr().err
+        assert "internal error: forced non-generic configuration" in err
+        assert "Traceback" not in err
+        assert len(calls) == 1
 
     def test_geometry_is_built_once_per_problem(self, monkeypatch):
         # every elimination of the pipeline goes through linalg._echelon; the
@@ -301,16 +310,10 @@ class TestPerturbationPaths:
         res = compute(problem, kind="additive")
         assert res.dt == 12
         assert calls["echelon"] <= 120 // 2
-        pert = res.diagnostics.perturbation
-        again = compute(problem, kind="additive", xi_tilde=pert.xi_tilde).diagnostics
-        assert again.perturbation.xi_tilde == pert.xi_tilde
-        assert again.perturbation.chamber_checks == pert.chamber_checks
-        assert again.perturbation.sum_checks == pert.sum_checks
-        assert arrangement.recheck_certificate(again.perturbation, problem.xi)
+        again = compute(problem, kind="additive").diagnostics
+        assert again.perturbation == res.diagnostics.perturbation
 
     def test_one_verification_per_problem(self, monkeypatch):
-        # seed 0 of this problem needs a halving of eps: the search verified
-        # eps = 0, 1/10 and 1/20, the closed form verifies 1/20 only
         calls = count_calls(monkeypatch, arrangement, "verify_perturbation")
         res = compute(builders.framed_a3_problem(3, 1), kind="additive", seed=0)
         assert res.dt == -48

@@ -23,6 +23,34 @@ def test_elliptic_genus_of_the_length3_quiver():
     assert res.dt == series[3] == -48
 
 
+A3_CHARGES = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3))
+
+
+def macmahon_dt(n, r, charges):
+    return oracles.macmahon_power(r, oracles.quiver_a3_exponent(r, charges), n)[n]
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_dt_of_framed_a3_quivers_at_two_seeds(n, r):
+    """xi = (1, ..., 1) lies on sum walls of these quivers, so the signed
+    order the seed draws decides ties of the flag-stability test; DT is the
+    MacMahon value at both seeds."""
+    for charges in A3_CHARGES:
+        problem = builders.framed_a3_problem(n, r, charges)
+        for seed in (0, 1):
+            res = invariants.compute(problem, kind="additive", seed=seed,
+                                     allow_root_incidence=True)
+            assert res.dt == macmahon_dt(n, r, charges), (charges, seed)
+
+
+def test_dt_of_the_length4_quiver():
+    """Length 4, rank 1, charges (1,1,1), where 189 of the 7,368 sum walls
+    pass through xi = (1, 1, 1, 1): DT is the MacMahon value -98."""
+    res = invariants.compute(builders.framed_a3_problem(4, 1, (1, 1, 1)), kind="additive",
+                             allow_root_incidence=True)
+    assert res.dt == macmahon_dt(4, 1, (1, 1, 1)) == -98
+
+
 class TestFramedA3:
     def test_weights_match_displayed_integrand(self):
         n, r = 2, 3
