@@ -1,7 +1,8 @@
 """Command line entry point: parse a config, run the pipeline, emit results.
 
-Exit codes: 0 success, 2 validation failure, 3 parse error, 4 internal
-error (a failed identity or a non-generic residue configuration).
+Exit codes: 0 success, 2 validation failure, 3 parse error (or an output
+file that cannot be written), 4 internal error (a failed identity or a
+non-generic residue configuration).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import invariants
-from .config import INVARIANT_KINDS, ConfigError, parse_config
+from .config import INVARIANT_KINDS, ConfigError, check_complete, parse_config
 from .engine import NonGenericResidueError
 from .invariants import (InvariantResult, PipelineError, ValidationError,
                          integrality_scale, specialize)
@@ -222,6 +223,7 @@ def run(argv=None) -> int:
             cfg.seed = args.seed
         if args.invariant is not None:
             cfg.invariant = args.invariant
+        check_complete(cfg)
         problem = cfg.build_problem()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -251,19 +253,21 @@ def run(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
-    out = sys.stdout
-    if args.output:
-        out = open(args.output, "w", encoding="utf-8")
     try:
-        if args.list_intersections:
-            _print_intersections(problem, result.diagnostics, out)
-        if args.emit == "json":
-            emit_json(result, out)
-        else:
-            emit_text(result, out)
-    finally:
-        if args.output:
-            out.close()
+        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        try:
+            if args.list_intersections:
+                _print_intersections(problem, result.diagnostics, out)
+            if args.emit == "json":
+                emit_json(result, out)
+            else:
+                emit_text(result, out)
+        finally:
+            if args.output:
+                out.close()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -189,7 +189,7 @@ def parse_config(text: str) -> ProblemConfig:
         raise ConfigError("empty configuration: missing 'mode' directive")
     for lineno, key, rest in pending:
         _apply_directive(cfg, key, rest, lineno)
-    _check_complete(cfg)
+    check_complete(cfg)
     return cfg
 
 
@@ -279,7 +279,7 @@ def _set_invariant(cfg, rest, lineno):
     cfg.invariant = rest
 
 
-def _check_complete(cfg: ProblemConfig):
+def check_complete(cfg: ProblemConfig):
     if cfg.q_order < 0:
         raise ConfigError("q-order must be >= 0")
     if cfg.mode == "raw":

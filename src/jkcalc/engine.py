@@ -25,7 +25,7 @@ coefficients at the center that the residue reads, those below the target
 (`_residue_step`).
 
 Before any of this, `_screened_zero` decides a flag whose residue vanishes
-by its pole count alone: it walks the residue steps on the localized (c, l)
+by its pole count alone: it walks the residue steps on the local (c, l)
 patterns, where a factor has valuation 1 at step i exactly when c = 0,
 l_i != 0 and l_j = 0 for every j > i, and returns zero as soon as the
 exponents of those factors sum to >= 0.  A factor that keeps a later l_j != 0
@@ -47,7 +47,7 @@ are the exact coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -93,8 +93,6 @@ class FactorizedIntegrand:
     dim_v: int
     q_order: int | None = None
     denom_scale: int | None = None  # common denominator D for w = y^(1/(2D))
-    # (point, flag) -> `localize` result, when the caller shares localizations
-    localized: dict | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def cleared_factors(self):
@@ -181,16 +179,6 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
             out.append(LocalFactor(const=Fraction(c, R * point_den), lin=lin,
                                    exponent=exponent, origin=origin))
     return out
-
-
-def _localized(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFactor]:
-    if integrand.localized is None:
-        return localize(integrand, point, flag)
-    key = (tuple(point), flag)
-    local = integrand.localized.get(key)
-    if local is None:
-        local = integrand.localized[key] = localize(integrand, point, flag)
-    return local
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +408,19 @@ def _screened_zero(local_factors, rank: int) -> bool:
 
 def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegrand) -> Fraction:
     """Iterated residue of the rational integrand along one flag, times the
-    lattice normalization |d(mu) / (kappa_1 ^ ... ^ kappa_k)|."""
+    lattice normalization |d(mu) / (kappa_1 ^ ... ^ kappa_k)|.
+
+    The equivariant parameter s enters here only.  The rational integrand at
+    s has every constant scaled by s, and its pole matching P sits at s P,
+    where each factor c + l.z of `local_factors` (taken at P) reads s c + l.z;
+    the prefactor is (1/(d s))^k.
+    """
     k = integrand.rank
     if _screened_zero(local_factors, k):
         return Fraction(0)
     nv = max(k, 1)
-    ds = integrand.degree * integrand.s
-    coeff = (Fraction(1) / ds) ** k
+    s = integrand.s
+    coeff = (Fraction(1) / (integrand.degree * s)) ** k
     hot = MultiPoly.const(nv, 1)
     factors: dict = {}
     for lf in local_factors:
@@ -435,9 +429,9 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
                 if lf.exponent > 0:
                     return Fraction(0)
                 raise ZeroDivisionError("integrand denominator factor is identically zero")
-            coeff *= lf.const**lf.exponent
+            coeff *= (s * lf.const)**lf.exponent
             continue
-        poly = MultiPoly.affine(nv, lf.lin, lf.const)
+        poly = MultiPoly.affine(nv, lf.lin, s * lf.const)
         coeff *= _merge_factor(factors, poly, lf.exponent)
     term = _Term(coeff=coeff, hot=hot, factors=factors)
     for i in range(k):
@@ -456,7 +450,7 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
 
 def multiplicativize(local_factor: LocalFactor, kind: str, D: int, N: int | None,
                      rank: int) -> list[tuple[MultiPoly, int]]:
-    """Map one localized affine factor to its multiplicative factored pieces.
+    """Map one local affine factor to its multiplicative factored pieces.
 
     The theta image of a factor with Y = y^c * prod X_j^(l_j) is
     (Y^(1/2) - Y^(-1/2)) prod_{n>=1} (1-q^n)(1-q^n Y)(1-q^n Y^{-1}), and the
@@ -528,7 +522,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     assert sum(lf.exponent for lf in local_factors) == 0, \
         "sine factor count must balance the prefactor copies"
     if _screened_zero(local_factors, k):
-        return _zero_value(integrand)
+        return zero_value(integrand)
     widx = k
     theta = kind == "theta"
     nv = k + 1 + (1 if theta else 0)
@@ -539,7 +533,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     for lf in local_factors:
         if lf.const == 0 and all(x == 0 for x in lf.lin):
             if lf.exponent > 0:
-                return _zero_value(integrand)
+                return zero_value(integrand)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
         for poly, e in multiplicativize(lf, kind, D, integrand.q_order, k):
             coeff *= _merge_factor(factors, poly, e)
@@ -551,12 +545,14 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
         term.coeff *= coeff_adj * 2 * D
         term = _residue_step(term, i, 1, widx, qv, qcap)
         if term is None:
-            return _zero_value(integrand)
+            return zero_value(integrand)
     term.coeff *= flag.lattice_factor
     return _assemble_multiplicative(term, integrand, widx, qv)
 
 
-def _zero_value(integrand: FactorizedIntegrand):
+def zero_value(integrand: FactorizedIntegrand):
+    if integrand.kind == "additive":
+        return Fraction(0)
     if integrand.kind == "sine":
         return RatFunc.const(0)
     return QSeries.const(integrand.q_order, 0)
@@ -590,15 +586,15 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
 # JK residue: sum over proper stable flags
 
 
-def denominator_scale(integrand: FactorizedIntegrand, points_with_flags) -> int:
-    """Least common denominator D of every localized constant and covector entry."""
+def denominator_scale(localizations) -> int:
+    """Least common denominator D of every constant and covector entry of the
+    `localize` results in `localizations`."""
     D = 1
-    for point, flags in points_with_flags:
-        for flag in flags:
-            for lf in _localized(integrand, point, flag):
-                D = lcm(D, lf.const.denominator)
-                for x in lf.lin:
-                    D = lcm(D, x.denominator)
+    for local_factors in localizations:
+        for lf in local_factors:
+            D = lcm(D, lf.const.denominator)
+            for x in lf.lin:
+                D = lcm(D, x.denominator)
     return D
 
 
@@ -608,22 +604,14 @@ def flag_residue(local_factors, flag, integrand, D=None):
     return flag_residue_multiplicative(local_factors, flag, integrand, D)
 
 
-def jk_residue(integrand: FactorizedIntegrand, point, flags, collect=None):
+def jk_residue(integrand: FactorizedIntegrand, local_flags):
     """Jeffrey-Kirwan residue at one point: the sum of flag residues over
-    `flags`, the proper stable flags of its active weights
-    (`arrangement.enumerate_flags`); an empty list contributes zero.
-
-    The multiplicative kinds use `integrand.denom_scale` as D, or this
-    point's `denominator_scale` when it is None.  `collect`, when given,
-    receives (flag, contribution) pairs in enumeration order for diagnostics.
+    `local_flags`, one (flag, `localize` result) pair for each proper
+    stable flag of its active weights (`arrangement.enumerate_flags`); an
+    empty list contributes zero.  The multiplicative kinds use
+    `integrand.denom_scale` as D.
     """
-    D = integrand.denom_scale
-    if integrand.kind != "additive" and D is None:
-        D = denominator_scale(integrand, [(point, flags)])
-    total = Fraction(0) if integrand.kind == "additive" else _zero_value(integrand)
-    for flag in flags:
-        value = flag_residue(_localized(integrand, point, flag), flag, integrand, D)
-        if collect is not None:
-            collect.append((flag, value))
-        total = total + value
+    total = zero_value(integrand)
+    for flag, local_factors in local_flags:
+        total = total + flag_residue(local_factors, flag, integrand, integrand.denom_scale)
     return total

@@ -7,7 +7,7 @@ genus.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
@@ -178,9 +178,10 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
     Per root a: numerator factor a, denominator factor a + d.  Per weight
     entry (rho, R): numerator factor (d - R) - rho, denominator factor
     R + rho.  Identical factors merge into one with the summed exponent.  The
-    additive kind fixes the equivariant parameter s (default 1) and scales
-    every constant by it; the rank-many prefactor copies are carried on the
-    integrand itself.
+    factor list is the same for every kind; the additive kind's equivariant
+    parameter s (default 1) is read by its residue alone
+    (`engine.flag_residue_additive`), and the rank-many prefactor copies are
+    carried on the integrand itself.
     """
     if kind not in engine.KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
@@ -188,7 +189,6 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
     s = Fraction(s)
     if s == 0:
         raise ValueError("the equivariant parameter s must be nonzero")
-    scale = s if kind == "additive" else Fraction(1)
     exponents: dict = {}    # (rho, const, origin) -> summed exponent
 
     def add(rho, const, exponent, origin):
@@ -197,11 +197,11 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
     for a in problem.roots:
         rho = linalg.fvec(a)
         add(rho, Fraction(0), 1, ORIGIN_ROOT_NUM)
-        add(rho, d * scale, -1, ORIGIN_ROOT_DEN)
+        add(rho, d, -1, ORIGIN_ROOT_DEN)
     for w in problem.weight_entries:
         rho = linalg.fvec(w.rho)
-        add(tuple(-x for x in rho), (d - w.r_charge) * scale, 1, ORIGIN_WEIGHT_NUM)
-        add(rho, Fraction(w.r_charge) * scale, -1, ORIGIN_WEIGHT_DEN)
+        add(tuple(-x for x in rho), d - w.r_charge, 1, ORIGIN_WEIGHT_NUM)
+        add(rho, Fraction(w.r_charge), -1, ORIGIN_WEIGHT_DEN)
     integrand = FactorizedIntegrand(
         kind=kind,
         rank=problem.rank,
@@ -238,8 +238,7 @@ class PointDiagnostics:
     active_indices: tuple
     active_weights: tuple
     flags: list
-    contributions: dict = field(default_factory=dict)       # kind -> value
-    flag_contributions: dict = field(default_factory=dict)  # kind -> [value per flag]
+    contributions: dict = field(default_factory=dict)   # kind -> value
 
 
 @dataclass
@@ -290,6 +289,8 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
     """
     if kind not in _KIND_SETS:
         raise ValueError(f"unknown kind {kind!r}")
+    if q_order < 0:
+        raise ValueError("q-order must be >= 0")
     t0 = time.monotonic()
     report = validate(problem, strict_roots=not allow_root_incidence)
     if report.properness == "refuted":
@@ -310,61 +311,43 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
 
 
 def _compute(problem, report, kind, q_order, seed, s, t0):
+    """Localize the one factor list once at each (stable point, flag) and give
+    the localizations to every requested kind."""
+    kinds = _KIND_SETS[kind]
     basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
-    result = _compute_with_perturbation(
-        problem, _KIND_SETS[kind], q_order, s, pert, report.stable_points, basis, report)
-    result.diagnostics.seed = seed
-    result.diagnostics.elapsed = time.monotonic() - t0
-    if report.root_condition != "ok":
-        result.diagnostics.notes.append(report.root_condition)
-    return result
-
-
-def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, report):
-    flags_by_point = [
-        (pt, arrangement.enumerate_flags(pt.active_weights, problem.xi, basis, pert.order))
-        for pt in stable]
-    integrands = {kd: build_integrand(problem, kd, q_order, s) for kd in kinds}
+    integrand = build_integrand(problem, kinds[0], q_order, s)
+    local_flags = [
+        [(flag, engine.localize(integrand, pt.point, flag))
+         for flag in arrangement.enumerate_flags(pt.active_weights, problem.xi, basis,
+                                                 pert.order)]
+        for pt in report.stable_points]
     D = 1
-    if any(kd in kinds for kd in ("sine", "theta")):
-        probe = integrands.get("sine") or integrands.get("theta")
-        # equal factor lists: both kinds share the localizations denominator_scale makes
-        probe.localized = {}
-        D = engine.denominator_scale(probe, [(pt.point, fl) for pt, fl in flags_by_point])
-        for kd in ("sine", "theta"):
-            if kd in integrands:
-                integrands[kd].denom_scale = D
-                integrands[kd].localized = probe.localized
+    if kinds != ("additive",):
+        D = engine.denominator_scale(local for flags in local_flags for _, local in flags)
     result = InvariantResult(label=problem.label, degree=problem.degree)
     diag = result.diagnostics
     diag.hypothesis = report
     diag.perturbation = pert
     diag.weyl_order = problem.weyl_order
     diag.denom_scale = D
+    diag.seed = seed
     diag.points = [
         PointDiagnostics(point=pt.point, active_indices=pt.active_indices,
-                         active_weights=pt.active_weights, flags=flags)
-        for pt, flags in flags_by_point
+                         active_weights=pt.active_weights, flags=[fl for fl, _ in flags])
+        for pt, flags in zip(report.stable_points, local_flags)
     ]
+    if report.root_condition != "ok":
+        diag.notes.append(report.root_condition)
     weyl = Fraction(1, problem.weyl_order)
     for kd in kinds:
-        integrand = integrands[kd]
-        total = None
-        for pdiag, (pt, flags) in zip(diag.points, flags_by_point):
-            collect = []
-            # the rational integrand with parameter s has the pole matching P
-            # at s*P; the rescaling covariance of the residue makes the value
-            # independent of s
-            point = pt.point if kd != "additive" else \
-                tuple(integrand.s * x for x in pt.point)
-            value = engine.jk_residue(integrand, point, flags, collect)
+        kind_integrand = replace(integrand, kind=kd, denom_scale=D,
+                                 q_order=q_order if kd == "theta" else None)
+        total = engine.zero_value(kind_integrand)
+        for pdiag, flags in zip(diag.points, local_flags):
+            value = engine.jk_residue(kind_integrand, flags)
             pdiag.contributions[kd] = value
-            pdiag.flag_contributions[kd] = [v for _, v in collect]
-            total = value if total is None else total + value
-        if total is None:
-            total = Fraction(0) if kd == "additive" else \
-                (RatFunc.const(0) if kd == "sine" else QSeries.const(q_order, 0))
+            total = total + value
         total = total * weyl
         if kd == "additive":
             result.dt = total
@@ -375,6 +358,7 @@ def _compute_with_perturbation(problem, kinds, q_order, s, pert, stable, basis, 
             laur = [laurent_form(c) for c in total.coeffs]
             result.ell = EllResult(series=total, denom_scale=D, q_order=q_order,
                                    laurent=laur if all(x is not None for x in laur) else None)
+    diag.elapsed = time.monotonic() - t0
     return result
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import oracles
 from jkcalc import arrangement as arr
 from jkcalc import builders, invariants
-from jkcalc.engine import IntegrandFactor, jk_residue
+from jkcalc.engine import IntegrandFactor, jk_residue, localize
 from jkcalc.invariants import GITProblem, ValidationError, compute, specialize
 
 F = Fraction
@@ -193,8 +193,8 @@ def _random_rescaling_trial(rng):
                                    factors=scaled, n_roots=0, dim_v=0)
 
     flags = arr.enumerate_flags(weights, xi_t, basis, tuple((j, 1) for j in range(k)))
-    base = jk_residue(integrand(1), (0,) * k, flags)
-    scaled = jk_residue(integrand(lam), (0,) * k, flags)
+    base, scaled = (jk_residue(ig, [(flag, localize(ig, (0,) * k, flag)) for flag in flags])
+                    for ig in (integrand(1), integrand(lam)))
     assert scaled == lam ** (-k) * base, (k, lam)
 
 

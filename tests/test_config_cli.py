@@ -269,3 +269,19 @@ class TestCliProcess:
         cfg.write_text("mode raw\nrank 1\ndegree 1\nxi [1]\nweight [1] 1 1\nweight [1] 0 1\n")
         assert cli.run([str(cfg), "--invariant", "dt", "--degree", "2"]) == 0
         assert "DT" in capsys.readouterr().out
+
+    def test_negative_q_order_override_exit_three(self, capsys):
+        quintic = os.path.join(CONFIG_DIR, "quintic.cfg")
+        assert cli.run([quintic, "--q-order", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "config error: q-order must be >= 0\n"
+
+    def test_unwritable_output_exit_three(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(CY3_TEXT)
+        out_path = tmp_path / "missing" / "x.json"
+        assert cli.run([str(cfg), "--invariant", "dt", "-o", str(out_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_path.parent.exists()

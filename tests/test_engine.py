@@ -29,6 +29,11 @@ def bare_integrand(rank, factors, kind="additive", degree=1, s=1, q_order=None):
                                factors=factors, n_roots=0, dim_v=0, q_order=q_order)
 
 
+def local_flags(integrand, point, flags):
+    """The (flag, localization) pairs `jk_residue` sums over."""
+    return [(flag, localize(integrand, point, flag)) for flag in flags]
+
+
 def simple_flag(kappa, basis):
     k = len(kappa)
     chain = tuple(tuple(arr.linalg.rref([arr.linalg.fvec(x) for x in kappa[:i + 1]]))
@@ -107,19 +112,20 @@ class TestLocalizeAgainstReference:
         problem = builders.framed_a3_problem(3, 1, charges)
         result = invariants.compute(problem, kind="additive")
         assert sum(len(p.flags) for p in result.diagnostics.points) > 10
-        for s in (1, F(3, 2)):   # s = 3/2 makes constants fractional
-            integrand = invariants.build_integrand(problem, "additive", s=s)
+        integrand = invariants.build_integrand(problem, "additive")
+        for t in (1, F(3, 2)):
             for p in result.diagnostics.points:
-                # the additive pole at s sits at s P
-                self.assert_same(integrand, tuple(s * x for x in p.point), p.flags)
+                # t P is a pole at t = 1 only; t = 3/2 makes the constants
+                # fractional and nonzero
+                self.assert_same(integrand, tuple(t * x for x in p.point), p.flags)
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_fractional_points_of_raw_problems_at_s_2(self, rank):
         for problem, points in _seeded_raw_problems(rank, 3):
             integrand = invariants.build_integrand(problem, "additive", s=2)
             for p in points:
-                # the additive pole at s = 2 sits at 2 P
-                self.assert_same(integrand, tuple(2 * x for x in p.point), p.flags)
+                # s enters the additive residue only: every kind localizes at P
+                self.assert_same(integrand, p.point, p.flags)
 
 
     def test_repeated_rhos_with_different_constants(self):
@@ -142,7 +148,7 @@ class TestLocalizeAgainstReference:
         problem = builders.framed_a3_problem(3, 1, (1, 1, 2))
         points = invariants.compute(problem, kind="additive",
                                     allow_root_incidence=True).diagnostics.points
-        integrand = invariants.build_integrand(problem, "additive", s=F(3, 2))
+        integrand = invariants.build_integrand(problem, "additive")
         hashes = []
         fraction_hash = F.__hash__
 
@@ -318,7 +324,7 @@ class TestJKResidue:
         ig = invariants.build_integrand(prob, "additive")
         basis = arr.lattice_basis(prob.nonzero_weights())
         flags = arr.enumerate_flags([(-1, 0), (0, -1)], prob.xi, basis, ((0, -1), (1, 1)))
-        assert jk_residue(ig, (0, 0), flags) == 352
+        assert jk_residue(ig, local_flags(ig, (0, 0), flags)) == 352
 
     def test_rescaling_lemma_example(self):
         # F = 1/(u1 u2) over the axis arrangement: JK(F(3u)) = (1/9) JK(F(u))
@@ -334,8 +340,8 @@ class TestJKResidue:
                                 origin="weight-den")])
 
         flags = arr.enumerate_flags(weights, xi_t, basis, ((0, 1), (1, 1)))
-        base = jk_residue(make(1), (0, 0), flags)
-        scaled = jk_residue(make(3), (0, 0), flags)
+        base = jk_residue(make(1), local_flags(make(1), (0, 0), flags))
+        scaled = jk_residue(make(3), local_flags(make(3), (0, 0), flags))
         assert base == 1
         assert scaled == F(1, 9) * base
 
@@ -347,8 +353,8 @@ class TestJKResidue:
         pert = arr.sum_regular_perturbation(prob.xi, seed=0)
         pt = report.stable_points[0]
         flags = arr.enumerate_flags(pt.active_weights, prob.xi, basis, pert.order)
-        fwd = jk_residue(ig, pt.point, flags)
-        rev = jk_residue(ig, pt.point, list(reversed(flags)))
+        fwd = jk_residue(ig, local_flags(ig, pt.point, flags))
+        rev = jk_residue(ig, local_flags(ig, pt.point, list(reversed(flags))))
         assert fwd == rev
 
     def test_rescaling_covariance_random(self):
@@ -381,8 +387,9 @@ class TestJKResidue:
                                         origin=f.origin) for f in factors]
 
             flags = arr.enumerate_flags(weights, xi_t, basis, tuple((j, 1) for j in range(k)))
-            base = jk_residue(bare_integrand(k, factors), (0,) * k, flags)
-            scaled = jk_residue(bare_integrand(k, scaled_factors(lam)), (0,) * k, flags)
+            base, scaled = (jk_residue(ig, local_flags(ig, (0,) * k, flags))
+                            for ig in (bare_integrand(k, factors),
+                                       bare_integrand(k, scaled_factors(lam))))
             assert scaled == lam ** (-k) * base, (trial, k, lam)
 
 
@@ -418,7 +425,8 @@ def test_screened_flags_have_zero_residue(case, monkeypatch):
     monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
     for kind in engine.KINDS[:2] if isinstance(case, tuple) else engine.KINDS:
         integrand = invariants.build_integrand(problem, kind, q_order=1)
-        D = engine.denominator_scale(integrand, [(p.point, p.flags) for p in points])
+        D = engine.denominator_scale(localize(integrand, p.point, flag)
+                                     for p in points for flag in p.flags)
         for point, flag in screened:
             value = engine.flag_residue(localize(integrand, point, flag), flag, integrand, D)
             assert (value == 0) if kind == "additive" else value.is_zero(), (kind, point)
@@ -500,5 +508,5 @@ def test_denominator_scale_collects_fractions():
     basis = arr.lattice_basis(prob.nonzero_weights())
     from jkcalc.engine import denominator_scale
     flags = arr.enumerate_flags([(2,)], (F(1),), basis, ((0, 1),))
-    D = denominator_scale(ig, [((F(-1, 2),), flags)])
+    D = denominator_scale(localize(ig, (F(-1, 2),), flag) for flag in flags)
     assert D == 2

@@ -130,10 +130,12 @@ class TestBuildIntegrand:
         assert ig.factors == []
         assert compute(prob, kind="additive").dt == 1  # (1/d)^0
 
-    def test_additive_s_parameter(self):
-        ig = build_integrand(cy3(), "additive", s=2)
-        consts = {f.const for f in ig.factors if f.origin == "root-den"}
-        assert consts == {2}
+    def test_one_factor_list_for_every_kind_and_s(self):
+        # s is read by the additive residue alone, so the factor list is the
+        # same for every kind and every s
+        base = build_integrand(cy3(), "additive").factors
+        assert build_integrand(cy3(), "additive", s=2).factors == base
+        assert build_integrand(cy3(), "theta", q_order=1).factors == base
 
 
 class TestCompute:
@@ -147,6 +149,19 @@ class TestCompute:
 
     def test_framed_a3_n1(self):
         assert compute(builders.framed_a3_problem(1, 1), kind="additive").dt == 8
+
+    def test_negative_q_order_rejected(self):
+        with pytest.raises(ValueError, match="q-order must be >= 0"):
+            compute(cy3(), kind="theta", q_order=-1)
+
+    def test_each_flag_is_localized_once_for_every_kind(self, monkeypatch):
+        localizations = count_calls(monkeypatch, engine, "localize")
+        builds = count_calls(monkeypatch, invariants, "build_integrand")
+        res = compute(builders.framed_a3_problem(2, 1), kind="all", q_order=1)
+        assert len(res.diagnostics.points) == 3
+        assert len(localizations) == sum(len(p.flags) for p in res.diagnostics.points)
+        assert len(builds) == 1
+        specialize(res)
 
     def test_diagnostics_record_contributions(self):
         res = compute(cy3(), kind="additive")
@@ -239,6 +254,14 @@ class TestIndependenceProperties:
                      builders.framed_a3_problem(1, 1)):
             assert compute(prob, kind="additive", s=1).dt == \
                 compute(prob, kind="additive", s=2).dt
+
+    @pytest.mark.parametrize("charges", [(1, 1, 1), (1, 2, 2)])
+    def test_each_point_contribution_is_s_independent(self, charges):
+        problem = builders.framed_a3_problem(3, 1, charges)
+        runs = [compute(problem, kind="additive", s=s).diagnostics.points
+                for s in (1, F(3, 2))]
+        assert len(runs[0]) > 1
+        assert [p.contributions for p in runs[0]] == [p.contributions for p in runs[1]]
 
     def test_r_charge_independence_zero_potential(self):
         # DT and chi_y are rigid under the circle-action choice; the
