@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from . import linalg
-from .linalg import fvec, is_zero_vec, primitive
+from .linalg import is_zero_vec, primitive
 
 
 class PerturbationError(Exception):
@@ -29,16 +29,16 @@ class PerturbationError(Exception):
 
 @dataclass(frozen=True)
 class AffineForm:
-    """rho(u) + const, with rho a covector of fixed rank."""
+    """rho(u) + const, with rho an integer covector of fixed rank."""
 
-    rho: tuple[Fraction, ...]
-    const: Fraction
+    rho: tuple[int, ...]
+    const: int
 
     @classmethod
     def make(cls, rho, const):
-        return cls(fvec(rho), Fraction(const))
+        return cls(tuple(rho), const)
 
-    def value_at(self, point) -> Fraction:
+    def value_at(self, point):
         return linalg.vec_dot(self.rho, point) + self.const
 
     def is_hyperplane(self) -> bool:
@@ -51,7 +51,7 @@ class IntersectionPoint:
 
     point: tuple[Fraction, ...]
     active_indices: tuple[int, ...]          # all form indices vanishing here
-    active_weights: tuple[tuple[Fraction, ...], ...]  # deduplicated covectors
+    active_weights: tuple[tuple[int, ...], ...]  # deduplicated covectors
 
     def __str__(self):
         return "(" + ", ".join(str(x) for x in self.point) + ")"
@@ -61,9 +61,9 @@ class IntersectionPoint:
 class Flag:
     """A proper flag: generator covectors, canonical subspace chain, kappa basis."""
 
-    generators: tuple[tuple[Fraction, ...], ...]
-    chain: tuple[tuple[tuple[Fraction, ...], ...], ...]  # rref basis of each F_i
-    kappa: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
+    chain: tuple[tuple[tuple[int, ...], ...], ...]  # `linalg.rref` basis of each F_i
+    kappa: tuple[tuple[int, ...], ...]
     lattice_factor: Fraction
 
 
@@ -78,20 +78,13 @@ class Perturbation:
 
 
 def _dedup_hyperplane_forms(forms):
-    """Map distinct hyperplanes to a representative form index list."""
+    """Map distinct hyperplanes to a representative form index list: (rho,
+    const) scaled to a primitive integer vector with rho's first nonzero entry
+    positive is the same for every form of one hyperplane."""
     seen = {}
     for i, f in enumerate(forms):
-        if not f.is_hyperplane():
-            continue
-        p = primitive(f.rho)
-        # normalize the constant consistently with the rho rescaling
-        scale = None
-        for a, b in zip(f.rho, p):
-            if b != 0:
-                scale = Fraction(a, b)
-                break
-        key = (p, f.const / scale)
-        seen.setdefault(key, i)
+        if f.is_hyperplane():
+            seen.setdefault(primitive(f.rho + (f.const,)), i)
     return list(seen.values())
 
 
@@ -110,23 +103,22 @@ def isolated_intersections(forms, rank: int) -> list[IntersectionPoint]:
         mat = [forms[i].rho for i in combo]
         rhs = [-forms[i].const for i in combo]
         sol = linalg.solve(mat, rhs)
-        if sol is None:
-            continue
-        points.setdefault(sol, None)
-    return [_build_point(p, forms) for p in sorted(points)]
+        if sol is not None:
+            ints, d = linalg.cleared(sol)
+            points.setdefault((tuple(ints), d), sol)
+    return [_build_point(p, forms) for p in sorted(points.values())]
 
 
 def _build_point(point, forms):
     """The intersection point at `point` with every form that vanishes there.
 
-    The test runs in integers: with point = P/d and each form cleared to an
-    integral (rho, const), the form vanishes when rho.P + const*d == 0.
+    The test runs in integers: with point = P/d, the form vanishes when
+    rho.P + const*d == 0.
     """
     ints, d = linalg.cleared(point)
     active = []
     for i, f in enumerate(forms):
-        *rho, const = linalg.cleared(f.rho + (f.const,))[0]
-        if sum(map(mul, rho, ints)) + const * d == 0:
+        if sum(map(mul, f.rho, ints)) + f.const * d == 0:
             active.append(i)
     active = tuple(active)
     weights = []
@@ -148,8 +140,6 @@ def cone_membership(xi, gens, strict: bool = False):
     (False, None).  The non-strict test searches independent subsets
     (Caratheodory); the strict test requires gens to be independent.
     """
-    xi = fvec(xi)
-    gens = [fvec(g) for g in gens]
     if strict:
         coords = linalg.solve_coords(gens, xi)
         if coords is None:
@@ -182,8 +172,7 @@ def regular_stability_check(weights, xi) -> bool:
     """xi lies in the weight cone but on no cone of rank-1-fewer weights: by
     Caratheodory, the smallest independent set of weights with xi strictly
     inside its cone has `rank` elements."""
-    weights = list(dict.fromkeys(fvec(w) for w in weights if not is_zero_vec(w)))
-    xi = fvec(xi)
+    weights = list(dict.fromkeys(tuple(w) for w in weights if not is_zero_vec(w)))
     dim = len(xi)
     if dim == 0:
         return True
@@ -240,16 +229,10 @@ def sum_regular_perturbation(xi, seed: int = 0) -> Perturbation:
 
 def lattice_basis(weights):
     """Hermite-normal-form basis of the integer span of the weight covectors."""
-    rows = []
-    for w in weights:
-        w = fvec(w)
-        if is_zero_vec(w):
-            continue
-        if any(x.denominator != 1 for x in w):
-            raise ValueError("lattice basis requires integral weights")
-        rows.append(tuple(int(x) for x in w))
+    if any(x.denominator != 1 for w in weights for x in w):
+        raise ValueError("lattice basis requires integral weights")
     dim = len(weights[0]) if weights else 0
-    basis = linalg.hnf(rows)
+    basis = linalg.hnf(weights)
     if len(basis) != dim:
         raise ValueError("weights do not span the ambient space; arrangement degenerate")
     return basis
@@ -272,19 +255,21 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
     weight w not already known to lie in F either enlarges F or shows that w
     lies in it, which gives the children of F and kappa(F), the sum of the
     distinct active weights inside F.  F_k is the whole space, so kappa_k is
-    the sum of all of them.  A flag is kept when kappa is a basis and
+    the sum of all of them.  Subspaces are keyed by their integer `rref`
+    rows, and the flags come in the order of their chains' reduced row
+    echelon forms, each row divided by its pivot: the rows are compared
+    scaled to a common pivot.  A flag is kept when kappa is a basis and
     xi_tilde has strictly positive coordinates in it (Szenes and Vergne,
     Invent. Math. 158, 2004).  They are c + sum_t eps^t s_t inv[j_t], with c
     the coordinates of xi and inv[j], row j of kappa's inverse, those of e_j.
     So where c_i = 0 the sign is that of the first nonzero s_t inv[j_t][i],
     which exists since inv is invertible.
     """
-    weights = [fvec(w) for w in dict.fromkeys(tuple(fvec(w)) for w in active_weights)]
-    xi = fvec(xi)
+    weights = list(dict.fromkeys(tuple(w) for w in active_weights))
     dim = len(xi)
     if dim == 0:
         return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
-    zero = tuple(Fraction(0) for _ in range(dim))
+    zero = (0,) * dim
     children = {}   # subspace -> [(weight index, larger subspace)]
     kappas = {}     # subspace -> sum of the weights inside it
     chains = {(): ()}   # chain prefix -> generator indices of its first tuple
@@ -307,7 +292,7 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
         chains = longer
     everything = reduce(linalg.vec_add, weights, zero)
     flags = []
-    for chain, gens in sorted(chains.items()):
+    for chain, gens in chains.items():
         kappa = [kappas[sub] for sub in chain[:-1]] + [everything]
         coords = linalg.solve_coords(kappa, xi)
         if coords is None or any(c < 0 for c in coords):
@@ -323,6 +308,12 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
             kappa=tuple(kappa),
             lattice_factor=Fraction(1) / abs(kappa_determinant(kappa, basis)),
         ))
+    if len(flags) > 1:
+        pivot = {row: next(filter(None, row))
+                 for flag in flags for sub in flag.chain for row in sub}
+        scale = lcm(*pivot.values())
+        flags.sort(key=lambda flag: [[[x * (scale // pivot[row]) for x in row] for row in sub]
+                                     for sub in flag.chain])
     return flags
 
 
@@ -333,7 +324,7 @@ def projectivity_check(weights) -> bool:
     Caratheodory it suffices to scan minimally dependent subsets of size at
     most dim+1 and inspect the sign pattern of their unique dependency.
     """
-    weights = [fvec(w) for w in weights if not is_zero_vec(w)]
+    weights = [w for w in weights if not is_zero_vec(w)]
     if not weights:
         return True
     dim = len(weights[0])

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .builders import grassmannian_det, projective_bundle
-from .invariants import GITProblem, make_problem
+from .invariants import DEFAULT_Q_ORDER, GITProblem, make_problem
 from .quiver import Quiver, QuiverArrow, QuiverNode, QuiverStability, to_git_problem
 
 MODES = ("raw", "quiver", "projective-bundle", "grassmannian-det")
@@ -44,7 +44,7 @@ class ProblemConfig:
     label: str = ""
     degree: int | None = None
     invariant: str = "all"
-    q_order: int = 6
+    q_order: int = DEFAULT_Q_ORDER
     seed: int = 0
     # raw payload
     rank: int | None = None
@@ -62,49 +62,6 @@ class ProblemConfig:
     gr_k: int | None = None
     gr_n: int | None = None
     gr_power: int | None = None
-
-    def echo(self) -> str:
-        """Normalized config text; parsing it reproduces an equivalent config."""
-        lines = [f"mode {self.mode}"]
-        if self.label:
-            lines.append(f"label {self.label}")
-        if self.degree is not None:
-            lines.append(f"degree {self.degree}")
-        if self.q_order != 6:
-            lines.append(f"q-order {self.q_order}")
-        if self.seed:
-            lines.append(f"seed {self.seed}")
-        if self.invariant != "all":
-            lines.append(f"invariant {self.invariant}")
-
-        def cov(v):
-            return "[" + ",".join(str(x) for x in v) + "]"
-
-        if self.mode == "raw":
-            lines.append(f"rank {self.rank}")
-            if self.weyl != 1:
-                lines.append(f"weyl {self.weyl}")
-            lines.append(f"xi {cov(self.xi)}")
-            for rho, r, mult in self.weights:
-                lines.append(f"weight {cov(rho)} {r} {mult}")
-            for rho in self.roots:
-                lines.append(f"root {cov(rho)}")
-        elif self.mode == "quiver":
-            for n in self.nodes:
-                kind = "gauged" if n.gauged else "framed"
-                lines.append(f"node {n.name} {kind} {n.dim}")
-            for a in self.arrows:
-                lines.append(f"arrow {a.tail} {a.head} {a.r_charge}")
-            for name, value in self.node_xi.items():
-                lines.append(f"xi {name} {value}")
-        elif self.mode == "projective-bundle":
-            lines.append(f"n {self.n}")
-            lines.append(f"degrees {cov(self.degrees or ())}")
-        elif self.mode == "grassmannian-det":
-            lines.append(f"k {self.gr_k}")
-            lines.append(f"n {self.gr_n}")
-            lines.append(f"power {self.gr_power}")
-        return "\n".join(lines) + "\n"
 
     def build_problem(self) -> GITProblem:
         if self.mode == "raw":

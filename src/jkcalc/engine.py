@@ -74,8 +74,8 @@ class NonGenericResidueError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IntegrandFactor:
-    rho: tuple[Fraction, ...]
-    const: Fraction
+    rho: tuple[int, ...]
+    const: int
     exponent: int
     origin: str
 
@@ -86,7 +86,7 @@ class FactorizedIntegrand:
 
     kind: str
     rank: int
-    degree: Fraction
+    degree: int
     s: Fraction
     factors: list[IntegrandFactor]
     n_roots: int
@@ -97,9 +97,10 @@ class FactorizedIntegrand:
     @cached_property
     def cleared_factors(self):
         """The factors on integers: (R, rhos, rows), with every rho and constant
-        an integer over the common denominator R, `rhos` the distinct rho
-        numerators, and one (rho index, const numerator, exponent, origin) row
-        per factor, in factor order."""
+        an integer over the common denominator R (1 unless a factor has
+        rational data), `rhos` the distinct rho numerators, and one (rho
+        index, const numerator, exponent, origin) row per factor, in factor
+        order."""
         R = lcm(*(x.denominator for f in self.factors for x in (*f.rho, f.const)))
         index: dict = {}
         rows = []
@@ -185,22 +186,24 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
 # shared iterated-residue core
 
 
-def _merge_factor(factors: dict, poly: MultiPoly, exp: int) -> Fraction:
-    """Fold a factored piece into the dictionary; constants return a multiplier."""
+def _merge_factor(factors: dict, poly: MultiPoly, exp: int, den: int = 1) -> Fraction:
+    """Fold the factored piece (poly / den)^exp into the dictionary, poly an
+    integer polynomial; returns the constant multiplier."""
     if exp == 0:
         return Fraction(1)
     if poly.is_constant():
-        return Fraction(poly.constant_value()) ** exp
-    cont, prim = poly.content_normalize()
-    key = prim.key()
-    entry = factors.get(key)
-    if entry is None:
-        factors[key] = [prim, exp]
+        cont = poly.constant_value()
     else:
-        entry[1] += exp
-        if entry[1] == 0:
-            del factors[key]
-    return cont**exp
+        cont, prim = poly.content_normalize()
+        key = prim.key()
+        entry = factors.get(key)
+        if entry is None:
+            factors[key] = [prim, exp]
+        else:
+            entry[1] += exp
+            if entry[1] == 0:
+                del factors[key]
+    return Fraction(cont ** exp, den ** exp) if exp > 0 else Fraction(den ** -exp, cont ** -exp)
 
 
 def _series_mul(a, b, target, kr):
@@ -413,35 +416,34 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     The equivariant parameter s enters here only.  The rational integrand at
     s has every constant scaled by s, and its pole matching P sits at s P,
     where each factor c + l.z of `local_factors` (taken at P) reads s c + l.z;
-    the prefactor is (1/(d s))^k.
+    the prefactor is (1/(d s))^k.  With s = a/b and c and l cleared over one
+    denominator m, s c + l.z is the integer affine polynomial a c' + b l'.z
+    over m b.
     """
     k = integrand.rank
     if _screened_zero(local_factors, k):
         return Fraction(0)
     nv = max(k, 1)
     s = integrand.s
-    coeff = (Fraction(1) / (integrand.degree * s)) ** k
-    hot = MultiPoly.const(nv, 1)
+    a, b = s.numerator, s.denominator
+    coeff = Fraction(b, integrand.degree * a) ** k
     factors: dict = {}
     for lf in local_factors:
-        if all(x == 0 for x in lf.lin):
-            if lf.const == 0:
-                if lf.exponent > 0:
-                    return Fraction(0)
-                raise ZeroDivisionError("integrand denominator factor is identically zero")
-            coeff *= (s * lf.const)**lf.exponent
-            continue
-        poly = MultiPoly.affine(nv, lf.lin, s * lf.const)
-        coeff *= _merge_factor(factors, poly, lf.exponent)
-    term = _Term(coeff=coeff, hot=hot, factors=factors)
+        ints, m = linalg.cleared(lf.lin + (lf.const,))
+        if not any(ints):
+            if lf.exponent > 0:
+                return Fraction(0)
+            raise ZeroDivisionError("integrand denominator factor is identically zero")
+        poly = MultiPoly.affine(nv, [b * x for x in ints[:-1]], a * ints[-1])
+        coeff *= _merge_factor(factors, poly, lf.exponent, m * b)
+    term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)
     for i in range(k):
         term = _residue_step(term, i, 0, k - 1, None, None)
         if term is None:
             return Fraction(0)
-    value = term.coeff * Fraction(term.hot.constant_value())
-    for poly, exp in term.factors.values():
-        value *= Fraction(poly.constant_value()) ** exp
-    return value * flag.lattice_factor
+    # after the last step the hot numerator and every factor are constants,
+    # which `_residue_step` folds into the coefficient
+    return term.coeff * flag.lattice_factor
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +469,10 @@ def multiplicativize(local_factor: LocalFactor, kind: str, D: int, N: int | None
         raise ValueError("multiplicativize applies to the sine and theta kinds")
     theta = kind == "theta"
     nv = rank + 1 + theta
-    b = Fraction(D) * local_factor.const
-    a = [Fraction(D) * x for x in local_factor.lin]
-    if b.denominator != 1 or any(x.denominator != 1 for x in a):
+    ints, m = linalg.cleared(local_factor.lin + (local_factor.const,))
+    if D % m:
         raise ValueError("denominator scale D does not clear the factor data")
-    half = [int(x) for x in a] + [int(b)] + [0] * theta   # exponents of Y^(1/2)
+    half = [x * (D // m) for x in ints] + [0] * theta   # exponents of Y^(1/2)
     m1, m2 = [max(x, 0) for x in half], [max(-x, 0) for x in half]
     N = N if theta else 0
     K = 1
@@ -495,7 +496,7 @@ def _prefactor_pieces(integrand: FactorizedIntegrand, D: int):
     piece by Euler's pentagonal theorem: the sum of (-1)^j q^(j(3j-1)/2).
     """
     k = integrand.rank
-    lf = LocalFactor(const=integrand.degree, lin=(Fraction(0),) * k,
+    lf = LocalFactor(const=integrand.degree, lin=(0,) * k,
                      exponent=-k, origin=ORIGIN_PREFACTOR)
     pieces = multiplicativize(lf, integrand.kind, D, integrand.q_order, k)
     if integrand.kind == "theta":

@@ -50,11 +50,10 @@ class GITProblem:
     properness_note: str = ""
 
     def forms(self) -> list[AffineForm]:
-        return [AffineForm.make(w.rho, w.r_charge) for w in self.weight_entries]
+        return [AffineForm(w.rho, w.r_charge) for w in self.weight_entries]
 
     def nonzero_weights(self):
-        return [linalg.fvec(w.rho) for w in self.weight_entries
-                if not linalg.is_zero_vec(w.rho)]
+        return [w.rho for w in self.weight_entries if not linalg.is_zero_vec(w.rho)]
 
 
 @dataclass
@@ -129,11 +128,10 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
     except PerturbationError as exc:
         raise ValidationError("the stability covector is not regular for these weights") \
             from exc
-    d = Fraction(problem.degree)
     root_condition = "ok"
     for pt in stable:
         for a in problem.roots:
-            if linalg.vec_dot(linalg.fvec(a), pt.point) + d == 0:
+            if linalg.vec_dot(a, pt.point) + problem.degree == 0:
                 message = (
                     f"root {tuple(a)} shifted by d={problem.degree} vanishes at the "
                     f"stable intersection {pt}; the fixed-locus Euler classes are "
@@ -181,11 +179,11 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
     factor list is the same for every kind; the additive kind's equivariant
     parameter s (default 1) is read by its residue alone
     (`engine.flag_residue_additive`), and the rank-many prefactor copies are
-    carried on the integrand itself.
+    carried on the integrand itself.  Every rho and constant is an integer.
     """
     if kind not in engine.KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
-    d = Fraction(problem.degree)
+    d = problem.degree
     s = Fraction(s)
     if s == 0:
         raise ValueError("the equivariant parameter s must be nonzero")
@@ -195,13 +193,11 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
         exponents[rho, const, origin] = exponents.get((rho, const, origin), 0) + exponent
 
     for a in problem.roots:
-        rho = linalg.fvec(a)
-        add(rho, Fraction(0), 1, ORIGIN_ROOT_NUM)
-        add(rho, d, -1, ORIGIN_ROOT_DEN)
+        add(a, 0, 1, ORIGIN_ROOT_NUM)
+        add(a, d, -1, ORIGIN_ROOT_DEN)
     for w in problem.weight_entries:
-        rho = linalg.fvec(w.rho)
-        add(tuple(-x for x in rho), d - w.r_charge, 1, ORIGIN_WEIGHT_NUM)
-        add(rho, Fraction(w.r_charge), -1, ORIGIN_WEIGHT_DEN)
+        add(tuple(-x for x in w.rho), d - w.r_charge, 1, ORIGIN_WEIGHT_NUM)
+        add(w.rho, w.r_charge, -1, ORIGIN_WEIGHT_DEN)
     integrand = FactorizedIntegrand(
         kind=kind,
         rank=problem.rank,

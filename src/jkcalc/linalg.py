@@ -1,15 +1,18 @@
 """Exact linear algebra over rational vectors, plus integer Hermite normal form.
 
-Vectors are tuples of Fraction (or int); matrices are lists of row tuples.
-Everything here is dense and desk-scale: ranks up to ~6, a few hundred rows.
-The arithmetic runs on integers: each row is first cleared of denominators
-(`cleared`), eliminations are fraction-free, and a Fraction is built only for
-an entry that is returned.
+Vectors are tuples of int (or Fraction, where an entry is rational);
+matrices are lists of row tuples.  Everything here is dense and desk-scale:
+ranks up to ~6, a few hundred rows.  The arithmetic runs on integers: each
+row is first cleared of denominators (`cleared`), eliminations are
+fraction-free, and the reduced rows stay integer rows.  A Fraction is built
+only for a rational result: each entry that `solve`, `solve_coords`,
+`inverse` or `kernel_line` returns, and the value of `det`.
 
 There is one Gauss-Jordan elimination, `_echelon`.  `rank`, `rref`, `solve`,
 `inverse`, `solve_coords`, `in_span` and `kernel_line` each eliminate one
 matrix with it (augmented by a right-hand side, an identity block or a target
-column) and read their answer off the pivots and reduced rows.  `det` keeps
+column) and read their answer off the pivots and reduced rows: a reduced row
+divided by its pivot is the row of the reduced row echelon form.  `det` keeps
 its own elimination (Bareiss) because it needs the pivot product and the sign
 of the row swaps, which `_echelon` discards.
 """
@@ -18,24 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def fvec(v) -> tuple[Fraction, ...]:
-    """v as a tuple of Fraction; entries that already are one are kept."""
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
+from operator import mul
 
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_scale(a, c):
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
-def vec_dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def vec_dot(a, b):
+    return sum(map(mul, a, b))
 
 
 def is_zero_vec(a) -> bool:
@@ -68,12 +62,12 @@ def _echelon(rows):
     """Gauss-Jordan elimination of a copy of `rows`; returns (reduced nonzero
     rows, pivot column list).
 
-    Fraction-free: rows are cleared of denominators, a row update is
+    Fraction-free: rows are cleared of denominators, and a row update is
     row_i <- p*row_i - f*row_r (p the pivot, f the entry to clear, both
-    divided by their gcd) followed by division by the row's content, and
-    each pivot row is divided by its pivot only at the end.  Row scalings do
-    not change the reduced row echelon form, which is unique, so the result
-    is the same as elimination in Fractions.
+    divided by their gcd) followed by division by the row's content.  Each
+    reduced row is a primitive integer row with a positive pivot: the one
+    such multiple of the row of the reduced row echelon form, which is
+    unique, so the rows are canonical for the row space.
     """
     mat = [_primitive_row(cleared(r)[0]) for r in rows]
     ncols = len(mat[0]) if mat else 0
@@ -100,7 +94,7 @@ def _echelon(rows):
         r += 1
         if r == len(mat):
             break
-    return [tuple(Fraction(x, row[c]) for x in row)
+    return [tuple(row) if row[c] > 0 else tuple(-x for x in row)
             for row, c in zip(mat, pivots)], pivots
 
 
@@ -111,7 +105,8 @@ def rank(rows) -> int:
 
 
 def rref(rows):
-    """Reduced row echelon basis of the span of `rows` (canonical for the subspace)."""
+    """The reduced rows of `_echelon`: an integer basis of the span of `rows`,
+    canonical for the subspace."""
     return _echelon(rows)[0]
 
 
@@ -121,7 +116,7 @@ def _unique_solution(augmented, n):
     ech, pivots = _echelon(augmented)
     if pivots != list(range(n)):
         return None
-    return tuple(row[n] for row in ech)
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(ech))
 
 
 def in_span(v, rows) -> bool:
@@ -172,7 +167,7 @@ def inverse(mat):
                             for i, r in enumerate(mat)])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in ech]
+    return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(ech)]
 
 
 def solve_coords(vectors, target):
@@ -191,10 +186,9 @@ def kernel_line(rows):
     if len(pivots) != ncols - 1:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
-    out = [Fraction(0)] * ncols
-    out[free] = Fraction(1)
+    out = [Fraction(1)] * ncols
     for row, p in zip(ech, pivots):
-        out[p] = -row[free]
+        out[p] = Fraction(-row[free], row[p])
     return tuple(out)
 
 

@@ -1,9 +1,11 @@
-"""Exact arithmetic kernel: sparse multivariate polynomials over Q, rational
+"""Exact arithmetic kernel: sparse multivariate integer polynomials, rational
 functions in one variable and truncated q-power series.
 
-A MultiPoly maps exponent tuples to Fraction coefficients, stored as plain
-int when integral; zero coefficients are never stored.  The residue core
-multiplies them packed into Python integers (`kronecker.Kronecker`).
+A MultiPoly maps exponent tuples to int coefficients; zero coefficients are
+never stored.  A rational constant stays outside it: `content_normalize`
+splits off an integer content, and the residue core keeps the product of
+such constants as one Fraction.  The residue core multiplies polynomials
+packed into Python integers (`kronecker.Kronecker`).
 
 RatFunc is a rational function of w in one canonical form c * w^v * num(w) /
 den(w): c is a Fraction, v an int, and num and den are ascending lists of
@@ -29,35 +31,12 @@ from itertools import repeat
 from math import comb, gcd, lcm
 from operator import mul
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _ncoeff(c):
-    """Store integral coefficients as plain int (much faster arithmetic)."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class NonUnitError(ArithmeticError):
     """A series or denominator constant term that must be invertible is not."""
 
 
-def _content(terms) -> Fraction:
-    """Positive Fraction c so that terms/c has coprime integer coefficients."""
-    num_g = 0
-    den_l = 1
-    for c in terms.values():
-        num_g = gcd(num_g, abs(c.numerator))
-        den_l = den_l * c.denominator // gcd(den_l, c.denominator)
-    if num_g == 0:
-        return ONE
-    return Fraction(num_g, den_l)
-
-
 class MultiPoly:
-    """Sparse polynomial in nvars variables with Fraction coefficients."""
+    """Sparse polynomial in nvars variables with int coefficients."""
 
     __slots__ = ("nvars", "terms")
 
@@ -71,7 +50,6 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars, value):
-        value = _ncoeff(Fraction(value))
         if value == 0:
             return cls(nvars, {})
         return cls(nvars, {(0,) * nvars: value})
@@ -84,7 +62,6 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=1):
-        coeff = _ncoeff(Fraction(coeff))
         if coeff == 0:
             return cls(nvars, {})
         return cls(nvars, {tuple(exps): coeff})
@@ -93,11 +70,9 @@ class MultiPoly:
     def affine(cls, nvars, lin, const):
         """const + sum(lin[i] * x_i)."""
         terms = {}
-        c = _ncoeff(Fraction(const))
-        if c != 0:
-            terms[(0,) * nvars] = c
+        if const != 0:
+            terms[(0,) * nvars] = const
         for i, a in enumerate(lin):
-            a = _ncoeff(Fraction(a))
             if a != 0:
                 e = [0] * nvars
                 e[i] = 1
@@ -113,9 +88,9 @@ class MultiPoly:
     def is_constant(self):
         return all(all(e == 0 for e in k) for k in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.terms:
-            return ZERO
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -135,7 +110,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(self.nvars, other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -149,7 +124,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(self.nvars, other)
         return self + (-other)
 
@@ -157,12 +132,10 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _ncoeff(Fraction(other))
-            if other == 0:
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly(self.nvars, {k: c * other for k, c in self.terms.items()})
-        return self.mul(other)
+        if isinstance(other, int):
+            return MultiPoly(self.nvars, {k: c * other for k, c in self.terms.items()}
+                             if other else {})
+        return self.mul(other) if isinstance(other, MultiPoly) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -244,28 +217,18 @@ class MultiPoly:
         return [MultiPoly(self.nvars, d) for d in outs]
 
     def content_normalize(self):
-        """Return (content, primitive) with the canonical leading coeff positive.
-
-        The content is a Fraction; integer coefficients take one gcd and
-        floor divisions, with no Fraction arithmetic.
-        """
+        """Return (content, primitive): the integer content, signed so that the
+        primitive part's leading coefficient is positive."""
         if not self.terms:
-            return ONE, self
-        coeffs = self.terms.values()
-        if all(type(c) is int for c in coeffs):
-            g = gcd(*coeffs)
-            if self.terms[max(self.terms)] < 0:
-                g = -g
-            return Fraction(g), MultiPoly(self.nvars, {k: c // g for k, c in self.terms.items()})
-        cont = _content(self.terms)
-        lead = self.terms[max(self.terms)]
-        if lead < 0:
-            cont = -cont
-        prim = {k: _ncoeff(c / cont) for k, c in self.terms.items()}
-        return cont, MultiPoly(self.nvars, prim)
+            return 1, self
+        g = gcd(*self.terms.values())
+        if self.terms[max(self.terms)] < 0:
+            g = -g
+        return g, MultiPoly(self.nvars, {k: c // g for k, c in self.terms.items()})
 
     def exact_div(self, divisor):
-        """Exact polynomial quotient self/divisor, or None if not divisible."""
+        """Exact polynomial quotient self/divisor, or None unless it exists
+        with integer coefficients."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
@@ -291,7 +254,9 @@ class MultiPoly:
             qkey = tuple(a - b for a, b in zip(rkey, dkey))
             if any(e < 0 for e in qkey):
                 return None
-            qc = _ncoeff(Fraction(rem[rkey]) / dc)
+            qc, r = divmod(rem[rkey], dc)
+            if r:
+                return None
             quot[qkey] = qc
             for k, c in dterms:
                 kk = tuple(a + b for a, b in zip(qkey, k))
@@ -366,8 +331,9 @@ def _primitive(a: list[int]) -> tuple[int, int, list[int]]:
 
 
 def _from_pairs(pairs) -> tuple[int, int, list[int]]:
-    """(l, v, a) with sum c w^e over the (e, c) pairs = w^v * a(w) / l."""
-    pairs = [(e, Fraction(c)) for e, c in pairs]
+    """(l, v, a) with sum c w^e over the (e, c) pairs = w^v * a(w) / l, for
+    int or Fraction coefficients c."""
+    pairs = list(pairs)
     l = lcm(*(c.denominator for _, c in pairs))
     v = min((e for e, _ in pairs), default=0)
     out = [0] * (max((e for e, _ in pairs), default=v) - v + 1)
@@ -452,7 +418,7 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero function")
         gn, vn, num = _primitive(num)
         self.c, self.v, self.num, self.den = \
-            (c * gn / gd, v + vn - vd, num, den) if gn else (ZERO, 0, [], [1])
+            (c * gn / gd, v + vn - vd, num, den) if gn else (Fraction(0), 0, [], [1])
         if len(num) > 1 and len(den) > 1:
             self._reduce()
         return self

@@ -4,21 +4,22 @@ before it grew its chains as a prefix tree.  The stability test perturbs xi
 lexicographically by a signed order ((j_1, s_1), ..., (j_k, s_k)): the
 kappa-coordinates of xi, s_1 e_j1, ..., s_k e_jk are each solved for, and a
 coordinate of xi_tilde is positive when its vector of coordinates is
-lexicographically positive.  Tests compare the two."""
+lexicographically positive.  The flags come in the order of the reduced
+row echelon forms of their chains, built in Fractions.  Tests compare the
+two."""
 
 import itertools
 from fractions import Fraction
 
 from jkcalc import linalg
 from jkcalc.arrangement import Flag
-from jkcalc.linalg import fvec
 
 
 def kappa_determinant(kappa, basis) -> Fraction:
     """det of the kappa tuple expressed in the given lattice basis."""
     coords = []
     for k in kappa:
-        c = linalg.solve_coords([fvec(b) for b in basis], fvec(k))
+        c = linalg.solve_coords(basis, k)
         if c is None:
             raise ValueError("kappa vector outside the lattice span")
         coords.append(c)
@@ -39,9 +40,15 @@ def perturbed_coordinates(kappa, xi, order):
     return list(zip(*columns))
 
 
+def reduced_row_echelon(chain):
+    """Each subspace of the chain as its reduced row echelon form: every
+    `linalg.rref` row divided by its pivot, its first nonzero entry."""
+    return [[[Fraction(x, next(filter(None, row))) for x in row] for row in sub]
+            for sub in chain]
+
+
 def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
-    weights = [fvec(w) for w in dict.fromkeys(tuple(fvec(w)) for w in active_weights)]
-    xi = fvec(xi)
+    weights = list(dict.fromkeys(tuple(w) for w in active_weights))
     dim = len(xi)
     if dim == 0:
         return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
@@ -58,10 +65,10 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
             chains.setdefault(tuple(chain), tuple(gens))
     flags = []
     zero = (Fraction(0),) * (dim + 1)
-    for chain, gens in sorted(chains.items()):
+    for chain, gens in sorted(chains.items(), key=lambda item: reduced_row_echelon(item[0])):
         kappa = []
         for sub in chain:
-            total = tuple(Fraction(0) for _ in range(dim))
+            total = (0,) * dim
             for w in weights:
                 if linalg.in_span(w, sub):
                     total = linalg.vec_add(total, w)

@@ -5,6 +5,11 @@ ran fraction-free on integers.  Tests compare the two."""
 from fractions import Fraction
 
 
+def fvec(v) -> tuple[Fraction, ...]:
+    """v as a tuple of Fraction."""
+    return tuple(Fraction(x) for x in v)
+
+
 def echelon(rows):
     """(reduced nonzero rows, pivot column list) of `rows`."""
     mat = [list(r) for r in rows]

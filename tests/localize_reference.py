@@ -5,15 +5,16 @@ from fractions import Fraction
 
 from jkcalc import linalg
 from jkcalc.engine import LocalFactor
+from linalg_reference import fvec
 
 
 def localize(integrand, point, flag):
     """Every factor as c + l.z with c = rho.P + const and l = rho * K^{-1},
     K the kappa rows; equal (c, l) merge their exponents, zero ones drop."""
     k = integrand.rank
-    point = linalg.fvec(point)
+    point = fvec(point)
     if k > 0:
-        kinv = linalg.inverse([linalg.fvec(ka) for ka in flag.kappa])
+        kinv = linalg.inverse(flag.kappa)
         if kinv is None:
             raise ValueError("kappa of a proper flag must be invertible")
     merged: dict = {}

@@ -11,7 +11,7 @@ import flag_reference
 from jkcalc import arrangement as arr
 from jkcalc import builders, linalg
 from jkcalc.arrangement import AffineForm, PerturbationError
-from jkcalc.invariants import validate
+from jkcalc.invariants import compute, make_problem, validate
 
 CY3_FORMS = (
     [AffineForm.make((-1, 0), 0)] * 4
@@ -60,7 +60,7 @@ class TestIsolatedIntersections:
         # 3 u1 + 7 u2 - 63 would vanish if its constant were not scaled by 21
         point = (Fraction(1, 3), Fraction(2, 7))
         forms = [AffineForm.make((3, 7), -3), AffineForm.make((3, 7), -63),
-                 AffineForm.make((Fraction(1, 2), 0), Fraction(-1, 6)),
+                 AffineForm.make((3, 0), -1),
                  AffineForm.make((0, 14), -4), AffineForm.make((0, 14), -3),
                  AffineForm.make((0, 0), 0), AffineForm.make((0, 0), 1),
                  AffineForm.make((21, -21), 1)]
@@ -163,7 +163,7 @@ class TestPerturbation:
         # xi has the kappa-coordinates (0, 1) on both flags of the origin, so
         # the order decides which one is kept (TestFlags)
         for kappa in ([(-1, 0), (-1, -1)], [(0, -1), (-1, -1)]):
-            assert linalg.solve_coords(kappa, linalg.fvec(CY3_XI)) == (0, 1)
+            assert linalg.solve_coords(kappa, CY3_XI) == (0, 1)
 
     def test_rank_one_order_never_decides(self):
         # in rank one the kappa-coordinate of a regular xi is never 0
@@ -250,7 +250,7 @@ class TestLatticeBasis:
         from jkcalc import linalg
         assert abs(linalg.det(basis)) == 2
         for w in [(2, 0), (0, 2), (1, 1)]:
-            coords = linalg.solve_coords([linalg.fvec(b) for b in basis], linalg.fvec(w))
+            coords = linalg.solve_coords(basis, w)
             assert all(c.denominator == 1 for c in coords)
 
     def test_nonspanning_rejected(self):
@@ -310,6 +310,22 @@ class TestFlags:
         flags = arr.enumerate_flags([], (), [], ())
         assert len(flags) == 1 and flags[0].lattice_factor == 1
 
+    def test_multi_flag_point_keeps_the_reduced_row_echelon_order(self):
+        # three flags at the origin, in the order of the reduced rows of F_1:
+        # (1, 0) < (1, 1/3) < (1, 1/2); the integer rows (1, 0), (3, 1) and
+        # (2, 1) in their own order would put (2, 1) second
+        weights = [(1, 0), (0, 1), (2, 1), (3, 1), (1, 1)]
+        problem = make_problem(2, [(w, 0, 1) for w in weights], [], (9, 5))
+        for seed in range(6):
+            result = compute(problem, kind="additive", seed=seed)
+            assert result.dt == Fraction(-13, 3)
+            [point] = result.diagnostics.points
+            assert point.point == (0, 0)
+            assert [(f.chain[0], f.kappa, f.lattice_factor) for f in point.flags] == [
+                (((1, 0),), ((1, 0), (7, 4)), Fraction(1, 4)),
+                (((3, 1),), ((3, 1), (7, 4)), Fraction(1, 5)),
+                (((2, 1),), ((2, 1), (7, 4)), 1)]
+
 
 class TestFlagsAgainstReference:
     """The prefix-tree enumeration returns the flags of the per-tuple
@@ -366,7 +382,7 @@ class TestFlagsAgainstReference:
                 got = self.assert_same(weights, xi, basis, order)
                 outcomes[min(len(got), 2)] += 1
                 outcomes["tie"] += any(
-                    0 in linalg.solve_coords(kappa, linalg.fvec(xi)) for _, _, kappa, _ in got)
+                    0 in linalg.solve_coords(kappa, xi) for _, _, kappa, _ in got)
         # every path is exercised: no flag, one flag, several flags, and a
         # kept flag with a kappa-coordinate of xi that only the order decides
         assert all(outcomes[key] > 0 for key in (0, 1, 2, "tie"))

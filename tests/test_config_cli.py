@@ -89,17 +89,6 @@ class TestParse:
             problem = cfg.build_problem()
             invariants.validate(problem)
 
-    def test_shipped_configs_echo_round_trip(self):
-        for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))):
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg = parse_config(fh.read())
-            again = parse_config(cfg.echo())
-            assert again.echo() == cfg.echo()
-            a, b = cfg.build_problem(), again.build_problem()
-            assert a.weight_entries == b.weight_entries
-            assert a.roots == b.roots and a.xi == b.xi
-            assert a.degree == b.degree and a.weyl_order == b.weyl_order
-
     def test_builder_modes(self):
         cfg = parse_config("mode projective-bundle\nn 4\ndegrees [5]\n")
         assert invariants.compute(cfg.build_problem(), kind="additive").dt == 200

@@ -35,13 +35,10 @@ def local_flags(integrand, point, flags):
 
 
 def simple_flag(kappa, basis):
-    k = len(kappa)
-    chain = tuple(tuple(arr.linalg.rref([arr.linalg.fvec(x) for x in kappa[:i + 1]]))
-                  for i in range(k))
-    d = arr.kappa_determinant([arr.linalg.fvec(x) for x in kappa], basis)
-    return Flag(generators=tuple(arr.linalg.fvec(x) for x in kappa), chain=chain,
-                kappa=tuple(arr.linalg.fvec(x) for x in kappa),
-                lattice_factor=F(1) / abs(d))
+    kappa = tuple(map(tuple, kappa))
+    chain = tuple(tuple(arr.linalg.rref(kappa[:i + 1])) for i in range(len(kappa)))
+    return Flag(generators=kappa, chain=chain, kappa=kappa,
+                lattice_factor=F(1) / abs(arr.kappa_determinant(kappa, basis)))
 
 
 class TestLocalize:
@@ -164,6 +161,26 @@ class TestLocalizeAgainstReference:
         # the count sees a localization that keys its merge by Fractions
         localize_reference.localize(integrand, points[0].point, points[0].flags[0])
         assert hashes
+
+    def test_flags_and_integrand_hash_no_fraction(self, monkeypatch):
+        problem = builders.framed_a3_problem(3, 1, (1, 1, 2))
+        points = invariants.validate(problem, strict_roots=False).stable_points
+        basis = arr.lattice_basis(problem.nonzero_weights())
+        order = arr.sum_regular_perturbation(problem.xi).order
+        hashes = []
+        fraction_hash = F.__hash__
+
+        def counted(self):
+            hashes.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(F, "__hash__", counted)
+        flags = [arr.enumerate_flags(p.active_weights, problem.xi, basis, order) for p in points]
+        for kind in engine.KINDS:
+            invariants.build_integrand(problem, kind, q_order=1)
+        assert hashes == [] and sum(map(len, flags)) == len(points)
+        hash(F(1, 2))
+        assert hashes   # the count sees a Fraction hashed
 
 
 class TestFlagResidueAdditive:

@@ -180,13 +180,22 @@ def _elimination_cases(rng):
             yield [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a)]  # [A | I]
 
 
+def _divided_by_pivots(echelon):
+    """The (rows, pivots) of `linalg._echelon` with each row divided by its
+    pivot: the reduced row echelon form, as the reference returns it."""
+    rows, pivots = echelon
+    return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(rows, pivots)], pivots
+
+
 def test_echelon_matches_fraction_reference():
     rng = random.Random(RNG_SEED + 6)
     count = 0
     for mat in _elimination_cases(rng):
         rows, pivots = linalg._echelon(mat)
-        assert (rows, pivots) == linalg_reference.echelon(mat), mat
-        assert all(type(x) is Fraction for row in rows for x in row)
+        assert _divided_by_pivots((rows, pivots)) == linalg_reference.echelon(mat), mat
+        # primitive integer rows with positive pivots
+        assert all(type(x) is int for row in rows for x in row)
+        assert all(row[p] > 0 and gcd(*row) == 1 for row, p in zip(rows, pivots))
         count += 1
     assert count == 4 * 3 * TRIALS
 
@@ -226,4 +235,4 @@ def test_echelon_calls_of_a_pipeline_match_the_reference(monkeypatch):
     result = invariants.compute(builders.framed_a3_problem(2, 1, (1, 1, 1)), kind="additive")
     assert result.dt == 12 and calls
     for rows, out in calls:
-        assert out == linalg_reference.echelon(rows)
+        assert _divided_by_pivots(out) == linalg_reference.echelon(rows)

@@ -201,7 +201,7 @@ def test_subst_shift_matches_naive_expansion():
         naive = MultiPoly.zero(3)
         for (e0, e1, e2), c in p.terms.items():
             rest = MultiPoly.monomial(3, (e0, 0, e2), c)
-            naive = naive + rest * (MultiPoly.variable(3, 1) + a) ** e1
+            naive = naive + rest * (MultiPoly.variable(3, 1) + MultiPoly.const(3, a)) ** e1
         assert ref.subst_shift(p, 1, a) == naive
     assert ref.subst_shift(p, 1, 0) == p
 
