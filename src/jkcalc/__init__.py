@@ -5,7 +5,7 @@ genus chi_y and the virtual chiral elliptic genus, all in exact arithmetic."""
 from .arrangement import (AffineForm, Flag, IntersectionPoint, Perturbation,
                           cone_membership, enumerate_flags, isolated_intersections,
                           lattice_basis, projectivity_check, regular_stability_check,
-                          stable_intersections, sum_regular_perturbation)
+                          sum_regular_perturbation)
 from .builders import (framed_a3_problem, grassmannian, grassmannian_det,
                        projective_bundle, projective_space)
 from .config import ConfigError, ProblemConfig, parse_config

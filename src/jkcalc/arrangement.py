@@ -34,13 +34,6 @@ class AffineForm:
     rho: tuple[int, ...]
     const: int
 
-    @classmethod
-    def make(cls, rho, const):
-        return cls(tuple(rho), const)
-
-    def value_at(self, point):
-        return linalg.vec_dot(self.rho, point) + self.const
-
     def is_hyperplane(self) -> bool:
         return not is_zero_vec(self.rho)
 
@@ -194,11 +187,6 @@ def intersections(forms, rank, xi):
     return points, [pt for pt in points if _in_basis_cone(xi, pt.active_weights, rank)]
 
 
-def stable_intersections(forms, rank, xi) -> list[IntersectionPoint]:
-    """Isolated intersections whose active weight cone contains xi."""
-    return intersections(forms, rank, xi)[1]
-
-
 def verify_perturbation(xi, order, seed=-1) -> Perturbation:
     """The perturbation of xi by the signed order `order` of its coordinates.
 
@@ -263,7 +251,8 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
     Invent. Math. 158, 2004).  They are c + sum_t eps^t s_t inv[j_t], with c
     the coordinates of xi and inv[j], row j of kappa's inverse, those of e_j.
     So where c_i = 0 the sign is that of the first nonzero s_t inv[j_t][i],
-    which exists since inv is invertible.
+    which exists since inv is invertible; `linalg.inverse` scales inv by a
+    positive denominator, which keeps every sign.
     """
     weights = list(dict.fromkeys(tuple(w) for w in active_weights))
     dim = len(xi)
@@ -298,7 +287,7 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
         if coords is None or any(c < 0 for c in coords):
             continue  # kappa is dependent (the flag is not proper), or unstable
         if 0 in coords:
-            inv = linalg.inverse(kappa)
+            inv, _ = linalg.inverse(kappa)
             if any(next(s * inv[j][i] for j, s in order if inv[j][i]) < 0
                    for i, c in enumerate(coords) if c == 0):
                 continue

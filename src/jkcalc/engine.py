@@ -10,6 +10,8 @@ Three integrand kinds share one iterated-residue core:
               function of Y modulo q^(N+1) (see `multiplicativize`); computes
               the elliptic genus as a q-series.
 
+`localize` writes each factor in flag coordinates as c + l.z, on integers
+over one denominator (`LocalFactor`), which every kind reads as it is.
 Residues are taken innermost flag coordinate first, the remaining coordinates
 acting as transcendentals.  Intermediate values are kept as one expanded
 "hot" numerator times a dictionary of factored unit denominators, so no
@@ -50,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -64,7 +66,6 @@ ORIGIN_ROOT_NUM = "root-num"
 ORIGIN_ROOT_DEN = "root-den"
 ORIGIN_WEIGHT_NUM = "weight-num"
 ORIGIN_WEIGHT_DEN = "weight-den"
-ORIGIN_PREFACTOR = "prefactor"
 
 
 class NonGenericResidueError(ArithmeticError):
@@ -99,15 +100,14 @@ class FactorizedIntegrand:
         """The factors on integers: (R, rhos, rows), with every rho and constant
         an integer over the common denominator R (1 unless a factor has
         rational data), `rhos` the distinct rho numerators, and one (rho
-        index, const numerator, exponent, origin) row per factor, in factor
-        order."""
+        index, const numerator, exponent) row per factor, in factor order."""
         R = lcm(*(x.denominator for f in self.factors for x in (*f.rho, f.const)))
         index: dict = {}
         rows = []
         for f in self.factors:
             rho = tuple(x.numerator * (R // x.denominator) for x in f.rho)
             rows.append((index.setdefault(rho, len(index)),
-                         f.const.numerator * (R // f.const.denominator), f.exponent, f.origin))
+                         f.const.numerator * (R // f.const.denominator), f.exponent))
         return R, list(index), rows
 
     def assert_structure(self):
@@ -131,24 +131,27 @@ class FactorizedIntegrand:
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """An integrand factor rewritten in flag coordinates: value c + l . z."""
+    """An integrand factor rewritten in flag coordinates: the value
+    (const + lin . z) / den, with den > 0 and gcd(const, *lin, den) = 1, so
+    den is the least common denominator of the factor's c and l."""
 
-    const: Fraction
-    lin: tuple[Fraction, ...]
+    const: int
+    lin: tuple[int, ...]
+    den: int
     exponent: int
-    origin: str
 
 
 def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFactor]:
     """Rewrite every affine factor as c + l.z with z_i = kappa_i(u - P).
 
     The change of basis sends rho to rho * K^{-1} where K has the kappa
-    covectors as rows; duplicate (c, l) pairs merge their exponents.  The
-    products run on integers (`FactorizedIntegrand.cleared_factors`, and K^{-1}
-    and P each cleared over one denominator): rho.P and l are computed once
-    for each distinct rho.  K^{-1} is invertible, so distinct rhos have
-    distinct l, and (rho index, numerator of c) keys the merge.  A Fraction is
-    built only for the factors returned.
+    covectors as rows; duplicate (c, l) pairs merge their exponents.  Every
+    product runs on integers (`FactorizedIntegrand.cleared_factors`, K^{-1}
+    from `linalg.inverse` and P cleared over one denominator): rho.P and l
+    are computed once for each distinct rho.  K^{-1} is invertible, so
+    distinct rhos have distinct l, and (rho index, numerator of c) keys the
+    merge.  Each factor is put over the common denominator R lcm(den K^{-1},
+    den P) and reduced by one gcd.
     """
     k = integrand.rank
     R, rhos, rows = integrand.cleared_factors
@@ -158,27 +161,24 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
         kinv = linalg.inverse(flag.kappa)
         if kinv is None:
             raise ValueError("kappa of a proper flag must be invertible")
-        kinv_ints, kinv_den = linalg.cleared([x for row in kinv for x in row])
-        columns = [kinv_ints[j::k] for j in range(k)]
-    at_point = [sum(map(mul, rho, point_ints)) for rho in rhos]
+        columns, kinv_den = list(zip(*kinv[0])), kinv[1]
+    scale = lcm(kinv_den, point_den)
+    den = R * scale
+    at_point = [sum(map(mul, rho, point_ints)) * (scale // point_den) for rho in rhos]
+    lins = [tuple(sum(map(mul, rho, col)) * (scale // kinv_den) for col in columns)
+            for rho in rhos]
     merged: dict = {}
-    for g, const, exponent, origin in rows:
-        key = (g, at_point[g] + const * point_den)
-        entry = merged.get(key)
-        if entry is None:
-            merged[key] = [exponent, origin]
-        else:
-            entry[0] += exponent
-    lins: dict = {}
+    for g, const, exponent in rows:
+        key = (g, at_point[g] + const * scale)
+        merged[key] = merged.get(key, 0) + exponent
     out = []
-    for (g, c), (exponent, origin) in merged.items():
+    for (g, c), exponent in merged.items():
         if exponent != 0:
-            lin = lins.get(g)
-            if lin is None:
-                lin = lins[g] = tuple(Fraction(sum(map(mul, rhos[g], col)), R * kinv_den)
-                                      for col in columns)
-            out.append(LocalFactor(const=Fraction(c, R * point_den), lin=lin,
-                                   exponent=exponent, origin=origin))
+            lin = lins[g]
+            q = gcd(den, c, *lin)
+            if q > 1:
+                lin = tuple(x // q for x in lin)
+            out.append(LocalFactor(const=c // q, lin=lin, den=den // q, exponent=exponent))
     return out
 
 
@@ -416,9 +416,9 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     The equivariant parameter s enters here only.  The rational integrand at
     s has every constant scaled by s, and its pole matching P sits at s P,
     where each factor c + l.z of `local_factors` (taken at P) reads s c + l.z;
-    the prefactor is (1/(d s))^k.  With s = a/b and c and l cleared over one
-    denominator m, s c + l.z is the integer affine polynomial a c' + b l'.z
-    over m b.
+    the prefactor is (1/(d s))^k.  With s = a/b and the factor (c' + l'.z)/m
+    (`LocalFactor`), s c + l.z is the integer affine polynomial
+    a c' + b l'.z over m b.
     """
     k = integrand.rank
     if _screened_zero(local_factors, k):
@@ -429,13 +429,12 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     coeff = Fraction(b, integrand.degree * a) ** k
     factors: dict = {}
     for lf in local_factors:
-        ints, m = linalg.cleared(lf.lin + (lf.const,))
-        if not any(ints):
+        if not lf.const and not any(lf.lin):
             if lf.exponent > 0:
                 return Fraction(0)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
-        poly = MultiPoly.affine(nv, [b * x for x in ints[:-1]], a * ints[-1])
-        coeff *= _merge_factor(factors, poly, lf.exponent, m * b)
+        poly = MultiPoly.affine(nv, [b * x for x in lf.lin], a * lf.const)
+        coeff *= _merge_factor(factors, poly, lf.exponent, lf.den * b)
     term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)
     for i in range(k):
         term = _residue_step(term, i, 0, k - 1, None, None)
@@ -469,10 +468,11 @@ def multiplicativize(local_factor: LocalFactor, kind: str, D: int, N: int | None
         raise ValueError("multiplicativize applies to the sine and theta kinds")
     theta = kind == "theta"
     nv = rank + 1 + theta
-    ints, m = linalg.cleared(local_factor.lin + (local_factor.const,))
-    if D % m:
+    scale, rest = divmod(D, local_factor.den)
+    if rest:
         raise ValueError("denominator scale D does not clear the factor data")
-    half = [x * (D // m) for x in ints] + [0] * theta   # exponents of Y^(1/2)
+    # exponents of Y^(1/2)
+    half = [x * scale for x in (*local_factor.lin, local_factor.const)] + [0] * theta
     m1, m2 = [max(x, 0) for x in half], [max(-x, 0) for x in half]
     N = N if theta else 0
     K = 1
@@ -496,8 +496,7 @@ def _prefactor_pieces(integrand: FactorizedIntegrand, D: int):
     piece by Euler's pentagonal theorem: the sum of (-1)^j q^(j(3j-1)/2).
     """
     k = integrand.rank
-    lf = LocalFactor(const=integrand.degree, lin=(0,) * k,
-                     exponent=-k, origin=ORIGIN_PREFACTOR)
+    lf = LocalFactor(const=integrand.degree, lin=(0,) * k, den=1, exponent=-k)
     pieces = multiplicativize(lf, integrand.kind, D, integrand.q_order, k)
     if integrand.kind == "theta":
         N = integrand.q_order
@@ -532,7 +531,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     coeff = Fraction(1)
     factors: dict = {}
     for lf in local_factors:
-        if lf.const == 0 and all(x == 0 for x in lf.lin):
+        if not lf.const and not any(lf.lin):
             if lf.exponent > 0:
                 return zero_value(integrand)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
@@ -589,14 +588,8 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
 
 def denominator_scale(localizations) -> int:
     """Least common denominator D of every constant and covector entry of the
-    `localize` results in `localizations`."""
-    D = 1
-    for local_factors in localizations:
-        for lf in local_factors:
-            D = lcm(D, lf.const.denominator)
-            for x in lf.lin:
-                D = lcm(D, x.denominator)
-    return D
+    `localize` results in `localizations`: the lcm of their `den`s."""
+    return lcm(*(lf.den for local_factors in localizations for lf in local_factors))
 
 
 def flag_residue(local_factors, flag, integrand, D=None):

@@ -58,7 +58,6 @@ class GITProblem:
 
 @dataclass
 class HypothesisReport:
-    xi_regular: bool
     root_condition: str
     properness: str            # 'checked' | 'asserted' | 'refuted'
     properness_note: str
@@ -66,8 +65,7 @@ class HypothesisReport:
     stable_points: list
 
     def ok(self) -> bool:
-        return self.xi_regular and self.root_condition == "ok" \
-            and self.properness in ("checked", "asserted")
+        return self.root_condition == "ok" and self.properness in ("checked", "asserted")
 
 
 def make_problem(rank, weights, roots, xi, weyl_order=1, degree=1, label="",
@@ -160,7 +158,6 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
         note = problem.properness_note or \
             "nonabelian properness is not decidable from the raw data; asserted by caller"
     return HypothesisReport(
-        xi_regular=True,
         root_condition=root_condition,
         properness=properness,
         properness_note=note,
@@ -225,7 +222,6 @@ class EllResult:
     series: QSeries               # coefficients are RatFunc in w
     denom_scale: int
     q_order: int
-    laurent: list | None = None   # per-coefficient laurent dicts when all exact
 
 
 @dataclass
@@ -351,9 +347,7 @@ def _compute(problem, report, kind, q_order, seed, s, t0):
             result.chi_y = ChiYResult(ratfunc=total, denom_scale=D,
                                       laurent=laurent_form(total))
         else:
-            laur = [laurent_form(c) for c in total.coeffs]
-            result.ell = EllResult(series=total, denom_scale=D, q_order=q_order,
-                                   laurent=laur if all(x is not None for x in laur) else None)
+            result.ell = EllResult(series=total, denom_scale=D, q_order=q_order)
     diag.elapsed = time.monotonic() - t0
     return result
 

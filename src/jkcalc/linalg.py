@@ -5,8 +5,9 @@ matrices are lists of row tuples.  Everything here is dense and desk-scale:
 ranks up to ~6, a few hundred rows.  The arithmetic runs on integers: each
 row is first cleared of denominators (`cleared`), eliminations are
 fraction-free, and the reduced rows stay integer rows.  A Fraction is built
-only for a rational result: each entry that `solve`, `solve_coords`,
-`inverse` or `kernel_line` returns, and the value of `det`.
+only for a rational result: each entry that `solve`, `solve_coords` or
+`kernel_line` returns, and the value of `det`.  `inverse` returns integer
+rows over one denominator instead, as its callers read only integers or signs.
 
 There is one Gauss-Jordan elimination, `_echelon`.  `rank`, `rref`, `solve`,
 `inverse`, `solve_coords`, `in_span` and `kernel_line` each eliminate one
@@ -161,13 +162,19 @@ def solve(mat, b):
 
 
 def inverse(mat):
-    """Exact inverse of a square matrix; None if singular."""
+    """Exact inverse of a square matrix as (rows, d): integer rows over the
+    least common denominator d > 0 of its entries; None if singular.
+
+    Row i of the inverse is a reduced row of [mat | I] divided by its pivot
+    p_i, and the row is primitive, so d is the lcm of the p_i.
+    """
     n = len(mat)
     ech, pivots = _echelon([tuple(r) + tuple(int(i == j) for j in range(n))
                             for i, r in enumerate(mat)])
     if pivots != list(range(n)):
         return None
-    return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(ech)]
+    d = lcm(*(row[i] for i, row in enumerate(ech)))
+    return [tuple(x * (d // row[i]) for x in row[n:]) for i, row in enumerate(ech)], d
 
 
 def solve_coords(vectors, target):

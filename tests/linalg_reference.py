@@ -63,3 +63,14 @@ def det(mat) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return d * sign
+
+
+def inverse(mat):
+    """The inverse of a square matrix as Fraction rows, read off the
+    reduced [mat | I]; None if singular."""
+    n = len(mat)
+    ech, pivots = echelon([tuple(r) + tuple(int(i == j) for j in range(n))
+                           for i, r in enumerate(mat)])
+    if pivots != list(range(n)):
+        return None
+    return [tuple(Fraction(x) for x in row[n:]) for row in ech]

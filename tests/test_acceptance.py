@@ -235,8 +235,8 @@ def test_criterion_6_property_suites():
             assert res.chi_y.ratfunc == ref.chi_y.ratfunc
             assert res.ell.series == ref.ell.series
         # (e) the P^1 arrangement has exactly the two stable intersections
-        forms = [arr.AffineForm.make((1,), 1), arr.AffineForm.make((1,), 0)]
-        stable = arr.stable_intersections(forms, 1, (1,))
+        forms = [arr.AffineForm((1,), 1), arr.AffineForm((1,), 0)]
+        stable = arr.intersections(forms, 1, (1,))[1]
         assert sorted(p.point for p in stable) == [(-1,), (0,)]
 
 

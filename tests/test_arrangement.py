@@ -14,9 +14,9 @@ from jkcalc.arrangement import AffineForm, PerturbationError
 from jkcalc.invariants import compute, make_problem, validate
 
 CY3_FORMS = (
-    [AffineForm.make((-1, 0), 0)] * 4
-    + [AffineForm.make((0, -1), 0)] * 4
-    + [AffineForm.make((4, 4), 1)]
+    [AffineForm((-1, 0), 0)] * 4
+    + [AffineForm((0, -1), 0)] * 4
+    + [AffineForm((4, 4), 1)]
 )
 CY3_WEIGHTS = [(-1, 0), (0, -1), (4, 4)]
 CY3_XI = (-1, -1)
@@ -31,9 +31,15 @@ def points_of(points):
     return sorted(p.point for p in points)
 
 
+def value_at(form, point):
+    """rho.point + const in Fraction arithmetic: the reference for the
+    integer activity test of `arrangement._build_point`."""
+    return sum((r * Fraction(x) for r, x in zip(form.rho, point)), Fraction(form.const))
+
+
 class TestIsolatedIntersections:
     def test_two_points_on_a_line(self):
-        forms = [AffineForm.make((1,), 1), AffineForm.make((1,), 0)]
+        forms = [AffineForm((1,), 1), AffineForm((1,), 0)]
         pts = arr.isolated_intersections(forms, 1)
         assert points_of(pts) == [(-1,), (0,)]
 
@@ -44,12 +50,12 @@ class TestIsolatedIntersections:
                                   (Fraction(0), Fraction(0))]
 
     def test_too_few_hyperplanes(self):
-        assert arr.isolated_intersections([AffineForm.make((1, 1), 0)], 2) == []
+        assert arr.isolated_intersections([AffineForm((1, 1), 0)], 2) == []
 
     def test_active_sets_recomputed_against_all_forms(self):
         for pt in arr.isolated_intersections(CY3_FORMS, 2):
             expected = tuple(i for i, f in enumerate(CY3_FORMS)
-                             if f.value_at(pt.point) == 0)
+                             if value_at(f, pt.point) == 0)
             assert pt.active_indices == expected
             # deduplicated covectors only
             assert len(set(pt.active_weights)) == len(pt.active_weights)
@@ -59,16 +65,16 @@ class TestIsolatedIntersections:
         # P = (1/3, 2/7) = (7, 6)/21: 3 u1 + 7 u2 - 3 vanishes there, and
         # 3 u1 + 7 u2 - 63 would vanish if its constant were not scaled by 21
         point = (Fraction(1, 3), Fraction(2, 7))
-        forms = [AffineForm.make((3, 7), -3), AffineForm.make((3, 7), -63),
-                 AffineForm.make((3, 0), -1),
-                 AffineForm.make((0, 14), -4), AffineForm.make((0, 14), -3),
-                 AffineForm.make((0, 0), 0), AffineForm.make((0, 0), 1),
-                 AffineForm.make((21, -21), 1)]
+        forms = [AffineForm((3, 7), -3), AffineForm((3, 7), -63),
+                 AffineForm((3, 0), -1),
+                 AffineForm((0, 14), -4), AffineForm((0, 14), -3),
+                 AffineForm((0, 0), 0), AffineForm((0, 0), 1),
+                 AffineForm((21, -21), 1)]
         pt = arr._build_point(point, forms)
         assert pt.point == point
         assert pt.active_indices == (0, 2, 3, 5)
         assert pt.active_indices == tuple(i for i, f in enumerate(forms)
-                                          if f.value_at(point) == 0)
+                                          if value_at(f, point) == 0)
         assert pt.active_weights == (forms[0].rho, forms[2].rho, forms[3].rho)
 
 
@@ -109,26 +115,26 @@ class TestRegularStability:
 
 class TestStableIntersections:
     def test_p1_both_points_stable(self):
-        forms = [AffineForm.make((1,), 1), AffineForm.make((1,), 0)]
-        pts = arr.stable_intersections(forms, 1, (1,))
+        forms = [AffineForm((1,), 1), AffineForm((1,), 0)]
+        pts = arr.intersections(forms, 1, (1,))[1]
         assert points_of(pts) == [(-1,), (0,)]
 
     def test_cy3_only_origin(self):
-        pts = arr.stable_intersections(CY3_FORMS, 2, CY3_XI)
+        pts = arr.intersections(CY3_FORMS, 2, CY3_XI)[1]
         assert points_of(pts) == [(0, 0)]
 
     def test_ci_only_origin(self):
-        forms = [AffineForm.make((1,), 0)] * 5 + [AffineForm.make((-5,), 1)]
-        pts = arr.stable_intersections(forms, 1, (1,))
+        forms = [AffineForm((1,), 0)] * 5 + [AffineForm((-5,), 1)]
+        pts = arr.intersections(forms, 1, (1,))[1]
         assert points_of(pts) == [(0,)]
 
     def test_irregular_stability_rejected(self):
-        forms = [AffineForm.make((1, 0), 0), AffineForm.make((0, 1), 0)]
+        forms = [AffineForm((1, 0), 0), AffineForm((0, 1), 0)]
         with pytest.raises(PerturbationError):
-            arr.stable_intersections(forms, 2, (1, 0))
+            arr.intersections(forms, 2, (1, 0))
 
     def test_subset_of_isolated_and_cone(self):
-        stable = arr.stable_intersections(CY3_FORMS, 2, CY3_XI)
+        stable = arr.intersections(CY3_FORMS, 2, CY3_XI)[1]
         all_pts = {p.point for p in arr.isolated_intersections(CY3_FORMS, 2)}
         for pt in stable:
             assert pt.point in all_pts
@@ -233,8 +239,8 @@ class TestPerturbationAgainstReference:
             for seed in range(3):
                 order = arr.sum_regular_perturbation(problem.xi, seed=seed).order
                 xi_tilde = perturbed(problem.xi, order, self.EPS)
-                assert points_of(arr.stable_intersections(
-                    problem.forms(), problem.rank, xi_tilde)) == stable
+                assert points_of(arr.intersections(
+                    problem.forms(), problem.rank, xi_tilde)[1]) == stable
 
 
 class TestLatticeBasis:
@@ -400,19 +406,19 @@ class TestProjectivity:
 
 
 def test_p1_fixed_point_count_matches():
-    forms = [AffineForm.make((1,), 1), AffineForm.make((1,), 0)]
-    assert len(arr.stable_intersections(forms, 1, (1,))) == 2
+    forms = [AffineForm((1,), 1), AffineForm((1,), 0)]
+    assert len(arr.intersections(forms, 1, (1,))[1]) == 2
 
 
 def test_random_points_reproduce_activity():
     rng = random.Random(2)
     for _ in range(20):
-        forms = [AffineForm.make((rng.randint(-2, 2), rng.randint(-2, 2)),
+        forms = [AffineForm((rng.randint(-2, 2), rng.randint(-2, 2)),
                                  rng.randint(-1, 1)) for _ in range(5)]
         forms = [f for f in forms if f.is_hyperplane()]
         if len(forms) < 2:
             continue
         for pt in arr.isolated_intersections(forms, 2):
-            assert all(forms[i].value_at(pt.point) == 0 for i in pt.active_indices)
+            assert all(value_at(forms[i], pt.point) == 0 for i in pt.active_indices)
             others = set(range(len(forms))) - set(pt.active_indices)
-            assert all(forms[i].value_at(pt.point) != 0 for i in others)
+            assert all(value_at(forms[i], pt.point) != 0 for i in others)

@@ -4,6 +4,7 @@ import importlib.util
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import localize_reference
 import test_fuzz
 from jkcalc import arrangement as arr
-from jkcalc import builders, engine, invariants
+from jkcalc import builders, engine, invariants, linalg
 from jkcalc.config import ConfigError, parse_config
 from jkcalc.arrangement import Flag
 from jkcalc.engine import (FactorizedIntegrand, IntegrandFactor, LocalFactor,
@@ -25,7 +26,7 @@ F = Fraction
 
 def bare_integrand(rank, factors, kind="additive", degree=1, s=1, q_order=None):
     """Ad-hoc integrand for engine-level tests; structural counts unchecked."""
-    return FactorizedIntegrand(kind=kind, rank=rank, degree=F(degree), s=F(s),
+    return FactorizedIntegrand(kind=kind, rank=rank, degree=degree, s=F(s),
                                factors=factors, n_roots=0, dim_v=0, q_order=q_order)
 
 
@@ -47,7 +48,7 @@ class TestLocalize:
                                                 origin="weight-num")])
         flag = simple_flag([(1,)], [(1,)])
         [lf] = localize(ig, (-1,), flag)
-        assert (lf.const, lf.lin) == (0, (1,))
+        assert (lf.const, lf.lin, lf.den) == (0, (1,), 1)
 
     def test_cy3_flag_coordinates(self):
         # factor 4u1+4u2+1 against kappa = (-u1, -u1-u2) becomes 1 - 4 z2
@@ -55,15 +56,14 @@ class TestLocalize:
                                                 exponent=-1, origin="weight-den")])
         flag = simple_flag([(-1, 0), (-1, -1)], [(1, 0), (0, 1)])
         [lf] = localize(ig, (0, 0), flag)
-        assert lf.const == 1
-        assert lf.lin == (0, -4)
+        assert (lf.const, lf.lin, lf.den) == (1, (0, -4), 1)
 
     def test_constant_factor(self):
         ig = bare_integrand(2, [IntegrandFactor(rho=(F(0), F(0)), const=F(3),
                                                 exponent=1, origin="weight-num")])
         flag = simple_flag([(1, 0), (0, 1)], [(1, 0), (0, 1)])
         [lf] = localize(ig, (5, 7), flag)
-        assert lf.const == 3 and lf.lin == (0, 0)
+        assert (lf.const, lf.lin, lf.den) == (3, (0, 0), 1)
 
     def test_duplicate_factors_merge(self):
         fac = IntegrandFactor(rho=(F(1),), const=F(0), exponent=-1, origin="weight-den")
@@ -94,15 +94,19 @@ def _seeded_raw_problems(rank, count, seed=2024):
 
 class TestLocalizeAgainstReference:
     """The integer localization returns the factors of the Fraction reference
-    in `localize_reference.py`: same order, values, exponents and origins."""
+    in `localize_reference.py`: same order, values and exponents, each on
+    integers over its least common denominator."""
 
     @staticmethod
     def assert_same(integrand, point, flags):
         for flag in flags:
             got = localize(integrand, point, flag)
-            assert got == localize_reference.localize(integrand, point, flag)
-            assert all(type(lf.const) is F and all(type(x) is F for x in lf.lin)
-                       for lf in got)
+            want = localize_reference.localize(integrand, point, flag)
+            assert [localize_reference.as_fractions(lf) for lf in got] == want
+            for lf, (c, ell, _) in zip(got, want):
+                assert all(type(x) is int for x in (lf.const, *lf.lin, lf.den))
+                assert lf.den > 0 and gcd(lf.const, *lf.lin, lf.den) == 1
+                assert lf.den == linalg.cleared(ell + (c,))[1]
 
     @pytest.mark.parametrize("charges", [(1, 1, 1), (1, 2, 2)])
     def test_every_point_and_flag_of_a3_quivers(self, charges):
@@ -142,25 +146,37 @@ class TestLocalizeAgainstReference:
         assert len(localize(ig, (F(1, 3), F(-1, 2)), flags[0])) == 4
 
     def test_localize_hashes_no_fraction(self, monkeypatch):
+        """localize, and the `linalg.inverse` it calls, neither build nor hash a
+        Fraction, at P and at 3/2 P (fractional nonzero constants), and its
+        factors there are those of the reference, each reduced."""
         problem = builders.framed_a3_problem(3, 1, (1, 1, 2))
         points = invariants.compute(problem, kind="additive",
                                     allow_root_incidence=True).diagnostics.points
         integrand = invariants.build_integrand(problem, "additive")
-        hashes = []
-        fraction_hash = F.__hash__
+        cases = [(point, flag) for p in points for flag in p.flags
+                 for point in (p.point, tuple(F(3, 2) * x for x in p.point))]
+        built, hashes = [], []
+        fraction_new, fraction_hash = F.__new__, F.__hash__
 
-        def counted(self):
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        def counted_hash(self):
             hashes.append(self)
             return fraction_hash(self)
 
-        monkeypatch.setattr(F, "__hash__", counted)
-        for p in points:
-            for flag in p.flags:
-                localize(integrand, tuple(F(3, 2) * x for x in p.point), flag)
-        assert hashes == []
-        # the count sees a localization that keys its merge by Fractions
+        monkeypatch.setattr(F, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(F, "__hash__", counted_hash)
+        for point, flag in cases:
+            localize(integrand, point, flag)
+        assert built == [] and hashes == []
+        # the counts see a localization that builds Fractions and keys its
+        # merge by them
         localize_reference.localize(integrand, points[0].point, points[0].flags[0])
-        assert hashes
+        assert built and hashes
+        for point, flag in cases:
+            self.assert_same(integrand, point, [flag])
 
     def test_flags_and_integrand_hash_no_fraction(self, monkeypatch):
         problem = builders.framed_a3_problem(3, 1, (1, 1, 2))
@@ -226,7 +242,7 @@ def _pieces_as_fraction_pair(pieces, nv):
 
 class TestMultiplicativize:
     def test_sine_pure_coordinate(self):
-        lf = LocalFactor(const=F(0), lin=(F(1),), exponent=1, origin="weight-den")
+        lf = LocalFactor(const=0, lin=(1,), den=1, exponent=1)
         pieces = multiplicativize(lf, "sine", 1, None, rank=1)
         num, den = _pieces_as_fraction_pair(pieces, 2)
         # S - S^{-1} = (S^2 - 1)/S
@@ -234,7 +250,7 @@ class TestMultiplicativize:
         assert num.mul(s) == (s.mul(s) - 1).mul(den)
 
     def test_sine_constant_d(self):
-        lf = LocalFactor(const=F(2), lin=(F(0),), exponent=1, origin="prefactor")
+        lf = LocalFactor(const=2, lin=(0,), den=1, exponent=1)
         pieces = multiplicativize(lf, "sine", 1, None, rank=1)
         num, den = _pieces_as_fraction_pair(pieces, 2)
         w = MultiPoly.variable(2, 1)
@@ -243,7 +259,7 @@ class TestMultiplicativize:
 
     def test_theta_truncated_product(self):
         # the residues use the theta image modulo q^(N+1) only
-        lf = LocalFactor(const=F(0), lin=(F(1),), exponent=1, origin="weight-den")
+        lf = LocalFactor(const=0, lin=(1,), den=1, exponent=1)
         pieces = multiplicativize(lf, "theta", 1, 1, rank=1)
         num, den = _pieces_as_fraction_pair(pieces, 3)
         s = MultiPoly.variable(3, 0)
@@ -261,7 +277,7 @@ class TestMultiplicativize:
         nv, q = 3, MultiPoly.variable(3, 2)
         one = MultiPoly.const(nv, 1)
         for b, a in ((0, 1), (1, 2), (-2, 1), (3, -1)):
-            lf = LocalFactor(const=F(b), lin=(F(a),), exponent=1, origin="weight-num")
+            lf = LocalFactor(const=b, lin=(a,), den=1, exponent=1)
             pieces = multiplicativize(lf, "theta", 1, N, rank=1)
             assert len(pieces[0][0].terms) <= 2 * N + 2
             num, den = _pieces_as_fraction_pair(pieces, nv)
@@ -290,7 +306,7 @@ class TestMultiplicativize:
         assert (euler, e) == (expect, 3 * ig.rank)
 
     def test_denominator_scale_must_clear_data(self):
-        lf = LocalFactor(const=F(1, 2), lin=(F(1),), exponent=1, origin="weight-den")
+        lf = LocalFactor(const=1, lin=(2,), den=2, exponent=1)   # 1/2 + z
         with pytest.raises(ValueError):
             multiplicativize(lf, "sine", 1, None, rank=1)
         multiplicativize(lf, "sine", 2, None, rank=1)
@@ -452,10 +468,9 @@ def test_screened_flags_have_zero_residue(case, monkeypatch):
 def _local(*factors):
     """LocalFactors from (c, l, exponent) triples, plus a constant factor that
     balances the factor count as the sine kind requires."""
-    out = [LocalFactor(const=F(c), lin=tuple(map(F, lin)), exponent=e, origin="weight-den")
-           for c, lin, e in factors]
-    return out + [LocalFactor(const=F(1), lin=(F(0),) * len(factors[0][1]),
-                              exponent=-sum(e for _, _, e in factors), origin="weight-num")]
+    out = [LocalFactor(const=c, lin=lin, den=1, exponent=e) for c, lin, e in factors]
+    return out + [LocalFactor(const=1, lin=(0,) * len(factors[0][1]), den=1,
+                              exponent=-sum(e for _, _, e in factors))]
 
 
 def test_screen_bounds_the_pole_order_of_rank2_integrands(monkeypatch):

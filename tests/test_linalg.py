@@ -51,15 +51,26 @@ def test_solve_reproduces_rhs_or_reports_singular():
 
 
 def test_inverse_is_two_sided_or_reports_singular():
+    """inverse returns integer rows over the least common denominator d > 0:
+    a inv = inv a = d I, gcd(d, every entry) = 1, and inv / d is the
+    Fraction reference's inverse."""
     rng = random.Random(RNG_SEED + 1)
-    ident = {n: [tuple(int(i == j) for j in range(n)) for i in range(n)] for n in range(5)}
+    checked = 0
     for n, a in _square_cases(rng):
-        inv = linalg.inverse(a)
+        out = linalg.inverse(a)
         if linalg.rank(a) < n:
-            assert inv is None
-        else:
-            assert _mat_mul(a, inv) == ident[n]
-            assert _mat_mul(inv, a) == ident[n]
+            assert out is None
+            continue
+        inv, d = out
+        scaled = [tuple(d * int(i == j) for j in range(n)) for i in range(n)]
+        assert _mat_mul(a, inv) == scaled
+        assert _mat_mul(inv, a) == scaled
+        assert all(type(x) is int for row in inv for x in row)
+        assert d > 0 and gcd(d, *(x for row in inv for x in row)) == 1
+        assert [tuple(Fraction(x, d) for x in row) for row in inv] \
+            == linalg_reference.inverse(a)
+        checked += d > 1
+    assert checked >= 10
 
 
 def test_singular_matrix_gives_none():
