@@ -91,8 +91,8 @@ def _pairs_from_json(entries):
     return [(int(e), Fraction(int(n), int(d))) for e, n, d in entries]
 
 
-def _ratfunc_json(rf: RatFunc, D: int):
-    laur = invariants.laurent_form(rf)
+def _ratfunc_json(rf: RatFunc, laur: dict | None):
+    """rf as a JSON object, given its Laurent form (None if it has none)."""
     if laur is not None:
         return {"laurent": _json_pairs(sorted(laur.items()))}
     num, den = rf.pairs()
@@ -107,7 +107,7 @@ def emit_json(result: InvariantResult, out, diagnostics: bool = True) -> None:
         doc["chi_y"] = None
     else:
         doc["chi_y"] = {"denom_scale": result.chi_y.denom_scale}
-        doc["chi_y"].update(_ratfunc_json(result.chi_y.ratfunc, result.chi_y.denom_scale))
+        doc["chi_y"].update(_ratfunc_json(result.chi_y.ratfunc, result.chi_y.laurent))
     if result.ell is None:
         doc["ell"] = None
     else:
@@ -115,7 +115,8 @@ def emit_json(result: InvariantResult, out, diagnostics: bool = True) -> None:
         doc["ell"] = {
             "denom_scale": ell.denom_scale,
             "q_order": ell.q_order,
-            "coefficients": [_ratfunc_json(c, ell.denom_scale) for c in ell.series.coeffs],
+            "coefficients": [_ratfunc_json(c, invariants.laurent_form(c))
+                             for c in ell.series.coeffs],
         }
     if diagnostics:
         diag = result.diagnostics

@@ -6,9 +6,12 @@ Three integrand kinds share one iterated-residue core:
   sine     -- each factor becomes the Laurent binomial Y^(1/2) - Y^(-1/2)
               with Y = y^c * prod X_j^(l_j), written with integer exponents in
               w = y^(1/(2D)) and S_j = X_j^(1/(2D)); computes chi_y.
-  theta    -- each factor becomes one triple-product piece, the theta
-              function of Y modulo q^(N+1) (see `multiplicativize`); computes
-              the elliptic genus as a q-series.
+  theta    -- the sine factors times one q-series numerator G: by Jacobi's
+              triple product theta(Y) = (Y^(1/2) - Y^(-1/2)) (q;q) Phi(Y),
+              with Phi(Y) = prod_n (1 - q^n Y)(1 - q^n / Y) a q-unit that has
+              no pole at S = 1, so with the k prefactor copies
+              G = (q;q)^(2k) Phi(y^d)^(-k) prod Phi(Y)^e modulo q^(N+1)
+              (`_theta_numerator`); computes the elliptic genus as a q-series.
 
 `localize` writes each factor in flag coordinates as c + l.z, on integers
 over one denominator (`LocalFactor`), which every kind reads as it is.
@@ -18,9 +21,12 @@ acting as transcendentals.  Intermediate values are kept as one expanded
 denominator is ever expanded and no gcd is needed along the way.  The
 multiplicative kinds take residues at S_j = 1; the per-step Jacobian
 constants cancel exactly against the 2i / pi*hbar bookkeeping, enforced by a
-counting assertion on the factor list.  Their finished value is expanded in
-q by the same series arithmetic (sine is order 0), and each q^t coefficient
-is reduced once, as one rational function of w.  No step shifts a
+counting assertion on the factor list.  The two kinds share the factors,
+poles, targets and carried denominators, all free of q; the theta kind's G
+enters the first step as its Taylor series at S_0 = 1 in place of the hot
+numerator 1, so later steps shift a hot numerator with negative exponents.
+The finished value is expanded in q (sine is order 0), and each q^t
+coefficient is reduced once, as one rational function of w.  No step shifts a
 polynomial in full: it finds each factor's valuation at the center first,
 which fixes the target degree, and then computes only the Taylor
 coefficients at the center that the residue reads, those below the target
@@ -37,7 +43,7 @@ serves all three kinds.
 
 Every series product runs in Kronecker form (`kronecker.Kronecker`): the
 coefficients are grouped by every exponent but one packed variable, w for
-the multiplicative kinds (the residue steps and the q-expansion) and the
+the multiplicative kinds (the residue steps, G and the q-expansion) and the
 last flag coordinate for the additive kind, and each group becomes one
 integer.  `_expand` packs its inputs once, multiplies them packed and
 unpacks only its result.  The slot width is one sign bit above a bound on
@@ -58,7 +64,7 @@ from operator import mul
 from . import linalg
 from .arrangement import Flag
 from .kronecker import Kronecker
-from .polyarith import MultiPoly, QSeries, RatFunc
+from .polyarith import MultiPoly, QSeries, RatFunc, binom
 
 KINDS = ("additive", "sine", "theta")
 
@@ -206,13 +212,14 @@ def _merge_factor(factors: dict, poly: MultiPoly, exp: int, den: int = 1) -> Fra
     return Fraction(cont ** exp, den ** exp) if exp > 0 else Fraction(den ** -exp, cont ** -exp)
 
 
-def _series_mul(a, b, target, kr):
-    out = [{} for _ in range(target + 1)]
+def _series_mul(a, b, target, kr, first=0):
+    """Coefficients first..target of the product of two series."""
+    out = [{} for _ in range(first, target + 1)]
     for i, pa in enumerate(a):
         if pa:
-            for j in range(target + 1 - i):
+            for j in range(max(first - i, 0), target + 1 - i):
                 if b[j]:
-                    kr.mul_into(out[i + j], pa, b[j])
+                    kr.mul_into(out[i + j - first], pa, b[j])
     return out
 
 
@@ -289,7 +296,11 @@ def _expand(series, factors, target, pv, qv, qcap, first=0):
     """Coefficients first..target in v of series * prod unit^e over the
     (unit, e) pairs, each negative power scaled by p0^(target-e) (see
     `_inverse_power`); every list is a series sum_t poly_t v^t of integer
-    polynomials, packed in variable pv."""
+    polynomials, packed in variable pv.
+
+    The factors are multiplied first and `series` last, for the coefficients
+    first..target only: a hot numerator carries every q-group of the theta
+    kind, each factor one group."""
     nv = series[0].nvars
     kr = Kronecker(nv, pv, max(_norm_bound(series, factors, target)[first:]),
                    series[:target + 1] + [p for unit, _ in factors for p in unit[:target + 1]],
@@ -298,14 +309,17 @@ def _expand(series, factors, target, pv, qv, qcap, first=0):
     def packed(polys):
         return [kr.pack(p) for p in polys[:target + 1]] + [{}] * (target + 1 - len(polys))
 
-    out = packed(series)
+    hot = packed(series)
+    out = None
     for unit, e in factors:
         if e > 0:
             fser = _series_pow(packed(unit), e, target, kr)
         else:
             fser = _inverse_power(packed(unit), -e, target, kr)
-        out = _series_mul(out, fser, target, kr)
-    return [kr.unpack(c) for c in out[first:]]
+        out = fser if out is None else _series_mul(out, fser, target, kr)
+    if out is not None:
+        return [kr.unpack(c) for c in _series_mul(hot, out, target, kr, first)]
+    return [kr.unpack(c) for c in hot[first:]]
 
 
 @dataclass
@@ -315,9 +329,11 @@ class _Term:
     factors: dict
 
 
-def _residue_step(term: _Term, var: int, center, pv, qv, qcap) -> _Term | None:
+def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | None:
     """One univariate residue in `var` at `center`, variable pv packed in the
-    series products; None means zero residue.
+    series products; None means zero residue.  `taylor(n)`, when given,
+    returns the hot numerator's first n Taylor coefficients at the center in
+    place of term.hot's.
 
     Only the Taylor coefficients at the center that the step reads are
     computed (`MultiPoly.shift_coefficients`).  A factor's valuation v there
@@ -345,7 +361,9 @@ def _residue_step(term: _Term, var: int, center, pv, qv, qcap) -> _Term | None:
         v = next(j for j, c in enumerate(head) if c)
         bound -= v * e
         active.append((p, e, v, deg, head))
-    hot = term.hot.shift_coefficients(var, 0, bound, center)
+    if bound <= 0:
+        return None
+    hot = term.hot.shift_coefficients(var, 0, bound, center) if taylor is None else taylor(bound)
     hv = next((j for j, c in enumerate(hot) if c), None)
     if hv is None:
         return None
@@ -359,7 +377,7 @@ def _residue_step(term: _Term, var: int, center, pv, qv, qcap) -> _Term | None:
         if e < 0:
             coeff *= _merge_factor(carry, unit[0], e - target)
         units.append((unit, e))
-    [s] = _expand(hot[hv:], units, target, pv, qv, qcap, target)
+    [s] = _expand(hot[hv:], units, target, pv, None, None, target)
     if s.is_zero():
         return None
     cont, s = s.content_normalize()
@@ -437,7 +455,7 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
         coeff *= _merge_factor(factors, poly, lf.exponent, lf.den * b)
     term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)
     for i in range(k):
-        term = _residue_step(term, i, 0, k - 1, None, None)
+        term = _residue_step(term, i, 0, k - 1)
         if term is None:
             return Fraction(0)
     # after the last step the hot numerator and every factor are constants,
@@ -449,63 +467,100 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
 # multiplicative kinds
 
 
-def multiplicativize(local_factor: LocalFactor, kind: str, D: int, N: int | None,
-                     rank: int) -> list[tuple[MultiPoly, int]]:
-    """Map one local affine factor to its multiplicative factored pieces.
-
-    The theta image of a factor with Y = y^c * prod X_j^(l_j) is
-    (Y^(1/2) - Y^(-1/2)) prod_{n>=1} (1-q^n)(1-q^n Y)(1-q^n Y^{-1}), and the
-    residues only use it modulo q^(N+1).  By Jacobi's triple product that is
-    the sum of (-1)^n q^(n(n-1)/2) Y^(1/2-n) over n = 1-K..K, with K the
-    largest integer with K(K-1)/2 <= N: one piece of 2K terms.  The sine image
-    Y^(1/2) - Y^(-1/2) is the case N = 0.  With Y^(1/2) = m1/m2 for coprime
-    monomials m1, m2, returns (polynomial, signed exponent) pairs: the sum
-    times (m1 m2)^(2K-1) with the factor's exponent e, and m1 m2 with exponent
-    -(2K-1) e.  Variables are S_0..S_{rank-1}, then w, then (theta only) q;
-    all exponents are integers after the 1/(2D) rescaling.
-    """
-    if kind not in ("sine", "theta"):
-        raise ValueError("multiplicativize applies to the sine and theta kinds")
-    theta = kind == "theta"
-    nv = rank + 1 + theta
+def _half_exponents(local_factor: LocalFactor, D: int) -> list[int]:
+    """The exponents of Y^(1/2) in S_0..S_(rank-1), w for the factor's
+    Y = y^c * prod X_j^(l_j): integers after the 1/(2D) rescaling."""
     scale, rest = divmod(D, local_factor.den)
     if rest:
         raise ValueError("denominator scale D does not clear the factor data")
-    # exponents of Y^(1/2)
-    half = [x * scale for x in (*local_factor.lin, local_factor.const)] + [0] * theta
-    m1, m2 = [max(x, 0) for x in half], [max(-x, 0) for x in half]
-    N = N if theta else 0
-    K = 1
-    while K * (K + 1) // 2 <= N:
-        K += 1
-    terms: dict = {}
-    for n in range(1 - K, K + 1):
-        exps = [2 * (K - n) * x + 2 * (K - 1 + n) * y for x, y in zip(m1, m2)]
-        if theta:
-            exps[-1] = n * (n - 1) // 2
-        terms[tuple(exps)] = -1 if n % 2 else 1
-    e = local_factor.exponent
-    mono = MultiPoly.monomial(nv, [x + y for x, y in zip(m1, m2)])
-    return [(MultiPoly(nv, terms), e), (mono, -(2 * K - 1) * e)]
+    return [x * scale for x in (*local_factor.lin, local_factor.const)]
 
 
-def _prefactor_pieces(integrand: FactorizedIntegrand, D: int):
-    """Pieces of the rank-many prefactor copies for the multiplicative kinds.
+def multiplicativize(local_factor: LocalFactor, D: int,
+                     nvars: int) -> list[tuple[MultiPoly, int]]:
+    """Map one local affine factor to its sine image Y^(1/2) - Y^(-1/2) in
+    factored pieces, the factors of both multiplicative kinds.
 
-    The theta kind also carries prod_{n>=1} (1-q^n)^(3k) modulo q^(N+1), one
-    piece by Euler's pentagonal theorem: the sum of (-1)^j q^(j(3j-1)/2).
+    With Y^(1/2) = m1/m2 for coprime monomials m1, m2 the image is
+    (m1^2 - m2^2) / (m1 m2): returns (polynomial, signed exponent) pairs,
+    m1^2 - m2^2 with the factor's exponent e and m1 m2 with exponent -e.
+    Variables are S_0..S_(rank-1) and w, padded with exponent-0 variables
+    up to `nvars`: q for the theta kind, which multiplies the sine integrand
+    by its q-series numerator (`_theta_numerator`).
     """
-    k = integrand.rank
-    lf = LocalFactor(const=integrand.degree, lin=(0,) * k, den=1, exponent=-k)
-    pieces = multiplicativize(lf, integrand.kind, D, integrand.q_order, k)
-    if integrand.kind == "theta":
-        N = integrand.q_order
-        euler = {}
-        for j in range(-N, N + 1):   # j(3j-1)/2 >= |j|
-            if j * (3 * j - 1) // 2 <= N:
-                euler[(0,) * (k + 1) + (j * (3 * j - 1) // 2,)] = -1 if j % 2 else 1
-        pieces.append((MultiPoly(k + 2, euler), 3 * k))
-    return pieces
+    half = _half_exponents(local_factor, D)
+    half += [0] * (nvars - len(half))
+    m1, m2 = [max(x, 0) for x in half], [max(-x, 0) for x in half]
+    e = local_factor.exponent
+    diff = MultiPoly(nvars, {tuple(2 * x for x in m1): 1, tuple(2 * x for x in m2): -1})
+    return [(diff, e), (MultiPoly.monomial(nvars, [x + y for x, y in zip(m1, m2)]), -e)]
+
+
+def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
+    """The theta kind's q-series numerator
+
+        G = (q;q)^(2k) prod_f Phi(Y_f)^(e_f) mod q^(N+1),
+        Phi(Y) = prod_(n>=1) (1 - q^n Y)(1 - q^n / Y),
+
+    over the (exponents of Y_f, e_f) pairs `ys` of the flag's factors and the
+    prefactor copies: its Taylor coefficients 0..terms-1 in v = S_0 - 1, or
+    G itself (terms = 1) at rank k = 0.  By Jacobi's triple product
+    theta(Y) = (Y^(1/2) - Y^(-1/2)) (q;q) Phi(Y), and the exponents e_f sum
+    to -k, so the theta integrand is the sine integrand times G, a q-unit
+    with no pole at S = 1.
+
+    Newton's identity on log G gives j G_j = sum_(i=1..j) A_i G_(j-i) for
+    the q^j coefficients, with A_i = -sum_(m | i) (i/m) P_m and
+    P_m = sum_f e_f (Y_f^m + Y_f^(-m)) + 2k.  At S_0 = 1 + v, Y^m is the
+    series binom(a m, t) v^t, a its exponent of S_0, times its other
+    monomial.  Every coefficient is an integer, so the division by j is
+    exact, also on the packed values: the products run packed in w
+    (variable k), at a slot width from the same recursion on the
+    coefficient norms.  Variables are those of `multiplicativize`, with q
+    last; exponents may be negative.
+    """
+    nv = k + 2
+    A = [[{} for _ in range(terms)] for _ in range(N + 1)]
+    for m in range(1, N + 1):
+        pm = [(0, (0,) * nv, 2 * k)]
+        for y, e in ys:
+            for sign in (m, -m):
+                mono = tuple(x * sign for x in y)
+                if k:
+                    a, mono = mono[0], (0,) + mono[1:]
+                    pm += [(t, mono, e * binom(a, t)) for t in range(terms)]
+                else:
+                    pm.append((0, mono, e))
+        for i in range(m, N + 1, m):
+            for t, mono, c in pm:
+                d = A[i][t]
+                d[mono] = d.get(mono, 0) - i // m * c
+    A = [[MultiPoly(nv, {mono: c for mono, c in d.items() if c}) for d in Ai] for Ai in A]
+    norms = [[sum(map(abs, p.terms.values())) for p in Ai] for Ai in A]
+    g, bound = [[1] + [0] * (terms - 1)], 1
+    for j in range(1, N + 1):
+        h = [sum(norms[i][s] * g[j - i][t - s] for i in range(1, j + 1) for s in range(t + 1))
+             for t in range(terms)]
+        bound = max(bound, *h)
+        g.append([-(-x // j) for x in h])
+    kr = Kronecker(nv, k, bound, [p for Ai in A for p in Ai])
+    A = [[kr.pack(p) for p in Ai] for Ai in A]
+    G = [[kr.one()] + [{}] * (terms - 1)]
+    for j in range(1, N + 1):
+        acc = [{} for _ in range(terms)]
+        for i in range(1, j + 1):
+            for s, x in enumerate(A[i]):
+                if x:
+                    for t, y in enumerate(G[j - i][:terms - s]):
+                        if y:
+                            kr.mul_into(acc[s + t], x, y)
+        G.append([{key: (low, v // j) for key, (low, v) in c.items()} for c in acc])
+    out = [{} for _ in range(terms)]
+    for j, Gj in enumerate(G):
+        for t, c in enumerate(Gj):
+            for key, x in kr.unpack(c).terms.items():
+                out[t][key[:-1] + (j,)] = x
+    return [MultiPoly(nv, d) for d in out]
 
 
 def flag_residue_multiplicative(local_factors, flag: Flag, integrand: FactorizedIntegrand,
@@ -515,39 +570,46 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     Residues in the flag coordinates are taken at X_j = 1 via S_j = X_j^(1/(2D));
     the measure contributes 2D/S_j per step and the leftover transcendental
     constants cancel exactly by the factor-count balance (asserted at build).
+    Both kinds take the sine factors and poles; the theta kind's q-series
+    numerator enters the first step as its Taylor series (`_theta_numerator`).
     Returns a RatFunc in w (sine) or a QSeries with RatFunc coefficients (theta).
     """
-    kind = integrand.kind
     k = integrand.rank
     assert sum(lf.exponent for lf in local_factors) == 0, \
         "sine factor count must balance the prefactor copies"
     if _screened_zero(local_factors, k):
         return zero_value(integrand)
-    widx = k
-    theta = kind == "theta"
-    nv = k + 1 + (1 if theta else 0)
-    qv = k + 1 if theta else None
-    qcap = integrand.q_order if theta else None
+    theta = integrand.kind == "theta"
+    nv = k + 1 + theta
     coeff = Fraction(1)
     factors: dict = {}
-    for lf in local_factors:
+    # the rank-many prefactor copies 1 / sine(y^d)^k as one more factor
+    units = [*local_factors, LocalFactor(const=integrand.degree, lin=(0,) * k, den=1,
+                                         exponent=-k)]
+    for lf in units:
         if not lf.const and not any(lf.lin):
             if lf.exponent > 0:
                 return zero_value(integrand)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
-        for poly, e in multiplicativize(lf, kind, D, integrand.q_order, k):
+        for poly, e in multiplicativize(lf, D, nv):
             coeff *= _merge_factor(factors, poly, e)
-    for poly, e in _prefactor_pieces(integrand, D):
-        coeff *= _merge_factor(factors, poly, e)
     term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)
+    taylor = None
+    if theta:
+        ys = [([2 * x for x in _half_exponents(lf, D)] + [0], lf.exponent) for lf in units]
+        if k:
+            def taylor(n):
+                return _theta_numerator(ys, k, integrand.q_order, n)
+        else:
+            [term.hot] = _theta_numerator(ys, 0, integrand.q_order, 1)
     for i in range(k):
         coeff_adj = _merge_factor(term.factors, MultiPoly.variable(nv, i), -1)
         term.coeff *= coeff_adj * 2 * D
-        term = _residue_step(term, i, 1, widx, qv, qcap)
+        term = _residue_step(term, i, 1, k, taylor if i == 0 else None)
         if term is None:
             return zero_value(integrand)
     term.coeff *= flag.lattice_factor
-    return _assemble_multiplicative(term, integrand, widx, qv)
+    return _assemble_multiplicative(term, integrand, k, k + 1 if theta else None)
 
 
 def zero_value(integrand: FactorizedIntegrand):
@@ -561,22 +623,19 @@ def zero_value(integrand: FactorizedIntegrand):
 def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, qv):
     """The finished term as a series in q to order N (order 0, no q, for sine).
 
-    Series arithmetic is the residue core's: no gcd along the way.  Each q^t
-    coefficient ends as one polynomial over the common denominator, the
-    product of p0^(N+p) over the denominator factors p^(-p), and becomes one
-    RatFunc in w, reduced once.
+    Only the hot numerator carries q.  Each of its q^t coefficients, times
+    the numerator factors, is one polynomial over the product of the
+    denominator factors, and becomes one RatFunc in w, reduced once.
     """
     order = integrand.q_order if qv is not None else 0
-
-    def q_coefficients(poly):
-        return poly.shift_coefficients(qv, 0, order + 1, 0) if qv is not None else [poly]
 
     def in_w(poly):
         return RatFunc([(k[widx], c) for k, c in poly.terms.items()])
 
-    factors = [(q_coefficients(poly), e) for poly, e in term.factors.values()]
-    series = _expand(q_coefficients(term.hot), factors, order, widx, None, None)
-    den = prod([in_w(unit[0]) ** (order - e) for unit, e in factors if e < 0],
+    hot = term.hot.shift_coefficients(qv, 0, order + 1, 0) if qv is not None else [term.hot]
+    numerators = [([poly], e) for poly, e in term.factors.values() if e > 0]
+    series = _expand(hot, numerators, order, widx, None, None)
+    den = prod([in_w(poly) ** -e for poly, e in term.factors.values() if e < 0],
                start=RatFunc.const(1))
     coeffs = [in_w(c) * term.coeff / den for c in series]
     return coeffs[0] if qv is None else QSeries(order, coeffs)

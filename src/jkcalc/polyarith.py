@@ -2,10 +2,11 @@
 functions in one variable and truncated q-power series.
 
 A MultiPoly maps exponent tuples to int coefficients; zero coefficients are
-never stored.  A rational constant stays outside it: `content_normalize`
-splits off an integer content, and the residue core keeps the product of
-such constants as one Fraction.  The residue core multiplies polynomials
-packed into Python integers (`kronecker.Kronecker`).
+never stored, and exponents may be negative (a Laurent polynomial).  A
+rational constant stays outside it: `content_normalize` splits off an
+integer content, and the residue core keeps the product of such constants
+as one Fraction.  The residue core multiplies polynomials packed into
+Python integers (`kronecker.Kronecker`).
 
 RatFunc is a rational function of w in one canonical form c * w^v * num(w) /
 den(w): c is a Fraction, v an int, and num and den are ascending lists of
@@ -30,6 +31,13 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm
 from operator import mul
+
+
+def binom(n: int, k: int) -> int:
+    """The binomial coefficient n (n-1) ... (n-k+1) / k! for any integer n
+    and k >= 0: the coefficient of v^k in (1 + v)^n."""
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+
 
 class NonUnitError(ArithmeticError):
     """A series or denominator constant term that must be invertible is not."""
@@ -183,12 +191,14 @@ class MultiPoly:
 
     def shift_coefficients(self, var, lo, hi, a=1):
         """Coefficients lo..hi-1 in x_var of self(x_var + a), var slot zeroed,
-        for a = 1 (the Taylor coefficients at x_var = 1) or a = 0 (self split
-        by degree in x_var).
+        for a = 1 (the Taylor coefficients at x_var = 1, of a Laurent
+        polynomial in x_var) or a = 0 (self split by degree in x_var).
 
         Only the coefficients asked for are computed.  For a = 1 the terms
         are grouped by their other exponents, and the j-th coefficient of a
-        group sum c * x_var^e is sum c * comb(e, j), one sum per group and j.
+        group sum c * x_var^e is sum c * binom(e, j), one sum per group and
+        j; a group with a negative e has nonzero coefficients past its
+        degree, so it is read up to hi.
         """
         outs = [{} for _ in range(lo, hi)]
         if a == 0:
@@ -201,7 +211,7 @@ class MultiPoly:
         groups: dict = {}
         for k, c in self.terms.items():
             e = k[var]
-            if e >= lo:
+            if e >= lo or e < 0:
                 kk = k[:var] + (0,) + k[var + 1:]
                 g = groups.get(kk)
                 if g is None:
@@ -210,8 +220,9 @@ class MultiPoly:
                     g[0].append(e)
                     g[1].append(c)
         for k, (es, cs) in groups.items():
-            for j in range(lo, min(max(es) + 1, hi)):
-                s = sum(map(mul, cs, map(comb, es, repeat(j))))
+            choose, top = (comb, min(max(es) + 1, hi)) if min(es) >= 0 else (binom, hi)
+            for j in range(lo, top):
+                s = sum(map(mul, cs, map(choose, es, repeat(j))))
                 if s:
                     outs[j - lo][k] = s
         return [MultiPoly(self.nvars, d) for d in outs]

@@ -128,3 +128,28 @@ def weighted_projective_chi_y(weights):
     assert quotient[-1] + top[-1] == 0
     scale = Fraction((-1) ** n, prod(weights))
     return {Fraction(p) - Fraction(n, 2): scale * c for p, c in enumerate(quotient) if c}
+
+
+def theta_series(half, order):
+    """theta(Y) = (Y^(1/2) - Y^(-1/2)) prod_(n>=1) (1-q^n)(1-q^n Y)(1-q^n/Y)
+    to order q^order, at a number Y^(1/2) = half."""
+    out = [half - 1 / half] + [Fraction(0)] * order
+    y = half * half
+    for n in range(1, order + 1):
+        for c in (1, y, 1 / y):
+            factor = [Fraction(1)] + [Fraction(0)] * order
+            factor[n] = -c
+            out = series_mul(out, factor, order)
+    return out
+
+
+def cy3_elliptic_genus(chi, order, w):
+    """q-coefficients of the elliptic genus of a Calabi-Yau threefold with
+    Euler number chi, at the number w = y^(1/2): (-chi/2) theta(y^2) /
+    theta(y), the weak Jacobi form phi_(0,3/2) (Kawai, Yamada and Yang,
+    Nucl. Phys. B 414 (1994)).  Its q^t coefficient is a Laurent polynomial
+    in w with exponents in [-4t-1, 4t+1]."""
+    w = Fraction(w)
+    ratio = series_mul(theta_series(w * w, order), series_inv(theta_series(w, order), order),
+                       order)
+    return [-Fraction(chi, 2) * c for c in ratio]

@@ -6,7 +6,10 @@ Tests compare the packed products with these.
 
 `subst_shift` is the full shift x_var -> x_var + a that the residue steps
 applied to every polynomial before they computed only the Taylor
-coefficients they read (`MultiPoly.shift_coefficients`)."""
+coefficients they read (`MultiPoly.shift_coefficients`); `laurent_shift`
+extends it to negative exponents.  `theta_numerator` is the theta kind's
+q-series numerator in product form, against Newton's identity in
+`engine._theta_numerator`."""
 
 from fractions import Fraction
 from math import comb
@@ -100,3 +103,41 @@ def coefficients_in(poly, var, n):
         if k[var] < n:
             out[k[var]][k[:var] + (0,) + k[var + 1:]] = c
     return [MultiPoly(poly.nvars, t) for t in out]
+
+
+def laurent_shift(poly, var, n):
+    """The first n Taylor coefficients at x_var = 1 of a Laurent polynomial
+    in x_var, var slot zeroed: poly x_var^M, with no negative exponent left,
+    shifted in full, times (1 + x_var)^(-M) as the M-th power of the
+    geometric series sum (-x_var)^j truncated at degree n."""
+    nv = poly.nvars
+    M = max([0] + [-k[var] for k in poly.terms])
+    shifted = subst_shift(poly.mul(MultiPoly.variable(nv, var, M)), var, 1)
+    geometric = MultiPoly(nv, {tuple(j if i == var else 0 for i in range(nv)): (-1) ** j
+                               for j in range(n)})
+    for _ in range(M):
+        shifted = MultiPoly(nv, {k: c for k, c in shifted.mul(geometric).terms.items()
+                                 if k[var] < n})
+    return coefficients_in(shifted, var, n)
+
+
+def theta_numerator(ys, k, N, terms):
+    """(q;q)^(2k) prod_f Phi(Y_f)^(e_f) mod q^(N+1), Phi(Y) = prod_(n>=1)
+    (1 - q^n Y)(1 - q^n / Y), over the (exponents of Y_f, e_f) pairs in
+    variables (S_0, ..., S_(k-1), w, q), multiplied out factor by factor,
+    with (1 - x)^(-1) as the geometric series; its first `terms` Taylor
+    coefficients at S_0 = 1 (`laurent_shift`), or [G] at k = 0."""
+    nv = k + 2
+    pieces = [((0,) * nv, 2 * k)]
+    pieces += [(tuple(s * x for x in y), e) for y, e in ys for s in (1, -1)]
+    out = MultiPoly.const(nv, 1)
+    for y, e in pieces:
+        for n in range(1, N + 1):
+            x = MultiPoly.monomial(nv, y[:-1] + (n,))
+            base = 1 - x if e > 0 else \
+                MultiPoly(nv, {tuple(j * a for a in y[:-1]) + (j * n,): 1
+                               for j in range(N // n + 1)})
+            for _ in range(abs(e)):
+                out = MultiPoly(nv, {key: c for key, c in out.mul(base).terms.items()
+                                     if key[-1] <= N})
+    return laurent_shift(out, 0, terms) if k else [out]

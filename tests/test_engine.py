@@ -17,8 +17,7 @@ from jkcalc.config import ConfigError, parse_config
 from jkcalc.arrangement import Flag
 from jkcalc.engine import (FactorizedIntegrand, IntegrandFactor, LocalFactor,
                            flag_residue_additive, flag_residue_multiplicative,
-                           _prefactor_pieces, jk_residue, localize,
-                           multiplicativize)
+                           _theta_numerator, jk_residue, localize, multiplicativize)
 from jkcalc.polyarith import MultiPoly, RatFunc
 
 F = Fraction
@@ -224,7 +223,7 @@ class TestFlagResidueAdditive:
         assert flag_residue_additive(local, flag, ig) == 200
 
 
-def _mod_q(poly, N, qv=2):
+def _mod_q(poly, N, qv):
     """poly with every term of q-degree above N dropped."""
     return MultiPoly(poly.nvars, {k: c for k, c in poly.terms.items() if k[qv] <= N})
 
@@ -240,10 +239,28 @@ def _pieces_as_fraction_pair(pieces, nv):
     return num, den
 
 
+def _theta_factor(b, N):
+    """(numerator, denominator) of the sine image and the theta numerator
+    modulo q^(N+1) of the rank-0 factor with Y^(1/2) = w^b, in (w, q)."""
+    lf = LocalFactor(const=b, lin=(), den=1, exponent=1)
+    num, den = _pieces_as_fraction_pair(multiplicativize(lf, 1, 2), 2)
+    [numerator] = _theta_numerator([((2 * b, 0), 1)], 0, N, 1)
+    return num, den, numerator
+
+
+def _euler(N, nv=2):
+    """prod_(n<=N) (1 - q^n), q the last of nv variables."""
+    q = MultiPoly.variable(nv, nv - 1)
+    out = MultiPoly.const(nv, 1)
+    for n in range(1, N + 1):
+        out = _mod_q(out.mul(1 - q.pow(n)), N, nv - 1)
+    return out
+
+
 class TestMultiplicativize:
     def test_sine_pure_coordinate(self):
         lf = LocalFactor(const=0, lin=(1,), den=1, exponent=1)
-        pieces = multiplicativize(lf, "sine", 1, None, rank=1)
+        pieces = multiplicativize(lf, 1, 2)
         num, den = _pieces_as_fraction_pair(pieces, 2)
         # S - S^{-1} = (S^2 - 1)/S
         s = MultiPoly.variable(2, 0)
@@ -251,65 +268,52 @@ class TestMultiplicativize:
 
     def test_sine_constant_d(self):
         lf = LocalFactor(const=2, lin=(0,), den=1, exponent=1)
-        pieces = multiplicativize(lf, "sine", 1, None, rank=1)
+        pieces = multiplicativize(lf, 1, 2)
         num, den = _pieces_as_fraction_pair(pieces, 2)
         w = MultiPoly.variable(2, 1)
         # y^{d/2} - y^{-d/2} with d=2, D=1: w^2 - w^{-2}
         assert num.mul(w.pow(2)) == (w.pow(4) - 1).mul(den)
 
     def test_theta_truncated_product(self):
-        # the residues use the theta image modulo q^(N+1) only
-        lf = LocalFactor(const=0, lin=(1,), den=1, exponent=1)
-        pieces = multiplicativize(lf, "theta", 1, 1, rank=1)
-        num, den = _pieces_as_fraction_pair(pieces, 3)
-        s = MultiPoly.variable(3, 0)
-        q = MultiPoly.variable(3, 2)
-        one = MultiPoly.const(3, 1)
-        # (S - 1/S)(1-q)(1 - q S^2)(1 - q S^{-2})
-        expect_num = (s.mul(s) - 1).mul(one - q).mul(one - q.mul(s.pow(2))) \
-            .mul(s.pow(2) - q)
-        expect_den = s.pow(3)
-        assert _mod_q(num.mul(expect_den), 1) == _mod_q(expect_num.mul(den), 1)
+        # the residues use the theta image modulo q^(N+1) only: the sine
+        # image times (q;q) times the theta numerator, for Y^(1/2) = w and
+        # N = 1 (w - 1/w)(1-q)(1 - q w^2)(1 - q w^{-2})
+        num, den, numerator = _theta_factor(1, 1)
+        w, q = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        expect_num = (w.pow(2) - 1).mul(1 - q).mul(1 - q.mul(w.pow(2))).mul(w.pow(2) - q)
+        got = num.mul(1 - q).mul(numerator).mul(w.pow(3))
+        assert _mod_q(got, 1, 1) == _mod_q(expect_num.mul(den), 1, 1)
 
     @pytest.mark.parametrize("N", range(11))
     def test_triple_product_piece_is_the_truncated_product(self, N):
-        # variables S, w, q; Y^(1/2) = w^b S^a for the factor b + a z
-        nv, q = 3, MultiPoly.variable(3, 2)
-        one = MultiPoly.const(nv, 1)
-        for b, a in ((0, 1), (1, 2), (-2, 1), (3, -1)):
-            lf = LocalFactor(const=b, lin=(a,), den=1, exponent=1)
-            pieces = multiplicativize(lf, "theta", 1, N, rank=1)
-            assert len(pieces[0][0].terms) <= 2 * N + 2
-            num, den = _pieces_as_fraction_pair(pieces, nv)
-            m1 = MultiPoly.monomial(nv, [max(a, 0), max(b, 0), 0])
-            m2 = MultiPoly.monomial(nv, [max(-a, 0), max(-b, 0), 0])
-            y, yinv = m1.mul(m1), m2.mul(m2)   # Y = y / yinv
-            # (Y^(1/2) - Y^(-1/2)) prod_{n<=N} (1-q^n)(1-q^n Y)(1-q^n/Y) mod q^(N+1)
-            expect_num = y - yinv
-            expect_den = m1.mul(m2)
-            for n in range(1, N + 1):
-                qn = q.pow(n)
-                for f in (one - qn, yinv - qn.mul(y), y - qn.mul(yinv)):
-                    expect_num = _mod_q(expect_num.mul(f), N)
-                expect_den = expect_den.mul(y).mul(yinv)
-            assert _mod_q(num.mul(expect_den), N) == _mod_q(expect_num.mul(den), N), (N, b, a)
+        # Jacobi's triple product: sum (-1)^n q^(n(n-1)/2) Y^(1/2-n) is the
+        # sine image times (q;q) times Phi(Y) = prod (1-q^n Y)(1-q^n/Y), the
+        # theta numerator of the one factor, modulo q^(N+1); Y^(1/2) = w^b
+        for b in (1, 2, -2, 3):
+            num, den, numerator = _theta_factor(b, N)
+            jacobi = MultiPoly(2, {(b * (1 - 2 * n), n * (n - 1) // 2): (-1) ** n
+                                   for n in range(-N - 1, N + 2) if n * (n - 1) // 2 <= N})
+            got = num.mul(_euler(N)).mul(numerator)
+            assert _mod_q(got, N, 1) == _mod_q(jacobi.mul(den), N, 1), (N, b)
 
     @pytest.mark.parametrize("N", range(11))
     def test_pentagonal_piece_is_the_euler_product(self, N):
-        prob = builders.projective_space(1, (1, 0), degree=1)
-        ig = invariants.build_integrand(prob, "theta", q_order=N)
-        *_, (euler, e) = _prefactor_pieces(ig, 1)
-        q = MultiPoly.variable(3, 2)
-        expect = MultiPoly.const(3, 1)
-        for n in range(1, N + 1):
-            expect = _mod_q(expect.mul(1 - q.pow(n)), N)
-        assert (euler, e) == (expect, 3 * ig.rank)
+        # with no factors the theta numerator is (q;q)^(2k), a constant in
+        # S_0: the 2k-th power of Euler's pentagonal sum of
+        # (-1)^j q^(j(3j-1)/2)
+        for k in (1, 2):
+            nv = k + 2
+            pentagonal = MultiPoly(nv, {(0,) * (k + 1) + (j * (3 * j - 1) // 2,): (-1) ** j
+                                        for j in range(-N, N + 1) if j * (3 * j - 1) // 2 <= N})
+            assert _mod_q(pentagonal, N, k + 1) == _euler(N, nv)
+            assert _theta_numerator([], k, N, 2) == \
+                [_mod_q(pentagonal.pow(2 * k), N, k + 1), MultiPoly.zero(nv)]
 
     def test_denominator_scale_must_clear_data(self):
         lf = LocalFactor(const=1, lin=(2,), den=2, exponent=1)   # 1/2 + z
         with pytest.raises(ValueError):
-            multiplicativize(lf, "sine", 1, None, rank=1)
-        multiplicativize(lf, "sine", 2, None, rank=1)
+            multiplicativize(lf, 1, 2)
+        multiplicativize(lf, 2, 2)
 
 
 class TestFlagResidueMultiplicative:

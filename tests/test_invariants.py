@@ -13,6 +13,7 @@ from jkcalc import arrangement, builders, engine, invariants
 from jkcalc.invariants import (GITProblem, ValidationError, WeightEntry,
                                build_integrand, compute, make_problem, specialize,
                                validate)
+from jkcalc.kronecker import Kronecker
 from jkcalc.polyarith import RatFunc, poly_gcd
 
 F = Fraction
@@ -433,6 +434,44 @@ def test_ell_matches_virtual_fixed_point_oracle_on_p1():
         laur = invariants.laurent_form(c)
         got.append(sum(coeff * sqy**e for e, coeff in laur.items()))
     assert got == expected
+
+
+CY3_COMPLETE_INTERSECTIONS = [(4, (5,)), (5, (3, 3)), (5, (2, 4)), (6, (2, 2, 3))]
+CY3_IDS = [f"p{n}-" + "-".join(map(str, d)) for n, d in CY3_COMPLETE_INTERSECTIONS]
+
+
+@pytest.mark.parametrize("n, degrees", CY3_COMPLETE_INTERSECTIONS, ids=CY3_IDS)
+def test_ell_of_cy3_complete_intersections_is_the_weak_jacobi_form(n, degrees):
+    # Ell = (-chi/2) theta(y^2)/theta(y) with chi from the Chern classes,
+    # independent of the residues (`Ell(q=0) = chi_y` shares their code).
+    # Both sides of each q^t coefficient are Laurent polynomials in w with
+    # exponents in [-M, M]; they agree at 2M + 1 points, so they are equal.
+    order = 4
+    res = compute(builders.projective_bundle(n, degrees), kind="theta", q_order=order)
+    assert res.ell.denom_scale == 1
+    chi = oracles.chern_euler(n, degrees)
+    laurents = [invariants.laurent_form(c) for c in res.ell.series.coeffs]
+    assert None not in laurents
+    M = max([4 * order + 1] + [abs(e) for laur in laurents for e in laur])
+    for w in range(2, 2 * M + 3):
+        expected = oracles.cy3_elliptic_genus(chi, order, w)
+        got = [sum(c * F(w) ** e for e, c in laur.items()) for laur in laurents]
+        assert got == expected, (n, degrees, w)
+
+
+def test_packed_products_of_the_quintic_elliptic_genus(monkeypatch):
+    # a count of the packed group-pair products bounds the residue core's
+    # work without a clock
+    pairs = []
+    mul_into = Kronecker.mul_into
+
+    def counting(self, dst, a, b):
+        pairs.append(len(a) * len(b))
+        return mul_into(self, dst, a, b)
+
+    monkeypatch.setattr(Kronecker, "mul_into", counting)
+    compute(builders.projective_bundle(4, (5,)), kind="theta", q_order=3)
+    assert sum(pairs) <= 247
 
 
 def test_dt_rationality_reported_not_enforced():

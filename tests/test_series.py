@@ -253,3 +253,53 @@ def test_shift_coefficients_match_the_full_shift():
 def test_shift_coefficients_shift_by_zero_or_one_only():
     with pytest.raises(ValueError):
         MultiPoly.variable(1, 0).shift_coefficients(0, 0, 2, -1)
+
+
+def laurent_cases():
+    """Seeded trivariate Laurent polynomials, exponents in [-4, 6] in every
+    variable, with every variable as the shifted one and windows [lo, hi)
+    up to past the degree."""
+    rng = random.Random(29)
+    for n in range(40):
+        big = n % 4 == 0
+        poly = MultiPoly(3, {tuple(rng.randint(-4, 6) for _ in range(3)):
+                             rng.randint(-2**70, 2**70) if big else rng.randint(-9, 9) or 1
+                             for _ in range(rng.randint(1, 10))})
+        for var in range(3):
+            deg = poly.degree_in(var)
+            full = ref.laurent_shift(poly, var, max(deg, 0) + 5)
+            for lo in range(len(full)):
+                for hi in range(lo, len(full) + 1):
+                    yield poly, var, lo, hi, full[lo:hi], deg
+
+
+def test_shift_coefficients_of_laurent_polynomials_match_the_full_substitution():
+    cases = past_degree = 0
+    for poly, var, lo, hi, want, deg in laurent_cases():
+        assert poly.shift_coefficients(var, lo, hi) == want, (poly, var, lo, hi)
+        cases += 1
+        # the windows read nonzero coefficients above the degree, which a
+        # shift capped at the degree would drop
+        past_degree += any(want[max(deg + 1 - lo, 0):])
+    assert cases > 2000 and past_degree > cases // 4
+
+
+def theta_cases():
+    """Seeded (Y, E) sets at ranks 0-3: exponents of Y in (S, w) in
+    [-3, 3], E in {-2, -1, 1, 2}, one to four factors."""
+    rng = random.Random(31)
+    for k in range(4):
+        for _ in range(6 if k else 3):
+            ys = [(tuple(rng.randint(-3, 3) for _ in range(k + 1)) + (0,),
+                   rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 4))]
+            N = rng.randint(0, 4 if k < 2 else 2)
+            yield ys, k, N, rng.randint(1, 4) if k else 1
+
+
+def test_theta_numerator_matches_the_product_form():
+    cases = 0
+    for ys, k, N, terms in theta_cases():
+        got = engine._theta_numerator(ys, k, N, terms)
+        assert got == ref.theta_numerator(ys, k, N, terms), (ys, k, N, terms)
+        cases += N > 1
+    assert cases >= 8
