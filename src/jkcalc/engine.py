@@ -17,8 +17,12 @@ Three integrand kinds share one iterated-residue core:
 over one denominator (`LocalFactor`), which every kind reads as it is.
 Residues are taken innermost flag coordinate first, the remaining coordinates
 acting as transcendentals.  Intermediate values are kept as one expanded
-"hot" numerator times a dictionary of factored unit denominators, so no
-denominator is ever expanded and no gcd is needed along the way.  The
+"hot" numerator times a dictionary of factored powers, so no denominator is
+ever expanded and no gcd is needed along the way.  One power rule reads a
+factor U^e, U = u_0 + u_1 v + ...: for e < 0 and e >= target a step carries
+u_0^(e-target) factored, numerators too, and multiplies only the series
+V = U^e / u_0^(e-target) (`_unit_power`), so a target-0 step multiplies
+nothing; a power 0 < e < target is expanded in full (`_series_pow`).  The
 multiplicative kinds take residues at S_j = 1; the per-step Jacobian
 constants cancel exactly against the 2i / pi*hbar bookkeeping, enforced by a
 counting assertion on the factor list.  The two kinds share the factors,
@@ -27,10 +31,7 @@ enters the first step as its Taylor series at S_0 = 1 in place of the hot
 numerator 1, so later steps shift a hot numerator with negative exponents.
 The finished value is expanded in q (sine is order 0), and each q^t
 coefficient is reduced once, as one rational function of w.  No step shifts a
-polynomial in full: it finds each factor's valuation at the center first,
-which fixes the target degree, and then computes only the Taylor
-coefficients at the center that the residue reads, those below the target
-(`_residue_step`).
+polynomial in full (`_residue_step`).
 
 Before any of this, `_screened_zero` decides a flag whose residue vanishes
 by its pole count alone: it walks the residue steps on the local (c, l)
@@ -38,8 +39,8 @@ patterns, where a factor has valuation 1 at step i exactly when c = 0,
 l_i != 0 and l_j = 0 for every j > i, and returns zero as soon as the
 exponents of those factors sum to >= 0.  A factor that keeps a later l_j != 0
 is carried to the next step with exponent e - target, a numerator factor
-only while that is positive.  The rule is the same at S_i = 1, so one screen
-serves all three kinds.
+only while that is positive: the residue step's own power rule.  The rule is
+the same at S_i = 1, so one screen serves all three kinds.
 
 Every series product runs in Kronecker form (`kronecker.Kronecker`): the
 coefficients are grouped by every exponent but one packed variable, w for
@@ -48,7 +49,7 @@ last flag coordinate for the additive kind, and each group becomes one
 integer.  `_expand` packs its inputs once, multiplies them packed and
 unpacks only its result.  The slot width is one sign bit above a bound on
 the L1 norm of each unpacked coefficient: `_norm_bound` runs the same
-products and recursions on the coefficient norms, and no coefficient of a
+products and recurrences on the coefficient norms, and no coefficient of a
 product exceeds the product of the norms, so the balanced digits read back
 are the exact coefficients.
 """
@@ -235,35 +236,37 @@ def _series_pow(a, n, target, kr):
     return out
 
 
-def _inverse_power(unit, p, target, kr):
-    """V with (sum unit_t v^t)^(-p) = sum V_t v^t / p0^(target+p), V_t polynomial.
-
-    The inverse is sum W_t v^t / p0^(t+1) with W_0 = 1 and W_t = -sum_j
-    unit_j W_(t-j) p0^(j-1), so no division is needed; rescaling every
-    coefficient to the common power p0^(target+p) keeps the sum division-free.
-    """
-    p0 = unit[0]
-    if not p0 or (kr.qvar is not None and all(others[kr.qvar] for others, _ in p0)):
-        raise NonGenericResidueError("denominator constant term is not a q-adic unit")
-    p0_pows = [kr.one(), p0]
+def _unit_power(unit, e, target, kr):
+    """V with U^e = u_0^(e-target) sum V_t v^t mod v^(target+1), for any
+    integer e and U = sum unit_t v^t, u_0 != 0: V_t = W_t u_0^(target-t) by
+    J. C. P. Miller's recurrence for powers of a power series (Knuth, TAOCP
+    vol. 2, 4.7), U^e = sum u_0^(e-t) W_t v^t with W_0 = 1 and
+    t W_t = sum_(j=1..t) ((e+1) j - t) u_j u_0^(j-1) W_(t-j).  W_t has
+    integer coefficients, so the division by t is exact, also packed."""
+    u0 = unit[0]
+    if not u0:
+        raise NonGenericResidueError("unit constant term is zero")
+    u0_pows = [kr.one(), u0]
     for _ in range(target - 1):
-        p0_pows.append(kr.mul_into({}, p0_pows[-1], p0))
+        u0_pows.append(kr.mul_into({}, u0_pows[-1], u0))
+    steps = [None] + [unit[j] if j == 1 or not unit[j] else
+                      kr.mul_into({}, unit[j], u0_pows[j - 1]) for j in range(1, target + 1)]
     W = [kr.one()]
     for t in range(1, target + 1):
         acc = {}
         for j in range(1, t + 1):
-            if j == 1:
-                kr.mul_into(acc, unit[1], W[t - 1])
-            elif unit[j]:
-                kr.mul_into(acc, kr.mul_into({}, unit[j], W[t - j]), p0_pows[j - 1])
-        W.append({key: (low, -v) for key, (low, v) in acc.items()})
-    S = _series_pow(W, p, target, kr)
-    return [kr.mul_into({}, S[t], p0_pows[target - t]) for t in range(target)] + [S[target]]
+            c = (e + 1) * j - t
+            if c and steps[j] and W[t - j]:
+                kr.mul_into(acc, {key: (low, c * v) for key, (low, v) in steps[j].items()},
+                            W[t - j])
+        W.append({key: (low, v // t) for key, (low, v) in acc.items()})
+    return [kr.mul_into({}, W[t], u0_pows[target - t]) if W[t] else {}
+            for t in range(target)] + [W[target]]
 
 
 def _norm_bound(series, factors, target):
     """Bounds on the L1 norms of the coefficients 0..target that `_expand`
-    returns: its products and recursions, run on the coefficient norms."""
+    returns: its products and recurrences, run on the coefficient norms."""
     def mul(a, b):
         out = [0] * (target + 1)
         for i, x in enumerate(a):
@@ -277,45 +280,42 @@ def _norm_bound(series, factors, target):
         return out + [0] * (target + 1 - len(out))
 
     out = norms(series)
-    for unit, e in factors:
-        u = w = norms(unit)
-        if e < 0:
+    for unit, e, carried in factors:
+        u = f = norms(unit)
+        if carried:
             w = [1]
             for t in range(1, target + 1):
-                w.append(sum(u[j] * w[t - j] * u[0] ** (j - 1) for j in range(1, t + 1)))
-        f = w
-        for _ in range(abs(e) - 1):
-            f = mul(f, w)
-        if e < 0:
-            f = [x * u[0] ** (target - t) for t, x in enumerate(f)]
+                x = sum(abs((e + 1) * j - t) * u[j] * u[0] ** (j - 1) * w[t - j]
+                        for j in range(1, t + 1))
+                w.append(-(-x // t))
+            f = [x * u[0] ** (target - t) for t, x in enumerate(w)]
+        else:
+            for _ in range(e - 1):
+                f = mul(f, u)
         out = mul(out, f)
     return out
 
 
-def _expand(series, factors, target, pv, qv, qcap, first=0):
-    """Coefficients first..target in v of series * prod unit^e over the
-    (unit, e) pairs, each negative power scaled by p0^(target-e) (see
-    `_inverse_power`); every list is a series sum_t poly_t v^t of integer
-    polynomials, packed in variable pv.
+def _expand(series, factors, target, pv, first=0):
+    """Coefficients first..target in v of series * prod P over the
+    (unit, e, carried) factors: P = unit^e, or unit^e / unit_0^(e-target)
+    (`_unit_power`) when the caller carries unit_0^(e-target).  Every list is
+    a series sum_t poly_t v^t of integer polynomials, packed in variable pv.
 
     The factors are multiplied first and `series` last, for the coefficients
     first..target only: a hot numerator carries every q-group of the theta
     kind, each factor one group."""
     nv = series[0].nvars
     kr = Kronecker(nv, pv, max(_norm_bound(series, factors, target)[first:]),
-                   series[:target + 1] + [p for unit, _ in factors for p in unit[:target + 1]],
-                   qv, qcap)
+                   series[:target + 1] + [p for unit, _, _ in factors for p in unit[:target + 1]])
 
     def packed(polys):
         return [kr.pack(p) for p in polys[:target + 1]] + [{}] * (target + 1 - len(polys))
 
     hot = packed(series)
     out = None
-    for unit, e in factors:
-        if e > 0:
-            fser = _series_pow(packed(unit), e, target, kr)
-        else:
-            fser = _inverse_power(packed(unit), -e, target, kr)
+    for unit, e, carried in factors:
+        fser = (_unit_power if carried else _series_pow)(packed(unit), e, target, kr)
         out = fser if out is None else _series_mul(out, fser, target, kr)
     if out is not None:
         return [kr.unpack(c) for c in _series_mul(hot, out, target, kr, first)]
@@ -343,7 +343,8 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
     for hv the hot numerator's valuation, so the step reads the hot
     numerator's coefficients j < B, whatever hv is, and a factor's
     j < v + target + 1 (none above its degree are nonzero).  A hot numerator
-    with none nonzero below B gives zero before any series work.
+    with none nonzero below B gives zero before any series work.  At target
+    0 the power rule carries every factor whole: the residue is hot[hv].
     """
     coeff = term.coeff
     carry: dict = {}
@@ -374,10 +375,11 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
         unit = head[v:end]
         if end > len(head):
             unit += p.shift_coefficients(var, len(head), end, center)
-        if e < 0:
+        carried = e < 0 or e >= target
+        if carried:
             coeff *= _merge_factor(carry, unit[0], e - target)
-        units.append((unit, e))
-    [s] = _expand(hot[hv:], units, target, pv, None, None, target)
+        units.append((unit, e, carried))
+    s = _expand(hot[hv:], units, target, pv, target)[0] if target else hot[hv]
     if s.is_zero():
         return None
     cont, s = s.content_normalize()
@@ -394,14 +396,14 @@ def _screened_zero(local_factors, rank: int) -> bool:
     factor has valuation 1 at step i exactly when l_i != 0 and every later
     l_j is 0, else 0, for its sine and theta images at S_i = 1 as well; the
     sum of the exponents of the valuation-1 factors bounds the integrand's
-    order in z_i from below, and the residue vanishes once it is >= 0.  As in
-    `_residue_step`, factors with l_i = 0 are carried unchanged, those of
-    valuation 1 become constants (dropped), and the others are carried with
-    l_i set to 0 and exponent e - target, a numerator factor only while that
-    is > 0: the coefficient of z_i^j in (a z_i + L)^e is a multiple of
-    L^(e-j), and likewise for the sine and theta images, whose value at
-    S_i = 1 is the image of L.  Every exponent stays at or below the true
-    one.  An identically zero factor is left to the full computation.
+    order in z_i from below, and the residue vanishes once it is >= 0.  By
+    `_residue_step`'s power rule, factors with l_i = 0 are carried unchanged,
+    those of valuation 1 become constants (dropped), and the others as u_0
+    with l_i set to 0 and exponent e - target, a numerator only while that is
+    > 0: the coefficient of z_i^j in (a z_i + L)^e is a multiple of L^(e-j),
+    and likewise for the sine and theta images at S_i = 1.  Every exponent
+    stays at or below the true one.  An identically zero factor is left to
+    the full computation.
     """
     live = []
     for lf in local_factors:
@@ -633,8 +635,8 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
         return RatFunc([(k[widx], c) for k, c in poly.terms.items()])
 
     hot = term.hot.shift_coefficients(qv, 0, order + 1, 0) if qv is not None else [term.hot]
-    numerators = [([poly], e) for poly, e in term.factors.values() if e > 0]
-    series = _expand(hot, numerators, order, widx, None, None)
+    numerators = [([poly], e, False) for poly, e in term.factors.values() if e > 0]
+    series = _expand(hot, numerators, order, widx)
     den = prod([in_w(poly) ** -e for poly, e in term.factors.values() if e < 0],
                start=RatFunc.const(1))
     coeffs = [in_w(c) * term.coeff / den for c in series]

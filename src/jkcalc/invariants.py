@@ -244,6 +244,7 @@ class Diagnostics:
     retries: int = 0    # always 0 since compute never retries; kept in the JSON format
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
+    local_flags: list = field(default_factory=list, repr=False)  # reused by `_rerun`
 
 
 @dataclass
@@ -297,23 +298,25 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
            seed: int = 0, s=1) -> InvariantResult:
     """`compute` on the problem of the run `first` again, reusing its
     validation report, which depends on neither s, the seed, the kind nor
-    q_order."""
-    return _compute(problem, first.diagnostics.hypothesis, kind, q_order, seed, s,
-                    time.monotonic())
+    q_order, and at its seed its localized flags, independent of the rest."""
+    diag = first.diagnostics
+    return _compute(problem, diag.hypothesis, kind, q_order, seed, s, time.monotonic(),
+                    diag.local_flags if seed == diag.seed else None)
 
 
-def _compute(problem, report, kind, q_order, seed, s, t0):
-    """Localize the one factor list once at each (stable point, flag) and give
-    the localizations to every requested kind."""
+def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
+    """Localize the one factor list once at each (stable point, flag), unless
+    `local_flags` has them from a run at this seed, for every requested kind."""
     kinds = _KIND_SETS[kind]
-    basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     integrand = build_integrand(problem, kinds[0], q_order, s)
-    local_flags = [
-        [(flag, engine.localize(integrand, pt.point, flag))
-         for flag in arrangement.enumerate_flags(pt.active_weights, problem.xi, basis,
-                                                 pert.order)]
-        for pt in report.stable_points]
+    if local_flags is None:
+        basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
+        local_flags = [
+            [(flag, engine.localize(integrand, pt.point, flag))
+             for flag in arrangement.enumerate_flags(pt.active_weights, problem.xi, basis,
+                                                     pert.order)]
+            for pt in report.stable_points]
     D = 1
     if kinds != ("additive",):
         D = engine.denominator_scale(local for flags in local_flags for _, local in flags)
@@ -324,6 +327,7 @@ def _compute(problem, report, kind, q_order, seed, s, t0):
     diag.weyl_order = problem.weyl_order
     diag.denom_scale = D
     diag.seed = seed
+    diag.local_flags = local_flags
     diag.points = [
         PointDiagnostics(point=pt.point, active_indices=pt.active_indices,
                          active_weights=pt.active_weights, flags=[fl for fl, _ in flags])

@@ -24,20 +24,17 @@ from .polyarith import MultiPoly, _digits
 
 class Kronecker:
     """The Kronecker layout of integer polynomials in `nvars` variables with
-    `var` packed (see the module docstring); products drop every term whose
-    exponent of `qvar` exceeds `qcap`.  A group is keyed by (the other
+    `var` packed (see the module docstring).  A group is keyed by (the other
     exponents, low mod stride), with slots `stride` apart: the gcd of the
     exponent gaps inside the groups of `polys`, so no slot is spent on a gap
     that no term can fill.  Unpacking is exact for coefficients of absolute
     value at most `bound`.
     """
 
-    __slots__ = ("nvars", "var", "bits", "stride", "qvar", "qcap")
+    __slots__ = ("nvars", "var", "bits", "stride")
 
-    def __init__(self, nvars: int, var: int, bound: int, polys, qvar=None, qcap=None):
+    def __init__(self, nvars: int, var: int, bound: int, polys):
         self.nvars, self.var, self.bits = nvars, var, bound.bit_length() + 1
-        self.qvar = None if qvar is None else qvar - (qvar > var)
-        self.qcap = qcap
         s = 0
         for p in polys:
             first: dict = {}
@@ -63,13 +60,10 @@ class Kronecker:
 
     def mul_into(self, dst: dict, a: dict, b: dict) -> dict:
         """dst += a * b."""
-        bits, s, qvar, qcap = self.bits, self.stride, self.qvar, self.qcap
+        bits, s = self.bits, self.stride
         for (oa, ra), (la, va) in a.items():
             for (ob, rb), (lb, vb) in b.items():
-                others = tuple(map(add, oa, ob))
-                if qvar is not None and others[qvar] > qcap:
-                    continue
-                key = others, (ra + rb) % s
+                key = tuple(map(add, oa, ob)), (ra + rb) % s
                 low, v = la + lb, va * vb
                 old = dst.get(key)
                 if old is not None:

@@ -1,8 +1,8 @@
 """Reference series arithmetic of the residue core: one dict update per term
 product, as `engine._series_mul` multiplied before its coefficient products
-were packed.  Series are lists of `MultiPoly` coefficients; `qv`, when not
-None, drops every term whose exponent of that variable exceeds `qcap`.
-Tests compare the packed products with these.
+were packed.  Series are lists of `MultiPoly` coefficients.  Tests compare
+the packed products with these, and `unit_power` with Miller's recurrence in
+`engine._unit_power`.
 
 `subst_shift` is the full shift x_var -> x_var + a that the residue steps
 applied to every polynomial before they computed only the Taylor
@@ -12,12 +12,12 @@ q-series numerator in product form, against Newton's identity in
 `engine._theta_numerator`."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from jkcalc.polyarith import MultiPoly
 
 
-def series_mul(a, b, target, nv, qv, qcap):
+def series_mul(a, b, target, nv):
     outs = [dict() for _ in range(target + 1)]
     for i, pa in enumerate(a):
         ta = pa.terms
@@ -30,8 +30,6 @@ def series_mul(a, b, target, nv, qv, qcap):
             dst = outs[i + j]
             for ka, ca in ta.items():
                 for kb, cb in tb.items():
-                    if qv is not None and ka[qv] + kb[qv] > qcap:
-                        continue
                     k = tuple(x + y for x, y in zip(ka, kb))
                     s = dst.get(k)
                     if s is None:
@@ -45,39 +43,36 @@ def series_mul(a, b, target, nv, qv, qcap):
     return [MultiPoly(nv, d) for d in outs]
 
 
-def poly_mul(a, b, nv, qv, qcap):
-    return series_mul([a], [b], 0, nv, qv, qcap)[0]
-
-
-def series_pow(a, n, target, nv, qv, qcap):
+def series_pow(a, n, target, nv):
     out = [MultiPoly.const(nv, 1)] + [MultiPoly.zero(nv) for _ in range(target)]
     base = a
     while n:
         if n & 1:
-            out = series_mul(out, base, target, nv, qv, qcap)
+            out = series_mul(out, base, target, nv)
         n >>= 1
         if n:
-            base = series_mul(base, base, target, nv, qv, qcap)
+            base = series_mul(base, base, target, nv)
     return out
 
 
-def inverse_power(unit, p, target, nv, qv, qcap):
-    """V with (sum unit_t v^t)^(-p) = sum V_t v^t / unit_0^(target+p)."""
-    p0 = unit[0]
-    p0_pows = [MultiPoly.const(nv, 1)]
+def unit_power(unit, e, target, nv):
+    """V with U^e = u_0^(e-target) V mod v^(target+1), U = sum unit_t v^t,
+    for any integer e: with R = U - u_0, whose powers R^k, k > target,
+    vanish mod v^(target+1), the binomial sum over k <= target of
+    binom(e, k) u_0^(target-k) R^k."""
+    zero = MultiPoly.zero(nv)
+    unit = unit[:target + 1] + [zero] * (target + 1 - len(unit))
+    rest = [zero] + unit[1:]
+    u0_pows = [MultiPoly.const(nv, 1)]
     for _ in range(target):
-        p0_pows.append(poly_mul(p0_pows[-1], p0, nv, qv, qcap))
-    W = [MultiPoly.const(nv, 1)]
-    for t in range(1, target + 1):
-        acc = MultiPoly.zero(nv)
-        for j in range(1, min(t, len(unit) - 1) + 1):
-            term = poly_mul(unit[j], W[t - j], nv, qv, qcap)
-            if j > 1:
-                term = poly_mul(term, p0_pows[j - 1], nv, qv, qcap)
-            acc = acc + term
-        W.append(-acc)
-    S = series_pow(W, p, target, nv, qv, qcap)
-    return [poly_mul(S[t], p0_pows[target - t], nv, qv, qcap) for t in range(target + 1)]
+        u0_pows.append(u0_pows[-1].mul(unit[0]))
+    out = [zero] * (target + 1)
+    rest_pow = [MultiPoly.const(nv, 1)] + [zero] * target
+    for k in range(target + 1):
+        binom = prod(range(e - k + 1, e + 1)) // factorial(k)
+        out = [x + y.mul(u0_pows[target - k]) * binom for x, y in zip(out, rest_pow)]
+        rest_pow = series_mul(rest_pow, rest, target, nv)
+    return out
 
 
 def subst_shift(poly, var, a):

@@ -253,6 +253,27 @@ class TestCliProcess:
         assert capsys.readouterr().out == plain
         assert counts == {"validate": 2}
 
+    def test_s_check_reuses_the_localized_flags(self, capsys, monkeypatch):
+        # s enters only the additive residues: the s = 2 rerun reuses the
+        # first run's (flag, localization) pairs, and only the reseeded
+        # check localizes again
+        cfg = os.path.join(CONFIG_DIR, "framed-a3-n1-r1.cfg")
+        counts = Counter()
+        for owner, name in ((invariants.arrangement, "enumerate_flags"),
+                            (invariants.engine, "localize")):
+            def counting(*args, real=getattr(owner, name), name=name, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        assert cli.run([cfg, "--q-order", "1", "--emit", "json"]) == 0
+        plain, once = capsys.readouterr().out, dict(counts)
+        counts.clear()
+        assert cli.run([cfg, "--q-order", "1", "--emit", "json", "--cross-check"]) == 0
+        assert capsys.readouterr().out == plain
+        assert once["enumerate_flags"] > 0 and once["localize"] > 0
+        assert counts == {name: 2 * n for name, n in once.items()}
+
     def test_degree_override(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("mode raw\nrank 1\ndegree 1\nxi [1]\nweight [1] 1 1\nweight [1] 0 1\n")

@@ -504,6 +504,59 @@ def test_screen_bounds_the_pole_order_of_rank2_integrands(monkeypatch):
         assert flag_residue_multiplicative(local, flag, sine, 1).is_zero(), local
 
 
+def _affine_series(a, b, e, n):
+    """The first n coefficients of (a + b z)^e, a != 0, over Q."""
+    out, c = [], Fraction(a) ** e
+    for k in range(n):
+        out.append(c)
+        c = c * (e - k) / (k + 1) * b / a
+    return out
+
+
+def _step(factors, z1=5):
+    """One additive residue step at z0 = 0 on the (c, b, d, e) factors
+    (c + b z0 + d z1)^e of hot numerator 1: the new term, its value at z1
+    and the residue computed over Q at z1, from the pole order of the
+    factors with c = d = 0."""
+    carry, coeff = {}, Fraction(1)
+    for c, b, d, e in factors:
+        coeff *= engine._merge_factor(carry, MultiPoly.affine(2, [b, d], c), e)
+    term = engine._residue_step(engine._Term(coeff, MultiPoly.const(2, 1), carry), 0, 0, 1)
+    order = -sum(e for c, b, d, e in factors if not c and not d)
+    want = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for c, b, d, e in factors:
+        if c or d:
+            f = _affine_series(c + d * z1, b, e, order)
+            want = [sum(want[i] * f[t - i] for i in range(t + 1)) for t in range(order)]
+        else:
+            want = [x * Fraction(b) ** e for x in want]
+
+    def at(poly):
+        return sum(c * z1 ** k[1] for k, c in poly.terms.items())
+
+    got = term.coeff * at(term.hot)
+    for poly, e in term.factors.values():
+        got *= Fraction(at(poly)) ** e
+    return term, got, want[-1]
+
+
+def test_residue_step_carries_powers_from_the_target_up():
+    # 1 / z0^3 at target 2: the numerator power below the target is expanded,
+    # the one at e = 4 carried as (2 + 3 z1)^2, the denominator as (1 + z1)^-3
+    term, got, want = _step([(0, 1, 0, -3), (1, 1, 1, 1), (2, 1, 3, 4), (1, -1, 1, -1)])
+    assert got == want != 0
+    assert sorted(e for _, e in term.factors.values()) == [-3, 2]
+
+
+def test_a_target_zero_step_multiplies_nothing(monkeypatch):
+    # a simple pole: every other factor is carried whole, with no series product
+    monkeypatch.setattr(engine, "_expand", None)
+    term, got, want = _step([(0, 2, 0, -1), (1, 1, 1, 1), (2, 1, 3, 4), (1, -1, 2, -1)])
+    assert got == want != 0
+    assert sorted(e for _, e in term.factors.values()) == [-1, 1, 4]
+    assert term.hot == MultiPoly.const(2, 1)
+
+
 def _deck(workload, seed):
     """The problems of a `perfbench` deck, generated as the benchmark does."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

@@ -459,9 +459,9 @@ def test_ell_of_cy3_complete_intersections_is_the_weak_jacobi_form(n, degrees):
         assert got == expected, (n, degrees, w)
 
 
-def test_packed_products_of_the_quintic_elliptic_genus(monkeypatch):
-    # a count of the packed group-pair products bounds the residue core's
-    # work without a clock
+def packed_pairs(monkeypatch, problem, **kwargs):
+    """The packed group-pair products of one `compute`: a count that bounds
+    the residue core's work without a clock."""
     pairs = []
     mul_into = Kronecker.mul_into
 
@@ -470,8 +470,18 @@ def test_packed_products_of_the_quintic_elliptic_genus(monkeypatch):
         return mul_into(self, dst, a, b)
 
     monkeypatch.setattr(Kronecker, "mul_into", counting)
-    compute(builders.projective_bundle(4, (5,)), kind="theta", q_order=3)
-    assert sum(pairs) <= 247
+    compute(problem, **kwargs)
+    return sum(pairs)
+
+
+def test_packed_products_of_the_quintic_elliptic_genus(monkeypatch):
+    assert packed_pairs(monkeypatch, builders.projective_bundle(4, (5,)),
+                        kind="theta", q_order=3) <= 165
+
+
+def test_packed_products_of_a_length_3_quiver_dt(monkeypatch):
+    assert packed_pairs(monkeypatch, builders.framed_a3_problem(3, 1, (1, 1, 1)),
+                        kind="additive") <= 1650
 
 
 def test_dt_rationality_reported_not_enforced():

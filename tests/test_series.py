@@ -1,9 +1,10 @@
 """Packed series arithmetic of the residue core against the dict reference
 in `series_reference.py`.
 
-Series are lists of polynomials in (S, w, q); w is the packed variable and q
-the truncated one, as in the multiplicative residue steps.  The layout of
-each product is built as `engine._expand` builds it, from `_norm_bound`.
+Series are lists of polynomials in (S, w, q); w is the packed variable, as
+in the multiplicative residue steps, and the groups are keyed by the S and q
+exponents.  The layout of each product is built as `engine._expand` builds
+it, from `_norm_bound`.
 """
 
 import random
@@ -17,7 +18,8 @@ from jkcalc.engine import NonGenericResidueError
 from jkcalc.kronecker import Kronecker
 from jkcalc.polyarith import MultiPoly
 
-NV, PV, QV = 3, 1, 2
+NV, PV = 3, 1
+ONE = [MultiPoly.const(NV, 1)]
 
 
 def random_poly(rng, *, big=False, drift=0, offset=3, q_max=0, stride=2, terms=6):
@@ -38,7 +40,7 @@ CASES = {
     "above-2^64": {"big": True},
     "s-drift": {"drift": 5, "offset": 7},
     "odd-stride": {"stride": 3, "offset": 1},
-    "q-truncated": {"q_max": 2},
+    "q-groups": {"q_max": 2},
 }
 
 
@@ -47,33 +49,27 @@ def random_series(rng, length, shape, empty=0.25):
             for t in range(length)]
 
 
-def layout(series, factors, target, qcap):
+def layout(series, factors, target):
     bound = max(engine._norm_bound(series, factors, target))
-    polys = series + [p for unit, _ in factors for p in unit]
-    return Kronecker(NV, PV, bound, polys, None if qcap is None else QV, qcap)
+    polys = series + [p for unit, _, _ in factors for p in unit]
+    return Kronecker(NV, PV, bound, polys)
 
 
 def packed(kr, series, target):
     return [kr.pack(p) for p in series[:target + 1]] + [{}] * (target + 1 - len(series))
 
 
-def qcap_of(shape):
-    """Inputs are truncated at the cap, as the residue steps keep them."""
-    return shape.get("q_max")
-
-
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", CASES)
 def test_series_mul_matches_reference(name, seed):
     rng = random.Random(f"{name}-{seed}")
-    shape, qcap = CASES[name], qcap_of(CASES[name])
+    shape = CASES[name]
     for target in range(4):
         a = random_series(rng, rng.randint(1, target + 2), shape)
         b = random_series(rng, rng.randint(1, target + 2), shape)
-        kr = layout(a, [(b, 1)], target, qcap)
+        kr = layout(a, [(b, 1, False)], target)
         got = engine._series_mul(packed(kr, a, target), packed(kr, b, target), target, kr)
-        want = ref.series_mul(ref_pad(a, target), ref_pad(b, target), target, NV,
-                              None if qcap is None else QV, qcap)
+        want = ref.series_mul(ref_pad(a, target), ref_pad(b, target), target, NV)
         assert [kr.unpack(c) for c in got] == want
 
 
@@ -85,14 +81,14 @@ def test_cancelling_products_leave_no_terms():
     rng = random.Random(5)
     p, q = random_poly(rng, drift=2), random_poly(rng, big=True)
     a, b = [p, p], [q, -q]    # the v^1 coefficient is p q - p q
-    kr = layout(a, [(b, 1)], 1, None)
+    kr = layout(a, [(b, 1, False)], 1)
     got = engine._series_mul(packed(kr, a, 1), packed(kr, b, 1), 1, kr)
     assert got[1] == {}
     assert kr.unpack(got[0]) == p.mul(q)
     # (w^3 - 1)(w^3 + 1): the middle slots cancel inside one group
     w3 = MultiPoly.monomial(NV, (0, 3, 0))
     c = [w3 - 1]
-    kr = layout(c, [([w3 + 1], 1)], 0, None)
+    kr = layout(c, [([w3 + 1], 1, False)], 0)
     [got] = engine._series_mul(packed(kr, c, 0), packed(kr, [w3 + 1], 0), 0, kr)
     assert kr.unpack(got) == w3.mul(w3) - 1
 
@@ -101,7 +97,7 @@ def test_positive_products_need_the_sign_bit():
     # the product 5 * 7 w^2 is its own L1 bound; read without the sign bit it
     # would come back negative
     a, b = [MultiPoly.monomial(NV, (0, 1, 0), 5)], [MultiPoly.monomial(NV, (0, 1, 0), 7)]
-    kr = layout(a, [(b, 1)], 0, None)
+    kr = layout(a, [(b, 1, False)], 0)
     [got] = engine._series_mul(packed(kr, a, 0), packed(kr, b, 0), 0, kr)
     assert kr.unpack(got) == MultiPoly.monomial(NV, (0, 2, 0), 35)
 
@@ -110,59 +106,100 @@ def test_positive_products_need_the_sign_bit():
 @pytest.mark.parametrize("name", CASES)
 def test_series_pow_matches_reference(name, n):
     rng = random.Random(f"pow-{name}-{n}")
-    shape, qcap = CASES[name], qcap_of(CASES[name])
-    one = [MultiPoly.const(NV, 1)]
+    shape = CASES[name]
     for target in range(4):
         a = ref_pad(random_series(rng, target + 1, shape), target)
-        kr = layout(one, [(a, n)], target, qcap)
+        kr = layout(ONE, [(a, n, False)], target)
         got = engine._series_pow(packed(kr, a, target), n, target, kr)
-        want = ref.series_pow(a, n, target, NV, None if qcap is None else QV, qcap)
+        want = ref.series_pow(a, n, target, NV)
         assert [kr.unpack(c) for c in got] == want
 
 
 def unit_series(rng, target, shape):
-    """A series whose constant term has a term free of q."""
+    """A series whose constant term is nonzero."""
     series = ref_pad(random_series(rng, target + 1, shape), target)
     series[0] = series[0] + MultiPoly.monomial(NV, (rng.randint(0, 3), 4, 0), rng.choice((-3, 2)))
     return series
+
+
+def carried(e, target):
+    """The residue step's rule: which powers `_expand` reads through
+    `_unit_power`, the caller carrying u_0^(e-target)."""
+    return e < 0 or e >= target
 
 
 @pytest.mark.parametrize("p", (1, 2, 4))
 @pytest.mark.parametrize("name", CASES)
 def test_inverse_power_matches_reference(name, p):
     rng = random.Random(f"inv-{name}-{p}")
-    shape, qcap = CASES[name], qcap_of(CASES[name])
-    one = [MultiPoly.const(NV, 1)]
+    shape = CASES[name]
     for target in range(5):
         unit = unit_series(rng, target, shape)
-        kr = layout(one, [(unit, -p)], target, qcap)
-        got = engine._inverse_power(packed(kr, unit, target), p, target, kr)
-        want = ref.inverse_power(unit, p, target, NV, None if qcap is None else QV, qcap)
-        assert [kr.unpack(c) for c in got] == want
+        kr = layout(ONE, [(unit, -p, True)], target)
+        got = engine._unit_power(packed(kr, unit, target), -p, target, kr)
+        assert [kr.unpack(c) for c in got] == ref.unit_power(unit, -p, target, NV)
 
 
 def test_inverse_power_rejects_a_non_unit():
-    unit = [MultiPoly.monomial(NV, (0, 1, 1)), MultiPoly.const(NV, 1)]
-    kr = layout([MultiPoly.const(NV, 1)], [(unit, -1)], 1, 3)
-    with pytest.raises(NonGenericResidueError):
-        engine._inverse_power(packed(kr, unit, 1), 1, 1, kr)
+    unit = [MultiPoly.zero(NV), MultiPoly.const(NV, 1)]
+    for e in (-1, 2):
+        kr = layout(ONE, [(unit, e, True)], 1)
+        with pytest.raises(NonGenericResidueError):
+            engine._unit_power(packed(kr, unit, 1), e, 1, kr)
+
+
+def monomial_unit(rng, target):
+    """A unit of single-term coefficients: its `_norm_bound` is attained."""
+    return [MultiPoly.monomial(NV, (rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 1)),
+                               rng.choice((-1, 1)) * rng.randint(1, 2**40))
+            for _ in range(target + 1)]
+
+
+UNIT_SHAPES = {
+    "affine": lambda rng, target: monomial_unit(rng, 1)[:target + 1],
+    "dense": lambda rng, target: unit_series(rng, target, {"big": rng.random() < 0.5, "terms": 3}),
+    "dense-monomial": monomial_unit,
+}
+
+
+@pytest.mark.parametrize("target", range(6))
+@pytest.mark.parametrize("shape", UNIT_SHAPES)
+def test_unit_power_matches_reference(shape, target):
+    rng = random.Random(f"unit-{shape}-{target}")
+    for e in (*range(-4, 0), *range(1, target + 4)):
+        unit = UNIT_SHAPES[shape](rng, target)
+        kr = layout(ONE, [(unit, e, True)], target)
+        V = [kr.unpack(c) for c in engine._unit_power(packed(kr, unit, target), e, target, kr)]
+        assert V == ref.unit_power(unit, e, target, NV), (e, unit)
+        # V u_0^(e-target) = U^e mod v^(target+1), with every power nonnegative:
+        # V U^a u_0^max(e-target, 0) = U^(e+a) u_0^max(target-e, 0), a = max(-e, 0)
+        U, u0 = ref_pad(unit, target), ref_pad(unit[:1], target)
+        a = max(-e, 0)
+        lhs = ref.series_mul(V, ref.series_pow(U, a, target, NV), target, NV)
+        lhs = ref.series_mul(lhs, ref.series_pow(u0, max(e - target, 0), target, NV), target, NV)
+        rhs = ref.series_mul(ref.series_pow(U, e + a, target, NV),
+                             ref.series_pow(u0, max(target - e, 0), target, NV), target, NV)
+        assert lhs == rhs, (e, unit)
+        # `_expand` reads the power in full below the target, else as V
+        want = V if carried(e, target) else ref.series_pow(U, e, target, NV)
+        assert engine._expand(ONE, [(unit, e, carried(e, target))], target, PV) == want
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_expand_matches_the_reference_chain(name):
     rng = random.Random(f"expand-{name}")
-    shape, qcap = CASES[name], qcap_of(CASES[name])
-    qv = None if qcap is None else QV
+    shape = CASES[name]
     for target in range(4):
         series = random_series(rng, target + 1, shape)
         factors = [(unit_series(rng, target, shape), e) for e in (2, -1, -2)]
+        factors = [(unit, e, carried(e, target)) for unit, e in factors]
         want = ref_pad(series, target)
-        for unit, e in factors:
-            fser = ref.series_pow(unit, e, target, NV, qv, qcap) if e > 0 else \
-                ref.inverse_power(unit, -e, target, NV, qv, qcap)
-            want = ref.series_mul(want, fser, target, NV, qv, qcap)
-        assert engine._expand(series, factors, target, PV, qv, qcap) == want
-        assert engine._expand(series, factors, target, PV, qv, qcap, target) == want[target:]
+        for unit, e, carry in factors:
+            fser = ref.unit_power(unit, e, target, NV) if carry else \
+                ref.series_pow(unit, e, target, NV)
+            want = ref.series_mul(want, fser, target, NV)
+        assert engine._expand(series, factors, target, PV) == want
+        assert engine._expand(series, factors, target, PV, target) == want[target:]
 
 
 def test_norm_bound_covers_every_rescaled_coefficient():
@@ -170,7 +207,7 @@ def test_norm_bound_covers_every_rescaled_coefficient():
     # 1000^2 + 1 is read back only if the bound scales V_0 by p0 before the
     # product with the series
     c = [MultiPoly.const(NV, x) for x in (-1, 1000, 1000, 1)]
-    [got] = engine._expand(c[:2], [(c[2:], -1)], 1, PV, None, None, 1)
+    [got] = engine._expand(c[:2], [(c[2:], -1, True)], 1, PV, 1)
     assert got == MultiPoly.const(NV, 1000 ** 2 + 1)
 
 
@@ -179,7 +216,7 @@ def test_groups_whose_slots_do_not_line_up_stay_apart():
     # of opposite parity, which no shift by whole slots can align
     a = [MultiPoly(NV, {(0, 0, 0): 1, (1, 1, 0): 1})]
     b = [MultiPoly(NV, {(0, 0, 0): 1, (0, 2, 0): 1, (1, 0, 0): 1})]
-    kr = layout(a, [(b, 1)], 0, None)
+    kr = layout(a, [(b, 1, False)], 0)
     assert kr.stride == 2
     [got] = engine._series_mul(packed(kr, a, 0), packed(kr, b, 0), 0, kr)
     assert kr.unpack(got) == a[0].mul(b[0])
