@@ -6,6 +6,11 @@ parameter, its symbolic lexicographic perturbation (a signed order of the
 coordinates, which breaks every tie of the flag-stability test), the integer
 lattice spanned by the weights, and enumeration of proper stable flags with
 their lattice normalization factors.
+
+The work follows the distinct covectors, grouped by line (`_line`), and the
+stable points, not the combinations of hyperplanes: one inverse and one
+coordinate solve per `rank`-set of lines, and flags in closed form or by a
+top-down search that cuts a chain at its first unstable level.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
-from .linalg import is_zero_vec, primitive
+from .linalg import is_zero_vec
 
 
 class PerturbationError(Exception):
@@ -70,36 +75,53 @@ class Perturbation:
     seed: int
 
 
-def _dedup_hyperplane_forms(forms):
-    """Map distinct hyperplanes to a representative form index list: (rho,
-    const) scaled to a primitive integer vector with rho's first nonzero entry
-    positive is the same for every form of one hyperplane."""
-    seen = {}
-    for i, f in enumerate(forms):
-        if f.is_hyperplane():
-            seen.setdefault(primitive(f.rho + (f.const,)), i)
-    return list(seen.values())
+def _line(rho):
+    """(p, m) with rho = m p for a nonzero integer covector rho: p spans
+    rho's line, primitive with its first nonzero entry positive, as
+    `linalg.primitive` scales it, and m is a nonzero integer."""
+    m = gcd(*rho)
+    if next(filter(None, rho)) < 0:
+        m = -m
+    return tuple(x // m for x in rho), m
 
 
 def isolated_intersections(forms, rank: int) -> list[IntersectionPoint]:
     """All points where `rank` independent hyperplanes of the arrangement meet.
 
-    Zero-covector forms never define hyperplanes and are skipped for the
-    enumeration; activity sets are recomputed against the full indexed list.
+    The hyperplanes are grouped by line: the form m p.u + const, rho = m p
+    (`_line`), vanishes on the hyperplane p.u = -const/m, one of the parallel
+    hyperplanes of line p.  One integer `linalg.inverse` (R, d) per
+    independent `rank`-set of lines gives the point of every choice of one
+    hyperplane per line, R t / d for t the chosen values -const/m, by one
+    integer mat-vec.  Zero-covector forms never define hyperplanes and are
+    skipped for the enumeration; activity sets are recomputed against the
+    full indexed list.  The points come in increasing order.
     """
     forms = list(forms)
     if rank == 0:
         return [_build_point((), forms)]
-    reps = _dedup_hyperplane_forms(forms)
-    points = {}
-    for combo in itertools.combinations(reps, rank):
-        mat = [forms[i].rho for i in combo]
-        rhs = [-forms[i].const for i in combo]
-        sol = linalg.solve(mat, rhs)
-        if sol is not None:
-            ints, d = linalg.cleared(sol)
-            points.setdefault((tuple(ints), d), sol)
-    return [_build_point(p, forms) for p in sorted(points.values())]
+    lines = {}   # p -> {(num, den) of -const/m, den > 0: None}
+    for f in forms:
+        if f.is_hyperplane():
+            p, m = _line(f.rho)
+            g = gcd(f.const, m) if m > 0 else -gcd(f.const, m)
+            lines.setdefault(p, {})[-f.const // g, m // g] = None
+    points = set()
+    for combo in itertools.combinations(lines, rank):
+        inv = linalg.inverse(combo)
+        if inv is None:
+            continue
+        rows, d = inv
+        for values in itertools.product(*(lines[p] for p in combo)):
+            den = lcm(*(v for _, v in values))
+            t = [n * (den // v) for n, v in values]
+            ints = [sum(map(mul, row, t)) for row in rows]
+            den *= d
+            g = gcd(den, *ints)
+            points.add((tuple(x // g for x in ints), den // g))
+    scale = lcm(*(d for _, d in points))
+    return [_build_point(tuple(Fraction(x, d) for x in ints), forms)
+            for ints, d in sorted(points, key=lambda p: [x * (scale // p[1]) for x in p[0]])]
 
 
 def _build_point(point, forms):
@@ -109,21 +131,9 @@ def _build_point(point, forms):
     rho.P + const*d == 0.
     """
     ints, d = linalg.cleared(point)
-    active = []
-    for i, f in enumerate(forms):
-        if sum(map(mul, f.rho, ints)) + f.const * d == 0:
-            active.append(i)
-    active = tuple(active)
-    weights = []
-    seen = set()
-    for i in active:
-        rho = forms[i].rho
-        if is_zero_vec(rho):
-            continue
-        if rho not in seen:
-            seen.add(rho)
-            weights.append(rho)
-    return IntersectionPoint(tuple(point), active, tuple(weights))
+    active = [i for i, f in enumerate(forms) if sum(map(mul, f.rho, ints)) + f.const * d == 0]
+    weights = dict.fromkeys(forms[i].rho for i in active if forms[i].is_hyperplane())
+    return IntersectionPoint(tuple(point), tuple(active), tuple(weights))
 
 
 def cone_membership(xi, gens, strict: bool = False):
@@ -155,36 +165,70 @@ def cone_membership(xi, gens, strict: bool = False):
     return False, None
 
 
-def _in_basis_cone(xi, weights, size) -> bool:
-    """xi is a strictly positive combination of `size` independent weights."""
-    return any(cone_membership(xi, gens, strict=True)[0]
-               for gens in itertools.combinations(weights, size))
+def _cone_signs(weights, xi):
+    """(signed, signs): `signed` maps each distinct nonzero weight m p
+    (`_line`) to (p, the sign of m), and `signs` each `len(xi)`-set of lines,
+    a sorted tuple, to the signs (+1, 0, -1) of xi's coordinates in it, or
+    to None where the lines are dependent.  xi is strictly inside the cone
+    of independent weights S exactly when, in a basis of lines holding S's,
+    xi's coordinates are 0 off S's lines and of S's multipliers' signs on
+    them."""
+    signed = {}
+    for w in map(tuple, weights):
+        if w not in signed and not is_zero_vec(w):
+            p, m = _line(w)
+            signed[w] = p, 1 if m > 0 else -1
+    signs = {}
+    for basis in itertools.combinations(sorted({p for p, _ in signed.values()}), len(xi)):
+        coords = linalg.solve_coords(basis, xi)
+        signs[basis] = None if coords is None else tuple((c > 0) - (c < 0) for c in coords)
+    return signed, signs
+
+
+def _regular(signed, signs) -> bool:
+    """Some basis of lines has xi's coordinates each of a weight's sign, and
+    none has them each 0 or of a weight's sign with a 0 among them: every
+    independent set of fewer weights extends to such a basis."""
+    present = set(signed.values())
+    in_cone = False
+    for basis, s in signs.items():
+        if s is not None and all(c == 0 or (p, c) in present for p, c in zip(basis, s)):
+            if 0 in s:
+                return False
+            in_cone = True
+    return in_cone
 
 
 def regular_stability_check(weights, xi) -> bool:
     """xi lies in the weight cone but on no cone of rank-1-fewer weights: by
     Caratheodory, the smallest independent set of weights with xi strictly
-    inside its cone has `rank` elements."""
-    weights = list(dict.fromkeys(tuple(w) for w in weights if not is_zero_vec(w)))
-    dim = len(xi)
-    if dim == 0:
-        return True
-    if is_zero_vec(xi):
-        return False
-    if any(_in_basis_cone(xi, weights, size) for size in range(1, dim)):
-        return False
-    return _in_basis_cone(xi, weights, dim)
+    inside its cone has `rank` elements.  Decided per basis of lines
+    (`_cone_signs`)."""
+    return _regular(*_cone_signs(weights, xi))
 
 
 def intersections(forms, rank, xi):
     """(isolated intersections, the stable ones) for a regular xi, which lies on
     no cone of fewer than `rank` weights: a point is stable when xi lies in the
-    strict cone of `rank` independent active weights."""
-    weights = [f.rho for f in forms if f.is_hyperplane()]
-    if not regular_stability_check(weights, xi):
+    strict cone of `rank` independent active weights.
+
+    xi's coordinates are solved for once per basis of lines (`_cone_signs`),
+    for the regularity test and every point alike: a point is stable when a
+    basis of its active lines has each coordinate of the sign of an active
+    weight on that line.
+    """
+    signed, signs = _cone_signs([f.rho for f in forms], xi)
+    if not _regular(signed, signs):
         raise PerturbationError("stability covector is not regular for these weights")
+
+    def stable(pt):
+        at = {signed[w] for w in pt.active_weights}
+        return any(signs[basis] is not None
+                   and all((p, c) in at for p, c in zip(basis, signs[basis]))
+                   for basis in itertools.combinations(sorted({p for p, _ in at}), rank))
+
     points = isolated_intersections(forms, rank)
-    return points, [pt for pt in points if _in_basis_cone(xi, pt.active_weights, rank)]
+    return points, [pt for pt in points if stable(pt)]
 
 
 def verify_perturbation(xi, order, seed=-1) -> Perturbation:
@@ -233,68 +277,120 @@ def kappa_determinant(kappa, basis) -> Fraction:
     return linalg.det(kappa) / prod(row[i] for i, row in enumerate(basis))
 
 
+def _simplicial_flags(weights, xi, basis, order) -> list[Flag]:
+    """`enumerate_flags` at a point with exactly `rank` distinct active
+    weights, in closed form.
+
+    A chain takes the weights one by one, in some order sigma, and kappa_i
+    is the sum of the first i.  With a the coordinates of xi_tilde in the
+    weights, xi_tilde = sum_i c_i kappa_i for c_i = a_sigma(i) -
+    a_sigma(i+1) (a_sigma(k+1) = 0), so the one stable order, if any, sorts
+    a decreasing, and it is kept when its last coordinate is positive.  The
+    coordinates of xi and of e_j are xi.inv and row j of inv, the inverse of
+    the weights; a coordinate of xi_tilde is compared as its vector of eps
+    coefficients (xi.inv[:, i], s_1 inv[j_1][i], s_2 inv[j_2][i], ...),
+    lexicographically, which no two coordinates share as inv is invertible.
+    """
+    inv = linalg.inverse(weights)
+    if inv is None:
+        return []
+    rows, _ = inv
+    cols = list(zip(*rows))
+    keys = [(linalg.vec_dot(xi, col),) + tuple(s * col[j] for j, s in order) for col in cols]
+    sigma = sorted(range(len(xi)), key=keys.__getitem__, reverse=True)
+    if next(filter(None, keys[sigma[-1]]), 0) <= 0:
+        return []
+    gens = tuple(weights[i] for i in sigma)
+    kappa = tuple(itertools.accumulate(gens, linalg.vec_add))
+    return [Flag(
+        generators=gens,
+        chain=tuple(tuple(linalg.rref(gens[:i])) for i in range(1, len(gens) + 1)),
+        kappa=kappa,
+        lattice_factor=Fraction(1) / abs(kappa_determinant(kappa, basis)),
+    )]
+
+
+def _stable_chains(weights, ws, rows, normals, found, levels=()):
+    """Append to `found` every stable chain of `enumerate_flags` inside F,
+    the span of the weights `ws` (indices into `weights`), bottom up as
+    (weight indices, kappa) per level, `levels` above F.
+
+    `rows` is xi_tilde projected into F, one integer row per power of eps,
+    each scaled by its own positive factor, which keeps the sign of every
+    eps-polynomial n.xi_tilde.  `normals` are the chosen normals above F,
+    so that n orthogonal to them and to dim F - 1 weights of F is, inside F,
+    the normal of the subspace G they span; G ranges over each such subspace
+    once.  As kappa_j lies in G for j < i = dim F, n.xi_tilde = c_i n.kappa_i
+    for kappa_i the sum of `ws`: G is F_(i-1) of a stable chain only if c_i
+    > 0 (n.kappa_i = 0 makes kappa dependent), and then xi_tilde - c_i kappa_i,
+    in G, must be inside the cone of kappa_1, ..., kappa_(i-1).
+    """
+    dim = len(rows[0])
+    i = dim - len(normals)
+    kappa = reduce(linalg.vec_add, (weights[w] for w in ws))
+    levels = ((ws, kappa),) + levels
+    seen = []
+    for sub in itertools.combinations(ws, i - 1):
+        if any(g.issuperset(sub) for g in seen):
+            continue
+        n = linalg.hyperplane_normal([weights[w] for w in sub] + normals, dim)
+        if n is None:
+            continue
+        inside = tuple(w for w in ws if linalg.vec_dot(n, weights[w]) == 0)
+        seen.append(set(inside))
+        a = linalg.vec_dot(n, kappa)
+        nx = [linalg.vec_dot(n, row) for row in rows]
+        if a * next(filter(None, nx), 0) <= 0:
+            continue
+        if i == 1:
+            found.append(levels)
+            continue
+        sign = 1 if a > 0 else -1
+        rest = [[abs(a) * x - sign * v * k for x, k in zip(row, kappa)]
+                for row, v in zip(rows, nx)]
+        _stable_chains(weights, inside, rest, normals + [n], found, levels)
+
+
 def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
     """All proper stable flags generated by the active weights at one point,
     for the perturbation of xi by the signed order `order` (see Perturbation).
 
-    Chains F_1 < ... < F_k grow as a prefix tree, level by level in
-    lexicographic order of the generator tuples; each chain keeps the first
-    tuple that reaches it.  A subspace F is grown once: one `rref(F + w)` per
-    weight w not already known to lie in F either enlarges F or shows that w
-    lies in it, which gives the children of F and kappa(F), the sum of the
-    distinct active weights inside F.  F_k is the whole space, so kappa_k is
-    the sum of all of them.  Subspaces are keyed by their integer `rref`
-    rows, and the flags come in the order of their chains' reduced row
-    echelon forms, each row divided by its pivot: the rows are compared
-    scaled to a common pivot.  A flag is kept when kappa is a basis and
-    xi_tilde has strictly positive coordinates in it (Szenes and Vergne,
-    Invent. Math. 158, 2004).  They are c + sum_t eps^t s_t inv[j_t], with c
-    the coordinates of xi and inv[j], row j of kappa's inverse, those of e_j.
-    So where c_i = 0 the sign is that of the first nonzero s_t inv[j_t][i],
-    which exists since inv is invertible; `linalg.inverse` scales inv by a
-    positive denominator, which keeps every sign.
+    A flag F_1 < ... < F_k of subspaces spanned by active weights, with
+    kappa_i the sum of the distinct active weights inside F_i, is kept when
+    kappa is a basis and xi_tilde has strictly positive coordinates in it
+    (Szenes and Vergne, Invent. Math. 158, 2004).  At a point with exactly k
+    distinct weights the one candidate is found in closed form
+    (`_simplicial_flags`).  Elsewhere the chains are searched top down
+    (`_stable_chains`): each F_(i-1) is a hyperplane of F_i spanned by
+    weights, with xi_tilde's coordinate on kappa_i positive, so a wrong chain
+    is cut at its first wrong level.  The signs are exact: xi_tilde is kept
+    as its eps-coefficients, xi and s_t e_jt, which no hyperplane normal
+    annihilates together.  Each chain's generators are its first tuple in
+    lexicographic order of the weights, the first weight of each F_i outside
+    F_(i-1), and its subspaces are their `rref` rows.  The flags come in the
+    order of their chains' reduced row echelon forms, each row divided by its
+    pivot: the rows are compared scaled to a common pivot.
     """
     weights = list(dict.fromkeys(tuple(w) for w in active_weights))
     dim = len(xi)
     if dim == 0:
         return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
-    zero = (0,) * dim
-    children = {}   # subspace -> [(weight index, larger subspace)]
-    kappas = {}     # subspace -> sum of the weights inside it
-    chains = {(): ()}   # chain prefix -> generator indices of its first tuple
-    for _ in range(dim):
-        longer = {}
-        for chain, gens in chains.items():
-            sub = chain[-1] if chain else ()
-            if sub not in children:
-                children[sub] = []
-                kappas[sub] = reduce(linalg.vec_add, (weights[i] for i in gens), zero)
-                for i, w in enumerate(weights):
-                    if i not in gens:
-                        bigger = tuple(linalg.rref(sub + (w,)))
-                        if len(bigger) > len(sub):
-                            children[sub].append((i, bigger))
-                        else:
-                            kappas[sub] = linalg.vec_add(kappas[sub], w)
-            for i, bigger in children[sub]:
-                longer.setdefault(chain + (bigger,), gens + (i,))
-        chains = longer
-    everything = reduce(linalg.vec_add, weights, zero)
+    if len(weights) == dim:
+        return _simplicial_flags(weights, xi, basis, order)
+    found = []
+    rows = [linalg.cleared(xi)[0]] + [[s * (i == j) for i in range(dim)] for j, s in order]
+    _stable_chains(weights, tuple(range(len(weights))), rows, [], found)
     flags = []
-    for chain, gens in chains.items():
-        kappa = [kappas[sub] for sub in chain[:-1]] + [everything]
-        coords = linalg.solve_coords(kappa, xi)
-        if coords is None or any(c < 0 for c in coords):
-            continue  # kappa is dependent (the flag is not proper), or unstable
-        if 0 in coords:
-            inv, _ = linalg.inverse(kappa)
-            if any(next(s * inv[j][i] for j, s in order if inv[j][i]) < 0
-                   for i, c in enumerate(coords) if c == 0):
-                continue
+    for levels in found:
+        gens, below = [], set()
+        for ws, _ in levels:
+            gens.append(weights[min(set(ws) - below)])
+            below = set(ws)
+        kappa = tuple(k for _, k in levels)
         flags.append(Flag(
-            generators=tuple(weights[i] for i in gens),
-            chain=chain,
-            kappa=tuple(kappa),
+            generators=tuple(gens),
+            chain=tuple(tuple(linalg.rref(gens[:i])) for i in range(1, dim + 1)),
+            kappa=kappa,
             lattice_factor=Fraction(1) / abs(kappa_determinant(kappa, basis)),
         ))
     if len(flags) > 1:

@@ -19,10 +19,11 @@ Residues are taken innermost flag coordinate first, the remaining coordinates
 acting as transcendentals.  Intermediate values are kept as one expanded
 "hot" numerator times a dictionary of factored powers, so no denominator is
 ever expanded and no gcd is needed along the way.  One power rule reads a
-factor U^e, U = u_0 + u_1 v + ...: for e < 0 and e >= target a step carries
-u_0^(e-target) factored, numerators too, and multiplies only the series
-V = U^e / u_0^(e-target) (`_unit_power`), so a target-0 step multiplies
-nothing; a power 0 < e < target is expanded in full (`_series_pow`).  The
+factor U^e, U = u_0 + u_1 v + ...: a unit constant in v, as every unit is at
+target 0, is carried whole as u_0^e and multiplies nothing; otherwise, for
+e < 0 and e >= target a step carries u_0^(e-target) factored, numerators
+too, and multiplies only the series V = U^e / u_0^(e-target)
+(`_unit_power`); a power 0 < e < target is expanded in full (`_series_pow`).  The
 multiplicative kinds take residues at S_j = 1; the per-step Jacobian
 constants cancel exactly against the 2i / pi*hbar bookkeeping, enforced by a
 counting assertion on the factor list.  The two kinds share the factors,
@@ -343,8 +344,10 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
     for hv the hot numerator's valuation, so the step reads the hot
     numerator's coefficients j < B, whatever hv is, and a factor's
     j < v + target + 1 (none above its degree are nonzero).  A hot numerator
-    with none nonzero below B gives zero before any series work.  At target
-    0 the power rule carries every factor whole: the residue is hot[hv].
+    with none nonzero below B gives zero before any series work.  A factor
+    whose unit U is a constant (its valuation is its degree, or the target is
+    0) is exactly u_0, so U^e = u_0^e is carried whole and multiplies
+    nothing; with every factor so, the residue is hot[hv + target].
     """
     coeff = term.coeff
     carry: dict = {}
@@ -373,13 +376,16 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
     for p, e, v, deg, head in active:
         end = min(v + target, deg) + 1
         unit = head[v:end]
+        if end == v + 1:
+            coeff *= _merge_factor(carry, unit[0], e)
+            continue
         if end > len(head):
             unit += p.shift_coefficients(var, len(head), end, center)
         carried = e < 0 or e >= target
         if carried:
             coeff *= _merge_factor(carry, unit[0], e - target)
         units.append((unit, e, carried))
-    s = _expand(hot[hv:], units, target, pv, target)[0] if target else hot[hv]
+    s = _expand(hot[hv:], units, target, pv, target)[0] if units else hot[hv + target]
     if s.is_zero():
         return None
     cont, s = s.content_normalize()

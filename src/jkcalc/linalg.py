@@ -5,9 +5,10 @@ matrices are lists of row tuples.  Everything here is dense and desk-scale:
 ranks up to ~6, a few hundred rows.  The arithmetic runs on integers: each
 row is first cleared of denominators (`cleared`), eliminations are
 fraction-free, and the reduced rows stay integer rows.  A Fraction is built
-only for a rational result: each entry that `solve`, `solve_coords` or
-`kernel_line` returns, and the value of `det`.  `inverse` returns integer
-rows over one denominator instead, as its callers read only integers or signs.
+only for a rational result: each entry that `solve` or `solve_coords`
+returns, and the value of `det`.  `inverse` returns integer rows over one
+denominator instead, and `kernel_line` a primitive integer vector, as their
+callers read only integers or signs.
 
 There is one Gauss-Jordan elimination, `_echelon`.  `rank`, `rref`, `solve`,
 `inverse`, `solve_coords`, `in_span` and `kernel_line` each eliminate one
@@ -186,17 +187,19 @@ def solve_coords(vectors, target):
 
 
 def kernel_line(rows):
-    """A vector spanning the kernel of the matrix `rows`, or None unless that
-    kernel is one-dimensional.  The free coordinate is 1."""
+    """A primitive integer vector spanning the kernel of the matrix `rows`,
+    its free coordinate positive, or None unless that kernel is
+    one-dimensional."""
     ncols = len(rows[0])
     ech, pivots = _echelon(rows)
     if len(pivots) != ncols - 1:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
-    out = [Fraction(1)] * ncols
+    scale = lcm(*(row[p] for row, p in zip(ech, pivots)))
+    out = [scale] * ncols
     for row, p in zip(ech, pivots):
-        out[p] = Fraction(-row[free], row[p])
-    return tuple(out)
+        out[p] = -row[free] * (scale // row[p])
+    return tuple(_primitive_row(out))
 
 
 def hyperplane_normal(rows, dim):

@@ -1,17 +1,25 @@
 """Arrangement combinatorics: intersections, stability cones, flags, lattices."""
 
+import importlib.util
 import itertools
+import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import flag_reference
+import intersection_reference
 from jkcalc import arrangement as arr
 from jkcalc import builders, linalg
 from jkcalc.arrangement import AffineForm, PerturbationError
+from jkcalc.config import parse_config
 from jkcalc.invariants import compute, make_problem, validate
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 CY3_FORMS = (
     [AffineForm((-1, 0), 0)] * 4
@@ -76,6 +84,105 @@ class TestIsolatedIntersections:
         assert pt.active_indices == tuple(i for i, f in enumerate(forms)
                                           if value_at(f, point) == 0)
         assert pt.active_weights == (forms[0].rho, forms[2].rho, forms[3].rho)
+
+
+def random_forms(rng, rank):
+    """A seeded arrangement whose covectors repeat in every way the line
+    grouping must handle: parallel hyperplanes, opposite covectors, 2w with
+    an odd constant (a point with denominator 2) and zero covectors."""
+    forms = []
+    for _ in range(rng.randint(rank, rank + 2)):
+        w = tuple(rng.randint(-2, 2) for _ in range(rank))
+        c = rng.randint(-2, 2)
+        forms.append(AffineForm(w, c))
+        kind = rng.randrange(5)
+        if kind == 0:
+            forms.append(AffineForm(w, c + rng.randint(1, 2)))
+        elif kind == 1:
+            forms.append(AffineForm(tuple(-x for x in w), rng.randint(-2, 2)))
+        elif kind == 2:
+            forms.append(AffineForm(tuple(2 * x for x in w), 2 * rng.randint(-2, 2) + 1))
+        elif kind == 3:
+            forms.append(AffineForm((0,) * rank, rng.randint(0, 1)))
+    rng.shuffle(forms)
+    return forms
+
+
+class TestIntersectionsAgainstReference:
+    """`isolated_intersections` and `intersections` return what the
+    hyperplane-combination enumeration of `intersection_reference.py`
+    returns: the same points in the same order, with the same active
+    indices and weights, the same stable subset, and the same regularity
+    verdict; with one inverse, and for xi one coordinate solve, per
+    `rank`-set of sign-free lines."""
+
+    def assert_same(self, forms, rank, xi, monkeypatch):
+        calls = Counter()
+        for name in ("inverse", "solve_coords"):
+            count_calls(monkeypatch, calls, name)
+        points = arr.isolated_intersections(forms, rank)
+        inverses = calls["inverse"]
+        try:
+            got = arr.intersections(forms, rank, xi)
+        except PerturbationError:
+            got = None
+        monkeypatch.undo()
+        sets = math.comb(len({linalg.primitive(f.rho) for f in forms if f.is_hyperplane()}), rank)
+        assert inverses == (sets if rank else 0)
+        assert calls["solve_coords"] == sets
+        assert points == intersection_reference.isolated_intersections(forms, rank)
+        weights = [f.rho for f in forms]
+        assert arr.regular_stability_check(weights, xi) == \
+            intersection_reference.regular_stability_check(weights, xi)
+        try:
+            expected = intersection_reference.intersections(forms, rank, xi)
+        except PerturbationError:
+            expected = None
+        assert got == expected
+        return points, got and got[1]
+
+    def test_seeded_arrangements(self, monkeypatch):
+        rng = random.Random(18)
+        seen = Counter()
+        for rank in range(5):
+            for _ in range(24 if rank < 4 else 12):
+                forms = random_forms(rng, rank)
+                xi = tuple(rng.randint(-2, 2) for _ in range(rank))
+                points, stable = self.assert_same(forms, rank, xi, monkeypatch)
+                seen["points"] += len(points)
+                seen["fractional"] += sum(any(x.denominator > 1 for x in pt.point)
+                                          for pt in points)
+                seen["irregular"] += stable is None
+                seen["stable"] += len(stable or ())
+        assert all(seen[key] > 0 for key in ("fractional", "irregular", "stable")), seen
+
+    def test_hand_built_repetitions(self, monkeypatch):
+        # x - y and y - x, two parallels of each, 2x with an odd constant
+        # (the points with x = -1/2), and two zero covectors
+        forms = [AffineForm((1, -1), 1), AffineForm((-1, 1), 1), AffineForm((1, -1), 0),
+                 AffineForm((2, 0), 1), AffineForm((1, 0), 0), AffineForm((0, 1), -1),
+                 AffineForm((0, 0), 0), AffineForm((0, 0), 2), AffineForm((0, 3), 2)]
+        points, stable = self.assert_same(forms, 2, (1, 2), monkeypatch)
+        assert (Fraction(-1, 2), Fraction(1, 2)) in [pt.point for pt in points]
+        assert stable
+
+    @pytest.mark.parametrize("problem", [
+        builders.framed_a3_problem(3, 1, (1, 2, 3)), builders.framed_a3_problem(3, 2, (1, 1, 1)),
+        builders.grassmannian_det(2, 4, 4, degree=1), builders.projective_bundle(4, (5,))],
+        ids=["a3-n3-r1-123", "a3-n3-r2-111", "cy3-g24", "quintic"])
+    def test_problems(self, problem, monkeypatch):
+        self.assert_same(problem.forms(), problem.rank, problem.xi, monkeypatch)
+
+
+def count_calls(monkeypatch, calls, name):
+    """Count the calls of `linalg.<name>` in `calls[name]`."""
+    original = getattr(linalg, name)
+
+    def counting(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(linalg, name, counting)
 
 
 class TestConeMembership:
@@ -334,8 +441,9 @@ class TestFlags:
 
 
 class TestFlagsAgainstReference:
-    """The prefix-tree enumeration returns the flags of the per-tuple
-    reference in `flag_reference.py`, field by field and in the same order;
+    """`enumerate_flags`, in closed form or by its top-down search, returns
+    the flags of the per-tuple reference in `flag_reference.py`, field by
+    field and in the same order;
     the reference solves for the kappa-coordinates of xi and of each signed
     e_j separately and compares them lexicographically."""
 
@@ -365,6 +473,21 @@ class TestFlagsAgainstReference:
             builders.framed_a3_problem(3, 1, (2, 2, 2)), [((0, 1), (1, 1), (2, 1))])
         assert (n_points, kept) == (13, 26)
 
+    def test_quiver_dt_deck_where_the_search_runs(self):
+        # the top-down search, at every point with more than `rank` distinct
+        # active weights, under two seeded orders each
+        points = 0
+        for problem in deck_problems("quiver-dt"):
+            basis = arr.lattice_basis(problem.nonzero_weights())
+            stable = validate(problem, strict_roots=False).stable_points
+            stable = [pt for pt in stable if len(set(pt.active_weights)) > problem.rank]
+            for seed in range(2):
+                order = arr.sum_regular_perturbation(problem.xi, seed=seed).order
+                for pt in stable:
+                    self.assert_same(pt.active_weights, problem.xi, basis, order)
+            points += len(stable)
+        assert points == 63
+
     def test_cy3(self):
         n_points, kept = self.assert_same_at_stable_points(
             builders.grassmannian_det(2, 4, 4, degree=1), [CY3_ORDER, CY3_MIRRORED])
@@ -392,6 +515,71 @@ class TestFlagsAgainstReference:
         # every path is exercised: no flag, one flag, several flags, and a
         # kept flag with a kappa-coordinate of xi that only the order decides
         assert all(outcomes[key] > 0 for key in (0, 1, 2, "tie"))
+
+
+def deck_problems(workload, seed=3):
+    """The problems of a `perfbench` deck, built as `perfbench/run.py` builds
+    them."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return [parse_config(item.text).build_problem() if item.text else item.problem
+            for item in workloads.generate(workload, seed, builders)]
+
+
+class TestSimplicialFlags:
+    """At a point with exactly `rank` distinct active weights, the closed
+    form of `enumerate_flags` keeps the flags of `flag_reference.py`."""
+
+    def assert_same_at_simplicial_points(self, problems):
+        count = 0
+        for problem in problems:
+            basis = arr.lattice_basis(problem.nonzero_weights())
+            points = [pt for pt in validate(problem, strict_roots=False).stable_points
+                      if len(set(pt.active_weights)) == problem.rank]
+            for seed in range(5):
+                order = arr.sum_regular_perturbation(problem.xi, seed=seed).order
+                for pt in points:
+                    assert arr.enumerate_flags(pt.active_weights, problem.xi, basis, order) == \
+                        flag_reference.enumerate_flags(pt.active_weights, problem.xi, basis, order)
+            count += len(points)
+        return count
+
+    def test_quiver_dt_deck(self):
+        assert self.assert_same_at_simplicial_points(deck_problems("quiver-dt")) == 136
+
+    def test_request_mix_deck(self):
+        assert self.assert_same_at_simplicial_points(deck_problems("request-mix")) == 343
+
+    def test_length_4_framed_a3(self):
+        assert self.assert_same_at_simplicial_points([builders.framed_a3_problem(4, 1)]) == 41
+
+    @pytest.mark.parametrize("weights, xi", [
+        ([(1, 0), (0, 1)], (1, 1)),
+        ([(1, 0), (0, 1)], (1, 0)),
+        ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], (2, 2, 2)),
+        ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], (1, 2, 1)),
+        ([(2, -1, 0), (0, 1, 0), (0, 0, -1)], (2, 0, -1)),
+    ], ids=["equal", "zero", "all-equal", "zero-and-equal", "zero-non-unimodular"])
+    def test_ties_are_decided_by_the_signed_order(self, weights, xi):
+        # xi's coordinates in the weights tie, or one is 0: only the signed
+        # order decides, and different orders keep different flags
+        basis = arr.lattice_basis(weights)
+        kept = set()
+        for coords in itertools.permutations(range(len(xi))):
+            for signs in itertools.product((1, -1), repeat=len(xi)):
+                order = tuple(zip(coords, signs))
+                got = arr.enumerate_flags(weights, xi, basis, order)
+                assert got == flag_reference.enumerate_flags(weights, xi, basis, order)
+                kept.add(tuple(f.kappa for f in got))
+        assert len(kept) > 1
+
+    @pytest.mark.parametrize("weights", [[(1, 0), (2, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]])
+    def test_dependent_weights_keep_no_flag(self, weights):
+        dim = len(weights[0])
+        basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        order = tuple((j, 1) for j in range(dim))
+        assert arr.enumerate_flags(weights, (1,) * dim, basis, order) == []
 
 
 class TestProjectivity:
