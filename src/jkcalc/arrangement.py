@@ -8,9 +8,10 @@ lattice spanned by the weights, and enumeration of proper stable flags with
 their lattice normalization factors.
 
 The work follows the distinct covectors, grouped by line (`_line`), and the
-stable points, not the combinations of hyperplanes: one inverse and one
-coordinate solve per `rank`-set of lines, and flags in closed form or by a
-top-down search that cuts a chain at its first unstable level.
+stable points, not the combinations of hyperplanes: one inverse per
+`rank`-set of lines, which gives both the points and the stability
+covector's coordinates, and flags in closed form or by a top-down search
+that cuts a chain at its first unstable level.
 """
 
 from __future__ import annotations
@@ -85,17 +86,26 @@ def _line(rho):
     return tuple(x // m for x in rho), m
 
 
-def isolated_intersections(forms, rank: int) -> list[IntersectionPoint]:
+def _line_inverses(lines, rank):
+    """{each sorted `rank`-set of the lines p: `linalg.inverse` (R, d) of
+    its rows, or None where they are dependent}.  The one elimination per
+    set: the points where the set's hyperplanes meet are R t / d, and xi's
+    coordinates in the set are xi R / d."""
+    return {basis: linalg.inverse(basis) for basis in itertools.combinations(sorted(lines), rank)}
+
+
+def isolated_intersections(forms, rank: int, inverses=None) -> list[IntersectionPoint]:
     """All points where `rank` independent hyperplanes of the arrangement meet.
 
     The hyperplanes are grouped by line: the form m p.u + const, rho = m p
     (`_line`), vanishes on the hyperplane p.u = -const/m, one of the parallel
-    hyperplanes of line p.  One integer `linalg.inverse` (R, d) per
-    independent `rank`-set of lines gives the point of every choice of one
-    hyperplane per line, R t / d for t the chosen values -const/m, by one
-    integer mat-vec.  Zero-covector forms never define hyperplanes and are
-    skipped for the enumeration; activity sets are recomputed against the
-    full indexed list.  The points come in increasing order.
+    hyperplanes of line p.  The inverse (R, d) of each independent
+    `rank`-set of lines (`_line_inverses`, or `inverses` when the caller has
+    it) gives the point of every choice of one hyperplane per line, R t / d
+    for t the chosen values -const/m, by one integer mat-vec.  Zero-covector
+    forms never define hyperplanes and are skipped for the enumeration;
+    activity sets are recomputed against the full indexed list.  The points
+    come in increasing order.
     """
     forms = list(forms)
     if rank == 0:
@@ -106,13 +116,14 @@ def isolated_intersections(forms, rank: int) -> list[IntersectionPoint]:
             p, m = _line(f.rho)
             g = gcd(f.const, m) if m > 0 else -gcd(f.const, m)
             lines.setdefault(p, {})[-f.const // g, m // g] = None
+    if inverses is None:
+        inverses = _line_inverses(lines, rank)
     points = set()
-    for combo in itertools.combinations(lines, rank):
-        inv = linalg.inverse(combo)
+    for basis, inv in inverses.items():
         if inv is None:
             continue
         rows, d = inv
-        for values in itertools.product(*(lines[p] for p in combo)):
+        for values in itertools.product(*(lines[p] for p in basis)):
             den = lcm(*(v for _, v in values))
             t = [n * (den // v) for n, v in values]
             ints = [sum(map(mul, row, t)) for row in rows]
@@ -166,9 +177,10 @@ def cone_membership(xi, gens, strict: bool = False):
 
 
 def _cone_signs(weights, xi):
-    """(signed, signs): `signed` maps each distinct nonzero weight m p
-    (`_line`) to (p, the sign of m), and `signs` each `len(xi)`-set of lines,
-    a sorted tuple, to the signs (+1, 0, -1) of xi's coordinates in it, or
+    """(signed, inverses, signs): `signed` maps each distinct nonzero weight
+    m p (`_line`) to (p, the sign of m), `inverses` is `_line_inverses` of
+    the lines, and `signs` maps each `len(xi)`-set of lines to the signs
+    (+1, 0, -1) of xi's coordinates in it, xi . column i of its inverse, or
     to None where the lines are dependent.  xi is strictly inside the cone
     of independent weights S exactly when, in a basis of lines holding S's,
     xi's coordinates are 0 off S's lines and of S's multipliers' signs on
@@ -178,11 +190,11 @@ def _cone_signs(weights, xi):
         if w not in signed and not is_zero_vec(w):
             p, m = _line(w)
             signed[w] = p, 1 if m > 0 else -1
-    signs = {}
-    for basis in itertools.combinations(sorted({p for p, _ in signed.values()}), len(xi)):
-        coords = linalg.solve_coords(basis, xi)
-        signs[basis] = None if coords is None else tuple((c > 0) - (c < 0) for c in coords)
-    return signed, signs
+    inverses = _line_inverses({p for p, _ in signed.values()}, len(xi))
+    signs = {basis: None if inv is None else
+             tuple((c > 0) - (c < 0) for c in (linalg.vec_dot(xi, col) for col in zip(*inv[0])))
+             for basis, inv in inverses.items()}
+    return signed, inverses, signs
 
 
 def _regular(signed, signs) -> bool:
@@ -204,7 +216,8 @@ def regular_stability_check(weights, xi) -> bool:
     Caratheodory, the smallest independent set of weights with xi strictly
     inside its cone has `rank` elements.  Decided per basis of lines
     (`_cone_signs`)."""
-    return _regular(*_cone_signs(weights, xi))
+    signed, _, signs = _cone_signs(weights, xi)
+    return _regular(signed, signs)
 
 
 def intersections(forms, rank, xi):
@@ -212,12 +225,12 @@ def intersections(forms, rank, xi):
     no cone of fewer than `rank` weights: a point is stable when xi lies in the
     strict cone of `rank` independent active weights.
 
-    xi's coordinates are solved for once per basis of lines (`_cone_signs`),
-    for the regularity test and every point alike: a point is stable when a
-    basis of its active lines has each coordinate of the sign of an active
-    weight on that line.
+    One inverse per basis of lines (`_cone_signs`) gives the points and xi's
+    coordinates, for the regularity test and every point alike: a point is
+    stable when a basis of its active lines has each coordinate of the sign
+    of an active weight on that line.
     """
-    signed, signs = _cone_signs([f.rho for f in forms], xi)
+    signed, inverses, signs = _cone_signs([f.rho for f in forms], xi)
     if not _regular(signed, signs):
         raise PerturbationError("stability covector is not regular for these weights")
 
@@ -227,7 +240,7 @@ def intersections(forms, rank, xi):
                    and all((p, c) in at for p, c in zip(basis, signs[basis]))
                    for basis in itertools.combinations(sorted({p for p, _ in at}), rank))
 
-    points = isolated_intersections(forms, rank)
+    points = isolated_intersections(forms, rank, inverses)
     return points, [pt for pt in points if stable(pt)]
 
 

@@ -1,25 +1,20 @@
 """Arrangement combinatorics: intersections, stability cones, flags, lattices."""
 
-import importlib.util
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import flag_reference
+from decks import deck_problems
 import intersection_reference
 from jkcalc import arrangement as arr
 from jkcalc import builders, linalg
 from jkcalc.arrangement import AffineForm, PerturbationError
-from jkcalc.config import parse_config
 from jkcalc.invariants import compute, make_problem, validate
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 CY3_FORMS = (
     [AffineForm((-1, 0), 0)] * 4
@@ -113,23 +108,22 @@ class TestIntersectionsAgainstReference:
     hyperplane-combination enumeration of `intersection_reference.py`
     returns: the same points in the same order, with the same active
     indices and weights, the same stable subset, and the same regularity
-    verdict; with one inverse, and for xi one coordinate solve, per
-    `rank`-set of sign-free lines."""
+    verdict; with one elimination, an inverse, per `rank`-set of sign-free
+    lines, which gives both the points and xi's coordinates."""
 
     def assert_same(self, forms, rank, xi, monkeypatch):
         calls = Counter()
-        for name in ("inverse", "solve_coords"):
-            count_calls(monkeypatch, calls, name)
+        count_calls(monkeypatch, calls, "_echelon")
         points = arr.isolated_intersections(forms, rank)
-        inverses = calls["inverse"]
+        alone = calls["_echelon"]
         try:
             got = arr.intersections(forms, rank, xi)
         except PerturbationError:
             got = None
         monkeypatch.undo()
         sets = math.comb(len({linalg.primitive(f.rho) for f in forms if f.is_hyperplane()}), rank)
-        assert inverses == (sets if rank else 0)
-        assert calls["solve_coords"] == sets
+        assert alone == (sets if rank else 0)
+        assert calls["_echelon"] - alone == sets
         assert points == intersection_reference.isolated_intersections(forms, rank)
         weights = [f.rho for f in forms]
         assert arr.regular_stability_check(weights, xi) == \
@@ -515,16 +509,6 @@ class TestFlagsAgainstReference:
         # every path is exercised: no flag, one flag, several flags, and a
         # kept flag with a kappa-coordinate of xi that only the order decides
         assert all(outcomes[key] > 0 for key in (0, 1, 2, "tie"))
-
-
-def deck_problems(workload, seed=3):
-    """The problems of a `perfbench` deck, built as `perfbench/run.py` builds
-    them."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
-    return [parse_config(item.text).build_problem() if item.text else item.problem
-            for item in workloads.generate(workload, seed, builders)]
 
 
 class TestSimplicialFlags:

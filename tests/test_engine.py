@@ -1,15 +1,13 @@
 """Residue engine: localization, multiplicative images, flag and JK residues."""
 
-import importlib.util
 import random
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
 import localize_reference
+from decks import deck
 import test_fuzz
 from jkcalc import arrangement as arr
 from jkcalc import builders, engine, invariants, linalg
@@ -557,15 +555,6 @@ def test_a_target_zero_step_multiplies_nothing(monkeypatch):
     assert term.hot == MultiPoly.const(2, 1)
 
 
-def _deck(workload, seed):
-    """The problems of a `perfbench` deck, generated as the benchmark does."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)   # its dataclasses look their module up
-    return workloads.generate(workload, seed, builders)
-
-
 def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):
     """The seed-3 `quiver-dt` deck has 199 flags, 115 of them with zero
     residue: the screen decides at least 100 of those, and every flag it
@@ -573,7 +562,7 @@ def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):
     screen = engine._screened_zero
     monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
     flags = zero = decided = 0
-    for item in _deck("quiver-dt", 3):
+    for item in deck("quiver-dt"):
         problem = item.problem
         points = invariants.compute(problem, **item.kwargs).diagnostics.points
         integrand = invariants.build_integrand(problem, "additive")

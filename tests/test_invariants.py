@@ -487,7 +487,8 @@ def test_packed_products_of_a_length_3_quiver_dt(monkeypatch):
 def test_eliminations_of_the_geometry_of_a_length_3_quiver(monkeypatch):
     # `linalg._echelon` calls of `validate` and `enumerate_flags`: a count
     # that bounds the geometry's work without a clock (3,588 before the
-    # geometry was grouped by line and the flags searched top down)
+    # geometry was grouped by line and the flags searched top down; 20 of
+    # the 700 are the inverses of the 20 triples of lines)
     problem = builders.framed_a3_problem(3, 1, (1, 2, 3))
     calls = []
     echelon = linalg._echelon
@@ -502,7 +503,7 @@ def test_eliminations_of_the_geometry_of_a_length_3_quiver(monkeypatch):
     order = arrangement.sum_regular_perturbation(problem.xi).order
     for pt in report.stable_points:
         arrangement.enumerate_flags(pt.active_weights, problem.xi, basis, order)
-    assert len(calls) <= 720
+    assert len(calls) <= 700
 
 
 def test_dt_rationality_reported_not_enforced():
