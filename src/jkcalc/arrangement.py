@@ -4,8 +4,8 @@ Covers the combinatorial half of the localization recipe: isolated and stable
 intersections, exact cone-membership tests, regularity of the stability
 parameter, its symbolic lexicographic perturbation (a signed order of the
 coordinates, which breaks every tie of the flag-stability test), the integer
-lattice spanned by the weights, and enumeration of proper stable flags with
-their lattice normalization factors.
+lattice spanned by the weights, and enumeration of proper stable flags, each
+as its basis kappa, kappa's inverse and its lattice normalization factor.
 
 The work follows the distinct covectors, grouped by line (`_line`), and the
 stable points, not the combinations of hyperplanes: one inverse per
@@ -58,11 +58,13 @@ class IntersectionPoint:
 
 @dataclass(frozen=True)
 class Flag:
-    """A proper flag: generator covectors, canonical subspace chain, kappa basis."""
+    """A proper stable flag, as its residue reads it: the basis kappa, which
+    sets the coordinates z = kappa (u - P) and fixes the chain (kappa_1, ...,
+    kappa_i span F_i), its inverse (rows, d) as `linalg.inverse` returns it,
+    and the lattice factor |d(mu) / (kappa_1 ^ ... ^ kappa_k)|."""
 
-    generators: tuple[tuple[int, ...], ...]
-    chain: tuple[tuple[tuple[int, ...], ...], ...]  # `linalg.rref` basis of each F_i
     kappa: tuple[tuple[int, ...], ...]
+    kappa_inverse: tuple[tuple[tuple[int, ...], ...], int]
     lattice_factor: Fraction
 
 
@@ -290,6 +292,11 @@ def kappa_determinant(kappa, basis) -> Fraction:
     return linalg.det(kappa) / prod(row[i] for i, row in enumerate(basis))
 
 
+def _flag(kappa, kappa_inverse, basis) -> Flag:
+    """The flag of the basis kappa, with its lattice factor in `basis`."""
+    return Flag(kappa, kappa_inverse, Fraction(1) / abs(kappa_determinant(kappa, basis)))
+
+
 def _simplicial_flags(weights, xi, basis, order) -> list[Flag]:
     """`enumerate_flags` at a point with exactly `rank` distinct active
     weights, in closed form.
@@ -303,30 +310,30 @@ def _simplicial_flags(weights, xi, basis, order) -> list[Flag]:
     the weights; a coordinate of xi_tilde is compared as its vector of eps
     coefficients (xi.inv[:, i], s_1 inv[j_1][i], s_2 inv[j_2][i], ...),
     lexicographically, which no two coordinates share as inv is invertible.
+    The inverse of kappa comes from the same inv: kappa = L W_sigma, with L
+    the lower triangular matrix of ones, so column i of kappa^-1 is column
+    sigma(i) minus column sigma(i+1) of inv (column sigma(k+1) = 0), over
+    inv's denominator, as L is unimodular.
     """
     inv = linalg.inverse(weights)
     if inv is None:
         return []
-    rows, _ = inv
+    rows, d = inv
     cols = list(zip(*rows))
     keys = [(linalg.vec_dot(xi, col),) + tuple(s * col[j] for j, s in order) for col in cols]
     sigma = sorted(range(len(xi)), key=keys.__getitem__, reverse=True)
     if next(filter(None, keys[sigma[-1]]), 0) <= 0:
         return []
-    gens = tuple(weights[i] for i in sigma)
-    kappa = tuple(itertools.accumulate(gens, linalg.vec_add))
-    return [Flag(
-        generators=gens,
-        chain=tuple(tuple(linalg.rref(gens[:i])) for i in range(1, len(gens) + 1)),
-        kappa=kappa,
-        lattice_factor=Fraction(1) / abs(kappa_determinant(kappa, basis)),
-    )]
+    kappa = tuple(itertools.accumulate((weights[i] for i in sigma), linalg.vec_add))
+    padded = [cols[i] for i in sigma] + [(0,) * len(xi)]
+    kinv = zip(*([x - y for x, y in zip(a, b)] for a, b in zip(padded, padded[1:])))
+    return [_flag(kappa, (tuple(kinv), d), basis)]
 
 
 def _stable_chains(weights, ws, rows, normals, found, levels=()):
-    """Append to `found` every stable chain of `enumerate_flags` inside F,
-    the span of the weights `ws` (indices into `weights`), bottom up as
-    (weight indices, kappa) per level, `levels` above F.
+    """Append to `found` the kappa of every stable chain of `enumerate_flags`
+    inside F, the span of the weights `ws` (indices into `weights`), bottom
+    up, with `levels` the kappa_i above F.
 
     `rows` is xi_tilde projected into F, one integer row per power of eps,
     each scaled by its own positive factor, which keeps the sign of every
@@ -341,7 +348,7 @@ def _stable_chains(weights, ws, rows, normals, found, levels=()):
     dim = len(rows[0])
     i = dim - len(normals)
     kappa = reduce(linalg.vec_add, (weights[w] for w in ws))
-    levels = ((ws, kappa),) + levels
+    levels = (kappa,) + levels
     seen = []
     for sub in itertools.combinations(ws, i - 1):
         if any(g.issuperset(sub) for g in seen):
@@ -372,47 +379,25 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
     kappa_i the sum of the distinct active weights inside F_i, is kept when
     kappa is a basis and xi_tilde has strictly positive coordinates in it
     (Szenes and Vergne, Invent. Math. 158, 2004).  At a point with exactly k
-    distinct weights the one candidate is found in closed form
-    (`_simplicial_flags`).  Elsewhere the chains are searched top down
-    (`_stable_chains`): each F_(i-1) is a hyperplane of F_i spanned by
-    weights, with xi_tilde's coordinate on kappa_i positive, so a wrong chain
-    is cut at its first wrong level.  The signs are exact: xi_tilde is kept
-    as its eps-coefficients, xi and s_t e_jt, which no hyperplane normal
-    annihilates together.  Each chain's generators are its first tuple in
-    lexicographic order of the weights, the first weight of each F_i outside
-    F_(i-1), and its subspaces are their `rref` rows.  The flags come in the
-    order of their chains' reduced row echelon forms, each row divided by its
-    pivot: the rows are compared scaled to a common pivot.
+    distinct weights the one candidate, and its kappa's inverse, are found
+    in closed form (`_simplicial_flags`).  Elsewhere the chains are searched
+    top down (`_stable_chains`): each F_(i-1) is a hyperplane of F_i spanned
+    by weights, with xi_tilde's coordinate on kappa_i positive, so a wrong
+    chain is cut at its first wrong level, and each kept kappa is inverted
+    once.  The signs are exact: xi_tilde is kept as its eps-coefficients, xi
+    and s_t e_jt, which no hyperplane normal annihilates together.  The
+    flags come in the order of their kappa, which fixes the chain.
     """
     weights = list(dict.fromkeys(tuple(w) for w in active_weights))
     dim = len(xi)
     if dim == 0:
-        return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
+        return [Flag(kappa=(), kappa_inverse=((), 1), lattice_factor=Fraction(1))]
     if len(weights) == dim:
         return _simplicial_flags(weights, xi, basis, order)
     found = []
     rows = [linalg.cleared(xi)[0]] + [[s * (i == j) for i in range(dim)] for j, s in order]
     _stable_chains(weights, tuple(range(len(weights))), rows, [], found)
-    flags = []
-    for levels in found:
-        gens, below = [], set()
-        for ws, _ in levels:
-            gens.append(weights[min(set(ws) - below)])
-            below = set(ws)
-        kappa = tuple(k for _, k in levels)
-        flags.append(Flag(
-            generators=tuple(gens),
-            chain=tuple(tuple(linalg.rref(gens[:i])) for i in range(1, dim + 1)),
-            kappa=kappa,
-            lattice_factor=Fraction(1) / abs(kappa_determinant(kappa, basis)),
-        ))
-    if len(flags) > 1:
-        pivot = {row: next(filter(None, row))
-                 for flag in flags for sub in flag.chain for row in sub}
-        scale = lcm(*pivot.values())
-        flags.sort(key=lambda flag: [[[x * (scale // pivot[row]) for x in row] for row in sub]
-                                     for sub in flag.chain])
-    return flags
+    return [_flag(kappa, linalg.inverse(kappa), basis) for kappa in sorted(found)]
 
 
 def projectivity_check(weights) -> bool:

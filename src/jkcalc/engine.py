@@ -155,21 +155,16 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
     The change of basis sends rho to rho * K^{-1} where K has the kappa
     covectors as rows; duplicate (c, l) pairs merge their exponents.  Every
     product runs on integers (`FactorizedIntegrand.cleared_factors`, K^{-1}
-    from `linalg.inverse` and P cleared over one denominator): rho.P and l
-    are computed once for each distinct rho.  K^{-1} is invertible, so
+    the flag's `kappa_inverse` and P cleared over one denominator): rho.P
+    and l are computed once for each distinct rho.  K^{-1} is invertible, so
     distinct rhos have distinct l, and (rho index, numerator of c) keys the
     merge.  Each factor is put over the common denominator R lcm(den K^{-1},
     den P) and reduced by one gcd.
     """
-    k = integrand.rank
     R, rhos, rows = integrand.cleared_factors
     point_ints, point_den = linalg.cleared(point)
-    columns, kinv_den = [], 1
-    if k > 0:
-        kinv = linalg.inverse(flag.kappa)
-        if kinv is None:
-            raise ValueError("kappa of a proper flag must be invertible")
-        columns, kinv_den = list(zip(*kinv[0])), kinv[1]
+    kinv, kinv_den = flag.kappa_inverse
+    columns = list(zip(*kinv))
     scale = lcm(kinv_den, point_den)
     den = R * scale
     at_point = [sum(map(mul, rho, point_ints)) * (scale // point_den) for rho in rhos]
@@ -571,13 +566,13 @@ def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
     return [MultiPoly(nv, d) for d in out]
 
 
-def flag_residue_multiplicative(local_factors, flag: Flag, integrand: FactorizedIntegrand,
-                                D: int):
+def flag_residue_multiplicative(local_factors, flag: Flag, integrand: FactorizedIntegrand):
     """Iterated multiplicative residue along one flag.
 
-    Residues in the flag coordinates are taken at X_j = 1 via S_j = X_j^(1/(2D));
-    the measure contributes 2D/S_j per step and the leftover transcendental
-    constants cancel exactly by the factor-count balance (asserted at build).
+    Residues in the flag coordinates are taken at X_j = 1 via S_j =
+    X_j^(1/(2D)), D the integrand's `denom_scale`; the measure contributes
+    2D/S_j per step and the leftover transcendental constants cancel
+    exactly by the factor-count balance (asserted at build).
     Both kinds take the sine factors and poles; the theta kind's q-series
     numerator enters the first step as its Taylor series (`_theta_numerator`).
     Returns a RatFunc in w (sine) or a QSeries with RatFunc coefficients (theta).
@@ -588,6 +583,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     if _screened_zero(local_factors, k):
         return zero_value(integrand)
     theta = integrand.kind == "theta"
+    D = integrand.denom_scale
     nv = k + 1 + theta
     coeff = Fraction(1)
     factors: dict = {}
@@ -659,10 +655,10 @@ def denominator_scale(localizations) -> int:
     return lcm(*(lf.den for local_factors in localizations for lf in local_factors))
 
 
-def flag_residue(local_factors, flag, integrand, D=None):
+def flag_residue(local_factors, flag, integrand):
     if integrand.kind == "additive":
         return flag_residue_additive(local_factors, flag, integrand)
-    return flag_residue_multiplicative(local_factors, flag, integrand, D)
+    return flag_residue_multiplicative(local_factors, flag, integrand)
 
 
 def jk_residue(integrand: FactorizedIntegrand, local_flags):
@@ -674,5 +670,5 @@ def jk_residue(integrand: FactorizedIntegrand, local_flags):
     """
     total = zero_value(integrand)
     for flag, local_factors in local_flags:
-        total = total + flag_residue(local_factors, flag, integrand, integrand.denom_scale)
+        total = total + flag_residue(local_factors, flag, integrand)
     return total

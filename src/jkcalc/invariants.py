@@ -260,14 +260,6 @@ class InvariantResult:
         return self.dt is not None and self.dt.denominator == 1
 
 
-_KIND_SETS = {
-    "additive": ("additive",),
-    "sine": ("sine",),
-    "theta": ("theta",),
-    "all": ("additive", "sine", "theta"),
-}
-
-
 def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORDER,
             seed: int = 0, s=1,
             allow_root_incidence: bool = False) -> InvariantResult:
@@ -280,7 +272,7 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
     allow_root_incidence demotes the root invertibility hypothesis from a
     hard error to a recorded violation and computes the residue sum anyway.
     """
-    if kind not in _KIND_SETS:
+    if kind != "all" and kind not in engine.KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if q_order < 0:
         raise ValueError("q-order must be >= 0")
@@ -307,7 +299,7 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
 def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
     """Localize the one factor list once at each (stable point, flag), unless
     `local_flags` has them from a run at this seed, for every requested kind."""
-    kinds = _KIND_SETS[kind]
+    kinds = engine.KINDS if kind == "all" else (kind,)
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     integrand = build_integrand(problem, kinds[0], q_order, s)
     if local_flags is None:

@@ -163,8 +163,8 @@ def solve(mat, b):
 
 
 def inverse(mat):
-    """Exact inverse of a square matrix as (rows, d): integer rows over the
-    least common denominator d > 0 of its entries; None if singular.
+    """Exact inverse of a square matrix as (rows, d): a tuple of integer rows
+    over the least common denominator d > 0 of its entries; None if singular.
 
     Row i of the inverse is a reduced row of [mat | I] divided by its pivot
     p_i, and the row is primitive, so d is the lcm of the p_i.
@@ -175,7 +175,7 @@ def inverse(mat):
     if pivots != list(range(n)):
         return None
     d = lcm(*(row[i] for i, row in enumerate(ech)))
-    return [tuple(x * (d // row[i]) for x in row[n:]) for i, row in enumerate(ech)], d
+    return tuple(tuple(x * (d // row[i]) for x in row[n:]) for i, row in enumerate(ech)), d
 
 
 def solve_coords(vectors, target):

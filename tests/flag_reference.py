@@ -4,13 +4,15 @@ before it grew its chains as a prefix tree.  The stability test perturbs xi
 lexicographically by a signed order ((j_1, s_1), ..., (j_k, s_k)): the
 kappa-coordinates of xi, s_1 e_j1, ..., s_k e_jk are each solved for, and a
 coordinate of xi_tilde is positive when its vector of coordinates is
-lexicographically positive.  The flags come in the order of the reduced
-row echelon forms of their chains, built in Fractions.  Tests compare the
-two."""
+lexicographically positive.  Each flag carries kappa's inverse from the
+Fraction elimination of `linalg_reference.inverse`, and the flags come in the
+order of their kappa.  Tests compare the two."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
+import linalg_reference
 from jkcalc import linalg
 from jkcalc.arrangement import Flag
 
@@ -40,19 +42,20 @@ def perturbed_coordinates(kappa, xi, order):
     return list(zip(*columns))
 
 
-def reduced_row_echelon(chain):
-    """Each subspace of the chain as its reduced row echelon form: every
-    `linalg.rref` row divided by its pivot, its first nonzero entry."""
-    return [[[Fraction(x, next(filter(None, row))) for x in row] for row in sub]
-            for sub in chain]
+def integer_inverse(kappa):
+    """kappa's Fraction inverse as (rows, d), integer rows over the least
+    common denominator d of its entries."""
+    rows = linalg_reference.inverse(kappa)
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
     weights = list(dict.fromkeys(tuple(w) for w in active_weights))
     dim = len(xi)
     if dim == 0:
-        return [Flag(generators=(), chain=(), kappa=(), lattice_factor=Fraction(1))]
-    chains = {}
+        return [Flag(kappa=(), kappa_inverse=((), 1), lattice_factor=Fraction(1))]
+    chains = set()
     for tup in itertools.permutations(range(len(weights)), dim):
         gens = [weights[i] for i in tup]
         chain = []
@@ -62,10 +65,10 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
                 break
             chain.append(sub)
         else:
-            chains.setdefault(tuple(chain), tuple(gens))
+            chains.add(tuple(chain))
     flags = []
     zero = (Fraction(0),) * (dim + 1)
-    for chain, gens in sorted(chains.items(), key=lambda item: reduced_row_echelon(item[0])):
+    for chain in chains:
         kappa = []
         for sub in chain:
             total = (0,) * dim
@@ -82,9 +85,8 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
         if d == 0:
             continue
         flags.append(Flag(
-            generators=gens,
-            chain=chain,
             kappa=tuple(kappa),
+            kappa_inverse=integer_inverse(kappa),
             lattice_factor=Fraction(1) / abs(d),
         ))
-    return flags
+    return sorted(flags, key=lambda flag: flag.kappa)

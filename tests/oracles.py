@@ -153,3 +153,84 @@ def cy3_elliptic_genus(chi, order, w):
     ratio = series_mul(theta_series(w * w, order), series_inv(theta_series(w, order), order),
                        order)
     return [-Fraction(chi, 2) * c for c in ratio]
+
+
+def laurent_mul(a, b):
+    """The product of two Laurent polynomials, {exponent: coefficient}."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _fraction_mul(f, g):
+    """The product of two rational functions (num, den), left unreduced."""
+    return laurent_mul(f[0], g[0]), laurent_mul(f[1], g[1])
+
+
+def _fraction_add(f, g):
+    """The sum of two rational functions (num, den), left unreduced."""
+    if f[1] == g[1]:
+        return laurent_add(f[0], g[0]), f[1]
+    return laurent_add(laurent_mul(f[0], g[1]), laurent_mul(g[0], f[1])), \
+        laurent_mul(f[1], g[1])
+
+
+def quiver_a3_chi_y(n, r, charges):
+    """chi_y of length-n quotients for the rank-r framed three-loop quiver,
+    as (num, den): two Laurent polynomials in s = y^(1/2), {exponent:
+    coefficient}, unreduced.
+
+    The Q^n coefficient of Nekrasov's K-theoretic partition function of C^3
+    (Nekrasov and Okounkov, arXiv:1404.2323; at rank r, Fasola, Monavari and
+    Ricolfi, arXiv:2003.13565) on the torus t_i = y^(c_i), kappa = t_1 t_2
+    t_3 = y^d:
+
+        sum_n chi_y(n) Q^n = Exp(-G [kappa^r]/[kappa]
+                                 sum_(m>=1) [kappa^(rm)]/[kappa^r] x^m),
+
+    [t] = t^(1/2) - t^(-1/2), G = [t_1 t_2][t_1 t_3][t_2 t_3] / ([t_1][t_2]
+    [t_3]) and x = (-1)^r Q.  The plethystic exponential Exp(F) = exp(sum_k
+    psi_k F / k) takes psi_k: y -> y^k, x -> x^k.  At y = 1 it is the
+    MacMahon power of `macmahon_power`.
+    """
+    c1, c2, c3 = charges
+    d = c1 + c2 + c3
+
+    def bracket(e, k=1):
+        # [y^e] at y -> y^k, in s
+        return {k * e: Fraction(1), -k * e: Fraction(-1)}
+
+    def f(m, k):
+        # psi_k of the x^m coefficient of the plethystic logarithm
+        num, den = {0: Fraction(-1)}, {0: Fraction(1)}
+        for e in (c1 + c2, c1 + c3, c2 + c3, r * d, r * m * d):
+            num = laurent_mul(num, bracket(e, k))
+        for e in (c1, c2, c3, d, r * d):
+            den = laurent_mul(den, bracket(e, k))
+        return num, den
+
+    sign = (-1) ** r
+    # log Z = sum_N a_N Q^N, and N Z_N = sum_(j=1..N) j a_j Z_(N-j)
+    a = [None] + [({}, {0: Fraction(1)})] * n
+    for k in range(1, n + 1):
+        for m in range(1, n // k + 1):
+            num, den = f(m, k)
+            term = {e: c * Fraction(sign ** (k * m), k) for e, c in num.items()}, den
+            a[k * m] = _fraction_add(a[k * m], term)
+    z = [({0: Fraction(1)}, {0: Fraction(1)})]
+    for big_n in range(1, n + 1):
+        total = ({}, {0: Fraction(1)})
+        for j in range(1, big_n + 1):
+            num, den = _fraction_mul(a[j], z[big_n - j])
+            total = _fraction_add(total, ({e: c * j / big_n for e, c in num.items()}, den))
+        z.append(total)
+    return z[n]

@@ -417,10 +417,9 @@ class TestFlags:
         flags = arr.enumerate_flags([], (), [], ())
         assert len(flags) == 1 and flags[0].lattice_factor == 1
 
-    def test_multi_flag_point_keeps_the_reduced_row_echelon_order(self):
-        # three flags at the origin, in the order of the reduced rows of F_1:
-        # (1, 0) < (1, 1/3) < (1, 1/2); the integer rows (1, 0), (3, 1) and
-        # (2, 1) in their own order would put (2, 1) second
+    def test_multi_flag_point_keeps_the_kappa_order(self):
+        # three flags at the origin, in the order of their kappa: the chains'
+        # first weights (1, 0) < (2, 1) < (3, 1), each with its inverse
         weights = [(1, 0), (0, 1), (2, 1), (3, 1), (1, 1)]
         problem = make_problem(2, [(w, 0, 1) for w in weights], [], (9, 5))
         for seed in range(6):
@@ -428,22 +427,23 @@ class TestFlags:
             assert result.dt == Fraction(-13, 3)
             [point] = result.diagnostics.points
             assert point.point == (0, 0)
-            assert [(f.chain[0], f.kappa, f.lattice_factor) for f in point.flags] == [
-                (((1, 0),), ((1, 0), (7, 4)), Fraction(1, 4)),
-                (((3, 1),), ((3, 1), (7, 4)), Fraction(1, 5)),
-                (((2, 1),), ((2, 1), (7, 4)), 1)]
+            assert [(f.kappa, f.lattice_factor) for f in point.flags] == [
+                (((1, 0), (7, 4)), Fraction(1, 4)),
+                (((2, 1), (7, 4)), 1),
+                (((3, 1), (7, 4)), Fraction(1, 5))]
+            assert all(f.kappa_inverse == linalg.inverse(f.kappa) for f in point.flags)
 
 
 class TestFlagsAgainstReference:
     """`enumerate_flags`, in closed form or by its top-down search, returns
-    the flags of the per-tuple reference in `flag_reference.py`, field by
-    field and in the same order;
-    the reference solves for the kappa-coordinates of xi and of each signed
-    e_j separately and compares them lexicographically."""
+    the flags of the per-tuple reference in `flag_reference.py`: kappa,
+    kappa's inverse and the lattice factor, in the same order; the reference
+    solves for the kappa-coordinates of xi and of each signed e_j separately
+    and compares them lexicographically, and inverts kappa in Fractions."""
 
     @staticmethod
     def flags_of(enumerate_flags, weights, xi, basis, order):
-        return [(f.generators, f.chain, f.kappa, f.lattice_factor)
+        return [(f.kappa, f.kappa_inverse, f.lattice_factor)
                 for f in enumerate_flags(weights, xi, basis, order)]
 
     def assert_same(self, weights, xi, basis, order):
@@ -505,7 +505,7 @@ class TestFlagsAgainstReference:
                 got = self.assert_same(weights, xi, basis, order)
                 outcomes[min(len(got), 2)] += 1
                 outcomes["tie"] += any(
-                    0 in linalg.solve_coords(kappa, xi) for _, _, kappa, _ in got)
+                    0 in linalg.solve_coords(kappa, xi) for kappa, _, _ in got)
         # every path is exercised: no flag, one flag, several flags, and a
         # kept flag with a kappa-coordinate of xi that only the order decides
         assert all(outcomes[key] > 0 for key in (0, 1, 2, "tie"))
@@ -513,7 +513,8 @@ class TestFlagsAgainstReference:
 
 class TestSimplicialFlags:
     """At a point with exactly `rank` distinct active weights, the closed
-    form of `enumerate_flags` keeps the flags of `flag_reference.py`."""
+    form of `enumerate_flags` keeps the flags of `flag_reference.py`, each
+    with the same kappa, inverse of kappa and lattice factor."""
 
     def assert_same_at_simplicial_points(self, problems):
         count = 0

@@ -1,13 +1,15 @@
 """Residue engine: localization, multiplicative images, flag and JK residues."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import linalg_reference
 import localize_reference
-from decks import deck
+from decks import deck, deck_problems
 import test_fuzz
 from jkcalc import arrangement as arr
 from jkcalc import builders, engine, invariants, linalg
@@ -22,9 +24,11 @@ F = Fraction
 
 
 def bare_integrand(rank, factors, kind="additive", degree=1, s=1, q_order=None):
-    """Ad-hoc integrand for engine-level tests; structural counts unchecked."""
+    """Ad-hoc integrand for engine-level tests, with D = 1; structural counts
+    unchecked."""
     return FactorizedIntegrand(kind=kind, rank=rank, degree=degree, s=F(s),
-                               factors=factors, n_roots=0, dim_v=0, q_order=q_order)
+                               factors=factors, n_roots=0, dim_v=0, q_order=q_order,
+                               denom_scale=1)
 
 
 def local_flags(integrand, point, flags):
@@ -34,8 +38,7 @@ def local_flags(integrand, point, flags):
 
 def simple_flag(kappa, basis):
     kappa = tuple(map(tuple, kappa))
-    chain = tuple(tuple(arr.linalg.rref(kappa[:i + 1])) for i in range(len(kappa)))
-    return Flag(generators=kappa, chain=chain, kappa=kappa,
+    return Flag(kappa=kappa, kappa_inverse=linalg.inverse(kappa),
                 lattice_factor=F(1) / abs(arr.kappa_determinant(kappa, basis)))
 
 
@@ -105,17 +108,41 @@ class TestLocalizeAgainstReference:
                 assert lf.den > 0 and gcd(lf.const, *lf.lin, lf.den) == 1
                 assert lf.den == linalg.cleared(ell + (c,))[1]
 
+    def assert_every_flag(self, problems):
+        """At every stable point of `problems`: each flag's `kappa_inverse` is
+        kappa's Fraction inverse over its least common denominator, and the
+        localizations are the reference's.  Returns the number of flags from
+        the closed form and from the search (`arrangement.enumerate_flags`)."""
+        paths = Counter()
+        for problem in problems:
+            points = invariants.compute(problem, kind="additive",
+                                        allow_root_incidence=True).diagnostics.points
+            integrand = invariants.build_integrand(problem, "additive")
+            for p in points:
+                for flag in p.flags:
+                    rows, d = flag.kappa_inverse
+                    assert [tuple(F(x, d) for x in row) for row in rows] \
+                        == linalg_reference.inverse(flag.kappa)
+                    assert gcd(d, *(x for row in rows for x in row)) == 1
+                    paths["search" if len(set(p.active_weights)) > problem.rank
+                          else "closed form"] += 1
+                for t in (1, F(3, 2)):
+                    # t P is a pole at t = 1 only; t = 3/2 makes the constants
+                    # fractional and nonzero
+                    self.assert_same(integrand, tuple(t * x for x in p.point), p.flags)
+        return dict(paths)
+
     @pytest.mark.parametrize("charges", [(1, 1, 1), (1, 2, 2)])
     def test_every_point_and_flag_of_a3_quivers(self, charges):
-        problem = builders.framed_a3_problem(3, 1, charges)
-        result = invariants.compute(problem, kind="additive")
-        assert sum(len(p.flags) for p in result.diagnostics.points) > 10
-        integrand = invariants.build_integrand(problem, "additive")
-        for t in (1, F(3, 2)):
-            for p in result.diagnostics.points:
-                # t P is a pole at t = 1 only; t = 3/2 makes the constants
-                # fractional and nonzero
-                self.assert_same(integrand, tuple(t * x for x in p.point), p.flags)
+        paths = self.assert_every_flag([builders.framed_a3_problem(3, 1, charges)])
+        assert sum(paths.values()) > 10 and paths["search"] > 0
+
+    @pytest.mark.parametrize("workload, paths", [
+        ("request-mix", {"closed form": 343, "search": 4}),
+        ("elliptic-genus", {"closed form": 37}),
+    ])
+    def test_every_point_and_flag_of_a_seed_3_deck(self, workload, paths):
+        assert self.assert_every_flag(deck_problems(workload)) == paths
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_fractional_points_of_raw_problems_at_s_2(self, rank):
@@ -143,9 +170,10 @@ class TestLocalizeAgainstReference:
         assert len(localize(ig, (F(1, 3), F(-1, 2)), flags[0])) == 4
 
     def test_localize_hashes_no_fraction(self, monkeypatch):
-        """localize, and the `linalg.inverse` it calls, neither build nor hash a
-        Fraction, at P and at 3/2 P (fractional nonzero constants), and its
-        factors there are those of the reference, each reduced."""
+        """localize, which reads the flag's integer `kappa_inverse`, neither
+        builds nor hashes a Fraction, at P and at 3/2 P (fractional nonzero
+        constants), and its factors there are those of the reference, each
+        reduced."""
         problem = builders.framed_a3_problem(3, 1, (1, 1, 2))
         points = invariants.compute(problem, kind="additive",
                                     allow_root_incidence=True).diagnostics.points
@@ -335,7 +363,7 @@ class TestFlagResidueMultiplicative:
         flag = simple_flag([(1,)], [(1,)])
         local = localize(ig, (0,), flag)
         with pytest.raises(AssertionError):
-            flag_residue_multiplicative(local, flag, ig, 1)
+            flag_residue_multiplicative(local, flag, ig)
 
     def test_nonvanishing_constant_factor_is_unit(self):
         # a factor with c != 0 contributes an invertible sine binomial: the
@@ -347,7 +375,7 @@ class TestFlagResidueMultiplicative:
         ig = bare_integrand(1, [num, den, pole_n, pole_d], kind="sine")
         flag = simple_flag([(1,)], [(1,)])
         local = localize(ig, (0,), flag)
-        value = flag_residue_multiplicative(local, flag, ig, 1)
+        value = flag_residue_multiplicative(local, flag, ig)
         # residue at S=1 of (wS - 1/(wS)) / (S - 1/S) times the prefactor
         # 1/(w - 1/w): the binomial at S=1 cancels the prefactor exactly
         assert value == RatFunc.const(1)
@@ -460,10 +488,10 @@ def test_screened_flags_have_zero_residue(case, monkeypatch):
     monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
     for kind in engine.KINDS[:2] if isinstance(case, tuple) else engine.KINDS:
         integrand = invariants.build_integrand(problem, kind, q_order=1)
-        D = engine.denominator_scale(localize(integrand, p.point, flag)
-                                     for p in points for flag in p.flags)
+        integrand.denom_scale = engine.denominator_scale(localize(integrand, p.point, flag)
+                                                         for p in points for flag in p.flags)
         for point, flag in screened:
-            value = engine.flag_residue(localize(integrand, point, flag), flag, integrand, D)
+            value = engine.flag_residue(localize(integrand, point, flag), flag, integrand)
             assert (value == 0) if kind == "additive" else value.is_zero(), (kind, point)
 
 
@@ -499,7 +527,7 @@ def test_screen_bounds_the_pole_order_of_rank2_integrands(monkeypatch):
     sine = bare_integrand(2, [], kind="sine")
     for local in screened:
         assert flag_residue_additive(local, flag, additive) == 0, local
-        assert flag_residue_multiplicative(local, flag, sine, 1).is_zero(), local
+        assert flag_residue_multiplicative(local, flag, sine).is_zero(), local
 
 
 def _affine_series(a, b, e, n):

@@ -485,11 +485,11 @@ def test_packed_products_of_a_length_3_quiver_dt(monkeypatch):
 
 
 def test_eliminations_of_the_geometry_of_a_length_3_quiver(monkeypatch):
-    # `linalg._echelon` calls of `validate` and `enumerate_flags`: a count
-    # that bounds the geometry's work without a clock (3,588 before the
-    # geometry was grouped by line and the flags searched top down; 20 of
-    # the 700 are the inverses of the 20 triples of lines)
-    problem = builders.framed_a3_problem(3, 1, (1, 2, 3))
+    # `linalg._echelon` calls of a whole additive run: a count that bounds
+    # the geometry's work without a clock, as `localize` makes none (773
+    # while each flag kept its chain's `rref` rows and `localize` inverted
+    # kappa; 3,588 for `validate` and `enumerate_flags` alone before the
+    # geometry was grouped by line and the flags searched top down)
     calls = []
     echelon = linalg._echelon
 
@@ -498,12 +498,9 @@ def test_eliminations_of_the_geometry_of_a_length_3_quiver(monkeypatch):
         return echelon(rows)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
-    report = validate(problem, strict_roots=False)
-    basis = arrangement.lattice_basis(problem.nonzero_weights())
-    order = arrangement.sum_regular_perturbation(problem.xi).order
-    for pt in report.stable_points:
-        arrangement.enumerate_flags(pt.active_weights, problem.xi, basis, order)
-    assert len(calls) <= 700
+    compute(builders.framed_a3_problem(3, 1, (1, 2, 3)), kind="additive",
+            allow_root_incidence=True)
+    assert len(calls) <= 508
 
 
 def test_dt_rationality_reported_not_enforced():

@@ -51,6 +51,26 @@ def test_dt_of_the_length4_quiver():
     assert res.dt == macmahon_dt(4, 1, (1, 1, 1)) == -98
 
 
+CHI_Y_CASES = [(n, r, charges) for r in (1, 2) for n in (1, 2)
+               for charges in ((1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 2, 2))] \
+    + [(3, 1, (1, 1, 1)), (3, 1, (1, 1, 2))]
+
+
+@pytest.mark.parametrize("n, r, charges", CHI_Y_CASES)
+def test_chi_y_of_framed_a3_quivers_is_the_k_theoretic_partition_function(n, r, charges):
+    """chi_y, a rational function num/den in w = y^(1/(2D)), is the
+    residue-free oracle's num_o/den_o in s = y^(1/2) = w^D, exactly:
+    num den_o = num_o den as Laurent polynomials in w.  D is 2 at n = 3."""
+    res = invariants.compute(builders.framed_a3_problem(n, r, charges), kind="sine",
+                             allow_root_incidence=True)
+    D = res.chi_y.denom_scale
+    num, den = (dict(pairs) for pairs in res.chi_y.ratfunc.pairs())
+    num_o, den_o = ({D * e: c for e, c in part.items()}
+                    for part in oracles.quiver_a3_chi_y(n, r, charges))
+    assert num
+    assert oracles.laurent_mul(num, den_o) == oracles.laurent_mul(num_o, den)
+
+
 class TestFramedA3:
     def test_weights_match_displayed_integrand(self):
         n, r = 2, 3
