@@ -1,8 +1,8 @@
 """Command line entry point: parse a config, run the pipeline, emit results.
 
-Exit codes: 0 success, 2 validation failure, 3 parse error (or an output
-file that cannot be written), 4 internal error (a failed identity or a
-non-generic residue configuration).
+Exit codes: 0 success, 2 validation failure, 3 parse error (of the config
+or the command line, or an output file that cannot be written), 4 internal
+error (a failed identity or a non-generic residue configuration).
 """
 
 from __future__ import annotations
@@ -204,7 +204,12 @@ def build_arg_parser():
 
 
 def run(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a bad command line, which is
+        # a parse error here
+        return 3 if exc.code else 0
     try:
         if args.config == "-":
             text = sys.stdin.read()

@@ -5,7 +5,9 @@ Three integrand kinds share one iterated-residue core:
   additive -- rational factors (c + l.z), evaluated over Q; computes DT.
   sine     -- each factor becomes the Laurent binomial Y^(1/2) - Y^(-1/2)
               with Y = y^c * prod X_j^(l_j), written with integer exponents in
-              w = y^(1/(2D)) and S_j = X_j^(1/(2D)); computes chi_y.
+              w = y^(1/(2D)) and S_j = X_j^(1/(2D)): for Y^(1/2) = m1/m2 with
+              m1, m2 coprime monomials, the binomial m1^2 - m2^2 over the
+              monomial m1 m2; computes chi_y.
   theta    -- the sine factors times one q-series numerator G: by Jacobi's
               triple product theta(Y) = (Y^(1/2) - Y^(-1/2)) (q;q) Phi(Y),
               with Phi(Y) = prod_n (1 - q^n Y)(1 - q^n / Y) a q-unit that has
@@ -24,12 +26,14 @@ target 0, is carried whole as u_0^e and multiplies nothing; otherwise, for
 e < 0 and e >= target a step carries u_0^(e-target) factored, numerators
 too, and multiplies only the series V = U^e / u_0^(e-target)
 (`_unit_power`); a power 0 < e < target is expanded in full (`_series_pow`).  The
-multiplicative kinds take residues at S_j = 1; the per-step Jacobian
-constants cancel exactly against the 2i / pi*hbar bookkeeping, enforced by a
-counting assertion on the factor list.  The two kinds share the factors,
-poles, targets and carried denominators, all free of q; the theta kind's G
-enters the first step as its Taylor series at S_0 = 1 in place of the hot
-numerator 1, so later steps shift a hot numerator with negative exponents.
+multiplicative kinds take residues at S_j = 1.  Every factor's m1 m2 and
+every step's measure dX_j / X_j = 2D dS_j / S_j make one monomial times
+(2D)^k, and the other constants cancel exactly against the 2i / pi*hbar
+bookkeeping, enforced by a counting assertion on the factor list.  The two
+kinds share the factors, poles, targets and carried denominators, all free
+of q; the theta kind's G enters the first step as its Taylor series at
+S_0 = 1 in place of the hot numerator 1, so later steps shift a hot
+numerator with negative exponents.
 The finished value is expanded in q (sine is order 0), and each q^t
 coefficient is reduced once, as one rational function of w.  No step shifts a
 polynomial in full (`_residue_step`).
@@ -479,26 +483,6 @@ def _half_exponents(local_factor: LocalFactor, D: int) -> list[int]:
     return [x * scale for x in (*local_factor.lin, local_factor.const)]
 
 
-def multiplicativize(local_factor: LocalFactor, D: int,
-                     nvars: int) -> list[tuple[MultiPoly, int]]:
-    """Map one local affine factor to its sine image Y^(1/2) - Y^(-1/2) in
-    factored pieces, the factors of both multiplicative kinds.
-
-    With Y^(1/2) = m1/m2 for coprime monomials m1, m2 the image is
-    (m1^2 - m2^2) / (m1 m2): returns (polynomial, signed exponent) pairs,
-    m1^2 - m2^2 with the factor's exponent e and m1 m2 with exponent -e.
-    Variables are S_0..S_(rank-1) and w, padded with exponent-0 variables
-    up to `nvars`: q for the theta kind, which multiplies the sine integrand
-    by its q-series numerator (`_theta_numerator`).
-    """
-    half = _half_exponents(local_factor, D)
-    half += [0] * (nvars - len(half))
-    m1, m2 = [max(x, 0) for x in half], [max(-x, 0) for x in half]
-    e = local_factor.exponent
-    diff = MultiPoly(nvars, {tuple(2 * x for x in m1): 1, tuple(2 * x for x in m2): -1})
-    return [(diff, e), (MultiPoly.monomial(nvars, [x + y for x, y in zip(m1, m2)]), -e)]
-
-
 def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
     """The theta kind's q-series numerator
 
@@ -519,8 +503,8 @@ def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
     monomial.  Every coefficient is an integer, so the division by j is
     exact, also on the packed values: the products run packed in w
     (variable k), at a slot width from the same recursion on the
-    coefficient norms.  Variables are those of `multiplicativize`, with q
-    last; exponents may be negative.
+    coefficient norms.  Variables are S_0..S_(k-1), w and q, those of
+    `flag_residue_multiplicative`; exponents may be negative.
     """
     nv = k + 2
     A = [[{} for _ in range(terms)] for _ in range(N + 1)]
@@ -570,45 +554,56 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     """Iterated multiplicative residue along one flag.
 
     Residues in the flag coordinates are taken at X_j = 1 via S_j =
-    X_j^(1/(2D)), D the integrand's `denom_scale`; the measure contributes
-    2D/S_j per step and the leftover transcendental constants cancel
-    exactly by the factor-count balance (asserted at build).
+    X_j^(1/(2D)), D the integrand's `denom_scale`; the measure dX_j / X_j
+    is 2D dS_j / S_j, and the leftover transcendental constants cancel
+    exactly by the factor-count balance (asserted at build).  With
+    Y^(1/2) = m1/m2 for coprime monomials m1, m2 in S_0..S_(k-1), w, each
+    factor's sine image Y^(1/2) - Y^(-1/2) is the binomial m1^2 - m2^2 over
+    m1 m2.  Every m1 m2 and each step's 1/S_j make one monomial, merged as
+    its numerator and denominator parts, and (2D)^k is applied once.
     Both kinds take the sine factors and poles; the theta kind's q-series
     numerator enters the first step as its Taylor series (`_theta_numerator`).
     Returns a RatFunc in w (sine) or a QSeries with RatFunc coefficients (theta).
     """
     k = integrand.rank
+    D = integrand.denom_scale
+    if D is None:
+        raise ValueError("integrand.denom_scale is unset: set it to the "
+                         "denominator_scale of the flags' localizations")
     assert sum(lf.exponent for lf in local_factors) == 0, \
         "sine factor count must balance the prefactor copies"
     if _screened_zero(local_factors, k):
         return zero_value(integrand)
     theta = integrand.kind == "theta"
-    D = integrand.denom_scale
     nv = k + 1 + theta
-    coeff = Fraction(1)
+    coeff = Fraction(2 * D) ** k
     factors: dict = {}
+    monomial = [-1] * k + [0] * (nv - k)
+    ys = []
     # the rank-many prefactor copies 1 / sine(y^d)^k as one more factor
-    units = [*local_factors, LocalFactor(const=integrand.degree, lin=(0,) * k, den=1,
-                                         exponent=-k)]
-    for lf in units:
+    for lf in [*local_factors, LocalFactor(const=integrand.degree, lin=(0,) * k, den=1,
+                                           exponent=-k)]:
         if not lf.const and not any(lf.lin):
             if lf.exponent > 0:
                 return zero_value(integrand)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
-        for poly, e in multiplicativize(lf, D, nv):
-            coeff *= _merge_factor(factors, poly, e)
+        half = _half_exponents(lf, D) + [0] * theta
+        binomial = MultiPoly(nv, {tuple(2 * max(x, 0) for x in half): 1,
+                                  tuple(2 * max(-x, 0) for x in half): -1})
+        coeff *= _merge_factor(factors, binomial, lf.exponent)
+        monomial = [m - lf.exponent * abs(x) for m, x in zip(monomial, half)]
+        ys.append(([2 * x for x in half], lf.exponent))
+    coeff *= _merge_factor(factors, MultiPoly.monomial(nv, [max(x, 0) for x in monomial]), 1)
+    coeff *= _merge_factor(factors, MultiPoly.monomial(nv, [max(-x, 0) for x in monomial]), -1)
     term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)
     taylor = None
     if theta:
-        ys = [([2 * x for x in _half_exponents(lf, D)] + [0], lf.exponent) for lf in units]
         if k:
             def taylor(n):
                 return _theta_numerator(ys, k, integrand.q_order, n)
         else:
             [term.hot] = _theta_numerator(ys, 0, integrand.q_order, 1)
     for i in range(k):
-        coeff_adj = _merge_factor(term.factors, MultiPoly.variable(nv, i), -1)
-        term.coeff *= coeff_adj * 2 * D
         term = _residue_step(term, i, 1, k, taylor if i == 0 else None)
         if term is None:
             return zero_value(integrand)

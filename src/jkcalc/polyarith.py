@@ -63,16 +63,8 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, nvars, idx, power=1):
-        e = [0] * nvars
-        e[idx] = power
-        return cls(nvars, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        if coeff == 0:
-            return cls(nvars, {})
-        return cls(nvars, {tuple(exps): coeff})
+    def monomial(cls, nvars, exps):
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def affine(cls, nvars, lin, const):

@@ -13,7 +13,8 @@ the workload lines name the decks that moved.  A last line digests the same
 documents with `diagnostics.perturbation` removed, so that two trees that
 perturb xi differently can show that nothing else moved.  jkcalc is imported
 from the `src/` of the checkout the script sits in, as `perfbench` does.  Not
-collected by pytest.
+collected by pytest; `tests/test_pinned_outputs.py` runs it at the default
+seeds and compares its lines with `tests/data/deck_digest.txt`.
 """
 
 from __future__ import annotations

@@ -107,7 +107,8 @@ def laurent_shift(poly, var, n):
     geometric series sum (-x_var)^j truncated at degree n."""
     nv = poly.nvars
     M = max([0] + [-k[var] for k in poly.terms])
-    shifted = subst_shift(poly.mul(MultiPoly.variable(nv, var, M)), var, 1)
+    x_M = MultiPoly.monomial(nv, [M if i == var else 0 for i in range(nv)])
+    shifted = subst_shift(poly.mul(x_M), var, 1)
     geometric = MultiPoly(nv, {tuple(j if i == var else 0 for i in range(nv)): (-1) ** j
                                for j in range(n)})
     for _ in range(M):

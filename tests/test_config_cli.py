@@ -286,6 +286,21 @@ class TestCliProcess:
         err = capsys.readouterr().err
         assert err == "config error: q-order must be >= 0\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["quintic.cfg", "--q-order", "x"],
+        ["quintic.cfg", "--invariant", "bogus"],
+        ["quintic.cfg", "--frobnicate"],
+        [],
+    ], ids=["malformed-q-order", "unknown-invariant", "unknown-option", "missing-config"])
+    def test_command_line_error_exit_three(self, argv, capsys):
+        argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".cfg") else a for a in argv]
+        assert cli.run(argv) == 3
+        assert "usage: jkcalc" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        assert cli.run(["--help"]) == 0
+        assert "usage: jkcalc" in capsys.readouterr().out
+
     def test_unwritable_output_exit_three(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text(CY3_TEXT)

@@ -17,7 +17,7 @@ from jkcalc.config import ConfigError, parse_config
 from jkcalc.arrangement import Flag
 from jkcalc.engine import (FactorizedIntegrand, IntegrandFactor, LocalFactor,
                            flag_residue_additive, flag_residue_multiplicative,
-                           _theta_numerator, jk_residue, localize, multiplicativize)
+                           _theta_numerator, jk_residue, localize)
 from jkcalc.polyarith import MultiPoly, RatFunc
 
 F = Fraction
@@ -254,58 +254,30 @@ def _mod_q(poly, N, qv):
     return MultiPoly(poly.nvars, {k: c for k, c in poly.terms.items() if k[qv] <= N})
 
 
-def _pieces_as_fraction_pair(pieces, nv):
-    num = MultiPoly.const(nv, 1)
-    den = MultiPoly.const(nv, 1)
-    for poly, e in pieces:
-        if e > 0:
-            num = num.mul(poly.pow(e))
-        else:
-            den = den.mul(poly.pow(-e))
-    return num, den
-
-
 def _theta_factor(b, N):
-    """(numerator, denominator) of the sine image and the theta numerator
-    modulo q^(N+1) of the rank-0 factor with Y^(1/2) = w^b, in (w, q)."""
-    lf = LocalFactor(const=b, lin=(), den=1, exponent=1)
-    num, den = _pieces_as_fraction_pair(multiplicativize(lf, 1, 2), 2)
+    """(numerator, denominator) of the sine image w^b - w^(-b) and the theta
+    numerator modulo q^(N+1) of the rank-0 factor with Y^(1/2) = w^b, in (w, q)."""
+    num = MultiPoly(2, {(2 * max(b, 0), 0): 1, (2 * max(-b, 0), 0): -1})
     [numerator] = _theta_numerator([((2 * b, 0), 1)], 0, N, 1)
-    return num, den, numerator
+    return num, MultiPoly.monomial(2, (abs(b), 0)), numerator
 
 
 def _euler(N, nv=2):
     """prod_(n<=N) (1 - q^n), q the last of nv variables."""
-    q = MultiPoly.variable(nv, nv - 1)
+    q = MultiPoly.monomial(nv, (0,) * (nv - 1) + (1,))
     out = MultiPoly.const(nv, 1)
     for n in range(1, N + 1):
         out = _mod_q(out.mul(1 - q.pow(n)), N, nv - 1)
     return out
 
 
-class TestMultiplicativize:
-    def test_sine_pure_coordinate(self):
-        lf = LocalFactor(const=0, lin=(1,), den=1, exponent=1)
-        pieces = multiplicativize(lf, 1, 2)
-        num, den = _pieces_as_fraction_pair(pieces, 2)
-        # S - S^{-1} = (S^2 - 1)/S
-        s = MultiPoly.variable(2, 0)
-        assert num.mul(s) == (s.mul(s) - 1).mul(den)
-
-    def test_sine_constant_d(self):
-        lf = LocalFactor(const=2, lin=(0,), den=1, exponent=1)
-        pieces = multiplicativize(lf, 1, 2)
-        num, den = _pieces_as_fraction_pair(pieces, 2)
-        w = MultiPoly.variable(2, 1)
-        # y^{d/2} - y^{-d/2} with d=2, D=1: w^2 - w^{-2}
-        assert num.mul(w.pow(2)) == (w.pow(4) - 1).mul(den)
-
+class TestMultiplicativeImages:
     def test_theta_truncated_product(self):
         # the residues use the theta image modulo q^(N+1) only: the sine
         # image times (q;q) times the theta numerator, for Y^(1/2) = w and
         # N = 1 (w - 1/w)(1-q)(1 - q w^2)(1 - q w^{-2})
         num, den, numerator = _theta_factor(1, 1)
-        w, q = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        w, q = MultiPoly.monomial(2, (1, 0)), MultiPoly.monomial(2, (0, 1))
         expect_num = (w.pow(2) - 1).mul(1 - q).mul(1 - q.mul(w.pow(2))).mul(w.pow(2) - q)
         got = num.mul(1 - q).mul(numerator).mul(w.pow(3))
         assert _mod_q(got, 1, 1) == _mod_q(expect_num.mul(den), 1, 1)
@@ -338,8 +310,8 @@ class TestMultiplicativize:
     def test_denominator_scale_must_clear_data(self):
         lf = LocalFactor(const=1, lin=(2,), den=2, exponent=1)   # 1/2 + z
         with pytest.raises(ValueError):
-            multiplicativize(lf, 1, 2)
-        multiplicativize(lf, 2, 2)
+            engine._half_exponents(lf, 1)
+        assert engine._half_exponents(lf, 2) == [2, 1]
 
 
 class TestFlagResidueMultiplicative:
@@ -356,6 +328,34 @@ class TestFlagResidueMultiplicative:
         for prob in (self.p1_problem(), builders.projective_bundle(3, (2,))):
             full = invariants.compute(prob, kind="all", q_order=0)
             assert full.ell.series.coeffs[0] == full.chi_y.ratfunc
+
+    def test_unset_denominator_scale_is_named(self):
+        # `build_integrand` leaves D unset; `compute` takes it from the
+        # localizations (`engine.denominator_scale`)
+        prob = builders.projective_bundle(3, (2,))
+        ig = invariants.build_integrand(prob, "sine")
+        flag = simple_flag([(1,)], arr.lattice_basis(prob.nonzero_weights()))
+        local = localize(ig, (0,), flag)
+        with pytest.raises(ValueError, match="denominator_scale"):
+            engine.flag_residue(local, flag, ig)
+
+    def test_factors_are_binomials_over_one_monomial(self, monkeypatch):
+        # each factor's sine image is a binomial over a monomial, and every
+        # monomial merges with the measure into at most two factors
+        sizes = []
+        step = engine._residue_step
+
+        def first_step(term, var, *args):
+            if var == 0:
+                sizes.append(Counter(len(p.terms) for p, _ in term.factors.values()))
+            return step(term, var, *args)
+
+        monkeypatch.setattr(engine, "_residue_step", first_step)
+        invariants.compute(builders.framed_a3_problem(3, 1, (1, 2, 3)), kind="sine",
+                           allow_root_incidence=True)
+        assert sizes
+        for count in sizes:
+            assert set(count) <= {1, 2} and count[1] <= 2, count
 
     def test_unbalanced_factor_list_rejected(self):
         ig = bare_integrand(1, [IntegrandFactor(rho=(F(1),), const=F(0), exponent=-1,

@@ -476,7 +476,12 @@ def packed_pairs(monkeypatch, problem, **kwargs):
 
 def test_packed_products_of_the_quintic_elliptic_genus(monkeypatch):
     assert packed_pairs(monkeypatch, builders.projective_bundle(4, (5,)),
-                        kind="theta", q_order=3) <= 165
+                        kind="theta", q_order=3) <= 114
+
+
+def test_packed_products_of_a_length_3_quiver_chi_y(monkeypatch):
+    assert packed_pairs(monkeypatch, builders.framed_a3_problem(3, 1, (1, 2, 3)),
+                        kind="sine", allow_root_incidence=True) <= 396
 
 
 def test_packed_products_of_a_length_3_quiver_dt(monkeypatch):

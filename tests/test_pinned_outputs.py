@@ -5,11 +5,16 @@ The cases cover sine and theta with denominator scale D = 1, 2, 3 and 6, a
 rank-2 problem, q-orders 0 to 3, and a chi_y that is not a Laurent
 polynomial.  To regenerate the expected documents after a deliberate change
 of the output, run `PYTHONPATH=src python tests/test_pinned_outputs.py`.
+
+The digest of the benchmark decks (`tests/deck_digest.py`) is pinned in
+`tests/data/deck_digest.txt`; regenerate it with
+`python3 tests/deck_digest.py > tests/data/deck_digest.txt`.
 """
 
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +24,7 @@ from jkcalc import cli
 
 DATA = Path(__file__).with_name("data") / "pinned_outputs.json"
 TEXT = DATA.with_name("pinned_text.json")
+DIGEST = DATA.with_name("deck_digest.txt")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CASES = {
@@ -60,6 +66,15 @@ def test_emitted_json_is_byte_identical(name):
 def test_emitted_text_is_byte_identical(name):
     expected = json.loads(TEXT.read_text())[name]
     assert emitted(*CASES[name], emit="text") == expected
+
+
+def test_deck_digest_is_pinned():
+    # the script imports jkcalc from the checkout's src/ itself, so it runs
+    # in a process of its own
+    script = Path(__file__).with_name("deck_digest.py")
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == DIGEST.read_text()
 
 
 if __name__ == "__main__":

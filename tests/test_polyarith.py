@@ -10,7 +10,7 @@ from jkcalc import polyarith
 from jkcalc.polyarith import MultiPoly, NonUnitError, QSeries, RatFunc, poly_gcd
 
 
-W = MultiPoly.variable(1, 0)
+W = MultiPoly.monomial(1, (1,))
 ONE = MultiPoly.const(1, 1)
 
 
