@@ -164,7 +164,7 @@ def result_from_json(doc: dict) -> InvariantResult:
     return result
 
 
-def _print_intersections(problem, result_diag, out):
+def _print_intersections(result_diag, out):
     report = result_diag.hypothesis
     out.write(f"isolated intersections: {len(report.all_points)}\n")
     stable_keys = {p.point for p in report.stable_points}
@@ -221,20 +221,12 @@ def run(argv=None) -> int:
         return 3
     try:
         cfg = parse_config(text)
-        if args.degree is not None:
-            cfg.degree = args.degree
-        if args.q_order is not None:
-            cfg.q_order = args.q_order
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.invariant is not None:
-            cfg.invariant = args.invariant
+        for name in ("degree", "q_order", "seed", "invariant"):
+            if getattr(args, name) is not None:
+                setattr(cfg, name, getattr(args, name))
         check_complete(cfg)
         problem = cfg.build_problem()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, ValueError) as exc:
+    except (ConfigError, ValidationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
@@ -263,7 +255,7 @@ def run(argv=None) -> int:
         out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
         try:
             if args.list_intersections:
-                _print_intersections(problem, result.diagnostics, out)
+                _print_intersections(result.diagnostics, out)
             if args.emit == "json":
                 emit_json(result, out)
             else:

@@ -16,20 +16,23 @@ Example (raw mode):
 
 Quiver mode uses `node <name> gauged|framed <dim>`, `arrow <tail> <head> <R>`
 and `xi <node> <int>` lines.  Unknown keys are errors; integers are arbitrary
-precision; covectors are bracketed integer lists.
+precision; covectors are bracketed integer lists.  `MODES` declares each mode.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .builders import grassmannian_det, projective_bundle
 from .invariants import DEFAULT_Q_ORDER, GITProblem, make_problem
 from .quiver import Quiver, QuiverArrow, QuiverNode, QuiverStability, to_git_problem
 
-MODES = ("raw", "quiver", "projective-bundle", "grassmannian-det")
 # invariant name -> integrand kind of `invariants.compute`
 INVARIANT_KINDS = {"dt": "additive", "chi-y": "sine", "ell": "theta", "all": "all"}
+# how often a key may appear: once, on any number of lines, or once per name
+# (a '<name> <value>' key, collected into a dict)
+ONCE, MANY, PER_NAME = "once", "many", "per name"
 
 
 class ConfigError(Exception):
@@ -40,93 +43,161 @@ class ConfigError(Exception):
 
 @dataclass
 class ProblemConfig:
+    """A parsed configuration: the common keys, and the mode's own keys in
+    `values` (key -> parsed value; a list for MANY keys, a dict for PER_NAME
+    keys)."""
+
     mode: str
     label: str = ""
     degree: int | None = None
     invariant: str = "all"
     q_order: int = DEFAULT_Q_ORDER
     seed: int = 0
-    # raw payload
-    rank: int | None = None
-    weyl: int = 1
-    xi: tuple | None = None
-    weights: list = field(default_factory=list)
-    roots: list = field(default_factory=list)
-    # quiver payload
-    nodes: list = field(default_factory=list)
-    arrows: list = field(default_factory=list)
-    node_xi: dict = field(default_factory=dict)
-    # builder payloads
-    n: int | None = None
-    degrees: tuple | None = None
-    gr_k: int | None = None
-    gr_n: int | None = None
-    gr_power: int | None = None
+    values: dict = field(default_factory=dict)
 
     def build_problem(self) -> GITProblem:
-        if self.mode == "raw":
-            problem = make_problem(
-                rank=self.rank, weights=self.weights, roots=self.roots,
-                xi=self.xi, weyl_order=self.weyl,
-                degree=self.degree if self.degree is not None else 1,
-                label=self.label)
-            return problem
-        if self.mode == "quiver":
-            quiver = Quiver(nodes=self.nodes, arrows=self.arrows, label=self.label)
-            if self.degree is None:
-                raise ConfigError("quiver mode requires an explicit degree")
-            return to_git_problem(quiver, QuiverStability(dict(self.node_xi)), self.degree)
-        if self.mode == "projective-bundle":
-            problem = projective_bundle(self.n, self.degrees or (), label=self.label)
-            if self.degree is not None:
-                problem.degree = self.degree
-            return problem
-        if self.mode == "grassmannian-det":
-            return grassmannian_det(self.gr_k, self.gr_n, self.gr_power,
-                                    degree=self.degree if self.degree is not None else 1,
-                                    label=self.label)
-        raise ConfigError(f"unknown mode {self.mode!r}")
+        mode = MODES[self.mode]
+        problem = mode.build({**mode.defaults, **self.values}, self.label, self.degree)
+        if self.degree is not None:
+            problem.degree = self.degree
+        return problem
 
 
-def _parse_int(tok, lineno, what="integer"):
+# A config mode: its keys, key -> (parser, ONCE | MANY | PER_NAME), where a
+# parser is called as parse(key, rest of the line, line number, values parsed
+# so far); the keys it requires; build(values, label, degree) -> GITProblem; and
+# the values of the optional keys that are not given.
+Mode = namedtuple("Mode", "keys required build defaults", defaults=({},))
+
+
+def _integer(key, rest, lineno, values=None, what=None):
     try:
-        return int(tok)
+        return int(rest)
     except ValueError:
-        raise ConfigError(f"expected {what}, got {tok!r}", lineno) from None
+        raise ConfigError(f"expected {what or key}, got {rest!r}", lineno) from None
 
 
-def _parse_covector(tok, lineno, rank=None, key="covector"):
-    tok = tok.strip()
-    if not (tok.startswith("[") and tok.endswith("]")):
-        raise ConfigError(f"{key} must be a bracketed integer list, got {tok!r}", lineno)
-    inner = tok[1:-1].strip()
-    if inner:
-        parts = [p.strip() for p in inner.split(",")]
-        vec = tuple(_parse_int(p, lineno, f"{key} entry") for p in parts)
-    else:
-        vec = ()
+def _covector_line(key, rest, lineno, values):
+    """Split '[a,b] x y' into the covector, which has `rank` entries once a
+    rank is declared, and the trailing tokens."""
+    close = rest.find("]")
+    if not rest.startswith("[") or close < 0:
+        raise ConfigError(f"{key} must start with a bracketed integer list", lineno)
+    tok, inner = rest[:close + 1].replace(" ", ""), rest[1:close].strip()
+    vec = tuple(_integer(key, p.strip(), lineno, what=f"{key} entry")
+                for p in inner.split(",")) if inner else ()
+    rank = values.get("rank")
     if rank is not None and len(vec) != rank:
         raise ConfigError(
             f"{key} {tok} has {len(vec)} entries but the declared rank is {rank}", lineno)
+    return vec, rest[close + 1:].split()
+
+
+def _covector(key, rest, lineno, values):
+    vec, tail = _covector_line(key, rest, lineno, values)
+    if tail:
+        raise ConfigError(f"{key} must be a bracketed integer list, got {rest!r}", lineno)
     return vec
 
 
-def _split_cov_line(rest, lineno, key):
-    """Split '[a,b] x y' into the bracketed part and trailing tokens."""
-    rest = rest.strip()
-    if not rest.startswith("["):
-        raise ConfigError(f"{key} must start with a bracketed covector", lineno)
-    close = rest.find("]")
-    if close < 0:
-        raise ConfigError(f"unterminated covector in {key}", lineno)
-    return rest[: close + 1].replace(" ", ""), rest[close + 1:].split()
+def _invariant(key, rest, lineno, values):
+    if rest not in INVARIANT_KINDS:
+        raise ConfigError(f"invariant must be one of {', '.join(INVARIANT_KINDS)}", lineno)
+    return rest
+
+
+def _multiplicity(key, tail, lineno):
+    mult = _integer(key, tail[0], lineno, what="multiplicity") if tail else 1
+    if mult < 1:
+        raise ConfigError(f"{key} multiplicity must be >= 1", lineno)
+    return mult
+
+
+def _weight(key, rest, lineno, values):
+    cov, tail = _covector_line(key, rest, lineno, values)
+    if len(tail) not in (1, 2):
+        raise ConfigError("weight needs '<covector> <R> [multiplicity]'", lineno)
+    return (cov, _integer(key, tail[0], lineno, what="circle charge"),
+            _multiplicity(key, tail[1:], lineno))
+
+
+def _root(key, rest, lineno, values):
+    cov, tail = _covector_line(key, rest, lineno, values)
+    if len(tail) > 1:
+        raise ConfigError("root needs '<covector> [multiplicity]'", lineno)
+    return cov, _multiplicity(key, tail, lineno)
+
+
+def _node(key, rest, lineno, values):
+    parts = rest.split()
+    if len(parts) != 3 or parts[1] not in ("gauged", "framed"):
+        raise ConfigError("node needs '<name> gauged|framed <dim>'", lineno)
+    return QuiverNode(parts[0], _integer(key, parts[2], lineno, what="dimension"),
+                      gauged=parts[1] == "gauged")
+
+
+def _arrow(key, rest, lineno, values):
+    parts = rest.split()
+    if len(parts) != 3:
+        raise ConfigError("arrow needs '<tail> <head> <R>'", lineno)
+    return QuiverArrow(parts[0], parts[1],
+                       _integer(key, parts[2], lineno, what="circle charge"))
+
+
+def _node_xi(key, rest, lineno, values):
+    parts = rest.split()
+    if len(parts) != 2:
+        raise ConfigError("xi needs '<node> <integer>'", lineno)
+    return parts[0], _integer(key, parts[1], lineno, what="stability")
+
+
+def _build_raw(values, label, degree):
+    roots = [root for root, mult in values["root"] for _ in range(mult)]
+    return make_problem(rank=values["rank"], weights=values["weight"], roots=roots,
+                        xi=values["xi"], weyl_order=values["weyl"], label=label)
+
+
+def _build_quiver(values, label, degree):
+    quiver = Quiver(nodes=values["node"], arrows=values["arrow"], label=label)
+    return to_git_problem(quiver, QuiverStability(dict(values["xi"])), degree)
+
+
+def _builder(function):
+    """A builder mode: its keys are the keyword arguments of `function`."""
+    return lambda values, label, degree: function(label=label, **values)
+
+
+COMMON = {
+    "label": (lambda key, rest, lineno, values: rest, ONCE),
+    "degree": (_integer, ONCE),
+    "invariant": (_invariant, ONCE),
+    "q-order": (_integer, ONCE),
+    "seed": (_integer, ONCE),
+}
+
+MODES = {
+    "raw": Mode(
+        keys={"rank": (_integer, ONCE), "weyl": (_integer, ONCE), "xi": (_covector, ONCE),
+              "weight": (_weight, MANY), "root": (_root, MANY)},
+        required=("rank", "xi", "weight"), build=_build_raw,
+        defaults={"weyl": 1, "root": ()}),
+    "quiver": Mode(
+        keys={"node": (_node, MANY), "arrow": (_arrow, MANY), "xi": (_node_xi, PER_NAME)},
+        required=("node", "degree"), build=_build_quiver,
+        defaults={"arrow": (), "xi": {}}),
+    "projective-bundle": Mode(
+        keys={"n": (_integer, ONCE), "degrees": (_covector, ONCE)},
+        required=("n",), build=_builder(projective_bundle), defaults={"degrees": ()}),
+    "grassmannian-det": Mode(
+        keys={"k": (_integer, ONCE), "n": (_integer, ONCE), "power": (_integer, ONCE)},
+        required=("k", "n", "power"), build=_builder(grassmannian_det)),
+}
 
 
 def parse_config(text: str) -> ProblemConfig:
     """Parse a configuration document; unknown keys and malformed values raise
     ConfigError with the offending line number."""
     cfg = None
-    pending = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,127 +211,43 @@ def parse_config(text: str) -> ProblemConfig:
                 raise ConfigError(f"unknown mode {rest!r} (choose from {', '.join(MODES)})",
                                   lineno)
             cfg = ProblemConfig(mode=rest)
+            keys = {**COMMON, **MODES[rest].keys}
+            lines = {name: [] for name in keys}
             continue
-        pending.append((lineno, key, rest))
+        if key not in lines:
+            raise ConfigError(f"unknown key {key!r} in {cfg.mode} mode", lineno)
+        lines[key].append((lineno, rest))
     if cfg is None:
         raise ConfigError("empty configuration: missing 'mode' directive")
-    for lineno, key, rest in pending:
-        _apply_directive(cfg, key, rest, lineno)
+    # every line is read; apply them key by key in table order, so that a
+    # parser may read the keys declared before its own (raw covectors are
+    # checked against the rank wherever its line stands)
+    values = cfg.values
+    for key, (parse, repeat) in keys.items():
+        for lineno, rest in lines[key]:
+            value = parse(key, rest, lineno, values)
+            if repeat == MANY:
+                values.setdefault(key, []).append(value)
+                continue
+            table, name, what = values, key, key
+            if repeat == PER_NAME:
+                table, (name, value) = values.setdefault(key, {}), value
+                what = f"{key} {name}"
+            if name in table:
+                raise ConfigError(f"{what} may be given only once", lineno)
+            table[name] = value
+    for key in COMMON:
+        if key in values:
+            setattr(cfg, key.replace("-", "_"), values.pop(key))
     check_complete(cfg)
     return cfg
-
-
-def _apply_directive(cfg: ProblemConfig, key, rest, lineno):
-    common = {
-        "label": lambda: setattr(cfg, "label", rest),
-        "degree": lambda: setattr(cfg, "degree", _parse_int(rest, lineno, "degree")),
-        "q-order": lambda: setattr(cfg, "q_order", _parse_int(rest, lineno, "q-order")),
-        "seed": lambda: setattr(cfg, "seed", _parse_int(rest, lineno, "seed")),
-        "invariant": lambda: _set_invariant(cfg, rest, lineno),
-    }
-    if key in common:
-        common[key]()
-        return
-    if cfg.mode == "raw":
-        if key == "rank":
-            cfg.rank = _parse_int(rest, lineno, "rank")
-        elif key == "weyl":
-            cfg.weyl = _parse_int(rest, lineno, "weyl order")
-        elif key == "xi":
-            cfg.xi = _parse_covector(rest.replace(" ", ""), lineno, cfg.rank, "xi")
-        elif key == "weight":
-            cov_tok, tail = _split_cov_line(rest, lineno, "weight")
-            cov = _parse_covector(cov_tok, lineno, cfg.rank, "weight")
-            if len(tail) not in (1, 2):
-                raise ConfigError("weight needs '<covector> <R> [multiplicity]'", lineno)
-            r = _parse_int(tail[0], lineno, "circle charge")
-            mult = _parse_int(tail[1], lineno, "multiplicity") if len(tail) == 2 else 1
-            if mult < 1:
-                raise ConfigError("weight multiplicity must be >= 1", lineno)
-            cfg.weights.append((cov, r, mult))
-        elif key == "root":
-            cov_tok, tail = _split_cov_line(rest, lineno, "root")
-            cov = _parse_covector(cov_tok, lineno, cfg.rank, "root")
-            mult = _parse_int(tail[0], lineno, "multiplicity") if tail else 1
-            for _ in range(mult):
-                cfg.roots.append(cov)
-        else:
-            raise ConfigError(f"unknown key {key!r} in raw mode", lineno)
-        return
-    if cfg.mode == "quiver":
-        if key == "node":
-            parts = rest.split()
-            if len(parts) != 3 or parts[1] not in ("gauged", "framed"):
-                raise ConfigError("node needs '<name> gauged|framed <dim>'", lineno)
-            cfg.nodes.append(QuiverNode(parts[0], _parse_int(parts[2], lineno, "dimension"),
-                                        gauged=parts[1] == "gauged"))
-        elif key == "arrow":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ConfigError("arrow needs '<tail> <head> <R>'", lineno)
-            cfg.arrows.append(QuiverArrow(parts[0], parts[1],
-                                          _parse_int(parts[2], lineno, "circle charge")))
-        elif key == "xi":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ConfigError("xi needs '<node> <integer>'", lineno)
-            cfg.node_xi[parts[0]] = _parse_int(parts[1], lineno, "stability")
-        else:
-            raise ConfigError(f"unknown key {key!r} in quiver mode", lineno)
-        return
-    if cfg.mode == "projective-bundle":
-        if key == "n":
-            cfg.n = _parse_int(rest, lineno, "n")
-        elif key == "degrees":
-            cfg.degrees = _parse_covector(rest.replace(" ", ""), lineno, None, "degrees")
-        else:
-            raise ConfigError(f"unknown key {key!r} in projective-bundle mode", lineno)
-        return
-    if cfg.mode == "grassmannian-det":
-        if key == "k":
-            cfg.gr_k = _parse_int(rest, lineno, "k")
-        elif key == "n":
-            cfg.gr_n = _parse_int(rest, lineno, "n")
-        elif key == "power":
-            cfg.gr_power = _parse_int(rest, lineno, "power")
-        else:
-            raise ConfigError(f"unknown key {key!r} in grassmannian-det mode", lineno)
-        return
-    raise ConfigError(f"unknown key {key!r}", lineno)
-
-
-def _set_invariant(cfg, rest, lineno):
-    if rest not in INVARIANT_KINDS:
-        raise ConfigError(
-            f"invariant must be one of {', '.join(INVARIANT_KINDS)}", lineno)
-    cfg.invariant = rest
 
 
 def check_complete(cfg: ProblemConfig):
     if cfg.q_order < 0:
         raise ConfigError("q-order must be >= 0")
-    if cfg.mode == "raw":
-        missing = [name for name, val in
-                   (("rank", cfg.rank), ("xi", cfg.xi))
-                   if val is None]
-        if missing:
-            raise ConfigError(f"raw mode is missing required keys: {', '.join(missing)}")
-        if not cfg.weights:
-            raise ConfigError("raw mode needs at least one weight line")
-    elif cfg.mode == "quiver":
-        if not cfg.nodes:
-            raise ConfigError("quiver mode needs node lines")
-        if cfg.degree is None:
-            raise ConfigError("quiver mode requires an explicit degree")
-    elif cfg.mode == "projective-bundle":
-        if cfg.n is None:
-            raise ConfigError("projective-bundle mode requires n")
-        if cfg.degrees is None:
-            cfg.degrees = ()
-    elif cfg.mode == "grassmannian-det":
-        missing = [name for name, val in
-                   (("k", cfg.gr_k), ("n", cfg.gr_n), ("power", cfg.gr_power))
-                   if val is None]
-        if missing:
-            raise ConfigError(
-                f"grassmannian-det mode is missing required keys: {', '.join(missing)}")
+    # a required common key (quiver's degree) is an attribute, not a value
+    missing = [key for key in MODES[cfg.mode].required
+               if key not in cfg.values and getattr(cfg, key, None) is None]
+    if missing:
+        raise ConfigError(f"{cfg.mode} mode is missing required keys: {', '.join(missing)}")

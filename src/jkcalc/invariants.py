@@ -71,16 +71,13 @@ class HypothesisReport:
 def make_problem(rank, weights, roots, xi, weyl_order=1, degree=1, label="",
                  properness_hint=None, properness_note=""):
     """Convenience constructor: weights as (covector, R, multiplicity) triples."""
-    entries = []
-    for item in weights:
-        rho, r, mult = item
-        for _ in range(mult):
-            entries.append(WeightEntry(tuple(int(x) for x in rho), int(r)))
+    entries = [WeightEntry(tuple(map(int, rho)), int(r))
+               for rho, r, mult in weights for _ in range(mult)]
     return GITProblem(
         rank=rank,
         weight_entries=entries,
-        roots=[tuple(int(x) for x in a) for a in roots],
-        xi=tuple(int(x) for x in xi),
+        roots=[tuple(map(int, a)) for a in roots],
+        xi=tuple(map(int, xi)),
         weyl_order=weyl_order,
         degree=degree,
         label=label,
@@ -105,6 +102,8 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
         raise ValidationError("the potential degree d must be nonzero")
     if problem.weyl_order < 1:
         raise ValidationError("the Weyl order must be a positive integer")
+    if len(problem.xi) != k:
+        raise ValidationError(f"stability covector {problem.xi} has wrong rank (expected {k})")
     for w in problem.weight_entries:
         if len(w.rho) != k:
             raise ValidationError(f"weight covector {w.rho} has wrong rank (expected {k})")

@@ -10,9 +10,9 @@ gauge-fixed by eliminating the last coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 
-from .invariants import GITProblem, ValidationError, WeightEntry
+from .invariants import GITProblem, ValidationError, make_problem
 
 
 @dataclass(frozen=True)
@@ -133,21 +133,22 @@ def gl_roots(dim: int, offset: int = 0, rank: int | None = None):
 def to_git_problem(quiver: Quiver, stability: QuiverStability, degree: int) -> GITProblem:
     """Expand quiver data into a torus/weight problem.
 
-    Framed nodes are not gauged; arrows touching them contribute weights with
-    multiplicity equal to the framed dimension.  Loop weights with equal head
-    and tail index give zero covectors kept as constant integrand factors.
+    Each arrow gives the weight e_h - e_t with its circle charge for every
+    coordinate h of its head and t of its tail, head index outer.  A framed
+    end has no coordinate (e = 0) and multiplies the weight's multiplicity
+    by its dimension.  Loop weights with equal head and tail index give zero
+    covectors kept as constant integrand factors.
     """
     gauged = quiver.gauged_nodes()
     framed = quiver.is_framed()
-    offsets = {}
+    coords = {}
     k_raw = 0
     for n in gauged:
-        offsets[n.name] = k_raw
+        coords[n.name] = range(k_raw, k_raw + n.dim)
         k_raw += n.dim
     dims = {n.name: n.dim for n in quiver.nodes}
-    gauged_names = {n.name for n in gauged}
     for name in stability.values:
-        if name not in gauged_names:
+        if name not in coords:
             raise ValidationError(f"stability assigned to non-gauged node {name!r}")
     if not framed:
         total = sum(dims[n.name] * stability.values.get(n.name, 0) for n in gauged)
@@ -157,41 +158,28 @@ def to_git_problem(quiver: Quiver, stability: QuiverStability, degree: int) -> G
                 "a character of the projectivized gauge group"
             )
 
-    def unit(idx):
-        e = [0] * k_raw
-        e[idx] = 1
-        return e
-
     entries = []
     for a in quiver.arrows:
-        th, tt = a.head in gauged_names, a.tail in gauged_names
-        if th and tt:
-            for j in range(dims[a.head]):
-                for i in range(dims[a.tail]):
-                    rho = [0] * k_raw
-                    rho[offsets[a.head] + j] += 1
-                    rho[offsets[a.tail] + i] -= 1
-                    entries.append((rho, a.r_charge, 1))
-        elif th and not tt:
-            for j in range(dims[a.head]):
-                entries.append((unit(offsets[a.head] + j), a.r_charge, dims[a.tail]))
-        elif tt and not th:
-            for i in range(dims[a.tail]):
+        heads, tails = (coords.get(end, [None]) for end in (a.head, a.tail))
+        mult = prod(dims[end] for end in (a.head, a.tail) if end not in coords)
+        for h in heads:
+            for t in tails:
                 rho = [0] * k_raw
-                rho[offsets[a.tail] + i] = -1
-                entries.append((rho, a.r_charge, dims[a.head]))
-        else:
-            entries.append(([0] * k_raw, a.r_charge, dims[a.head] * dims[a.tail]))
+                if h is not None:
+                    rho[h] += 1
+                if t is not None:
+                    rho[t] -= 1
+                entries.append((rho, a.r_charge, mult))
     roots = []
     weyl = 1
     for n in gauged:
-        node_roots, node_weyl = gl_roots(n.dim, offsets[n.name], k_raw)
+        node_roots, node_weyl = gl_roots(n.dim, coords[n.name].start, k_raw)
         roots += node_roots
         weyl *= node_weyl
     xi = [0] * k_raw
     for n in gauged:
-        for i in range(n.dim):
-            xi[offsets[n.name] + i] = stability.values.get(n.name, 0)
+        for i in coords[n.name]:
+            xi[i] = stability.values.get(n.name, 0)
     if not framed:
         # every covector annihilates the diagonal; check, then gauge-fix the
         # last coordinate of the last gauged node to zero
@@ -212,18 +200,6 @@ def to_git_problem(quiver: Quiver, stability: QuiverStability, degree: int) -> G
     else:
         hint, note = "asserted", "simple-cycle charge sums have mixed signs; " \
                                  "properness is asserted by the caller"
-    flat_entries = []
-    for rho, r, mult in entries:
-        for _ in range(mult):
-            flat_entries.append(WeightEntry(tuple(rho), r))
-    return GITProblem(
-        rank=len(xi),
-        weight_entries=flat_entries,
-        roots=[tuple(r) for r in roots],
-        xi=tuple(xi),
-        weyl_order=weyl,
-        degree=degree,
-        label=quiver.label,
-        properness_hint=hint,
-        properness_note=note,
-    )
+    return make_problem(rank=len(xi), weights=entries, roots=roots, xi=xi, weyl_order=weyl,
+                        degree=degree, label=quiver.label, properness_hint=hint,
+                        properness_note=note)

@@ -4,10 +4,12 @@ import glob
 import io
 import json
 import os
+import re
 from collections import Counter
 
 import pytest
 
+import decks
 from jkcalc import builders, cli, invariants
 from jkcalc.config import ConfigError, parse_config
 
@@ -94,6 +96,131 @@ class TestParse:
         assert invariants.compute(cfg.build_problem(), kind="additive").dt == 200
         cfg = parse_config("mode grassmannian-det\nk 2\nn 4\npower 4\ndegree 1\n")
         assert invariants.compute(cfg.build_problem(), kind="additive").dt == 176
+
+
+PROJECTIVE_TEXT = "mode projective-bundle\nn 4\ndegrees [5]\n"
+GRASSMANNIAN_TEXT = "mode grassmannian-det\nk 2\nn 4\npower 4\ndegree 1\n"
+# (config, lines that repeat a once-only key, what the error names); the last
+# line used to win, so that PROJECTIVE_TEXT + "n 3" printed the DT of P^3, 55
+REPEATED_LINES = [(CY3_TEXT, line, line.split()[0]) for line in
+                  ("rank 1", "weyl 1", "xi [1,1]", "label x", "degree 2")] + \
+    [(QUIVER_TEXT, "xi X 2", "xi X")] + \
+    [(PROJECTIVE_TEXT, line, line.split()[0]) for line in
+     ("n 3", "degrees [3]", "invariant dt\ninvariant all", "q-order 1\nq-order 2",
+      "seed 1\nseed 2")] + \
+    [(GRASSMANNIAN_TEXT, line, line.split()[0]) for line in ("k 1", "n 5", "power 2")]
+
+
+def _exit_and_error(tmp_path, capsys, text):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(text)
+    return cli.run([str(cfg), "--invariant", "dt"]), capsys.readouterr().err
+
+
+class TestStrictGrammar:
+    @pytest.mark.parametrize("base, lines, what", REPEATED_LINES,
+                             ids=[what for _, _, what in REPEATED_LINES])
+    def test_once_only_key_given_twice(self, base, lines, what, tmp_path, capsys):
+        text = base + lines + "\n"
+        last = len(text.splitlines())
+        with pytest.raises(ConfigError, match=f"^line {last}: {what} may be given only once$"):
+            parse_config(text)
+        code, err = _exit_and_error(tmp_path, capsys, text)
+        assert code == 3 and err.startswith(f"config error: line {last}: ")
+
+    def test_quiver_stability_once_per_node(self):
+        text = QUIVER_TEXT.replace("xi X 1", "xi X 1\nnode G gauged 1\narrow X G 0\nxi G 2")
+        assert parse_config(text).values["xi"] == {"X": 1, "G": 2}
+
+    @pytest.mark.parametrize("root, message", [
+        ("root [1,-1] 1 junk", "root needs '<covector> [multiplicity]'"),
+        ("root [1,-1] 0", "root multiplicity must be >= 1"),
+        ("root [1,-1] -1", "root multiplicity must be >= 1"),
+        ("root [1,-1] x", "expected multiplicity, got 'x'"),
+    ])
+    def test_root_multiplicity(self, root, message, tmp_path, capsys):
+        text = CY3_TEXT.replace("root [1,-1]", root)
+        lineno = text.splitlines().index(root) + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: {re.escape(message)}$"):
+            parse_config(text)
+        code, err = _exit_and_error(tmp_path, capsys, text)
+        assert code == 3 and f"line {lineno}: " in err
+
+    def test_zero_root_multiplicities_no_longer_drop_the_roots(self, tmp_path, capsys):
+        # with both roots dropped the cy3 problem printed DT = 14304, not 176
+        text = CY3_TEXT.replace("root [1,-1]", "root [1,-1] 0").replace(
+            "root [-1,1]", "root [-1,1] 0")
+        assert _exit_and_error(tmp_path, capsys, text)[0] == 3
+        doubled = CY3_TEXT.replace("root [1,-1]", "root [1,-1] 2").replace(
+            "root [-1,1]", "root [-1,1] 2")
+        assert parse_config(doubled).build_problem().roots == [(1, -1)] * 2 + [(-1, 1)] * 2
+
+    @pytest.mark.parametrize("text, missing", [
+        ("mode raw\nrank 1\nxi [1]\n", "raw mode is missing required keys: weight"),
+        ("mode raw\nweight [1] 0\n", "raw mode is missing required keys: rank, xi"),
+        ("mode quiver\nnode X gauged 1\n", "quiver mode is missing required keys: degree"),
+        ("mode quiver\ndegree 1\n", "quiver mode is missing required keys: node"),
+        ("mode projective-bundle\ndegrees [2]\n",
+         "projective-bundle mode is missing required keys: n"),
+        ("mode grassmannian-det\nk 2\n",
+         "grassmannian-det mode is missing required keys: n, power"),
+    ])
+    def test_missing_required_keys(self, text, missing):
+        with pytest.raises(ConfigError, match=f"^{missing}$"):
+            parse_config(text)
+
+
+class TestLineOrder:
+    def test_stability_before_rank_names_the_length(self, tmp_path, capsys):
+        text = "mode raw\nxi [1]\nrank 2\nweight [1,0] 0\nweight [0,1] 0\n"
+        message = "line 2: xi [1] has 1 entries but the declared rank is 2"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        code, err = _exit_and_error(tmp_path, capsys, text)
+        assert code == 3 and message in err
+
+    def test_weight_before_rank_names_the_length(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "line 2: weight [1,0,0] has 3 entries but the declared rank is 2")):
+            parse_config("mode raw\nweight [1,0,0] 0\nrank 2\nxi [1,1]\n")
+
+    def test_directive_order_is_free(self):
+        # weight and root lines first, then rank and xi
+        lines = CY3_TEXT.strip().splitlines()
+        shuffled = "\n".join([lines[0], *sorted(
+            lines[1:], key=lambda line: line.split()[0] not in ("weight", "root"))])
+        assert shuffled.splitlines()[-1] == "xi [-1,-1]"
+        assert parse_config(shuffled) == parse_config(CY3_TEXT)
+        assert parse_config(shuffled).build_problem() == parse_config(CY3_TEXT).build_problem()
+
+
+def _family_problem(item):
+    """The problem a request-mix item asks for, from its family's builder or
+    `make_problem`, with the parameters of its oracle key and label."""
+    family, *params = item.oracle
+    if family == "ci" and params[0] == 1:
+        return builders.projective_bundle(params[1] - 1, params[2], label=item.name)
+    if family == "ci":
+        return builders.grassmannian_det(2, params[1], params[2][0], degree=1,
+                                         label=item.name)
+    if family == "quiver":
+        return builders.framed_a3_problem(*params, label=item.name)
+    charges = [int(part.split("r")[1]) for part in item.name.split("-")[1:]]
+    degree = int(re.search(r"^degree (\d+)$", item.text, re.M).group(1))
+    return invariants.make_problem(
+        rank=1, weights=[((c,), r, 1) for c, r in zip(params[0], charges)], roots=[],
+        xi=(1,), degree=degree, label=item.name)
+
+
+@pytest.mark.parametrize("seed", [3, 424242])
+def test_request_mix_texts_parse_to_the_family_problems(seed):
+    items = decks.deck("request-mix", seed)
+    assert Counter(item.text.split()[1] for item in items) == {
+        "projective-bundle": 120, "grassmannian-det": 48, "quiver": 30, "raw": 40}
+    for item in items:
+        cfg = parse_config(item.text)
+        assert (cfg.label, cfg.invariant, cfg.q_order) == (item.name, "dt", 6)
+        assert cfg.build_problem() == _family_problem(item), item.name
 
 
 class TestBuilders:

@@ -530,6 +530,27 @@ def test_screen_bounds_the_pole_order_of_rank2_integrands(monkeypatch):
         assert flag_residue_multiplicative(local, flag, sine).is_zero(), local
 
 
+class TestIdenticallyZeroFactors:
+    def test_zero_numerator_gives_zero_invariants(self):
+        """The zero covector with charge d has the numerator factor 0 + 0.u:
+        DT, chi_y and every Ell coefficient vanish."""
+        problem = invariants.make_problem(rank=1, weights=[((1,), 0, 2), ((0,), 1, 1)],
+                                          roots=[], xi=(1,), degree=1)
+        res = invariants.compute(problem, kind="all", q_order=1)
+        assert res.dt == 0
+        assert res.chi_y.ratfunc.is_zero()
+        assert len(res.ell.series.coeffs) == 2
+        assert all(c.is_zero() for c in res.ell.series.coeffs)
+
+    def test_zero_denominator_raises(self):
+        local = _local((0, (1,), -1), (0, (0,), -1))
+        flag = simple_flag([(1,)], [(1,)])
+        with pytest.raises(ZeroDivisionError, match="identically zero"):
+            flag_residue_additive(local, flag, bare_integrand(1, []))
+        with pytest.raises(ZeroDivisionError, match="identically zero"):
+            flag_residue_multiplicative(local, flag, bare_integrand(1, [], kind="sine"))
+
+
 def _affine_series(a, b, e, n):
     """The first n coefficients of (a + b z)^e, a != 0, over Q."""
     out, c = [], Fraction(a) ** e

@@ -70,6 +70,13 @@ class TestValidate:
         with pytest.raises(ValidationError, match="regular"):
             validate(prob)
 
+    @pytest.mark.parametrize("xi", [(1,), (1, 1, 1)])
+    def test_stability_of_the_wrong_length_rejected(self, xi):
+        prob = make_problem(rank=2, weights=[((1, 0), 0, 1), ((0, 1), 0, 1)], roots=[],
+                            xi=xi, degree=1)
+        with pytest.raises(ValidationError, match="stability covector .* wrong rank"):
+            validate(prob)
+
     def test_zero_weight_with_zero_charge_rejected(self):
         prob = make_problem(rank=1, weights=[((1,), 0, 1), ((0,), 0, 1)], roots=[],
                             xi=(1,), degree=1)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
+import quiver_reference
 from jkcalc import builders, invariants
 from jkcalc.invariants import ValidationError
 from jkcalc.quiver import (Quiver, QuiverArrow, QuiverNode, QuiverStability,
@@ -43,12 +44,16 @@ def test_dt_of_framed_a3_quivers_at_two_seeds(n, r):
             assert res.dt == macmahon_dt(n, r, charges), (charges, seed)
 
 
-def test_dt_of_the_length4_quiver():
-    """Length 4, rank 1, charges (1,1,1), where 189 of the 7,368 sum walls
-    pass through xi = (1, 1, 1, 1): DT is the MacMahon value -98."""
-    res = invariants.compute(builders.framed_a3_problem(4, 1, (1, 1, 1)), kind="additive",
+@pytest.mark.parametrize("charges, dt", [((1, 1, 1), -98), ((1, 1, 2), -162),
+                                         ((1, 2, 2), -162), ((2, 2, 2), -98),
+                                         ((1, 2, 3), -240)],
+                         ids=["111", "112", "122", "222", "123"])
+def test_dt_of_the_length4_quiver(charges, dt):
+    """Length 4, rank 1, at every charge vector; at (1,1,1), 189 of the 7,368
+    sum walls pass through xi = (1, 1, 1, 1).  DT is the MacMahon value."""
+    res = invariants.compute(builders.framed_a3_problem(4, 1, charges), kind="additive",
                              allow_root_incidence=True)
-    assert res.dt == macmahon_dt(4, 1, (1, 1, 1)) == -98
+    assert res.dt == macmahon_dt(4, 1, charges) == dt
 
 
 CHI_Y_CASES = [(n, r, charges) for r in (1, 2) for n in (1, 2)
@@ -69,6 +74,40 @@ def test_chi_y_of_framed_a3_quivers_is_the_k_theoretic_partition_function(n, r, 
                     for part in oracles.quiver_a3_chi_y(n, r, charges))
     assert num
     assert oracles.laurent_mul(num, den_o) == oracles.laurent_mul(num_o, den)
+
+
+def _translations():
+    """(quiver, stability, degree): the framed A^3 quivers with n, r <= 3, an
+    unframed two-node quiver, and a quiver with every kind of arrow (gauged
+    or framed head and tail, loops on both)."""
+    for n in (1, 2, 3):
+        for r in (1, 2, 3):
+            for charges in A3_CHARGES:
+                yield builders.framed_a3_quiver(n, r, charges), {"X": 1}, sum(charges)
+    yield (Quiver(nodes=[QuiverNode("a", 1), QuiverNode("b", 2)],
+                  arrows=[QuiverArrow("a", "b", 1), QuiverArrow("b", "a", 0),
+                          QuiverArrow("b", "b", 2)]),
+           {"a": 2, "b": -1}, 1)
+    yield (Quiver(nodes=[QuiverNode("X", 2), QuiverNode("Y", 1), QuiverNode("F", 2, False),
+                         QuiverNode("G", 3, False)],
+                  arrows=[QuiverArrow("F", "X", 0), QuiverArrow("X", "G", 1),
+                          QuiverArrow("X", "Y", 2), QuiverArrow("Y", "X", -1),
+                          QuiverArrow("F", "G", 3), QuiverArrow("G", "G", 1),
+                          QuiverArrow("X", "X", 1)]),
+           {"X": 1, "Y": -2}, 2)
+
+
+def test_translation_equals_the_four_branch_reference():
+    """One weight rule per arrow gives the reference's problem, in order:
+    weight entries, roots, xi, Weyl order and properness hint."""
+    cases = list(_translations())
+    assert len(cases) == 47
+    for quiver, xi, degree in cases:
+        problem = to_git_problem(quiver, QuiverStability(xi), degree)
+        reference = quiver_reference.to_git_problem(quiver, QuiverStability(xi), degree)
+        for name in ("weight_entries", "roots", "xi", "weyl_order", "properness_hint"):
+            assert getattr(problem, name) == getattr(reference, name), (quiver.label, name)
+        assert problem == reference
 
 
 class TestFramedA3:
