@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import invariants
-from .config import INVARIANT_KINDS, ConfigError, check_complete, parse_config
+from .config import INVARIANT_KINDS, ConfigError, parse_config
 from .engine import NonGenericResidueError
 from .invariants import (InvariantResult, PipelineError, ValidationError,
                          integrality_scale, specialize)
@@ -224,7 +224,6 @@ def run(argv=None) -> int:
         for name in ("degree", "q_order", "seed", "invariant"):
             if getattr(args, name) is not None:
                 setattr(cfg, name, getattr(args, name))
-        check_complete(cfg)
         problem = cfg.build_problem()
     except (ConfigError, ValidationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -56,7 +56,17 @@ class ProblemConfig:
     values: dict = field(default_factory=dict)
 
     def build_problem(self) -> GITProblem:
+        """The problem this configuration describes, once any command-line
+        overrides are set on it; raises ConfigError for a negative q-order or
+        a missing required key."""
+        if self.q_order < 0:
+            raise ConfigError("q-order must be >= 0")
         mode = MODES[self.mode]
+        # a required common key (quiver's degree) is an attribute, not a value
+        missing = [key for key in mode.required
+                   if key not in self.values and getattr(self, key, None) is None]
+        if missing:
+            raise ConfigError(f"{self.mode} mode is missing required keys: {', '.join(missing)}")
         problem = mode.build({**mode.defaults, **self.values}, self.label, self.degree)
         if self.degree is not None:
             problem.degree = self.degree
@@ -196,7 +206,9 @@ MODES = {
 
 def parse_config(text: str) -> ProblemConfig:
     """Parse a configuration document; unknown keys and malformed values raise
-    ConfigError with the offending line number."""
+    ConfigError with the offending line number.  Missing keys are reported by
+    `ProblemConfig.build_problem`, since a command-line override may supply
+    them."""
     cfg = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -239,15 +251,5 @@ def parse_config(text: str) -> ProblemConfig:
     for key in COMMON:
         if key in values:
             setattr(cfg, key.replace("-", "_"), values.pop(key))
-    check_complete(cfg)
     return cfg
 
-
-def check_complete(cfg: ProblemConfig):
-    if cfg.q_order < 0:
-        raise ConfigError("q-order must be >= 0")
-    # a required common key (quiver's degree) is an attribute, not a value
-    missing = [key for key in MODES[cfg.mode].required
-               if key not in cfg.values and getattr(cfg, key, None) is None]
-    if missing:
-        raise ConfigError(f"{cfg.mode} mode is missing required keys: {', '.join(missing)}")

@@ -6,7 +6,9 @@ genus.
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -241,6 +243,7 @@ class Diagnostics:
     denom_scale: int = 1
     seed: int = 0
     retries: int = 0    # always 0 since compute never retries; kept in the JSON format
+    orbits: int = 0     # residues computed per kind, one per orbit (`orbit_keys`)
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
     local_flags: list = field(default_factory=list, repr=False)  # reused by `_rerun`
@@ -297,7 +300,8 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
 
 def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
     """Localize the one factor list once at each (stable point, flag), unless
-    `local_flags` has them from a run at this seed, for every requested kind."""
+    `local_flags` has them from a run at this seed, for every requested kind,
+    and take each kind's residue once per orbit of `orbit_keys`."""
     kinds = engine.KINDS if kind == "all" else (kind,)
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     integrand = build_integrand(problem, kinds[0], q_order, s)
@@ -326,14 +330,18 @@ def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
     ]
     if report.root_condition != "ok":
         diag.notes.append(report.root_condition)
+    keys = orbit_keys(problem, report.stable_points)
+    diag.orbits = len(set(keys))
     weyl = Fraction(1, problem.weyl_order)
     for kd in kinds:
         kind_integrand = replace(integrand, kind=kd, denom_scale=D,
                                  q_order=q_order if kd == "theta" else None)
         total = engine.zero_value(kind_integrand)
-        for pdiag, flags in zip(diag.points, local_flags):
-            value = engine.jk_residue(kind_integrand, flags)
-            pdiag.contributions[kd] = value
+        orbit_values = {}
+        for pdiag, flags, key in zip(diag.points, local_flags, keys):
+            if key not in orbit_values:     # the orbit's first point in order
+                orbit_values[key] = engine.jk_residue(kind_integrand, flags)
+            value = pdiag.contributions[kd] = orbit_values[key]
             total = total + value
         total = total * weyl
         if kd == "additive":
@@ -345,6 +353,55 @@ def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
             result.ell = EllResult(series=total, denom_scale=D, q_order=q_order)
     diag.elapsed = time.monotonic() - t0
     return result
+
+
+def symmetric_blocks(problem: GITProblem) -> list[list[int]]:
+    """The coordinates, partitioned into the blocks of the group generated by
+    the transpositions (i j) that fix xi, the multiset of roots and the
+    multiset of (weight, charge) pairs; that group is the product of the full
+    permutation groups of the blocks (union-find over the transpositions)."""
+    k = problem.rank
+    roots = Counter(problem.roots)
+    entries = Counter((w.rho, w.r_charge) for w in problem.weight_entries)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(k), 2):
+        if problem.xi[i] != problem.xi[j] or find(i) == find(j):
+            continue
+        order = list(range(k))
+        order[i], order[j] = j, i
+
+        def swap(v):
+            return tuple(v[c] for c in order)
+
+        if Counter(map(swap, problem.roots)) == roots and Counter(
+                (swap(w.rho), w.r_charge) for w in problem.weight_entries) == entries:
+            parent[find(j)] = find(i)
+    blocks: dict = {}
+    for i in range(k):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def orbit_keys(problem: GITProblem, points) -> list:
+    """One key per point of `points`, equal exactly when two points lie in
+    one orbit of `symmetric_blocks`' group: each point's coordinates sorted
+    within each block.  Such a permutation fixes the integrand and xi, and xi
+    is regular, so it fixes the JK residue too (the residue form of the
+    1/|W| of the localization formula); the lattice factor is unchanged
+    since it is unimodular.  Below rank 2, or with fewer than two points,
+    there is no search.
+    """
+    if problem.rank < 2 or len(points) < 2:
+        return list(range(len(points)))
+    blocks = symmetric_blocks(problem)
+    return [tuple(tuple(sorted(pt.point[i] for i in block)) for block in blocks)
+            for pt in points]
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,20 @@ class TestStrictGrammar:
          "grassmannian-det mode is missing required keys: n, power"),
     ])
     def test_missing_required_keys(self, text, missing):
+        cfg = parse_config(text)    # command-line overrides may still supply them
         with pytest.raises(ConfigError, match=f"^{missing}$"):
-            parse_config(text)
+            cfg.build_problem()
+
+    def test_degree_option_supplies_a_missing_degree(self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "framed-a3-n1-r1.cfg"), encoding="utf-8") as fh:
+            text = fh.read()
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text.replace("degree 3\n", ""))
+        assert cli.run([str(cfg), "--degree", "3"]) == 0
+        assert "DT = 8\n" in capsys.readouterr().out
+        assert cli.run([str(cfg)]) == 3
+        assert capsys.readouterr().err == \
+            "config error: quiver mode is missing required keys: degree\n"
 
 
 class TestLineOrder:

@@ -487,13 +487,15 @@ def test_packed_products_of_the_quintic_elliptic_genus(monkeypatch):
 
 
 def test_packed_products_of_a_length_3_quiver_chi_y(monkeypatch):
+    # 396 with one residue per stable point, not per orbit
     assert packed_pairs(monkeypatch, builders.framed_a3_problem(3, 1, (1, 2, 3)),
-                        kind="sine", allow_root_incidence=True) <= 396
+                        kind="sine", allow_root_incidence=True) <= 66
 
 
 def test_packed_products_of_a_length_3_quiver_dt(monkeypatch):
+    # 1,572 with one residue per stable point, not per orbit
     assert packed_pairs(monkeypatch, builders.framed_a3_problem(3, 1, (1, 1, 1)),
-                        kind="additive") <= 1572
+                        kind="additive") <= 384
 
 
 def test_eliminations_of_the_geometry_of_a_length_3_quiver(monkeypatch):

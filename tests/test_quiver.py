@@ -58,7 +58,7 @@ def test_dt_of_the_length4_quiver(charges, dt):
 
 CHI_Y_CASES = [(n, r, charges) for r in (1, 2) for n in (1, 2)
                for charges in ((1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 2, 2))] \
-    + [(3, 1, (1, 1, 1)), (3, 1, (1, 1, 2))]
+    + [(3, 1, (1, 1, 1)), (3, 1, (1, 1, 2)), (4, 1, (1, 1, 1)), (4, 1, (1, 1, 2))]
 
 
 @pytest.mark.parametrize("n, r, charges", CHI_Y_CASES)
