@@ -2,57 +2,39 @@
 
 from __future__ import annotations
 
-from .invariants import GITProblem, make_problem
+from .invariants import GITProblem, WeightEntry, make_problem
 from .quiver import (Quiver, QuiverArrow, QuiverNode, QuiverStability, gl_roots,
                      to_git_problem)
 
 
 def projective_bundle(n: int, degrees, label: str = "") -> GITProblem:
-    """Total space of O(-d_1) + ... + O(-d_m) over P^n, scaling the fibres.
-
-    Rank-one torus; n+1 weights u with charge 0, one weight -d_i u with
-    charge 1 per summand; stability u.  The base is proper, so the fixed
-    locus is too.
+    """Total space of O(-d_1) + ... + O(-d_m) over P^n, scaling the fibres:
+    `projective_space` with charges 0, and one weight -d_i u with charge 1
+    per summand.  The base is proper, so the fixed locus is too.
     """
     degrees = tuple(int(d) for d in degrees)
     if any(d < 1 for d in degrees):
         raise ValueError("bundle degrees must be >= 1")
     if len(degrees) >= n:
         raise ValueError("need fewer bundle summands than the dimension of the base")
-    weights = [((1,), 0, n + 1)] + [((-d,), 1, 1) for d in degrees]
-    return make_problem(
-        rank=1, weights=weights, roots=[], xi=(1,), weyl_order=1, degree=1,
-        label=label or f"ci-p{n}-" + "-".join(map(str, degrees)),
-        properness_hint="checked",
-        properness_note="fixed locus is the zero section over projective space",
-    )
+    problem = projective_space(n, [0] * (n + 1),
+                               label=label or f"ci-p{n}-" + "-".join(map(str, degrees)))
+    problem.weight_entries += [WeightEntry((-d,), 1) for d in degrees]
+    problem.properness_note = "fixed locus is the zero section over projective space"
+    return problem
 
 
 def grassmannian_det(k: int, n: int, power: int, degree: int = 1,
                      label: str = "") -> GITProblem:
-    """Total space of the -power determinant line bundle over Gr(k, n).
-
-    Matrix space weights -u_a (n copies each), one det^power weight with
-    charge 1, general-linear roots, stability -(u_1 + ... + u_k).
+    """Total space of the -power determinant line bundle over Gr(k, n):
+    `grassmannian` with charges 0, and one det^power weight with charge 1.
     """
     if not (1 <= k < n) or power < 1:
         raise ValueError("need 1 <= k < n and power >= 1")
-
-    def unit(a, sign=1):
-        v = [0] * k
-        v[a] = sign
-        return tuple(v)
-
-    weights = [(unit(a, -1), 0, n) for a in range(k)]
-    weights.append((tuple([power] * k), 1, 1))
-    roots, weyl = gl_roots(k)
-    return make_problem(
-        rank=k, weights=weights, roots=roots, xi=tuple([-1] * k),
-        weyl_order=weyl, degree=degree,
-        label=label or f"gr{k}{n}-det{power}",
-        properness_hint="checked",
-        properness_note="fixed locus is the zero section over the Grassmannian",
-    )
+    problem = grassmannian(k, n, [0] * n, degree, label=label or f"gr{k}{n}-det{power}")
+    problem.weight_entries.append(WeightEntry((int(power),) * k, 1))
+    problem.properness_note = "fixed locus is the zero section over the Grassmannian"
+    return problem
 
 
 def projective_space(n: int, r_charges, degree: int = 1, label: str = "") -> GITProblem:

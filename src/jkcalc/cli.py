@@ -55,14 +55,19 @@ def _fmt_laurent(laurent: dict, D: int) -> str:
     return " ".join(parts)
 
 
-def _fmt_chi(chi) -> str:
-    if chi.laurent is not None:
-        return _fmt_laurent(chi.laurent, chi.denom_scale)
-    return chi.ratfunc.to_string(names=["w"]) + f"   (w = y^(1/{2 * chi.denom_scale}), not a Laurent polynomial)"
+def _fmt_value(rf: RatFunc, D: int, note: bool) -> str:
+    """rf as a Laurent polynomial in y when it is one, else as a function of
+    w = y^(1/(2D)), with a note that says so when `note` is set."""
+    laurent = invariants.laurent_form(rf)
+    if laurent is not None:
+        return _fmt_laurent(laurent, D)
+    body = rf.to_string(names=["w"])
+    return body + f"   (w = y^(1/{2 * D}), not a Laurent polynomial)" if note else body
 
 
 def emit_text(result: InvariantResult, out) -> None:
     """Human-readable exact values."""
+    D = result.denom_scale
     if result.label:
         out.write(f"# {result.label}\n")
     if result.dt is not None:
@@ -70,17 +75,11 @@ def emit_text(result: InvariantResult, out) -> None:
         if not result.dt_is_integer():
             out.write("  (non-integral: the critical locus is not a finite reduced set)\n")
     if result.chi_y is not None:
-        out.write(f"chi_y = {_fmt_chi(result.chi_y)}\n")
+        out.write(f"chi_y = {_fmt_value(result.chi_y, D, True)}\n")
     if result.ell is not None:
-        ell = result.ell
-        out.write(f"Ell (q-expansion to order {ell.q_order}):\n")
-        for i, coeff in enumerate(ell.series.coeffs):
-            laur = invariants.laurent_form(coeff)
-            if laur is not None:
-                body = _fmt_laurent(laur, ell.denom_scale)
-            else:
-                body = coeff.to_string(names=["w"])
-            out.write(f"  q^{i}: {body}\n")
+        out.write(f"Ell (q-expansion to order {result.ell.order}):\n")
+        for i, coeff in enumerate(result.ell.coeffs):
+            out.write(f"  q^{i}: {_fmt_value(coeff, D, False)}\n")
 
 
 def _json_pairs(pairs):
@@ -91,8 +90,9 @@ def _pairs_from_json(entries):
     return [(int(e), Fraction(int(n), int(d))) for e, n, d in entries]
 
 
-def _ratfunc_json(rf: RatFunc, laur: dict | None):
-    """rf as a JSON object, given its Laurent form (None if it has none)."""
+def _ratfunc_json(rf: RatFunc):
+    """rf as a JSON object: its Laurent form, if it has one."""
+    laur = invariants.laurent_form(rf)
     if laur is not None:
         return {"laurent": _json_pairs(sorted(laur.items()))}
     num, den = rf.pairs()
@@ -103,26 +103,17 @@ def emit_json(result: InvariantResult, out, diagnostics: bool = True) -> None:
     doc = {"label": result.label, "degree": result.degree}
     doc["dt"] = None if result.dt is None else \
         {"num": result.dt.numerator, "den": result.dt.denominator}
-    if result.chi_y is None:
-        doc["chi_y"] = None
-    else:
-        doc["chi_y"] = {"denom_scale": result.chi_y.denom_scale}
-        doc["chi_y"].update(_ratfunc_json(result.chi_y.ratfunc, result.chi_y.laurent))
-    if result.ell is None:
-        doc["ell"] = None
-    else:
-        ell = result.ell
-        doc["ell"] = {
-            "denom_scale": ell.denom_scale,
-            "q_order": ell.q_order,
-            "coefficients": [_ratfunc_json(c, invariants.laurent_form(c))
-                             for c in ell.series.coeffs],
-        }
+    D = result.denom_scale
+    doc["chi_y"] = None if result.chi_y is None else \
+        {"denom_scale": D, **_ratfunc_json(result.chi_y)}
+    doc["ell"] = None if result.ell is None else {
+        "denom_scale": D, "q_order": result.ell.order,
+        "coefficients": [_ratfunc_json(c) for c in result.ell.coeffs]}
     if diagnostics:
         diag = result.diagnostics
         doc["diagnostics"] = {
             "weyl_order": diag.weyl_order,
-            "denom_scale": diag.denom_scale,
+            "denom_scale": D,
             "seed": diag.seed,
             "retries": diag.retries,
             "stable_points": [[str(x) for x in p.point] for p in diag.points],
@@ -149,18 +140,13 @@ def result_from_json(doc: dict) -> InvariantResult:
     result = InvariantResult(label=doc.get("label", ""), degree=doc.get("degree", 1))
     if doc.get("dt") is not None:
         result.dt = Fraction(int(doc["dt"]["num"]), int(doc["dt"]["den"]))
-    if doc.get("chi_y") is not None:
-        result.chi_y = invariants.ChiYResult(
-            ratfunc=_ratfunc_from_json(doc["chi_y"]),
-            denom_scale=int(doc["chi_y"]["denom_scale"]))
-        result.chi_y.laurent = invariants.laurent_form(result.chi_y.ratfunc)
-    if doc.get("ell") is not None:
-        ell = doc["ell"]
-        coeffs = [_ratfunc_from_json(c) for c in ell["coefficients"]]
-        result.ell = invariants.EllResult(
-            series=QSeries(int(ell["q_order"]), coeffs),
-            denom_scale=int(ell["denom_scale"]),
-            q_order=int(ell["q_order"]))
+    chi_y, ell = doc.get("chi_y"), doc.get("ell")
+    if chi_y is not None:
+        result.chi_y = _ratfunc_from_json(chi_y)
+        result.denom_scale = int(chi_y["denom_scale"])
+    if ell is not None:
+        result.ell = QSeries(int(ell["q_order"]), map(_ratfunc_from_json, ell["coefficients"]))
+        result.denom_scale = int(ell["denom_scale"])
     return result
 
 

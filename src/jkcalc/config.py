@@ -142,16 +142,32 @@ def _node(key, rest, lineno, values):
     parts = rest.split()
     if len(parts) != 3 or parts[1] not in ("gauged", "framed"):
         raise ConfigError("node needs '<name> gauged|framed <dim>'", lineno)
-    return QuiverNode(parts[0], _integer(key, parts[2], lineno, what="dimension"),
-                      gauged=parts[1] == "gauged")
+    name, dim = parts[0], _integer(key, parts[2], lineno, what="dimension")
+    if dim < 1:
+        raise ConfigError(f"node {name} must have dimension >= 1", lineno)
+    if any(node.name == name for node in values.get("node", ())):
+        raise ConfigError(f"duplicate node name {name}", lineno)
+    return QuiverNode(name, dim, gauged=parts[1] == "gauged")
 
 
 def _arrow(key, rest, lineno, values):
     parts = rest.split()
     if len(parts) != 3:
         raise ConfigError("arrow needs '<tail> <head> <R>'", lineno)
+    names = {node.name for node in values.get("node", ())}
+    for end in parts[:2]:
+        if end not in names:
+            raise ConfigError(f"arrow {parts[0]} {parts[1]} references a missing node {end}",
+                              lineno)
     return QuiverArrow(parts[0], parts[1],
                        _integer(key, parts[2], lineno, what="circle charge"))
+
+
+def _degrees(key, rest, lineno, values):
+    degrees = _covector(key, rest, lineno, values)
+    if any(d < 1 for d in degrees):
+        raise ConfigError("bundle degrees must be >= 1", lineno)
+    return degrees
 
 
 def _node_xi(key, rest, lineno, values):
@@ -196,7 +212,7 @@ MODES = {
         required=("node", "degree"), build=_build_quiver,
         defaults={"arrow": (), "xi": {}}),
     "projective-bundle": Mode(
-        keys={"n": (_integer, ONCE), "degrees": (_covector, ONCE)},
+        keys={"n": (_integer, ONCE), "degrees": (_degrees, ONCE)},
         required=("n",), build=_builder(projective_bundle), defaults={"degrees": ()}),
     "grassmannian-det": Mode(
         keys={"k": (_integer, ONCE), "n": (_integer, ONCE), "power": (_integer, ONCE)},

@@ -100,21 +100,25 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
     criterion fails.
     """
     k = problem.rank
+    _check_integers((problem.degree,), "the potential degree d")
     if problem.degree == 0:
         raise ValidationError("the potential degree d must be nonzero")
-    if problem.weyl_order < 1:
+    if not isinstance(problem.weyl_order, int) or problem.weyl_order < 1:
         raise ValidationError("the Weyl order must be a positive integer")
     if len(problem.xi) != k:
         raise ValidationError(f"stability covector {problem.xi} has wrong rank (expected {k})")
     for w in problem.weight_entries:
         if len(w.rho) != k:
             raise ValidationError(f"weight covector {w.rho} has wrong rank (expected {k})")
+        _check_integers(w.rho, "a weight covector entry")
+        _check_integers((w.r_charge,), "a circle charge")
         if linalg.is_zero_vec(w.rho) and w.r_charge == 0:
             raise ValidationError("zero weight with zero circle charge: denominator vanishes")
     root_set = {tuple(a) for a in problem.roots}
     for a in problem.roots:
         if len(a) != k:
             raise ValidationError(f"root covector {a} has wrong rank (expected {k})")
+        _check_integers(a, "a root covector entry")
         if tuple(-x for x in a) not in root_set:
             raise ValidationError(f"roots are not closed under negation: {a}")
         if linalg.is_zero_vec(a):
@@ -167,6 +171,12 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
     )
 
 
+def _check_integers(values, what):
+    for x in values:
+        if not isinstance(x, int):
+            raise ValidationError(f"{what} must be an integer, got {x}")
+
+
 def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
                     s=1) -> FactorizedIntegrand:
     """Assemble the factor list of the requested integrand kind.
@@ -212,20 +222,6 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
 
 
 @dataclass
-class ChiYResult:
-    ratfunc: RatFunc              # function of w, where w^(2D) = y
-    denom_scale: int              # D
-    laurent: dict | None = None   # exponent-of-w -> Fraction, when division is exact
-
-
-@dataclass
-class EllResult:
-    series: QSeries               # coefficients are RatFunc in w
-    denom_scale: int
-    q_order: int
-
-
-@dataclass
 class PointDiagnostics:
     point: tuple
     active_indices: tuple
@@ -240,7 +236,6 @@ class Diagnostics:
     perturbation: arrangement.Perturbation | None = None
     points: list = field(default_factory=list)
     weyl_order: int = 1
-    denom_scale: int = 1
     seed: int = 0
     retries: int = 0    # always 0 since compute never retries; kept in the JSON format
     orbits: int = 0     # residues computed per kind, one per orbit (`orbit_keys`)
@@ -254,12 +249,16 @@ class InvariantResult:
     label: str
     degree: int
     dt: Fraction | None = None
-    chi_y: ChiYResult | None = None
-    ell: EllResult | None = None
+    chi_y: RatFunc | None = None    # in w, where w^(2D) = y and D is denom_scale
+    ell: QSeries | None = None      # in q, its coefficients RatFunc in w
+    denom_scale: int = 1            # D
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def dt_is_integer(self):
         return self.dt is not None and self.dt.denominator == 1
+
+
+_RESULT_FIELD = {"additive": "dt", "sine": "chi_y", "theta": "ell"}
 
 
 def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORDER,
@@ -315,12 +314,11 @@ def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
     D = 1
     if kinds != ("additive",):
         D = engine.denominator_scale(local for flags in local_flags for _, local in flags)
-    result = InvariantResult(label=problem.label, degree=problem.degree)
+    result = InvariantResult(label=problem.label, degree=problem.degree, denom_scale=D)
     diag = result.diagnostics
     diag.hypothesis = report
     diag.perturbation = pert
     diag.weyl_order = problem.weyl_order
-    diag.denom_scale = D
     diag.seed = seed
     diag.local_flags = local_flags
     diag.points = [
@@ -343,14 +341,7 @@ def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
                 orbit_values[key] = engine.jk_residue(kind_integrand, flags)
             value = pdiag.contributions[kd] = orbit_values[key]
             total = total + value
-        total = total * weyl
-        if kd == "additive":
-            result.dt = total
-        elif kd == "sine":
-            result.chi_y = ChiYResult(ratfunc=total, denom_scale=D,
-                                      laurent=laurent_form(total))
-        else:
-            result.ell = EllResult(series=total, denom_scale=D, q_order=q_order)
+        setattr(result, _RESULT_FIELD[kd], total * weyl)
     diag.elapsed = time.monotonic() - t0
     return result
 
@@ -429,12 +420,11 @@ def specialize(result: InvariantResult) -> dict:
     """
     report = {}
     if result.ell is not None and result.chi_y is not None:
-        q0 = result.ell.series.coeffs[0]
-        if not (q0 == result.chi_y.ratfunc):
+        if result.ell.coeffs[0] != result.chi_y:
             raise PipelineError("Ell(q=0) does not reproduce chi_y")
         report["ell_q0_equals_chi_y"] = True
     if result.chi_y is not None and result.dt is not None:
-        lim = limit_at_one(result.chi_y.ratfunc)
+        lim = limit_at_one(result.chi_y)
         if lim != result.dt:
             raise PipelineError(f"chi_y at w=1 gives {lim}, DT is {result.dt}")
         report["chi_y_limit_equals_dt"] = True
@@ -490,18 +480,16 @@ def _fractional_reduction(problem, direct, q_order, seed) -> dict:
     rescaled_problem = rescale_r_charges(problem, kfac)
     rescaled = compute(rescaled_problem, kind="all", q_order=q_order, seed=seed)
     report = {"scale": kfac, "dt_equal": direct.dt == rescaled.dt}
-    Dd = direct.chi_y.denom_scale
-    Dr = rescaled.chi_y.denom_scale
-    # direct exponent a of w_d means y^(a/(2Dd)); at y^k it is y'^(ak/(2Dd)).
-    # rescaled exponent b of w_r means y'^(b/(2Dr)).  Common denominator 2*Dd*Dr.
-    md = kfac * Dr
-    mr = Dd
-
+    # with Dd, Dr the runs' denom_scale: direct exponent a of w_d means
+    # y^(a/(2Dd)); at y^k it is y'^(ak/(2Dd)).  Rescaled exponent b of w_r
+    # means y'^(b/(2Dr)).  Common denominator 2*Dd*Dr.
+    md = kfac * rescaled.denom_scale
+    mr = direct.denom_scale
     report["chi_y_equal"] = \
-        direct.chi_y.ratfunc.compose_power(md) == rescaled.chi_y.ratfunc.compose_power(mr)
+        direct.chi_y.compose_power(md) == rescaled.chi_y.compose_power(mr)
     report["ell_equal"] = all(
         a.compose_power(md) == b.compose_power(mr)
-        for a, b in zip(direct.ell.series.coeffs, rescaled.ell.series.coeffs)
+        for a, b in zip(direct.ell.coeffs, rescaled.ell.coeffs)
     )
     report["ok"] = report["dt_equal"] and report["chi_y_equal"] and report["ell_equal"]
     if not report["ok"]:

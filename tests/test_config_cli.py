@@ -146,6 +146,23 @@ class TestStrictGrammar:
         code, err = _exit_and_error(tmp_path, capsys, text)
         assert code == 3 and f"line {lineno}: " in err
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("mode projective-bundle\nn 4\ndegrees [0]\n", "degrees [0]",
+         "bundle degrees must be >= 1"),
+        (QUIVER_TEXT.replace("node X gauged 1", "node X gauged 0"), "node X gauged 0",
+         "node X must have dimension >= 1"),
+        (QUIVER_TEXT.replace("node F framed 1", "node F framed 1\nnode X framed 2"),
+         "node X framed 2", "duplicate node name X"),
+        (QUIVER_TEXT.replace("arrow F X 0", "arrow F X 0\narrow X Y 0"), "arrow X Y 0",
+         "arrow X Y references a missing node Y"),
+    ], ids=["bundle-degree", "node-dimension", "duplicate-node", "missing-node"])
+    def test_value_errors_name_their_line(self, text, line, message, tmp_path, capsys):
+        lineno = text.splitlines().index(line) + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: {re.escape(message)}$"):
+            parse_config(text)
+        code, err = _exit_and_error(tmp_path, capsys, text)
+        assert code == 3 and err == f"config error: line {lineno}: {message}\n"
+
     def test_zero_root_multiplicities_no_longer_drop_the_roots(self, tmp_path, capsys):
         # with both roots dropped the cy3 problem printed DT = 14304, not 176
         text = CY3_TEXT.replace("root [1,-1]", "root [1,-1] 0").replace(
@@ -255,8 +272,8 @@ class TestBuilders:
         b = invariants.compute(builders.projective_bundle(3, (5,)),
                                kind="all", q_order=1)
         assert a.dt == b.dt
-        assert a.chi_y.ratfunc == b.chi_y.ratfunc
-        assert a.ell.series == b.ell.series
+        assert a.chi_y == b.chi_y
+        assert a.ell == b.ell
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -303,8 +320,8 @@ class TestEmit:
         assert doc["dt"] == {"num": -2, "den": 1}
         back = cli.result_from_json(doc)
         assert back.dt == res.dt
-        assert back.chi_y.ratfunc == res.chi_y.ratfunc
-        assert back.ell.series == res.ell.series
+        assert back.chi_y == res.chi_y
+        assert back.ell == res.ell
 
     def test_json_round_trip_rational_dt(self):
         prob = invariants.make_problem(rank=1, weights=[((2,), 1, 1), ((1,), 0, 1)],
@@ -314,8 +331,25 @@ class TestEmit:
         cli.emit_json(res, out)
         back = cli.result_from_json(out.getvalue())
         assert back.dt == res.dt
-        assert back.chi_y.ratfunc == res.chi_y.ratfunc
-        assert back.ell.series == res.ell.series
+        assert back.chi_y == res.chi_y
+        assert back.ell == res.ell
+
+
+@pytest.mark.parametrize("problem, kwargs, D", [
+    pytest.param(problem, {"kind": "all", "q_order": item.kwargs["q_order"]}, 1, id=item.name)
+    for item, problem in zip(decks.deck("elliptic-genus"), decks.deck_problems("elliptic-genus"))
+] + [pytest.param(invariants.make_problem(1, [((1,), 0, 1), ((2,), 0, 1)], [], (1,)),
+                  {"kind": "theta", "q_order": 1}, 3, id="p12-theta")])
+def test_json_round_trip_keeps_the_values_and_d(problem, kwargs, D):
+    """The parsed document holds the computed dt, chi_y, ell and D; with
+    kind "theta" (on P(1, 2), where D = 3) D reaches it through ell alone."""
+    res = invariants.compute(problem, **kwargs)
+    out = io.StringIO()
+    cli.emit_json(res, out)
+    back = cli.result_from_json(out.getvalue())
+    assert res.denom_scale == D
+    assert (back.dt, back.chi_y, back.ell, back.denom_scale) == \
+        (res.dt, res.chi_y, res.ell, D)
 
 
 class TestCliProcess:

@@ -64,7 +64,7 @@ def test_every_point_of_an_orbit_has_the_copied_residue(problem, kwargs):
         result = compute(problem, seed=seed, **kwargs)
         diag = result.diagnostics
         integrand = dataclasses.replace(build_integrand(problem, kind),
-                                        denom_scale=diag.denom_scale)
+                                        denom_scale=result.denom_scale)
         orbits = defaultdict(list)
         keys = invariants.orbit_keys(problem, diag.hypothesis.stable_points)
         for key, pdiag, flags in zip(keys, diag.points, diag.local_flags):
