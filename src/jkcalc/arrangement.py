@@ -141,10 +141,11 @@ def _build_point(point, forms):
     """The intersection point at `point` with every form that vanishes there.
 
     The test runs in integers: with point = P/d, the form vanishes when
-    rho.P + const*d == 0.
+    rho.P + const*d == 0, and rho.P is computed once per distinct rho.
     """
     ints, d = linalg.cleared(point)
-    active = [i for i, f in enumerate(forms) if sum(map(mul, f.rho, ints)) + f.const * d == 0]
+    dots = {rho: sum(map(mul, rho, ints)) for rho in {f.rho for f in forms}}
+    active = [i for i, f in enumerate(forms) if dots[f.rho] + f.const * d == 0]
     weights = dict.fromkeys(forms[i].rho for i in active if forms[i].is_hyperplane())
     return IntersectionPoint(tuple(point), tuple(active), tuple(weights))
 

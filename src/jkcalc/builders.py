@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .invariants import GITProblem, WeightEntry, make_problem
+from .invariants import GITProblem, WeightEntry, as_integers, make_problem
 from .quiver import (Quiver, QuiverArrow, QuiverNode, QuiverStability, gl_roots,
                      to_git_problem)
 
@@ -12,7 +12,7 @@ def projective_bundle(n: int, degrees, label: str = "") -> GITProblem:
     `projective_space` with charges 0, and one weight -d_i u with charge 1
     per summand.  The base is proper, so the fixed locus is too.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = as_integers(degrees, "a bundle degree")
     if any(d < 1 for d in degrees):
         raise ValueError("bundle degrees must be >= 1")
     if len(degrees) >= n:
@@ -29,10 +29,11 @@ def grassmannian_det(k: int, n: int, power: int, degree: int = 1,
     """Total space of the -power determinant line bundle over Gr(k, n):
     `grassmannian` with charges 0, and one det^power weight with charge 1.
     """
+    [power] = as_integers((power,), "the determinant power")
     if not (1 <= k < n) or power < 1:
         raise ValueError("need 1 <= k < n and power >= 1")
     problem = grassmannian(k, n, [0] * n, degree, label=label or f"gr{k}{n}-det{power}")
-    problem.weight_entries.append(WeightEntry((int(power),) * k, 1))
+    problem.weight_entries.append(WeightEntry((power,) * k, 1))
     problem.properness_note = "fixed locus is the zero section over the Grassmannian"
     return problem
 
@@ -42,7 +43,7 @@ def projective_space(n: int, r_charges, degree: int = 1, label: str = "") -> GIT
 
     r_charges assigns a charge to each of the n+1 homogeneous coordinates.
     """
-    r_charges = tuple(int(r) for r in r_charges)
+    r_charges = as_integers(r_charges, "a circle charge")
     if len(r_charges) != n + 1:
         raise ValueError("need one circle charge per homogeneous coordinate")
     weights = [((1,), r, 1) for r in r_charges]
@@ -55,7 +56,7 @@ def projective_space(n: int, r_charges, degree: int = 1, label: str = "") -> GIT
 
 def grassmannian(k: int, n: int, column_charges, degree: int, label: str = "") -> GITProblem:
     """Gr(k, n) with the zero potential; one circle charge per matrix column."""
-    column_charges = tuple(int(r) for r in column_charges)
+    column_charges = as_integers(column_charges, "a circle charge")
     if len(column_charges) != n:
         raise ValueError("need one circle charge per column")
     weights = []
@@ -79,7 +80,7 @@ def framed_a3_quiver(n: int, r: int, loop_charges=(1, 1, 1), label: str = "") ->
     if len(loop_charges) != 3:
         raise ValueError("need exactly three loop charges")
     nodes = [QuiverNode("X", n, gauged=True), QuiverNode("F", r, gauged=False)]
-    arrows = [QuiverArrow("X", "X", int(c)) for c in loop_charges]
+    arrows = [QuiverArrow("X", "X", c) for c in as_integers(loop_charges, "a loop charge")]
     arrows.append(QuiverArrow("F", "X", 0))
     return Quiver(nodes=nodes, arrows=arrows,
                   label=label or f"a3-quot-n{n}-r{r}")

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import arrangement, engine, linalg
 from .arrangement import AffineForm, PerturbationError
@@ -72,14 +73,17 @@ class HypothesisReport:
 
 def make_problem(rank, weights, roots, xi, weyl_order=1, degree=1, label="",
                  properness_hint=None, properness_note=""):
-    """Convenience constructor: weights as (covector, R, multiplicity) triples."""
-    entries = [WeightEntry(tuple(map(int, rho)), int(r))
+    """Convenience constructor: weights as (covector, R, multiplicity) triples.
+    A covector entry, charge or xi entry that is not an integer raises
+    ValidationError."""
+    entries = [WeightEntry(as_integers(rho, "a weight covector entry"),
+                           as_integers((r,), "a circle charge")[0])
                for rho, r, mult in weights for _ in range(mult)]
     return GITProblem(
         rank=rank,
         weight_entries=entries,
-        roots=[tuple(map(int, a)) for a in roots],
-        xi=tuple(map(int, xi)),
+        roots=[as_integers(a, "a root covector entry") for a in roots],
+        xi=as_integers(xi, "a stability covector entry"),
         weyl_order=weyl_order,
         degree=degree,
         label=label,
@@ -133,18 +137,18 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
             from exc
     root_condition = "ok"
     for pt in stable:
-        for a in problem.roots:
-            if linalg.vec_dot(a, pt.point) + problem.degree == 0:
-                message = (
-                    f"root {tuple(a)} shifted by d={problem.degree} vanishes at the "
-                    f"stable intersection {pt}; the fixed-locus Euler classes are "
-                    "not invertible there"
-                )
-                if strict_roots:
-                    raise ValidationError(message)
-                root_condition = "violated: " + message
-                break
-        if root_condition != "ok":
+        ints, den = linalg.cleared(pt.point)
+        a = next((a for a in problem.roots
+                  if sum(map(mul, a, ints)) + problem.degree * den == 0), None)
+        if a is not None:
+            message = (
+                f"root {tuple(a)} shifted by d={problem.degree} vanishes at the "
+                f"stable intersection {pt}; the fixed-locus Euler classes are "
+                "not invertible there"
+            )
+            if strict_roots:
+                raise ValidationError(message)
+            root_condition = "violated: " + message
             break
     if problem.properness_hint in ("checked", "asserted"):
         properness = problem.properness_hint
@@ -169,6 +173,16 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
         all_points=all_points,
         stable_points=stable,
     )
+
+
+def as_integers(values, what) -> tuple[int, ...]:
+    """`values` as a tuple of ints; ValidationError, naming `what`, for one
+    that is not equal to its `int`, where `int` would truncate it."""
+    values = tuple(values)
+    for x in values:
+        if x != int(x):
+            raise ValidationError(f"{what} must be an integer, got {x}")
+    return tuple(map(int, values))
 
 
 def _check_integers(values, what):
@@ -241,7 +255,9 @@ class Diagnostics:
     orbits: int = 0     # residues computed per kind, one per orbit (`orbit_keys`)
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
-    local_flags: list = field(default_factory=list, repr=False)  # reused by `_rerun`
+    # point index -> its (flag, `engine.localize` result) pairs, at the orbits'
+    # first points, or at every point for D; reused by `_rerun`
+    localized: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -291,54 +307,69 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
            seed: int = 0, s=1) -> InvariantResult:
     """`compute` on the problem of the run `first` again, reusing its
     validation report, which depends on neither s, the seed, the kind nor
-    q_order, and at its seed its localized flags, independent of the rest."""
+    q_order, and at its seed its flags and localizations, which depend on
+    the seed alone."""
     diag = first.diagnostics
     return _compute(problem, diag.hypothesis, kind, q_order, seed, s, time.monotonic(),
-                    diag.local_flags if seed == diag.seed else None)
+                    diag if seed == diag.seed else None)
 
 
-def _compute(problem, report, kind, q_order, seed, s, t0, local_flags=None):
-    """Localize the one factor list once at each (stable point, flag), unless
-    `local_flags` has them from a run at this seed, for every requested kind,
-    and take each kind's residue once per orbit of `orbit_keys`."""
+def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
+    """Enumerate the flags once per distinct set of active weights, which
+    alone fixes them (in whatever order `_build_point` lists the set), and
+    take each requested kind's residue once per orbit of `orbit_keys`, at
+    the orbit's first point.  The one factor list is localized at those
+    points, and at every point only when a multiplicative kind needs D, the
+    lcm over all of them.  `same_seed`, the diagnostics of a run at this
+    seed, lends its flags and localizations."""
     kinds = engine.KINDS if kind == "all" else (kind,)
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     integrand = build_integrand(problem, kinds[0], q_order, s)
-    if local_flags is None:
+    points = report.stable_points
+    if same_seed is None:
         basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
-        local_flags = [
-            [(flag, engine.localize(integrand, pt.point, flag))
-             for flag in arrangement.enumerate_flags(pt.active_weights, problem.xi, basis,
-                                                     pert.order)]
-            for pt in report.stable_points]
-    D = 1
-    if kinds != ("additive",):
-        D = engine.denominator_scale(local for flags in local_flags for _, local in flags)
+        sets = {frozenset(pt.active_weights): pt.active_weights for pt in points}
+        flags_of = {key: arrangement.enumerate_flags(weights, problem.xi, basis, pert.order)
+                    for key, weights in sets.items()}
+        point_flags = [flags_of[frozenset(pt.active_weights)] for pt in points]
+        localized = {}
+    else:
+        point_flags = [p.flags for p in same_seed.points]
+        localized = dict(same_seed.localized)
+    keys = orbit_keys(problem, points)
+    first = {}      # orbit key -> the index of the orbit's first point in order
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    multiplicative = kinds != ("additive",)
+    for i in range(len(points)) if multiplicative else first.values():
+        if i not in localized:
+            localized[i] = [(flag, engine.localize(integrand, points[i].point, flag))
+                            for flag in point_flags[i]]
+    D = engine.denominator_scale(local for flags in localized.values() for _, local in flags) \
+        if multiplicative else 1
     result = InvariantResult(label=problem.label, degree=problem.degree, denom_scale=D)
     diag = result.diagnostics
     diag.hypothesis = report
     diag.perturbation = pert
     diag.weyl_order = problem.weyl_order
     diag.seed = seed
-    diag.local_flags = local_flags
+    diag.localized = localized
     diag.points = [
         PointDiagnostics(point=pt.point, active_indices=pt.active_indices,
-                         active_weights=pt.active_weights, flags=[fl for fl, _ in flags])
-        for pt, flags in zip(report.stable_points, local_flags)
+                         active_weights=pt.active_weights, flags=list(flags))
+        for pt, flags in zip(points, point_flags)
     ]
     if report.root_condition != "ok":
         diag.notes.append(report.root_condition)
-    keys = orbit_keys(problem, report.stable_points)
-    diag.orbits = len(set(keys))
+    diag.orbits = len(first)
     weyl = Fraction(1, problem.weyl_order)
     for kd in kinds:
         kind_integrand = replace(integrand, kind=kd, denom_scale=D,
                                  q_order=q_order if kd == "theta" else None)
+        orbit_values = {key: engine.jk_residue(kind_integrand, localized[i])
+                        for key, i in first.items()}
         total = engine.zero_value(kind_integrand)
-        orbit_values = {}
-        for pdiag, flags, key in zip(diag.points, local_flags, keys):
-            if key not in orbit_values:     # the orbit's first point in order
-                orbit_values[key] = engine.jk_residue(kind_integrand, flags)
+        for pdiag, key in zip(diag.points, keys):
             value = pdiag.contributions[kd] = orbit_values[key]
             total = total + value
         setattr(result, _RESULT_FIELD[kd], total * weyl)

@@ -107,6 +107,42 @@ class TestValidate:
         with pytest.raises(ValidationError, match=f"^{message}"):
             compute(prob, kind="all", q_order=1)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_problem(1, [((1,), 0, 5), ((F(-9, 2),), 1, 1)], [], (1,)),
+         "a weight covector entry must be an integer, got -9/2"),
+        (lambda: make_problem(1, [((1,), 0, 5), ((-1,), F(1, 3), 1)], [], (1,)),
+         "a circle charge must be an integer, got 1/3"),
+        (lambda: make_problem(2, [((1, 0), 0, 1), ((0, 1), 0, 1)],
+                              [(F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2))], (1, 1)),
+         "a root covector entry must be an integer, got 1/2"),
+        (lambda: make_problem(1, [((1,), 0, 5)], [], (F(3, 2),)),
+         "a stability covector entry must be an integer, got 3/2"),
+        (lambda: builders.projective_space(2, [0, F(1, 2), 0]),
+         "a circle charge must be an integer, got 1/2"),
+        (lambda: builders.grassmannian(2, 4, [0, 0, 2.5, 0], 1),
+         "a circle charge must be an integer, got 2.5"),
+        (lambda: builders.grassmannian_det(2, 4, F(9, 2)),
+         "the determinant power must be an integer, got 9/2"),
+        (lambda: builders.projective_bundle(4, [F(5, 2)]),
+         "a bundle degree must be an integer, got 5/2"),
+        (lambda: builders.framed_a3_quiver(2, 1, (1, F(1, 2), 1)),
+         "a loop charge must be an integer, got 1/2"),
+    ], ids=["make-problem-weight", "make-problem-charge", "make-problem-root",
+            "make-problem-xi", "projective-space", "grassmannian", "grassmannian-det",
+            "projective-bundle", "framed-a3-quiver"])
+    def test_constructors_reject_non_integer_data(self, build, message):
+        # they coerced with int, so -9/2 became the weight (-4,) and compute
+        # returned DT 56 for the first case
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
+    def test_constructors_keep_integral_values_of_other_types(self):
+        for prob in (builders.projective_space(2, [F(1), 1.0, 0]),
+                     make_problem(1, [((F(2),), 1.0, 2)], [], (F(1),))):
+            entries = prob.weight_entries
+            assert {type(x) for w in entries for x in w.rho + (w.r_charge,)} == {int}
+        assert entries == [WeightEntry((2,), 1)] * 2 and prob.xi == (1,)
+
     def test_abelian_nonproper_point_is_refuted(self):
         # weights {1, -1} both active at the stable origin span a line, so the
         # fixed component there is the non-proper quotient of C^2 by (t, 1/t)

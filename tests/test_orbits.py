@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import decks
-from jkcalc import builders, engine, invariants
+from jkcalc import arrangement, builders, engine, invariants
 from jkcalc.config import parse_config
 from jkcalc.invariants import WeightEntry, build_integrand, compute
 
@@ -56,9 +56,9 @@ ORBIT_CASES = [
 @pytest.mark.parametrize("problem, kwargs", ORBIT_CASES)
 def test_every_point_of_an_orbit_has_the_copied_residue(problem, kwargs):
     """At seeds 0-2 the residue taken directly at each stable point, from the
-    run's own localized flags, equals the contribution copied from its orbit's
-    first point; so the members of each orbit agree.  The Gr(2, n) cases have
-    one stable point, and take no symmetry search."""
+    run's own flags there, localized here, equals the contribution copied from
+    its orbit's first point; so the members of each orbit agree.  The Gr(2, n)
+    cases have one stable point, and take no symmetry search."""
     kind = kwargs["kind"]
     for seed in (0, 1, 2):
         result = compute(problem, seed=seed, **kwargs)
@@ -67,8 +67,10 @@ def test_every_point_of_an_orbit_has_the_copied_residue(problem, kwargs):
                                         denom_scale=result.denom_scale)
         orbits = defaultdict(list)
         keys = invariants.orbit_keys(problem, diag.hypothesis.stable_points)
-        for key, pdiag, flags in zip(keys, diag.points, diag.local_flags):
-            direct = engine.jk_residue(integrand, flags)
+        for key, pdiag in zip(keys, diag.points):
+            local = [(flag, engine.localize(integrand, pdiag.point, flag))
+                     for flag in pdiag.flags]
+            direct = engine.jk_residue(integrand, local)
             assert direct == pdiag.contributions[kind], (seed, pdiag.point)
             orbits[key].append(direct)
         assert all(value == values[0] for values in orbits.values() for value in values)
@@ -96,30 +98,53 @@ def test_blocks_follow_xi_the_charges_and_the_roots():
     assert invariants.symmetric_blocks(doubled) == [[0], [1], [2]]
 
 
-def residue_calls(monkeypatch):
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the test; the returned list grows by one per call."""
     calls = []
-    jk_residue = engine.jk_residue
+    real = getattr(owner, name)
 
-    def counting(integrand, local_flags):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return jk_residue(integrand, local_flags)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "jk_residue", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
 def test_the_quiver_dt_deck_takes_one_residue_per_orbit(monkeypatch):
-    calls = residue_calls(monkeypatch)
+    """One residue and one localization per orbit, and one flag enumeration
+    per distinct set of active weights (109 among the deck's 199 stable
+    points); each point's flags are still its own, and an s = 2 rerun at the
+    same seed enumerates and localizes none."""
+    calls = count_calls(monkeypatch, engine, "jk_residue")
+    flag_calls = count_calls(monkeypatch, arrangement, "enumerate_flags")
+    local_calls = count_calls(monkeypatch, engine, "localize")
     orbits = points = 0
+    results = []
     for item in decks.deck("quiver-dt", 3):
-        diag = compute(item.problem, **item.kwargs).diagnostics
-        orbits += diag.orbits
-        points += len(diag.points)
+        result = compute(item.problem, **item.kwargs)
+        orbits += result.diagnostics.orbits
+        points += len(result.diagnostics.points)
+        results.append((item, result))
     assert (len(calls), orbits, points) == (50, 50, 199)
+    assert (len(flag_calls), len(local_calls)) == (109, 50)
+    for item, result in results:
+        diag = result.diagnostics
+        basis = arrangement.lattice_basis(item.problem.nonzero_weights())
+        for pdiag in diag.points:
+            assert pdiag.flags == arrangement.enumerate_flags(
+                pdiag.active_weights, item.problem.xi, basis, diag.perturbation.order)
+    flag_calls.clear()
+    local_calls.clear()
+    for item, result in results:
+        rerun = invariants._rerun(result, item.problem, "additive", seed=result.diagnostics.seed,
+                                  s=2)
+        assert rerun.dt == result.dt
+    assert flag_calls == local_calls == []
 
 
 def test_rank_one_requests_take_one_residue_per_point_without_a_search(monkeypatch):
-    calls = residue_calls(monkeypatch)
+    calls = count_calls(monkeypatch, engine, "jk_residue")
 
     def no_search(problem):
         raise AssertionError("a symmetry search below rank 2")
@@ -136,3 +161,22 @@ def test_rank_one_requests_take_one_residue_per_point_without_a_search(monkeypat
         assert len(calls) == diag.orbits == len(diag.points)
         several += len(diag.points) > 1
     assert several > 0
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_d_is_the_lcm_over_every_point(seed):
+    """For a multiplicative kind D is the lcm of the localized denominators
+    at every stable point, although the residues are taken at the orbits'
+    first points alone: members of one orbit can have different flags under
+    one perturbation, so D over the first points is not known to be the
+    same.  No case tried tells the two apart (seeds 0-3 of the length-2 and
+    length-3 framed A^3 problems, and six Gr(2, n) bundles), so this test
+    pins the definition; it is not a mutation check."""
+    for item in decks.deck("quiver-dt", 3):
+        problem = item.problem
+        result = compute(problem, kind="sine", seed=seed,
+                         allow_root_incidence=item.kwargs["allow_root_incidence"])
+        integrand = build_integrand(problem, "sine")
+        assert result.denom_scale == engine.denominator_scale(
+            engine.localize(integrand, pdiag.point, flag)
+            for pdiag in result.diagnostics.points for flag in pdiag.flags)
