@@ -9,9 +9,11 @@ as its basis kappa, kappa's inverse and its lattice normalization factor.
 
 The work follows the distinct covectors, grouped by line (`_line`), and the
 stable points, not the combinations of hyperplanes: one inverse per
-`rank`-set of lines, which gives both the points and the stability
-covector's coordinates, and flags in closed form or by a top-down search
-that cuts a chain at its first unstable level.
+`rank`-set of lines, kept per problem (`LineTable`), which gives the points
+with their active sets, the stability covector's coordinates and the flags
+of the points with `rank` distinct weights in closed form; elsewhere a
+top-down search cuts a chain at its first unstable level, with each
+hyperplane normal computed once per problem.
 """
 
 from __future__ import annotations
@@ -88,12 +90,35 @@ def _line(rho):
     return tuple(x // m for x in rho), m
 
 
-def _line_inverses(lines, rank):
-    """{each sorted `rank`-set of the lines p: `linalg.inverse` (R, d) of
-    its rows, or None where they are dependent}.  The one elimination per
-    set: the points where the set's hyperplanes meet are R t / d, and xi's
-    coordinates in the set are xi R / d."""
-    return {basis: linalg.inverse(basis) for basis in itertools.combinations(sorted(lines), rank)}
+class LineTable:
+    """One problem's geometry, each piece computed once and read by every
+    point: the `linalg.inverse` (R, d) of each sorted `rank`-set of lines p
+    (`_line`), None where they are dependent, which the validation fills,
+    and the `linalg.hyperplane_normal` of each set of rows asked for.  A
+    normal is primitive with a canonical sign, so it depends on the rows as
+    a set, not on their order."""
+
+    def __init__(self):
+        self.inverses = {}
+        self.normals = {}
+
+    def inverse(self, basis):
+        if basis not in self.inverses:
+            self.inverses[basis] = linalg.inverse(basis)
+        return self.inverses[basis]
+
+    def normal(self, rows, dim):
+        key = frozenset(rows)
+        if key not in self.normals:
+            self.normals[key] = linalg.hyperplane_normal(rows, dim)
+        return self.normals[key]
+
+
+def _line_inverses(lines, rank, table):
+    """{each sorted `rank`-set of the lines p: its inverse in `table`}.  The
+    one elimination per set: the points where the set's hyperplanes meet
+    are R t / d, and xi's coordinates in the set are xi R / d."""
+    return {basis: table.inverse(basis) for basis in itertools.combinations(sorted(lines), rank)}
 
 
 def isolated_intersections(forms, rank: int, inverses=None) -> list[IntersectionPoint]:
@@ -104,23 +129,28 @@ def isolated_intersections(forms, rank: int, inverses=None) -> list[Intersection
     hyperplanes of line p.  The inverse (R, d) of each independent
     `rank`-set of lines (`_line_inverses`, or `inverses` when the caller has
     it) gives the point of every choice of one hyperplane per line, R t / d
-    for t the chosen values -const/m, by one integer mat-vec.  Zero-covector
-    forms never define hyperplanes and are skipped for the enumeration;
-    activity sets are recomputed against the full indexed list.  The points
-    come in increasing order.
+    for t the chosen values -const/m, by one integer mat-vec.  A point's
+    active hyperplanes are the union of the choices that give it: each one
+    extends, with other active lines, to an independent `rank`-set, whose
+    choice at the point gives it.  So no form is tested at any point; the
+    forms on each chosen hyperplane, and the zero-covector forms of constant
+    0, which vanish everywhere, are the active ones.  The points come in
+    increasing order.
     """
-    forms = list(forms)
-    if rank == 0:
-        return [_build_point((), forms)]
-    lines = {}   # p -> {(num, den) of -const/m, den > 0: None}
-    for f in forms:
+    everywhere = []
+    lines = {}   # p -> {(num, den) of -const/m, den > 0: [(index, rho) of its forms]}
+    for i, f in enumerate(forms):
         if f.is_hyperplane():
             p, m = _line(f.rho)
             g = gcd(f.const, m) if m > 0 else -gcd(f.const, m)
-            lines.setdefault(p, {})[-f.const // g, m // g] = None
+            lines.setdefault(p, {}).setdefault((-f.const // g, m // g), []).append((i, f.rho))
+        elif f.const == 0:
+            everywhere.append(i)
+    if rank == 0:
+        return [IntersectionPoint((), tuple(everywhere), ())]
     if inverses is None:
-        inverses = _line_inverses(lines, rank)
-    points = set()
+        inverses = _line_inverses(lines, rank, LineTable())
+    points = {}  # (ints, den) -> the (line, value) choices that give it
     for basis, inv in inverses.items():
         if inv is None:
             continue
@@ -131,23 +161,17 @@ def isolated_intersections(forms, rank: int, inverses=None) -> list[Intersection
             ints = [sum(map(mul, row, t)) for row in rows]
             den *= d
             g = gcd(den, *ints)
-            points.add((tuple(x // g for x in ints), den // g))
+            points.setdefault((tuple(x // g for x in ints), den // g), set()).update(
+                zip(basis, values))
     scale = lcm(*(d for _, d in points))
-    return [_build_point(tuple(Fraction(x, d) for x in ints), forms)
-            for ints, d in sorted(points, key=lambda p: [x * (scale // p[1]) for x in p[0]])]
-
-
-def _build_point(point, forms):
-    """The intersection point at `point` with every form that vanishes there.
-
-    The test runs in integers: with point = P/d, the form vanishes when
-    rho.P + const*d == 0, and rho.P is computed once per distinct rho.
-    """
-    ints, d = linalg.cleared(point)
-    dots = {rho: sum(map(mul, rho, ints)) for rho in {f.rho for f in forms}}
-    active = [i for i, f in enumerate(forms) if dots[f.rho] + f.const * d == 0]
-    weights = dict.fromkeys(forms[i].rho for i in active if forms[i].is_hyperplane())
-    return IntersectionPoint(tuple(point), tuple(active), tuple(weights))
+    out = []
+    for ints, d in sorted(points, key=lambda p: [x * (scale // p[1]) for x in p[0]]):
+        hits = sorted(hit for p, value in points[ints, d] for hit in lines[p][value])
+        out.append(IntersectionPoint(
+            tuple(Fraction(x, d) for x in ints),
+            tuple(sorted(everywhere + [i for i, _ in hits])),
+            tuple(dict.fromkeys(rho for _, rho in hits))))
+    return out
 
 
 def cone_membership(xi, gens, strict: bool = False):
@@ -179,10 +203,10 @@ def cone_membership(xi, gens, strict: bool = False):
     return False, None
 
 
-def _cone_signs(weights, xi):
+def _cone_signs(weights, xi, table):
     """(signed, inverses, signs): `signed` maps each distinct nonzero weight
     m p (`_line`) to (p, the sign of m), `inverses` is `_line_inverses` of
-    the lines, and `signs` maps each `len(xi)`-set of lines to the signs
+    the lines in `table`, and `signs` maps each `len(xi)`-set of lines to the signs
     (+1, 0, -1) of xi's coordinates in it, xi . column i of its inverse, or
     to None where the lines are dependent.  xi is strictly inside the cone
     of independent weights S exactly when, in a basis of lines holding S's,
@@ -193,7 +217,7 @@ def _cone_signs(weights, xi):
         if w not in signed and not is_zero_vec(w):
             p, m = _line(w)
             signed[w] = p, 1 if m > 0 else -1
-    inverses = _line_inverses({p for p, _ in signed.values()}, len(xi))
+    inverses = _line_inverses({p for p, _ in signed.values()}, len(xi), table)
     signs = {basis: None if inv is None else
              tuple((c > 0) - (c < 0) for c in (linalg.vec_dot(xi, col) for col in zip(*inv[0])))
              for basis, inv in inverses.items()}
@@ -219,11 +243,11 @@ def regular_stability_check(weights, xi) -> bool:
     Caratheodory, the smallest independent set of weights with xi strictly
     inside its cone has `rank` elements.  Decided per basis of lines
     (`_cone_signs`)."""
-    signed, _, signs = _cone_signs(weights, xi)
+    signed, _, signs = _cone_signs(weights, xi, LineTable())
     return _regular(signed, signs)
 
 
-def intersections(forms, rank, xi):
+def intersections(forms, rank, xi, table=None):
     """(isolated intersections, the stable ones) for a regular xi, which lies on
     no cone of fewer than `rank` weights: a point is stable when xi lies in the
     strict cone of `rank` independent active weights.
@@ -231,9 +255,10 @@ def intersections(forms, rank, xi):
     One inverse per basis of lines (`_cone_signs`) gives the points and xi's
     coordinates, for the regularity test and every point alike: a point is
     stable when a basis of its active lines has each coordinate of the sign
-    of an active weight on that line.
+    of an active weight on that line.  The inverses are kept in `table`, when
+    given, for the flags (`enumerate_flags`).
     """
-    signed, inverses, signs = _cone_signs([f.rho for f in forms], xi)
+    signed, inverses, signs = _cone_signs([f.rho for f in forms], xi, table or LineTable())
     if not _regular(signed, signs):
         raise PerturbationError("stability covector is not regular for these weights")
 
@@ -298,7 +323,30 @@ def _flag(kappa, kappa_inverse, basis) -> Flag:
     return Flag(kappa, kappa_inverse, Fraction(1) / abs(kappa_determinant(kappa, basis)))
 
 
-def _simplicial_flags(weights, xi, basis, order) -> list[Flag]:
+def _weights_inverse(weights, table):
+    """`linalg.inverse` of `rank` weights, read off the inverse (R, d) of
+    their sorted lines in `table`: with weight i = m_i p_i (`_line`), column
+    i is the column of p_i in R over d m_i, and the columns, each reduced by
+    its gcd, are put over the lcm of their denominators.  None when two
+    weights share a line or the lines are dependent."""
+    lines = [_line(w) for w in weights]
+    key = tuple(sorted({p for p, _ in lines}))
+    inv = table.inverse(key) if len(key) == len(weights) else None
+    if inv is None:
+        return None
+    rows, d = inv
+    at = {p: i for i, p in enumerate(key)}
+    cols, dens = [], []
+    for p, m in lines:
+        col = [row[at[p]] for row in rows]
+        g = gcd(d * m, *col) if m > 0 else -gcd(d * m, *col)
+        cols.append([x // g for x in col])
+        dens.append(d * m // g)
+    den = lcm(*dens)
+    return tuple(zip(*([x * (den // e) for x in col] for col, e in zip(cols, dens)))), den
+
+
+def _simplicial_flags(weights, xi, basis, order, table) -> list[Flag]:
     """`enumerate_flags` at a point with exactly `rank` distinct active
     weights, in closed form.
 
@@ -314,9 +362,10 @@ def _simplicial_flags(weights, xi, basis, order) -> list[Flag]:
     The inverse of kappa comes from the same inv: kappa = L W_sigma, with L
     the lower triangular matrix of ones, so column i of kappa^-1 is column
     sigma(i) minus column sigma(i+1) of inv (column sigma(k+1) = 0), over
-    inv's denominator, as L is unimodular.
+    inv's denominator, as L is unimodular.  inv is read off `table`
+    (`_weights_inverse`).
     """
-    inv = linalg.inverse(weights)
+    inv = _weights_inverse(weights, table)
     if inv is None:
         return []
     rows, d = inv
@@ -331,7 +380,7 @@ def _simplicial_flags(weights, xi, basis, order) -> list[Flag]:
     return [_flag(kappa, (tuple(kinv), d), basis)]
 
 
-def _stable_chains(weights, ws, rows, normals, found, levels=()):
+def _stable_chains(weights, ws, rows, normals, found, table, levels=()):
     """Append to `found` the kappa of every stable chain of `enumerate_flags`
     inside F, the span of the weights `ws` (indices into `weights`), bottom
     up, with `levels` the kappa_i above F.
@@ -344,7 +393,8 @@ def _stable_chains(weights, ws, rows, normals, found, levels=()):
     once.  As kappa_j lies in G for j < i = dim F, n.xi_tilde = c_i n.kappa_i
     for kappa_i the sum of `ws`: G is F_(i-1) of a stable chain only if c_i
     > 0 (n.kappa_i = 0 makes kappa dependent), and then xi_tilde - c_i kappa_i,
-    in G, must be inside the cone of kappa_1, ..., kappa_(i-1).
+    in G, must be inside the cone of kappa_1, ..., kappa_(i-1).  Each
+    normal is computed once per `table`.
     """
     dim = len(rows[0])
     i = dim - len(normals)
@@ -354,7 +404,7 @@ def _stable_chains(weights, ws, rows, normals, found, levels=()):
     for sub in itertools.combinations(ws, i - 1):
         if any(g.issuperset(sub) for g in seen):
             continue
-        n = linalg.hyperplane_normal([weights[w] for w in sub] + normals, dim)
+        n = table.normal([weights[w] for w in sub] + normals, dim)
         if n is None:
             continue
         inside = tuple(w for w in ws if linalg.vec_dot(n, weights[w]) == 0)
@@ -369,10 +419,10 @@ def _stable_chains(weights, ws, rows, normals, found, levels=()):
         sign = 1 if a > 0 else -1
         rest = [[abs(a) * x - sign * v * k for x, k in zip(row, kappa)]
                 for row, v in zip(rows, nx)]
-        _stable_chains(weights, inside, rest, normals + [n], found, levels)
+        _stable_chains(weights, inside, rest, normals + [n], found, table, levels)
 
 
-def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
+def enumerate_flags(active_weights, xi, basis, order, *, table=None) -> list[Flag]:
     """All proper stable flags generated by the active weights at one point,
     for the perturbation of xi by the signed order `order` (see Perturbation).
 
@@ -387,17 +437,20 @@ def enumerate_flags(active_weights, xi, basis, order) -> list[Flag]:
     chain is cut at its first wrong level, and each kept kappa is inverted
     once.  The signs are exact: xi_tilde is kept as its eps-coefficients, xi
     and s_t e_jt, which no hyperplane normal annihilates together.  The
-    flags come in the order of their kappa, which fixes the chain.
+    flags come in the order of their kappa, which fixes the chain.  `table`,
+    the problem's `LineTable` when the caller has it, lends the inverses of
+    the lines and the normals found at other points.
     """
     weights = list(dict.fromkeys(tuple(w) for w in active_weights))
     dim = len(xi)
     if dim == 0:
         return [Flag(kappa=(), kappa_inverse=((), 1), lattice_factor=Fraction(1))]
+    table = table or LineTable()
     if len(weights) == dim:
-        return _simplicial_flags(weights, xi, basis, order)
+        return _simplicial_flags(weights, xi, basis, order, table)
     found = []
     rows = [linalg.cleared(xi)[0]] + [[s * (i == j) for i in range(dim)] for j, s in order]
-    _stable_chains(weights, tuple(range(len(weights))), rows, [], found)
+    _stable_chains(weights, tuple(range(len(weights))), rows, [], found, table)
     return [_flag(kappa, linalg.inverse(kappa), basis) for kappa in sorted(found)]
 
 

@@ -193,11 +193,13 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
 # shared iterated-residue core
 
 
-def _merge_factor(factors: dict, poly: MultiPoly, exp: int, den: int = 1) -> Fraction:
+def _merge_factor(factors: dict, poly: MultiPoly, exp: int, scale=(1, 1),
+                  den: int = 1) -> tuple[int, int]:
     """Fold the factored piece (poly / den)^exp into the dictionary, poly an
-    integer polynomial; returns the constant multiplier."""
+    integer polynomial; returns `scale`, an integer (numerator, denominator)
+    pair, times the constant multiplier."""
     if exp == 0:
-        return Fraction(1)
+        return scale
     if poly.is_constant():
         cont = poly.constant_value()
     else:
@@ -210,7 +212,10 @@ def _merge_factor(factors: dict, poly: MultiPoly, exp: int, den: int = 1) -> Fra
             entry[1] += exp
             if entry[1] == 0:
                 del factors[key]
-    return Fraction(cont ** exp, den ** exp) if exp > 0 else Fraction(den ** -exp, cont ** -exp)
+    num, dnm = scale
+    if exp > 0:
+        return num * cont ** exp, dnm * den ** exp
+    return num * den ** -exp, dnm * cont ** -exp
 
 
 def _series_mul(a, b, target, kr, first=0):
@@ -346,16 +351,19 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
     with none nonzero below B gives zero before any series work.  A factor
     whose unit U is a constant (its valuation is its degree, or the target is
     0) is exactly u_0, so U^e = u_0^e is carried whole and multiplies
-    nothing; with every factor so, the residue is hot[hv + target].
+    nothing; with every factor so, the residue is hot[hv + target].  A
+    factor free of `var` is carried under its key as it is.  The step's
+    constant is kept as an integer numerator and denominator, and becomes
+    one Fraction at the end.
     """
-    coeff = term.coeff
+    scale = (1, 1)
     carry: dict = {}
     active = []
     bound = 0
-    for p, e in term.factors.values():
+    for key, (p, e) in term.factors.items():
         deg = p.degree_in(var)
         if deg == 0:
-            coeff *= _merge_factor(carry, p, e)
+            carry[key] = [p, e]
             continue
         head, hi = [], 2
         while not any(head):
@@ -376,19 +384,19 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
         end = min(v + target, deg) + 1
         unit = head[v:end]
         if end == v + 1:
-            coeff *= _merge_factor(carry, unit[0], e)
+            scale = _merge_factor(carry, unit[0], e, scale)
             continue
         if end > len(head):
             unit += p.shift_coefficients(var, len(head), end, center)
         carried = e < 0 or e >= target
         if carried:
-            coeff *= _merge_factor(carry, unit[0], e - target)
+            scale = _merge_factor(carry, unit[0], e - target, scale)
         units.append((unit, e, carried))
     s = _expand(hot[hv:], units, target, pv, target)[0] if units else hot[hv + target]
     if s.is_zero():
         return None
     cont, s = s.content_normalize()
-    coeff *= cont
+    coeff = Fraction(term.coeff.numerator * scale[0] * cont, term.coeff.denominator * scale[1])
     return _Term(coeff=coeff, hot=s, factors=carry)
 
 
@@ -451,7 +459,7 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     nv = max(k, 1)
     s = integrand.s
     a, b = s.numerator, s.denominator
-    coeff = Fraction(b, integrand.degree * a) ** k
+    scale = b ** k, (integrand.degree * a) ** k
     factors: dict = {}
     for lf in local_factors:
         if not lf.const and not any(lf.lin):
@@ -459,8 +467,8 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
                 return Fraction(0)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
         poly = MultiPoly.affine(nv, [b * x for x in lf.lin], a * lf.const)
-        coeff *= _merge_factor(factors, poly, lf.exponent, lf.den * b)
-    term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)
+        scale = _merge_factor(factors, poly, lf.exponent, scale, lf.den * b)
+    term = _Term(coeff=Fraction(*scale), hot=MultiPoly.const(nv, 1), factors=factors)
     for i in range(k):
         term = _residue_step(term, i, 0, k - 1)
         if term is None:
@@ -576,7 +584,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
         return zero_value(integrand)
     theta = integrand.kind == "theta"
     nv = k + 1 + theta
-    coeff = Fraction(2 * D) ** k
+    scale = (2 * D) ** k, 1
     factors: dict = {}
     monomial = [-1] * k + [0] * (nv - k)
     ys = []
@@ -590,12 +598,14 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
         half = _half_exponents(lf, D) + [0] * theta
         binomial = MultiPoly(nv, {tuple(2 * max(x, 0) for x in half): 1,
                                   tuple(2 * max(-x, 0) for x in half): -1})
-        coeff *= _merge_factor(factors, binomial, lf.exponent)
+        scale = _merge_factor(factors, binomial, lf.exponent, scale)
         monomial = [m - lf.exponent * abs(x) for m, x in zip(monomial, half)]
         ys.append(([2 * x for x in half], lf.exponent))
-    coeff *= _merge_factor(factors, MultiPoly.monomial(nv, [max(x, 0) for x in monomial]), 1)
-    coeff *= _merge_factor(factors, MultiPoly.monomial(nv, [max(-x, 0) for x in monomial]), -1)
-    term = _Term(coeff=coeff, hot=MultiPoly.const(nv, 1), factors=factors)
+    scale = _merge_factor(factors, MultiPoly.monomial(nv, [max(x, 0) for x in monomial]), 1,
+                          scale)
+    scale = _merge_factor(factors, MultiPoly.monomial(nv, [max(-x, 0) for x in monomial]), -1,
+                          scale)
+    term = _Term(coeff=Fraction(*scale), hot=MultiPoly.const(nv, 1), factors=factors)
     taylor = None
     if theta:
         if k:

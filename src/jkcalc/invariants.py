@@ -66,6 +66,8 @@ class HypothesisReport:
     properness_note: str
     all_points: list
     stable_points: list
+    # the problem's line inverses and normals, which the flags read
+    lines: arrangement.LineTable = field(repr=False, compare=False)
 
     def ok(self) -> bool:
         return self.root_condition == "ok" and self.properness in ("checked", "asserted")
@@ -74,11 +76,15 @@ class HypothesisReport:
 def make_problem(rank, weights, roots, xi, weyl_order=1, degree=1, label="",
                  properness_hint=None, properness_note=""):
     """Convenience constructor: weights as (covector, R, multiplicity) triples.
-    A covector entry, charge or xi entry that is not an integer raises
-    ValidationError."""
-    entries = [WeightEntry(as_integers(rho, "a weight covector entry"),
-                           as_integers((r,), "a circle charge")[0])
-               for rho, r, mult in weights for _ in range(mult)]
+    A covector entry, charge, multiplicity or xi entry that is not an
+    integer, or a multiplicity below 1, raises ValidationError."""
+    entries = []
+    for rho, r, mult in weights:
+        [mult] = as_integers((mult,), "a weight multiplicity")
+        if mult < 1:
+            raise ValidationError(f"a weight multiplicity must be >= 1, got {mult}")
+        entries += [WeightEntry(as_integers(rho, "a weight covector entry"),
+                                as_integers((r,), "a circle charge")[0])] * mult
     return GITProblem(
         rank=rank,
         weight_entries=entries,
@@ -130,8 +136,9 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
     weights = problem.nonzero_weights()
     if k > 0 and linalg.rank(weights) != k:
         raise ValidationError("weights do not span the dual Lie algebra")
+    lines = arrangement.LineTable()
     try:
-        all_points, stable = arrangement.intersections(problem.forms(), k, problem.xi)
+        all_points, stable = arrangement.intersections(problem.forms(), k, problem.xi, lines)
     except PerturbationError as exc:
         raise ValidationError("the stability covector is not regular for these weights") \
             from exc
@@ -172,6 +179,7 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
         properness_note=note,
         all_points=all_points,
         stable_points=stable,
+        lines=lines,
     )
 
 
@@ -306,9 +314,9 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
 def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int = DEFAULT_Q_ORDER,
            seed: int = 0, s=1) -> InvariantResult:
     """`compute` on the problem of the run `first` again, reusing its
-    validation report, which depends on neither s, the seed, the kind nor
-    q_order, and at its seed its flags and localizations, which depend on
-    the seed alone."""
+    validation report with its `LineTable`, which depend on neither s, the
+    seed, the kind nor q_order, and at its seed its flags and
+    localizations, which depend on the seed alone."""
     diag = first.diagnostics
     return _compute(problem, diag.hypothesis, kind, q_order, seed, s, time.monotonic(),
                     diag if seed == diag.seed else None)
@@ -316,12 +324,13 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
 
 def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
     """Enumerate the flags once per distinct set of active weights, which
-    alone fixes them (in whatever order `_build_point` lists the set), and
-    take each requested kind's residue once per orbit of `orbit_keys`, at
-    the orbit's first point.  The one factor list is localized at those
-    points, and at every point only when a multiplicative kind needs D, the
-    lcm over all of them.  `same_seed`, the diagnostics of a run at this
-    seed, lends its flags and localizations."""
+    alone fixes them (in whatever order the point lists the set), all from
+    the report's one `LineTable`, and take each requested kind's residue
+    once per orbit of `orbit_keys`, at the orbit's first point.  The one
+    factor list is localized at those points, and at every point only when
+    a multiplicative kind needs D, the lcm over all of them.  `same_seed`,
+    the diagnostics of a run at this seed, lends its flags and
+    localizations."""
     kinds = engine.KINDS if kind == "all" else (kind,)
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     integrand = build_integrand(problem, kinds[0], q_order, s)
@@ -329,7 +338,8 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
     if same_seed is None:
         basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
         sets = {frozenset(pt.active_weights): pt.active_weights for pt in points}
-        flags_of = {key: arrangement.enumerate_flags(weights, problem.xi, basis, pert.order)
+        flags_of = {key: arrangement.enumerate_flags(weights, problem.xi, basis, pert.order,
+                                                     table=report.lines)
                     for key, weights in sets.items()}
         point_flags = [flags_of[frozenset(pt.active_weights)] for pt in points]
         localized = {}

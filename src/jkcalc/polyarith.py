@@ -86,7 +86,7 @@ class MultiPoly:
         return bool(self.terms)
 
     def is_constant(self):
-        return all(all(e == 0 for e in k) for k in self.terms)
+        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
 
     def constant_value(self) -> int:
         if not self.terms:

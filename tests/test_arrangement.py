@@ -36,7 +36,7 @@ def points_of(points):
 
 def value_at(form, point):
     """rho.point + const in Fraction arithmetic: the reference for the
-    integer activity test of `arrangement._build_point`."""
+    active sets of `arrangement.isolated_intersections`."""
     return sum((r * Fraction(x) for r, x in zip(form.rho, point)), Fraction(form.const))
 
 
@@ -65,16 +65,16 @@ class TestIsolatedIntersections:
 
 
     def test_activity_at_denominators_3_and_7(self):
-        # P = (1/3, 2/7) = (7, 6)/21: 3 u1 + 7 u2 - 3 vanishes there, and
-        # 3 u1 + 7 u2 - 63 would vanish if its constant were not scaled by 21
+        # P = (1/3, 2/7) = (7, 6)/21: 3 u1 + 7 u2 = 3, 3 u1 = 1 and
+        # 14 u2 = 4 meet there, 3 u1 + 7 u2 = 63 is a parallel of the first,
+        # and the zero covector of constant 0 vanishes everywhere
         point = (Fraction(1, 3), Fraction(2, 7))
         forms = [AffineForm((3, 7), -3), AffineForm((3, 7), -63),
                  AffineForm((3, 0), -1),
                  AffineForm((0, 14), -4), AffineForm((0, 14), -3),
                  AffineForm((0, 0), 0), AffineForm((0, 0), 1),
                  AffineForm((21, -21), 1)]
-        pt = arr._build_point(point, forms)
-        assert pt.point == point
+        [pt] = [p for p in arr.isolated_intersections(forms, 2) if p.point == point]
         assert pt.active_indices == (0, 2, 3, 5)
         assert pt.active_indices == tuple(i for i, f in enumerate(forms)
                                           if value_at(f, point) == 0)
@@ -558,6 +558,48 @@ class TestSimplicialFlags:
                 assert got == flag_reference.enumerate_flags(weights, xi, basis, order)
                 kept.add(tuple(f.kappa for f in got))
         assert len(kept) > 1
+
+    def test_the_inverse_read_off_the_line_table(self, monkeypatch):
+        # seeded sets of `rank` weights m p with multipliers +-1, +-2, +-3:
+        # the weights' inverse, each column the column of p in the inverse of
+        # the sorted lines over m, is `linalg.inverse(weights)`, rows and
+        # denominator, and the flags are those of a run without the table;
+        # two weights on one line, or dependent lines, invert to None and
+        # keep no flag
+        def scaled(m, v):
+            return tuple(m * x for x in v)
+
+        rng = random.Random(25)
+        seen = Counter()
+        for rank in (1, 2, 3):
+            vectors = [v for v in itertools.product(range(-2, 3), repeat=rank) if any(v)]
+            table = arr.LineTable()
+            arr._line_inverses({arr._line(v)[0] for v in vectors}, rank, table)
+            for _ in range(40):
+                weights = [scaled(rng.choice((1, -1, 2, -2, 3, -3)), rng.choice(vectors))
+                           for _ in range(rank)]
+                if rank > 1 and rng.random() < 0.2:
+                    weights[-1] = scaled(rng.choice((-2, -1, 2, 3)), weights[0])
+                calls = Counter()
+                count_calls(monkeypatch, calls, "inverse")
+                got = arr._weights_inverse(weights, table)
+                monkeypatch.undo()
+                assert calls["inverse"] == 0
+                assert got == linalg.inverse(weights)
+                xi = tuple(rng.randint(-2, 2) for _ in range(rank))
+                order = tuple((j, rng.choice((1, -1))) for j in rng.sample(range(rank), rank))
+                basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+                flags = arr.enumerate_flags(weights, xi, basis, order, table=table)
+                assert flags == arr.enumerate_flags(weights, xi, basis, order)
+                if got is None:
+                    assert flags == []
+                    one_line = len({arr._line(w)[0] for w in weights}) < rank
+                    seen["one line" if one_line else "dependent lines"] += 1
+                else:
+                    seen["denominator > 1" if got[1] > 1 else "unimodular"] += 1
+                    seen["flag"] += len(flags)
+        assert all(seen[key] > 0 for key in ("one line", "dependent lines", "denominator > 1",
+                                             "unimodular", "flag")), seen
 
     @pytest.mark.parametrize("weights", [[(1, 0), (2, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]])
     def test_dependent_weights_keep_no_flag(self, weights):

@@ -567,7 +567,7 @@ def _step(factors, z1=5):
     factors with c = d = 0."""
     carry, coeff = {}, Fraction(1)
     for c, b, d, e in factors:
-        coeff *= engine._merge_factor(carry, MultiPoly.affine(2, [b, d], c), e)
+        coeff *= Fraction(*engine._merge_factor(carry, MultiPoly.affine(2, [b, d], c), e))
     term = engine._residue_step(engine._Term(coeff, MultiPoly.const(2, 1), carry), 0, 0, 1)
     order = -sum(e for c, b, d, e in factors if not c and not d)
     want = [Fraction(1)] + [Fraction(0)] * (order - 1)

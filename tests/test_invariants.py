@@ -117,6 +117,12 @@ class TestValidate:
          "a root covector entry must be an integer, got 1/2"),
         (lambda: make_problem(1, [((1,), 0, 5)], [], (F(3, 2),)),
          "a stability covector entry must be an integer, got 3/2"),
+        (lambda: make_problem(1, [((1,), 0, 5), ((-5,), 1, -1)], [], (1,)),
+         "a weight multiplicity must be >= 1, got -1"),
+        (lambda: make_problem(1, [((1,), 0, 5), ((-5,), 1, 0)], [], (1,)),
+         "a weight multiplicity must be >= 1, got 0"),
+        (lambda: make_problem(1, [((1,), 0, 5), ((-5,), 1, F(3, 2))], [], (1,)),
+         "a weight multiplicity must be an integer, got 3/2"),
         (lambda: builders.projective_space(2, [0, F(1, 2), 0]),
          "a circle charge must be an integer, got 1/2"),
         (lambda: builders.grassmannian(2, 4, [0, 0, 2.5, 0], 1),
@@ -128,11 +134,14 @@ class TestValidate:
         (lambda: builders.framed_a3_quiver(2, 1, (1, F(1, 2), 1)),
          "a loop charge must be an integer, got 1/2"),
     ], ids=["make-problem-weight", "make-problem-charge", "make-problem-root",
-            "make-problem-xi", "projective-space", "grassmannian", "grassmannian-det",
+            "make-problem-xi", "make-problem-negative-multiplicity",
+            "make-problem-zero-multiplicity", "make-problem-non-integer-multiplicity",
+            "projective-space", "grassmannian", "grassmannian-det",
             "projective-bundle", "framed-a3-quiver"])
     def test_constructors_reject_non_integer_data(self, build, message):
         # they coerced with int, so -9/2 became the weight (-4,) and compute
-        # returned DT 56 for the first case
+        # returned DT 56 for the first case; a multiplicity below 1 dropped
+        # its weight, so the first multiplicity case built P^4 with DT 5
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build()
 

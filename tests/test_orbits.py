@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import decks
-from jkcalc import arrangement, builders, engine, invariants
+from jkcalc import arrangement, builders, engine, invariants, linalg
 from jkcalc.config import parse_config
 from jkcalc.invariants import WeightEntry, build_integrand, compute
 
@@ -115,10 +115,20 @@ def test_the_quiver_dt_deck_takes_one_residue_per_orbit(monkeypatch):
     """One residue and one localization per orbit, and one flag enumeration
     per distinct set of active weights (109 among the deck's 199 stable
     points); each point's flags are still its own, and an s = 2 rerun at the
-    same seed enumerates and localizes none."""
+    same seed enumerates and localizes none.
+
+    The geometry runs once per problem: each form is read once, by its
+    line, and no point scans the forms again; each hyperplane normal is
+    computed once per set of rows (237, where the flag searches ask 630
+    times); and the simplicial points read their inverses off the
+    validation's 140, so the only others are the 39 of the flags kept at
+    the other points."""
     calls = count_calls(monkeypatch, engine, "jk_residue")
     flag_calls = count_calls(monkeypatch, arrangement, "enumerate_flags")
     local_calls = count_calls(monkeypatch, engine, "localize")
+    form_reads = count_calls(monkeypatch, arrangement.AffineForm, "is_hyperplane")
+    normal_calls = count_calls(monkeypatch, linalg, "hyperplane_normal")
+    inverse_calls = count_calls(monkeypatch, linalg, "inverse")
     orbits = points = 0
     results = []
     for item in decks.deck("quiver-dt", 3):
@@ -128,6 +138,8 @@ def test_the_quiver_dt_deck_takes_one_residue_per_orbit(monkeypatch):
         results.append((item, result))
     assert (len(calls), orbits, points) == (50, 50, 199)
     assert (len(flag_calls), len(local_calls)) == (109, 50)
+    assert len(form_reads) == sum(len(item.problem.weight_entries) for item, _ in results) == 216
+    assert (len(normal_calls), len(inverse_calls)) == (237, 140 + 39)
     for item, result in results:
         diag = result.diagnostics
         basis = arrangement.lattice_basis(item.problem.nonzero_weights())
