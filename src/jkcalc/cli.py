@@ -255,9 +255,10 @@ def run(argv=None) -> int:
 
 
 def _run_cross_checks(problem, cfg, result):
-    if result.dt is not None and result.chi_y is not None:
-        specialize(result)
-    # the reruns reuse the validation report of `result`
+    # the reruns reuse the validation report of `result`; a kind="all" run
+    # reads chi_y off Ell(q=0), so Ell is checked against a sine run of its own
+    if result.ell is not None:
+        specialize(result, invariants._rerun(result, problem, "sine", seed=cfg.seed))
     if result.dt is not None:
         alt = invariants._rerun(result, problem, "additive", seed=cfg.seed, s=2)
         if alt.dt != result.dt:

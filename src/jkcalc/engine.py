@@ -15,6 +15,10 @@ Three integrand kinds share one iterated-residue core:
               G = (q;q)^(2k) Phi(y^d)^(-k) prod Phi(Y)^e modulo q^(N+1)
               (`_theta_numerator`); computes the elliptic genus as a q-series.
 
+Every factor of G is 1 + O(q), so the theta residue's q^0 coefficient is the
+sine residue: asked for together (`kind="all"`), the two take one
+multiplicative residue per flag, the theta one (`invariants._compute`).
+
 `localize` writes each factor in flag coordinates as c + l.z, on integers
 over one denominator (`LocalFactor`), which every kind reads as it is.
 Residues are taken innermost flag coordinate first, the remaining coordinates
@@ -70,7 +74,7 @@ from operator import mul
 from . import linalg
 from .arrangement import Flag
 from .kronecker import Kronecker
-from .polyarith import MultiPoly, QSeries, RatFunc, binom
+from .polyarith import MultiPoly, QSeries, RatFunc
 
 KINDS = ("additive", "sine", "theta")
 
@@ -523,7 +527,11 @@ def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
                 mono = tuple(x * sign for x in y)
                 if k:
                     a, mono = mono[0], (0,) + mono[1:]
-                    pm += [(t, mono, e * binom(a, t)) for t in range(terms)]
+                    # c = e binom(a, t): binom(a, t + 1) = binom(a, t) (a - t) / (t + 1)
+                    c = e
+                    for t in range(terms):
+                        pm.append((t, mono, c))
+                        c = c * (a - t) // (t + 1)
                 else:
                     pm.append((0, mono, e))
         for i in range(m, N + 1, m):

@@ -133,13 +133,14 @@ def validate(problem: GITProblem, strict_roots: bool = True) -> HypothesisReport
             raise ValidationError(f"roots are not closed under negation: {a}")
         if linalg.is_zero_vec(a):
             raise ValidationError("zero covector is not a root")
-    weights = problem.nonzero_weights()
-    if k > 0 and linalg.rank(weights) != k:
-        raise ValidationError("weights do not span the dual Lie algebra")
     lines = arrangement.LineTable()
     try:
         all_points, stable = arrangement.intersections(problem.forms(), k, problem.xi, lines)
     except PerturbationError as exc:
+        # the weights span exactly when some `rank`-set of their lines is
+        # independent; xi is regular for none that do not
+        if all(inverse is None for inverse in lines.inverses.values()):
+            raise ValidationError("weights do not span the dual Lie algebra") from exc
         raise ValidationError("the stability covector is not regular for these weights") \
             from exc
     root_condition = "ok"
@@ -330,8 +331,9 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
     factor list is localized at those points, and at every point only when
     a multiplicative kind needs D, the lcm over all of them.  `same_seed`,
     the diagnostics of a run at this seed, lends its flags and
-    localizations."""
-    kinds = engine.KINDS if kind == "all" else (kind,)
+    localizations.  Asked for together, chi_y is read off Ell's q^0
+    coefficient, one multiplicative residue per orbit (see `engine`)."""
+    kinds = ("additive", "theta") if kind == "all" else (kind,)
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     integrand = build_integrand(problem, kinds[0], q_order, s)
     points = report.stable_points
@@ -383,6 +385,10 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
             value = pdiag.contributions[kd] = orbit_values[key]
             total = total + value
         setattr(result, _RESULT_FIELD[kd], total * weyl)
+    if kind == "all":
+        for pdiag in diag.points:
+            pdiag.contributions["sine"] = pdiag.contributions["theta"].coeffs[0]
+        result.chi_y = result.ell.coeffs[0]
     diag.elapsed = time.monotonic() - t0
     return result
 
@@ -453,15 +459,20 @@ def limit_at_one(rf: RatFunc) -> Fraction:
     return value
 
 
-def specialize(result: InvariantResult) -> dict:
+def specialize(result: InvariantResult, sine: InvariantResult | None = None) -> dict:
     """Cross-check the specialization identities between computed kinds.
 
-    Asserts that the q^0 coefficient of the elliptic genus equals chi_y and
-    that the w -> 1 limit of chi_y equals DT; a mismatch is a pipeline bug.
+    Asserts that the w -> 1 limit of chi_y equals DT and, given `sine`, a
+    separate `kind="sine"` run of the problem (`_rerun(result, problem,
+    "sine", seed=...)` reuses the flags), that Ell(q=0) equals its chi_y: a
+    `kind="all"` run reads its own chi_y off Ell(q=0).  A mismatch is a
+    pipeline bug.
     """
     report = {}
-    if result.ell is not None and result.chi_y is not None:
-        if result.ell.coeffs[0] != result.chi_y:
+    if result.ell is not None and sine is not None:
+        # the two runs' w are y^(1/(2D)) for their own D
+        if result.ell.coeffs[0].compose_power(sine.denom_scale) != \
+                sine.chi_y.compose_power(result.denom_scale):
             raise PipelineError("Ell(q=0) does not reproduce chi_y")
         report["ell_q0_equals_chi_y"] = True
     if result.chi_y is not None and result.dt is not None:

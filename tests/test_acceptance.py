@@ -122,13 +122,16 @@ SPECIALIZATION_PROBLEMS = [
 def test_criterion_4_specialization_identities():
     with criterion(4, "Ell(q=0) = chi_y and chi_y(w->1) = DT on every test problem"):
         for label, make, order in SPECIALIZATION_PROBLEMS:
-            res = compute(make(), kind="all", q_order=order)
-            report = specialize(res)
+            problem = make()
+            res = compute(problem, kind="all", q_order=order)
+            # kind="all" reads chi_y off Ell(q=0): compare with a sine run
+            sine = compute(problem, kind="sine")
+            report = specialize(res, sine)
             assert report["ell_q0_equals_chi_y"], label
             assert report["chi_y_limit_equals_dt"], label
             # theta truncation identity: order-zero series reproduces the sine kind
-            res0 = compute(make(), kind="all", q_order=0)
-            assert res0.ell.coeffs[0] == res0.chi_y, label
+            res0 = compute(problem, kind="theta", q_order=0)
+            assert res0.ell.coeffs[0] == sine.chi_y, label
 
 
 ZERO_POTENTIAL_CASES = [

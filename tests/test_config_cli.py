@@ -12,6 +12,7 @@ import pytest
 import decks
 from jkcalc import builders, cli, invariants
 from jkcalc.config import ConfigError, parse_config
+from jkcalc.polyarith import QSeries, RatFunc
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -405,6 +406,27 @@ class TestCliProcess:
         cfg.write_text("mode projective-bundle\nn 2\ndegrees [2]\nq-order 1\n")
         assert cli.run([str(cfg), "--cross-check"]) == 0
 
+    def test_cross_check_compares_ell_with_a_sine_run_of_its_own(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # theta residues whose q^0 is off by w - 1, which leaves the chi_y ->
+        # DT limit as it is: a kind="all" run reads chi_y off Ell(q=0), so
+        # only the cross-check's sine rerun sees it
+        real = invariants.engine.flag_residue_multiplicative
+
+        def off(local_factors, flag, integrand):
+            value = real(local_factors, flag, integrand)
+            if integrand.kind == "theta":
+                value = value + QSeries.const(integrand.q_order, RatFunc([(1, 1), (0, -1)]))
+            return value
+
+        monkeypatch.setattr(invariants.engine, "flag_residue_multiplicative", off)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("mode projective-bundle\nn 2\ndegrees [2]\nq-order 1\n")
+        assert cli.run([str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.run([str(cfg), "--cross-check"]) == 4
+        assert capsys.readouterr().err == "internal error: Ell(q=0) does not reproduce chi_y\n"
+
     def test_cross_check_validates_each_problem_once(self, tmp_path, capsys, monkeypatch):
         # p21 and its rescaled problem: the reruns for s = 2, the second seed
         # and the direct side of the fractional check reuse the first run's
@@ -427,9 +449,9 @@ class TestCliProcess:
         assert counts == {"validate": 2}
 
     def test_s_check_reuses_the_localized_flags(self, capsys, monkeypatch):
-        # s enters only the additive residues: the s = 2 rerun reuses the
-        # first run's (flag, localization) pairs, and only the reseeded
-        # check localizes again
+        # s enters only the additive residues: the s = 2 rerun and the sine
+        # rerun reuse the first run's (flag, localization) pairs, and only
+        # the reseeded check localizes again
         cfg = os.path.join(CONFIG_DIR, "framed-a3-n1-r1.cfg")
         counts = Counter()
         for owner, name in ((invariants.arrangement, "enumerate_flags"),

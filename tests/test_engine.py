@@ -327,7 +327,8 @@ class TestFlagResidueMultiplicative:
     def test_theta_order_zero_reproduces_sine(self):
         for prob in (self.p1_problem(), builders.projective_bundle(3, (2,))):
             full = invariants.compute(prob, kind="all", q_order=0)
-            assert full.ell.coeffs[0] == full.chi_y
+            assert full.ell.coeffs[0] == full.chi_y == \
+                invariants.compute(prob, kind="sine").chi_y
 
     def test_unset_denominator_scale_is_named(self):
         # `build_integrand` leaves D unset; `compute` takes it from the

@@ -70,6 +70,17 @@ class TestValidate:
         with pytest.raises(ValidationError, match="regular"):
             validate(prob)
 
+    @pytest.mark.parametrize("rank, weights, xi", [
+        (2, [((1, 0), 0, 2), ((-2, 0), 1, 1), ((0, 0), 1, 1)], (1, 0)),
+        (3, [((1, 0, 0), 0, 1), ((0, 1, 0), 0, 1), ((1, 1, 0), 1, 2)], (1, 1, 0)),
+    ], ids=["rank-2-line", "rank-3-plane"])
+    def test_weights_that_do_not_span_are_named_before_regularity(self, rank, weights, xi):
+        # xi is irregular for weights that do not span, whatever it is; the
+        # span is the error named
+        prob = make_problem(rank=rank, weights=weights, roots=[], xi=xi, degree=1)
+        with pytest.raises(ValidationError, match="^weights do not span the dual Lie algebra$"):
+            validate(prob)
+
     @pytest.mark.parametrize("xi", [(1,), (1, 1, 1)])
     def test_stability_of_the_wrong_length_rejected(self, xi):
         prob = make_problem(rank=2, weights=[((1, 0), 0, 1), ((0, 1), 0, 1)], roots=[],
@@ -228,11 +239,15 @@ class TestCompute:
     def test_each_flag_is_localized_once_for_every_kind(self, monkeypatch):
         localizations = count_calls(monkeypatch, engine, "localize")
         builds = count_calls(monkeypatch, invariants, "build_integrand")
-        res = compute(builders.framed_a3_problem(2, 1), kind="all", q_order=1)
+        problem = builders.framed_a3_problem(2, 1)
+        res = compute(problem, kind="all", q_order=1)
         assert len(res.diagnostics.points) == 3
         assert len(localizations) == sum(len(p.flags) for p in res.diagnostics.points)
         assert len(builds) == 1
-        specialize(res)
+        # a sine rerun at the seed checks Ell(q=0) on the same localizations
+        localizations.clear()
+        assert specialize(res, invariants._rerun(res, problem, "sine"))["ell_q0_equals_chi_y"]
+        assert localizations == []
 
     def test_diagnostics_record_contributions(self):
         res = compute(cy3(), kind="additive")
@@ -258,15 +273,32 @@ class TestNonabelianRanks:
 
 class TestSpecialize:
     def test_p1_values(self):
-        res = compute(builders.projective_space(1, (1, 0)), kind="all", q_order=2)
+        problem = builders.projective_space(1, (1, 0))
+        res = compute(problem, kind="all", q_order=2)
         assert res.dt == -2  # (-1)^dim * chi(P^1)
         assert res.chi_y.laurent() == {1: F(-1), -1: F(-1)}
-        assert specialize(res) == {"ell_q0_equals_chi_y": True,
-                                   "chi_y_limit_equals_dt": True}
+        assert specialize(res, compute(problem, kind="sine")) == {
+            "ell_q0_equals_chi_y": True, "chi_y_limit_equals_dt": True}
+        # without a sine run of its own, Ell(q=0) is not compared
+        assert specialize(res) == {"chi_y_limit_equals_dt": True}
 
     def test_ell_order_zero_equals_chi_y(self):
-        res = compute(builders.projective_bundle(3, (2,)), kind="all", q_order=0)
-        assert res.ell.coeffs[0] == res.chi_y
+        problem = builders.projective_bundle(3, (2,))
+        res = compute(problem, kind="all", q_order=0)
+        assert res.ell.coeffs[0] == res.chi_y == compute(problem, kind="sine").chi_y
+
+    def test_ell_is_compared_with_the_sine_run_given(self):
+        problem = builders.projective_space(1, (1, 0))
+        res = compute(problem, kind="theta", q_order=1)
+        sine = compute(problem, kind="sine")
+        # the same chi_y in w' = w^(1/2), over twice the denominator scale
+        finer = invariants.InvariantResult(label="", degree=1,
+                                           chi_y=sine.chi_y.compose_power(2),
+                                           denom_scale=2 * sine.denom_scale)
+        assert specialize(res, finer) == {"ell_q0_equals_chi_y": True}
+        other = compute(builders.projective_bundle(3, (2,)), kind="sine")
+        with pytest.raises(invariants.PipelineError, match="Ell"):
+            specialize(res, other)
 
     def test_cy3_limit(self):
         res = compute(cy3(), kind="sine")
@@ -602,7 +634,7 @@ def test_rational_chi_y_is_fully_reduced():
     num, den = chi.pairs()
     assert (len(num), len(den)) == (93, 57)
     assert poly_gcd(chi.num, chi.den)[0] == [1]
-    specialize(result)
+    specialize(result, compute(prob, kind="sine"))
 
 
 WEIGHTED_PROJECTIVE_STACKS = [

@@ -155,6 +155,32 @@ def test_the_quiver_dt_deck_takes_one_residue_per_orbit(monkeypatch):
     assert flag_calls == local_calls == []
 
 
+def test_the_elliptic_genus_deck_takes_one_multiplicative_residue_per_flag(monkeypatch):
+    """Asked for together, chi_y is read off Ell's q^0 coefficient, so the
+    seed-3 `elliptic-genus` deck, all at kind="all", takes 37 multiplicative
+    flag residues, one per flag at the orbits' first points, where a sine
+    and a theta residue per flag took 74.  kind="sine" alone takes its own,
+    again one per such flag, and gives the same chi_y."""
+    calls = count_calls(monkeypatch, engine, "flag_residue_multiplicative")
+    orbit_flags = []
+    results = []
+    for item in decks.deck("elliptic-genus", 3):
+        assert item.kwargs["kind"] == "all"
+        result = compute(item.problem, **item.kwargs)
+        points = result.diagnostics.points
+        first = {}
+        for i, key in enumerate(invariants.orbit_keys(item.problem, points)):
+            first.setdefault(key, i)
+        orbit_flags.append(sum(len(points[i].flags) for i in first.values()))
+        results.append((item, result))
+    assert len(calls) == sum(orbit_flags) == 37
+    for (item, result), flags in zip(results, orbit_flags):
+        calls.clear()
+        sine = compute(item.problem, kind="sine")
+        assert len(calls) == flags
+        assert sine.chi_y == result.chi_y
+
+
 def test_rank_one_requests_take_one_residue_per_point_without_a_search(monkeypatch):
     calls = count_calls(monkeypatch, engine, "jk_residue")
 
