@@ -268,7 +268,9 @@ def _run_cross_checks(problem, cfg, result):
             raise PipelineError("DT changed under an independent perturbation seed")
     if integrality_scale(problem, result.diagnostics.hypothesis.stable_points) > 1:
         q_order = min(cfg.q_order, 2)
-        direct = invariants._rerun(result, problem, "all", q_order, cfg.seed)
+        # a kind="all" run at q-order <= 2 is the direct run itself
+        direct = result if cfg.invariant == "all" and cfg.q_order <= 2 else \
+            invariants._rerun(result, problem, "all", q_order, cfg.seed)
         invariants._fractional_reduction(problem, direct, q_order, cfg.seed)
 
 

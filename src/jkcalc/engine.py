@@ -260,17 +260,20 @@ def _unit_power(unit, e, target, kr):
         u0_pows.append(kr.mul_into({}, u0_pows[-1], u0))
     steps = [None] + [unit[j] if j == 1 or not unit[j] else
                       kr.mul_into({}, unit[j], u0_pows[j - 1]) for j in range(1, target + 1)]
-    W = [kr.one()]
+    # W_0 = 1 is never multiplied: the j = t term of each sum is e t steps[t],
+    # and V_0 = u_0^target
+    W = [None]
     for t in range(1, target + 1):
-        acc = {}
-        for j in range(1, t + 1):
+        acc = {key: (low, e * t * v) for key, (low, v) in steps[t].items()}
+        for j in range(1, t):
             c = (e + 1) * j - t
             if c and steps[j] and W[t - j]:
                 kr.mul_into(acc, {key: (low, c * v) for key, (low, v) in steps[j].items()},
                             W[t - j])
         W.append({key: (low, v // t) for key, (low, v) in acc.items()})
-    return [kr.mul_into({}, W[t], u0_pows[target - t]) if W[t] else {}
-            for t in range(target)] + [W[target]]
+    V = [u0_pows[target]] + [kr.mul_into({}, W[t], u0_pows[target - t]) if W[t] else {}
+                             for t in range(1, target)]
+    return V + W[len(V):]
 
 
 def _norm_bound(series, factors, target):

@@ -11,6 +11,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -244,13 +245,37 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
     return integrand
 
 
+class FlagTable:
+    """One run's flags, by set of active weights, which alone fixes them (in
+    whatever order a point lists the set): each set's are enumerated when
+    first asked for, from the problem's `LineTable`, as `LineTable` makes
+    its inverses and normals."""
+
+    def __init__(self, xi, basis, order, lines):
+        self.xi, self.basis, self.order, self.lines = xi, basis, order, lines
+        self.flags = {}
+
+    def __getitem__(self, active_weights):
+        key = frozenset(active_weights)
+        if key not in self.flags:
+            self.flags[key] = arrangement.enumerate_flags(active_weights, self.xi, self.basis,
+                                                          self.order, table=self.lines)
+        return self.flags[key]
+
+
 @dataclass
 class PointDiagnostics:
     point: tuple
     active_indices: tuple
     active_weights: tuple
-    flags: list
+    table: FlagTable = field(repr=False, compare=False)
     contributions: dict = field(default_factory=dict)   # kind -> value
+
+    @cached_property
+    def flags(self) -> list:
+        """The point's flags in the order of their kappa, read off the run's
+        `FlagTable` on first access."""
+        return list(self.table[self.active_weights])
 
 
 @dataclass
@@ -264,8 +289,10 @@ class Diagnostics:
     orbits: int = 0     # residues computed per kind, one per orbit (`orbit_keys`)
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
-    # point index -> its (flag, `engine.localize` result) pairs, at the orbits'
-    # first points, or at every point for D; reused by `_rerun`
+    # the run's flags, and point index -> its (flag, `engine.localize`
+    # result) pairs, at the orbits' first points, or at every point for D;
+    # lent to a `_rerun` at the same seed
+    flag_table: FlagTable | None = field(default=None, repr=False)
     localized: dict = field(default_factory=dict, repr=False)
 
 
@@ -316,7 +343,7 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
            seed: int = 0, s=1) -> InvariantResult:
     """`compute` on the problem of the run `first` again, reusing its
     validation report with its `LineTable`, which depend on neither s, the
-    seed, the kind nor q_order, and at its seed its flags and
+    seed, the kind nor q_order, and at its seed its `FlagTable` and
     localizations, which depend on the seed alone."""
     diag = first.diagnostics
     return _compute(problem, diag.hypothesis, kind, q_order, seed, s, time.monotonic(),
@@ -324,13 +351,13 @@ def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int 
 
 
 def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
-    """Enumerate the flags once per distinct set of active weights, which
-    alone fixes them (in whatever order the point lists the set), all from
-    the report's one `LineTable`, and take each requested kind's residue
-    once per orbit of `orbit_keys`, at the orbit's first point.  The one
-    factor list is localized at those points, and at every point only when
-    a multiplicative kind needs D, the lcm over all of them.  `same_seed`,
-    the diagnostics of a run at this seed, lends its flags and
+    """Take each requested kind's residue once per orbit of `orbit_keys`, at
+    the orbit's first point, with the flags of a `FlagTable` over the
+    report's one `LineTable`.  The one factor list is localized at those
+    points, and at every point only when a multiplicative kind needs D, the
+    lcm over all of them; the flags are enumerated there, and at any other
+    point when its `PointDiagnostics.flags` is first read.  `same_seed`, the
+    diagnostics of a run at this seed, lends its flag table and
     localizations.  Asked for together, chi_y is read off Ell's q^0
     coefficient, one multiplicative residue per orbit (see `engine`)."""
     kinds = ("additive", "theta") if kind == "all" else (kind,)
@@ -339,14 +366,10 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
     points = report.stable_points
     if same_seed is None:
         basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
-        sets = {frozenset(pt.active_weights): pt.active_weights for pt in points}
-        flags_of = {key: arrangement.enumerate_flags(weights, problem.xi, basis, pert.order,
-                                                     table=report.lines)
-                    for key, weights in sets.items()}
-        point_flags = [flags_of[frozenset(pt.active_weights)] for pt in points]
+        table = FlagTable(problem.xi, basis, pert.order, report.lines)
         localized = {}
     else:
-        point_flags = [p.flags for p in same_seed.points]
+        table = same_seed.flag_table
         localized = dict(same_seed.localized)
     keys = orbit_keys(problem, points)
     first = {}      # orbit key -> the index of the orbit's first point in order
@@ -356,7 +379,7 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
     for i in range(len(points)) if multiplicative else first.values():
         if i not in localized:
             localized[i] = [(flag, engine.localize(integrand, points[i].point, flag))
-                            for flag in point_flags[i]]
+                            for flag in table[points[i].active_weights]]
     D = engine.denominator_scale(local for flags in localized.values() for _, local in flags) \
         if multiplicative else 1
     result = InvariantResult(label=problem.label, degree=problem.degree, denom_scale=D)
@@ -365,11 +388,12 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
     diag.perturbation = pert
     diag.weyl_order = problem.weyl_order
     diag.seed = seed
+    diag.flag_table = table
     diag.localized = localized
     diag.points = [
         PointDiagnostics(point=pt.point, active_indices=pt.active_indices,
-                         active_weights=pt.active_weights, flags=list(flags))
-        for pt, flags in zip(points, point_flags)
+                         active_weights=pt.active_weights, table=table)
+        for pt in points
     ]
     if report.root_condition != "ok":
         diag.notes.append(report.root_condition)
@@ -539,9 +563,10 @@ def _fractional_reduction(problem, direct, q_order, seed) -> dict:
     mr = direct.denom_scale
     report["chi_y_equal"] = \
         direct.chi_y.compose_power(md) == rescaled.chi_y.compose_power(mr)
-    report["ell_equal"] = all(
+    # a kind="all" run's chi_y is its Ell's q^0 coefficient
+    report["ell_equal"] = report["chi_y_equal"] and all(
         a.compose_power(md) == b.compose_power(mr)
-        for a, b in zip(direct.ell.coeffs, rescaled.ell.coeffs)
+        for a, b in zip(direct.ell.coeffs[1:], rescaled.ell.coeffs[1:])
     )
     report["ok"] = report["dt_equal"] and report["chi_y_equal"] and report["ell_equal"]
     if not report["ok"]:

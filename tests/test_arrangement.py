@@ -111,11 +111,10 @@ class TestIntersectionsAgainstReference:
     verdict; with one elimination, an inverse, per `rank`-set of sign-free
     lines, which gives both the points and xi's coordinates."""
 
-    def assert_same(self, forms, rank, xi, monkeypatch):
-        calls = Counter()
-        count_calls(monkeypatch, calls, "_echelon")
+    def assert_same(self, forms, rank, xi, monkeypatch, count_calls):
+        echelons = count_calls(linalg, "_echelon")
         points = arr.isolated_intersections(forms, rank)
-        alone = calls["_echelon"]
+        alone = len(echelons)
         try:
             got = arr.intersections(forms, rank, xi)
         except PerturbationError:
@@ -123,7 +122,7 @@ class TestIntersectionsAgainstReference:
         monkeypatch.undo()
         sets = math.comb(len({linalg.primitive(f.rho) for f in forms if f.is_hyperplane()}), rank)
         assert alone == (sets if rank else 0)
-        assert calls["_echelon"] - alone == sets
+        assert len(echelons) - alone == sets
         assert points == intersection_reference.isolated_intersections(forms, rank)
         weights = [f.rho for f in forms]
         assert arr.regular_stability_check(weights, xi) == \
@@ -135,14 +134,14 @@ class TestIntersectionsAgainstReference:
         assert got == expected
         return points, got and got[1]
 
-    def test_seeded_arrangements(self, monkeypatch):
+    def test_seeded_arrangements(self, monkeypatch, count_calls):
         rng = random.Random(18)
         seen = Counter()
         for rank in range(5):
             for _ in range(24 if rank < 4 else 12):
                 forms = random_forms(rng, rank)
                 xi = tuple(rng.randint(-2, 2) for _ in range(rank))
-                points, stable = self.assert_same(forms, rank, xi, monkeypatch)
+                points, stable = self.assert_same(forms, rank, xi, monkeypatch, count_calls)
                 seen["points"] += len(points)
                 seen["fractional"] += sum(any(x.denominator > 1 for x in pt.point)
                                           for pt in points)
@@ -150,13 +149,13 @@ class TestIntersectionsAgainstReference:
                 seen["stable"] += len(stable or ())
         assert all(seen[key] > 0 for key in ("fractional", "irregular", "stable")), seen
 
-    def test_hand_built_repetitions(self, monkeypatch):
+    def test_hand_built_repetitions(self, monkeypatch, count_calls):
         # x - y and y - x, two parallels of each, 2x with an odd constant
         # (the points with x = -1/2), and two zero covectors
         forms = [AffineForm((1, -1), 1), AffineForm((-1, 1), 1), AffineForm((1, -1), 0),
                  AffineForm((2, 0), 1), AffineForm((1, 0), 0), AffineForm((0, 1), -1),
                  AffineForm((0, 0), 0), AffineForm((0, 0), 2), AffineForm((0, 3), 2)]
-        points, stable = self.assert_same(forms, 2, (1, 2), monkeypatch)
+        points, stable = self.assert_same(forms, 2, (1, 2), monkeypatch, count_calls)
         assert (Fraction(-1, 2), Fraction(1, 2)) in [pt.point for pt in points]
         assert stable
 
@@ -164,19 +163,8 @@ class TestIntersectionsAgainstReference:
         builders.framed_a3_problem(3, 1, (1, 2, 3)), builders.framed_a3_problem(3, 2, (1, 1, 1)),
         builders.grassmannian_det(2, 4, 4, degree=1), builders.projective_bundle(4, (5,))],
         ids=["a3-n3-r1-123", "a3-n3-r2-111", "cy3-g24", "quintic"])
-    def test_problems(self, problem, monkeypatch):
-        self.assert_same(problem.forms(), problem.rank, problem.xi, monkeypatch)
-
-
-def count_calls(monkeypatch, calls, name):
-    """Count the calls of `linalg.<name>` in `calls[name]`."""
-    original = getattr(linalg, name)
-
-    def counting(*args):
-        calls[name] += 1
-        return original(*args)
-
-    monkeypatch.setattr(linalg, name, counting)
+    def test_problems(self, problem, monkeypatch, count_calls):
+        self.assert_same(problem.forms(), problem.rank, problem.xi, monkeypatch, count_calls)
 
 
 class TestConeMembership:
@@ -559,7 +547,7 @@ class TestSimplicialFlags:
                 kept.add(tuple(f.kappa for f in got))
         assert len(kept) > 1
 
-    def test_the_inverse_read_off_the_line_table(self, monkeypatch):
+    def test_the_inverse_read_off_the_line_table(self, monkeypatch, count_calls):
         # seeded sets of `rank` weights m p with multipliers +-1, +-2, +-3:
         # the weights' inverse, each column the column of p in the inverse of
         # the sorted lines over m, is `linalg.inverse(weights)`, rows and
@@ -580,11 +568,10 @@ class TestSimplicialFlags:
                            for _ in range(rank)]
                 if rank > 1 and rng.random() < 0.2:
                     weights[-1] = scaled(rng.choice((-2, -1, 2, 3)), weights[0])
-                calls = Counter()
-                count_calls(monkeypatch, calls, "inverse")
+                inverses = count_calls(linalg, "inverse")
                 got = arr._weights_inverse(weights, table)
                 monkeypatch.undo()
-                assert calls["inverse"] == 0
+                assert len(inverses) == 0
                 assert got == linalg.inverse(weights)
                 xi = tuple(rng.randint(-2, 2) for _ in range(rank))
                 order = tuple((j, rng.choice((1, -1))) for j in rng.sample(range(rank), rank))

@@ -30,6 +30,8 @@ root [1,-1]
 root [-1,1]
 """
 
+P21_TEXT = "mode raw\nlabel p21\nrank 1\nxi [1]\nweight [2] 1 1\nweight [1] 0 1\nq-order 1\n"
+
 QUIVER_TEXT = """
 mode quiver
 label a3
@@ -427,47 +429,68 @@ class TestCliProcess:
         assert cli.run([str(cfg), "--cross-check"]) == 4
         assert capsys.readouterr().err == "internal error: Ell(q=0) does not reproduce chi_y\n"
 
-    def test_cross_check_validates_each_problem_once(self, tmp_path, capsys, monkeypatch):
-        # p21 and its rescaled problem: the reruns for s = 2, the second seed
-        # and the direct side of the fractional check reuse the first run's
-        # validation
+    def test_cross_check_validates_each_problem_once(self, tmp_path, capsys, count_calls):
+        # p21 and its rescaled problem: the reruns for the sine check, s = 2
+        # and the second seed reuse the first run's validation, and the run
+        # itself is the direct side of the fractional check
         cfg = tmp_path / "p21.cfg"
-        cfg.write_text("mode raw\nlabel p21\nrank 1\nxi [1]\nweight [2] 1 1\n"
-                       "weight [1] 0 1\nq-order 1\n")
+        cfg.write_text(P21_TEXT)
         assert cli.run([str(cfg), "--emit", "json"]) == 0
         plain = capsys.readouterr().out
-        counts = Counter()
-        real = invariants.validate
-
-        def counting(*args, **kwargs):
-            counts["validate"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(invariants, "validate", counting)
+        calls = count_calls(invariants, "validate")
         assert cli.run([str(cfg), "--emit", "json", "--cross-check"]) == 0
         assert capsys.readouterr().out == plain
-        assert counts == {"validate": 2}
+        assert len(calls) == 2
 
-    def test_s_check_reuses_the_localized_flags(self, capsys, monkeypatch):
+    def test_cross_check_takes_an_all_run_as_its_fractional_direct_run(self, tmp_path, capsys,
+                                                                       count_calls):
+        # at --invariant all and q-order <= 2 the run is the direct side of
+        # the fractional check: the sine, s = 2, reseeded and rescaled runs
+        # follow it, and no sixth run repeats it
+        cfg = tmp_path / "p21.cfg"
+        cfg.write_text(P21_TEXT)
+        argv = [str(cfg), "--invariant", "all", "--q-order", "1", "--emit", "json"]
+        assert cli.run(argv) == 0
+        plain = capsys.readouterr().out
+        calls = count_calls(invariants, "_compute")
+        assert cli.run(argv + ["--cross-check"]) == 0
+        assert capsys.readouterr().out == plain
+        assert len(calls) == 5
+
+    def test_s_check_reuses_the_localized_flags(self, capsys, count_calls):
         # s enters only the additive residues: the s = 2 rerun and the sine
         # rerun reuse the first run's (flag, localization) pairs, and only
         # the reseeded check localizes again
         cfg = os.path.join(CONFIG_DIR, "framed-a3-n1-r1.cfg")
-        counts = Counter()
-        for owner, name in ((invariants.arrangement, "enumerate_flags"),
-                            (invariants.engine, "localize")):
-            def counting(*args, real=getattr(owner, name), name=name, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
+        calls = {name: count_calls(owner, name)
+                 for owner, name in ((invariants.arrangement, "enumerate_flags"),
+                                     (invariants.engine, "localize"))}
 
-            monkeypatch.setattr(owner, name, counting)
+        def counts():
+            return {name: len(c) for name, c in calls.items()}
+
         assert cli.run([cfg, "--q-order", "1", "--emit", "json"]) == 0
-        plain, once = capsys.readouterr().out, dict(counts)
-        counts.clear()
+        plain, once = capsys.readouterr().out, counts()
+        for c in calls.values():
+            c.clear()
         assert cli.run([cfg, "--q-order", "1", "--emit", "json", "--cross-check"]) == 0
         assert capsys.readouterr().out == plain
         assert once["enumerate_flags"] > 0 and once["localize"] > 0
-        assert counts == {name: 2 * n for name, n in once.items()}
+        assert counts() == {name: 2 * n for name, n in once.items()}
+
+    def test_flags_per_point_read_on_demand_match_an_all_run(self, tmp_path, capsys):
+        # length 2, three stable points in two orbits: a DT run enumerates
+        # the flags of the third point when the JSON reads them, an all run
+        # at every point up front
+        cfg = tmp_path / "a3-n2.cfg"
+        cfg.write_text(QUIVER_TEXT.replace("node X gauged 1", "node X gauged 2"))
+        per_point = {}
+        for invariant in ("dt", "all"):
+            assert cli.run([str(cfg), "--invariant", invariant, "--q-order", "0",
+                            "--emit", "json"]) == 0
+            per_point[invariant] = json.loads(capsys.readouterr().out)[
+                "diagnostics"]["flags_per_point"]
+        assert per_point["dt"] == per_point["all"] == [1, 1, 1]
 
     def test_degree_override(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -14,26 +14,13 @@ from jkcalc.invariants import (GITProblem, ValidationError, WeightEntry,
                                build_integrand, compute, make_problem, specialize,
                                validate)
 from jkcalc.kronecker import Kronecker
-from jkcalc.polyarith import RatFunc, poly_gcd
+from jkcalc.polyarith import QSeries, RatFunc, poly_gcd
 
 F = Fraction
 
 
 def cy3():
     return builders.grassmannian_det(2, 4, 4, degree=1)
-
-
-def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name for the test; the returned list grows by one per call."""
-    real = getattr(owner, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 class TestValidate:
@@ -236,9 +223,9 @@ class TestCompute:
         with pytest.raises(ValueError, match="q-order must be >= 0"):
             compute(cy3(), kind="theta", q_order=-1)
 
-    def test_each_flag_is_localized_once_for_every_kind(self, monkeypatch):
-        localizations = count_calls(monkeypatch, engine, "localize")
-        builds = count_calls(monkeypatch, invariants, "build_integrand")
+    def test_each_flag_is_localized_once_for_every_kind(self, count_calls):
+        localizations = count_calls(engine, "localize")
+        builds = count_calls(invariants, "build_integrand")
         problem = builders.framed_a3_problem(2, 1)
         res = compute(problem, kind="all", q_order=1)
         assert len(res.diagnostics.points) == 3
@@ -439,8 +426,8 @@ class TestPerturbationPaths:
         again = compute(problem, kind="additive").diagnostics
         assert again.perturbation == res.diagnostics.perturbation
 
-    def test_one_verification_per_problem(self, monkeypatch):
-        calls = count_calls(monkeypatch, arrangement, "verify_perturbation")
+    def test_one_verification_per_problem(self, count_calls):
+        calls = count_calls(arrangement, "verify_perturbation")
         res = compute(builders.framed_a3_problem(3, 1), kind="additive", seed=0)
         assert res.dt == -48
         assert len(calls) == 1
@@ -463,10 +450,30 @@ class TestFractionalReduction:
         assert report["ok"]
         assert report["scale"] == 2
 
-    def test_each_problem_is_validated_once(self, monkeypatch):
+    def test_a_rescaled_q1_coefficient_off_fails_ell_alone(self, monkeypatch):
+        # chi_y is compared once, as the q^0 coefficient of Ell, which the
+        # q^1 comparison does not repeat
+        real = invariants.compute
+
+        def off(problem, **kwargs):
+            result = real(problem, **kwargs)
+            if problem.label.endswith("-rescaled2"):
+                coeffs = list(result.ell.coeffs)
+                coeffs[1] = coeffs[1] + RatFunc([(0, 1)])
+                result.ell = QSeries(result.ell.order, coeffs)
+            return result
+
+        monkeypatch.setattr(invariants, "compute", off)
+        with pytest.raises(invariants.PipelineError) as failure:
+            invariants.fractional_reduction_check(self.fractional_problem(), q_order=1)
+        message = str(failure.value)
+        assert "'chi_y_equal': True" in message and "'dt_equal': True" in message
+        assert "'ell_equal': False" in message and "'ok': False" in message
+
+    def test_each_problem_is_validated_once(self, count_calls):
         # the direct and the rescaled problem; the scale reuses the direct
         # run's stable points instead of validating it a second time
-        calls = count_calls(monkeypatch, invariants, "validate")
+        calls = count_calls(invariants, "validate")
         assert invariants.fractional_reduction_check(self.fractional_problem(),
                                                      q_order=1)["ok"]
         assert len(calls) == 2
@@ -593,20 +600,13 @@ def test_packed_products_of_a_length_3_quiver_dt(monkeypatch):
                         kind="additive") <= 384
 
 
-def test_eliminations_of_the_geometry_of_a_length_3_quiver(monkeypatch):
+def test_eliminations_of_the_geometry_of_a_length_3_quiver(count_calls):
     # `linalg._echelon` calls of a whole additive run: a count that bounds
     # the geometry's work without a clock, as `localize` makes none (773
     # while each flag kept its chain's `rref` rows and `localize` inverted
     # kappa; 3,588 for `validate` and `enumerate_flags` alone before the
     # geometry was grouped by line and the flags searched top down)
-    calls = []
-    echelon = linalg._echelon
-
-    def counting(rows):
-        calls.append(rows)
-        return echelon(rows)
-
-    monkeypatch.setattr(linalg, "_echelon", counting)
+    calls = count_calls(linalg, "_echelon")
     compute(builders.framed_a3_problem(3, 1, (1, 2, 3)), kind="additive",
             allow_root_incidence=True)
     assert len(calls) <= 508
@@ -662,8 +662,9 @@ def test_weighted_projective_stack_gives_the_naive_hrr_integral(weights):
     (builders.projective_bundle(4, (5,)), 3),
     (make_problem(1, [((2,), 1, 1), ((3,), 2, 1)], [], (1,), degree=2), 2),
 ])
-def test_theta_assembly_reduces_once_per_q_coefficient(problem, q_order, monkeypatch):
-    reductions = count_calls(monkeypatch, RatFunc, "_reduce")
+def test_theta_assembly_reduces_once_per_q_coefficient(problem, q_order, count_calls,
+                                                      monkeypatch):
+    reductions = count_calls(RatFunc, "_reduce")
     per_call = []
     assemble = engine._assemble_multiplicative
 

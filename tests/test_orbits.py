@@ -98,48 +98,48 @@ def test_blocks_follow_xi_the_charges_and_the_roots():
     assert invariants.symmetric_blocks(doubled) == [[0], [1], [2]]
 
 
-def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name for the test; the returned list grows by one per call."""
-    calls = []
-    real = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
-def test_the_quiver_dt_deck_takes_one_residue_per_orbit(monkeypatch):
-    """One residue and one localization per orbit, and one flag enumeration
-    per distinct set of active weights (109 among the deck's 199 stable
-    points); each point's flags are still its own, and an s = 2 rerun at the
-    same seed enumerates and localizes none.
+@pytest.mark.parametrize("deck_seed, normals", [(3, 111), (424242, 113)])
+def test_the_quiver_dt_deck_takes_one_residue_per_orbit(count_calls, deck_seed, normals):
+    """One residue and one localization per orbit (50 among the deck's 199
+    stable points), and the flags enumerated where they are localized, once
+    per distinct set of active weights at the orbits' first points (31);
+    the other points' flags are enumerated when first read, once per set
+    (109 in all), and are still each point's own (199 flags).  An s = 2
+    rerun at the same seed enumerates and localizes none; a rerun at
+    another seed enumerates at the orbits' first points alone.
 
     The geometry runs once per problem: each form is read once, by its
     line, and no point scans the forms again; each hyperplane normal is
-    computed once per set of rows (237, where the flag searches ask 630
-    times); and the simplicial points read their inverses off the
-    validation's 140, so the only others are the 39 of the flags kept at
-    the other points."""
-    calls = count_calls(monkeypatch, engine, "jk_residue")
-    flag_calls = count_calls(monkeypatch, arrangement, "enumerate_flags")
-    local_calls = count_calls(monkeypatch, engine, "localize")
-    form_reads = count_calls(monkeypatch, arrangement.AffineForm, "is_hyperplane")
-    normal_calls = count_calls(monkeypatch, linalg, "hyperplane_normal")
-    inverse_calls = count_calls(monkeypatch, linalg, "inverse")
+    computed once per set of rows (111 or 113, by the deck's order, at the
+    orbits' first points, and 239 once every point's flags are read, where
+    the flag searches ask 630 times: a search follows the order in which
+    its set's first reader lists the weights); and the simplicial points
+    read their inverses off the validation's 140, so the only others are
+    the 39 of the flags kept at the other points, 10 of them at the orbits'
+    first points."""
+    calls = count_calls(engine, "jk_residue")
+    flag_calls = count_calls(arrangement, "enumerate_flags")
+    local_calls = count_calls(engine, "localize")
+    form_reads = count_calls(arrangement.AffineForm, "is_hyperplane")
+    normal_calls = count_calls(linalg, "hyperplane_normal")
+    inverse_calls = count_calls(linalg, "inverse")
     orbits = points = 0
     results = []
-    for item in decks.deck("quiver-dt", 3):
+    for item in decks.deck("quiver-dt", deck_seed):
         result = compute(item.problem, **item.kwargs)
         orbits += result.diagnostics.orbits
         points += len(result.diagnostics.points)
         results.append((item, result))
     assert (len(calls), orbits, points) == (50, 50, 199)
-    assert (len(flag_calls), len(local_calls)) == (109, 50)
+    assert (len(flag_calls), len(local_calls)) == (31, 50)
     assert len(form_reads) == sum(len(item.problem.weight_entries) for item, _ in results) == 216
-    assert (len(normal_calls), len(inverse_calls)) == (237, 140 + 39)
+    assert (len(normal_calls), len(inverse_calls)) == (normals, 140 + 10)
+    assert sum(len(pdiag.flags) for _, result in results for pdiag in result.diagnostics.points) \
+        == 199
+    assert len(flag_calls) == sum(len({frozenset(pdiag.active_weights)
+                                       for pdiag in result.diagnostics.points})
+                                  for _, result in results) == 109
+    assert (len(normal_calls), len(inverse_calls)) == (239, 140 + 39)
     for item, result in results:
         diag = result.diagnostics
         basis = arrangement.lattice_basis(item.problem.nonzero_weights())
@@ -153,15 +153,20 @@ def test_the_quiver_dt_deck_takes_one_residue_per_orbit(monkeypatch):
                                   s=2)
         assert rerun.dt == result.dt
     assert flag_calls == local_calls == []
+    for item, result in results:
+        rerun = invariants._rerun(result, item.problem, "additive",
+                                  seed=result.diagnostics.seed + 1)
+        assert rerun.dt == result.dt
+    assert (len(flag_calls), len(local_calls)) == (31, 50)
 
 
-def test_the_elliptic_genus_deck_takes_one_multiplicative_residue_per_flag(monkeypatch):
+def test_the_elliptic_genus_deck_takes_one_multiplicative_residue_per_flag(count_calls):
     """Asked for together, chi_y is read off Ell's q^0 coefficient, so the
     seed-3 `elliptic-genus` deck, all at kind="all", takes 37 multiplicative
     flag residues, one per flag at the orbits' first points, where a sine
     and a theta residue per flag took 74.  kind="sine" alone takes its own,
     again one per such flag, and gives the same chi_y."""
-    calls = count_calls(monkeypatch, engine, "flag_residue_multiplicative")
+    calls = count_calls(engine, "flag_residue_multiplicative")
     orbit_flags = []
     results = []
     for item in decks.deck("elliptic-genus", 3):
@@ -181,8 +186,9 @@ def test_the_elliptic_genus_deck_takes_one_multiplicative_residue_per_flag(monke
         assert sine.chi_y == result.chi_y
 
 
-def test_rank_one_requests_take_one_residue_per_point_without_a_search(monkeypatch):
-    calls = count_calls(monkeypatch, engine, "jk_residue")
+def test_rank_one_requests_take_one_residue_per_point_without_a_search(count_calls,
+                                                                      monkeypatch):
+    calls = count_calls(engine, "jk_residue")
 
     def no_search(problem):
         raise AssertionError("a symmetry search below rank 2")

@@ -185,6 +185,27 @@ def test_unit_power_matches_reference(shape, target):
         assert engine._expand(ONE, [(unit, e, carried(e, target))], target, PV) == want
 
 
+@pytest.mark.parametrize("shape", UNIT_SHAPES)
+def test_unit_power_multiplies_nothing_by_one(shape, monkeypatch):
+    # W_0 = 1 enters each W_t sum as its j = t term and V_0 as u_0^target
+    mul_into = Kronecker.mul_into
+    products = []
+
+    def checked(self, dst, a, b):
+        assert self.one() not in (a, b)
+        products.append(1)
+        return mul_into(self, dst, a, b)
+
+    monkeypatch.setattr(Kronecker, "mul_into", checked)
+    rng = random.Random(f"one-{shape}")
+    for target in range(6):
+        for e in (-2, -1, 1, target + 1):
+            unit = UNIT_SHAPES[shape](rng, target)
+            kr = layout(ONE, [(unit, e, True)], target)
+            engine._unit_power(packed(kr, unit, target), e, target, kr)
+    assert products
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_expand_matches_the_reference_chain(name):
     rng = random.Random(f"expand-{name}")
