@@ -439,9 +439,11 @@ def enumerate_flags(active_weights, xi, basis, order, *, table=None) -> list[Fla
     and s_t e_jt, which no hyperplane normal annihilates together.  The
     flags come in the order of their kappa, which fixes the chain.  `table`,
     the problem's `LineTable` when the caller has it, lends the inverses of
-    the lines and the normals found at other points.
+    the lines and the normals found at other points; the weights are walked
+    sorted, so the normals a set asks for do not depend on how a point
+    lists it.
     """
-    weights = list(dict.fromkeys(tuple(w) for w in active_weights))
+    weights = sorted({tuple(w) for w in active_weights})
     dim = len(xi)
     if dim == 0:
         return [Flag(kappa=(), kappa_inverse=((), 1), lattice_factor=Fraction(1))]

@@ -8,11 +8,13 @@ error (a failed identity or a non-generic residue configuration).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
 
 from . import invariants
+from .arrangement import sum_regular_perturbation
 from .config import INVARIANT_KINDS, ConfigError, parse_config
 from .engine import NonGenericResidueError
 from .invariants import (InvariantResult, PipelineError, ValidationError,
@@ -263,9 +265,14 @@ def _run_cross_checks(problem, cfg, result):
         alt = invariants._rerun(result, problem, "additive", seed=cfg.seed, s=2)
         if alt.dt != result.dt:
             raise PipelineError("DT changed between s=1 and s=2")
-        reseeded = invariants._rerun(result, problem, "additive", seed=cfg.seed + 1000)
-        if reseeded.dt != result.dt:
-            raise PipelineError("DT changed under an independent perturbation seed")
+        # the first seed from seed + 1000 on that draws another signed order;
+        # rank 0 has one order only
+        order = result.diagnostics.perturbation.order
+        if order:
+            seed = next(t for t in itertools.count(cfg.seed + 1000)
+                        if sum_regular_perturbation(problem.xi, t).order != order)
+            if invariants._rerun(result, problem, "additive", seed=seed).dt != result.dt:
+                raise PipelineError("DT changed under another perturbation order")
     if integrality_scale(problem, result.diagnostics.hypothesis.stable_points) > 1:
         q_order = min(cfg.q_order, 2)
         # a kind="all" run at q-order <= 2 is the direct run itself

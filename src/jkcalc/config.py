@@ -21,6 +21,7 @@ precision; covectors are bracketed integer lists.  `MODES` declares each mode.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ INVARIANT_KINDS = {"dt": "additive", "chi-y": "sine", "ell": "theta", "all": "al
 # how often a key may appear: once, on any number of lines, or once per name
 # (a '<name> <value>' key, collected into a dict)
 ONCE, MANY, PER_NAME = "once", "many", "per name"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class ConfigError(Exception):
@@ -81,10 +83,14 @@ Mode = namedtuple("Mode", "keys required build defaults", defaults=({},))
 
 
 def _integer(key, rest, lineno, values=None, what=None):
+    """`rest` as an int: ASCII digits after an optional sign, within `int`'s
+    digit limit (`int` alone also takes '1_000' and other scripts' digits)."""
     try:
-        return int(rest)
+        if _INTEGER.fullmatch(rest):
+            return int(rest)
     except ValueError:
-        raise ConfigError(f"expected {what or key}, got {rest!r}", lineno) from None
+        pass
+    raise ConfigError(f"expected {what or key}, got {rest!r}", lineno)
 
 
 def _covector_line(key, rest, lineno, values):

@@ -7,7 +7,6 @@ genus.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -69,6 +68,9 @@ class HypothesisReport:
     stable_points: list
     # the problem's line inverses and normals, which the flags read
     lines: arrangement.LineTable = field(repr=False, compare=False)
+    # signed order -> (its `FlagTable`, point index -> (flag, `engine.localize`
+    # result) pairs), which depend on the problem and the order alone (`_compute`)
+    by_order: dict = field(default_factory=dict, repr=False, compare=False)
 
     def ok(self) -> bool:
         return self.root_condition == "ok" and self.properness in ("checked", "asserted")
@@ -246,10 +248,10 @@ def build_integrand(problem: GITProblem, kind: str, q_order: int | None = None,
 
 
 class FlagTable:
-    """One run's flags, by set of active weights, which alone fixes them (in
-    whatever order a point lists the set): each set's are enumerated when
-    first asked for, from the problem's `LineTable`, as `LineTable` makes
-    its inverses and normals."""
+    """One signed order's flags, by set of active weights, which alone fixes
+    them (in whatever order a point lists the set): each set's are
+    enumerated when first asked for, from the problem's `LineTable`, as
+    `LineTable` makes its inverses and normals."""
 
     def __init__(self, xi, basis, order, lines):
         self.xi, self.basis, self.order, self.lines = xi, basis, order, lines
@@ -266,15 +268,14 @@ class FlagTable:
 @dataclass
 class PointDiagnostics:
     point: tuple
-    active_indices: tuple
     active_weights: tuple
     table: FlagTable = field(repr=False, compare=False)
     contributions: dict = field(default_factory=dict)   # kind -> value
 
     @cached_property
     def flags(self) -> list:
-        """The point's flags in the order of their kappa, read off the run's
-        `FlagTable` on first access."""
+        """The point's flags in the order of their kappa, read off the
+        `FlagTable` of the run's signed order on first access."""
         return list(self.table[self.active_weights])
 
 
@@ -287,13 +288,6 @@ class Diagnostics:
     seed: int = 0
     retries: int = 0    # always 0 since compute never retries; kept in the JSON format
     orbits: int = 0     # residues computed per kind, one per orbit (`orbit_keys`)
-    elapsed: float = 0.0
-    notes: list = field(default_factory=list)
-    # the run's flags, and point index -> its (flag, `engine.localize`
-    # result) pairs, at the orbits' first points, or at every point for D;
-    # lent to a `_rerun` at the same seed
-    flag_table: FlagTable | None = field(default=None, repr=False)
-    localized: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -329,48 +323,41 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
         raise ValueError(f"unknown kind {kind!r}")
     if q_order < 0:
         raise ValueError("q-order must be >= 0")
-    t0 = time.monotonic()
     report = validate(problem, strict_roots=not allow_root_incidence)
     if report.properness == "refuted":
         raise ValidationError(
             "properness of the fixed locus fails the exact abelian criterion: "
             + report.properness_note
         )
-    return _compute(problem, report, kind, q_order, seed, s, t0)
+    return _compute(problem, report, kind, q_order, seed, s)
 
 
 def _rerun(first: InvariantResult, problem: GITProblem, kind: str, q_order: int = DEFAULT_Q_ORDER,
            seed: int = 0, s=1) -> InvariantResult:
-    """`compute` on the problem of the run `first` again, reusing its
-    validation report with its `LineTable`, which depend on neither s, the
-    seed, the kind nor q_order, and at its seed its `FlagTable` and
-    localizations, which depend on the seed alone."""
-    diag = first.diagnostics
-    return _compute(problem, diag.hypothesis, kind, q_order, seed, s, time.monotonic(),
-                    diag if seed == diag.seed else None)
+    """`compute` on the problem of the run `first` again, on its validation
+    report: its geometry, and the flags and localizations of every signed
+    order a run on it drew, depend on neither s, the kind nor q_order."""
+    return _compute(problem, first.diagnostics.hypothesis, kind, q_order, seed, s)
 
 
-def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
+def _compute(problem, report, kind, q_order, seed, s):
     """Take each requested kind's residue once per orbit of `orbit_keys`, at
-    the orbit's first point, with the flags of a `FlagTable` over the
-    report's one `LineTable`.  The one factor list is localized at those
-    points, and at every point only when a multiplicative kind needs D, the
-    lcm over all of them; the flags are enumerated there, and at any other
-    point when its `PointDiagnostics.flags` is first read.  `same_seed`, the
-    diagnostics of a run at this seed, lends its flag table and
-    localizations.  Asked for together, chi_y is read off Ell's q^0
-    coefficient, one multiplicative residue per orbit (see `engine`)."""
+    the orbit's first point, with the flags of the `FlagTable` that the
+    report keeps for the seed's signed order (`HypothesisReport.by_order`).
+    The one factor list is localized at those points, and at every point
+    only when a multiplicative kind needs D, the lcm over all of them, each
+    point once per order; the flags are enumerated there, and at any other
+    point when its `PointDiagnostics.flags` is first read.  Asked for
+    together, chi_y is read off Ell's q^0 coefficient, one multiplicative
+    residue per orbit (see `engine`)."""
     kinds = ("additive", "theta") if kind == "all" else (kind,)
     pert = arrangement.sum_regular_perturbation(problem.xi, seed=seed)
     integrand = build_integrand(problem, kinds[0], q_order, s)
     points = report.stable_points
-    if same_seed is None:
+    if pert.order not in report.by_order:
         basis = arrangement.lattice_basis(problem.nonzero_weights()) if problem.rank > 0 else []
-        table = FlagTable(problem.xi, basis, pert.order, report.lines)
-        localized = {}
-    else:
-        table = same_seed.flag_table
-        localized = dict(same_seed.localized)
+        report.by_order[pert.order] = FlagTable(problem.xi, basis, pert.order, report.lines), {}
+    table, localized = report.by_order[pert.order]
     keys = orbit_keys(problem, points)
     first = {}      # orbit key -> the index of the orbit's first point in order
     for i, key in enumerate(keys):
@@ -388,15 +375,8 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
     diag.perturbation = pert
     diag.weyl_order = problem.weyl_order
     diag.seed = seed
-    diag.flag_table = table
-    diag.localized = localized
-    diag.points = [
-        PointDiagnostics(point=pt.point, active_indices=pt.active_indices,
-                         active_weights=pt.active_weights, table=table)
-        for pt in points
-    ]
-    if report.root_condition != "ok":
-        diag.notes.append(report.root_condition)
+    diag.points = [PointDiagnostics(point=pt.point, active_weights=pt.active_weights, table=table)
+                   for pt in points]
     diag.orbits = len(first)
     weyl = Fraction(1, problem.weyl_order)
     for kd in kinds:
@@ -413,7 +393,6 @@ def _compute(problem, report, kind, q_order, seed, s, t0, same_seed=None):
         for pdiag in diag.points:
             pdiag.contributions["sine"] = pdiag.contributions["theta"].coeffs[0]
         result.chi_y = result.ell.coeffs[0]
-    diag.elapsed = time.monotonic() - t0
     return result
 
 

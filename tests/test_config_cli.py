@@ -158,7 +158,17 @@ class TestStrictGrammar:
          "node X framed 2", "duplicate node name X"),
         (QUIVER_TEXT.replace("arrow F X 0", "arrow F X 0\narrow X Y 0"), "arrow X Y 0",
          "arrow X Y references a missing node Y"),
-    ], ids=["bundle-degree", "node-dimension", "duplicate-node", "missing-node"])
+        # integers are ASCII digits after an optional sign, which int() alone
+        # widens to digit separators and other scripts' digits
+        (CY3_TEXT.replace("degree 1", "degree 1_000"), "degree 1_000",
+         "expected degree, got '1_000'"),
+        (CY3_TEXT + "seed \u0663\n", "seed \u0663", "expected seed, got '\u0663'"),
+        (CY3_TEXT.replace("xi [-1,-1]", "xi [-1,-\u0661]"), "xi [-1,-\u0661]",
+         "expected xi entry, got '-\u0661'"),
+        (CY3_TEXT.replace("weight [4,4] 1 1", "weight [4,4] 1 1_0"), "weight [4,4] 1 1_0",
+         "expected multiplicity, got '1_0'"),
+    ], ids=["bundle-degree", "node-dimension", "duplicate-node", "missing-node",
+            "scalar-separator", "scalar-digit", "covector-entry-digit", "multiplicity-separator"])
     def test_value_errors_name_their_line(self, text, line, message, tmp_path, capsys):
         lineno = text.splitlines().index(line) + 1
         with pytest.raises(ConfigError, match=f"^line {lineno}: {re.escape(message)}$"):
@@ -456,6 +466,30 @@ class TestCliProcess:
         assert cli.run(argv + ["--cross-check"]) == 0
         assert capsys.readouterr().out == plain
         assert len(calls) == 5
+
+    def test_cross_check_reseeds_to_another_order(self, tmp_path, capsys, monkeypatch):
+        # at rank 1 seeds 1001 and 1002 draw seed 1's own signed order for
+        # the quintic, so a rerun there would repeat the run; the check takes
+        # the first seed from 1001 on that draws the other order
+        real = invariants._rerun
+        orders = []
+
+        def recording(*args, **kwargs):
+            rerun = real(*args, **kwargs)
+            orders.append(rerun.diagnostics.perturbation.order)
+            return rerun
+
+        monkeypatch.setattr(invariants, "_rerun", recording)
+        cfg = os.path.join(CONFIG_DIR, "quintic.cfg")
+        assert cli.run([cfg, "--invariant", "dt", "--seed", "1", "--cross-check"]) == 0
+        assert capsys.readouterr().out == "# quintic-threefold\nDT = 200\n"
+        assert orders == [((0, 1),), ((0, -1),)]
+        # rank 0 has the empty order alone: the s = 2 rerun, and no reseeding
+        orders.clear()
+        cfg = tmp_path / "r0.cfg"
+        cfg.write_text("mode raw\nrank 0\nxi []\nweight [] 1 1\n")
+        assert cli.run([str(cfg), "--invariant", "dt", "--cross-check"]) == 0
+        assert orders == [()]
 
     def test_s_check_reuses_the_localized_flags(self, capsys, count_calls):
         # s enters only the additive residues: the s = 2 rerun and the sine

@@ -5,6 +5,7 @@ other points.  These tests take the residue at every point directly and
 compare, and count the residues taken."""
 
 import dataclasses
+import itertools
 from collections import defaultdict
 from fractions import Fraction
 
@@ -98,22 +99,23 @@ def test_blocks_follow_xi_the_charges_and_the_roots():
     assert invariants.symmetric_blocks(doubled) == [[0], [1], [2]]
 
 
-@pytest.mark.parametrize("deck_seed, normals", [(3, 111), (424242, 113)])
-def test_the_quiver_dt_deck_takes_one_residue_per_orbit(count_calls, deck_seed, normals):
+@pytest.mark.parametrize("deck_seed", [3, 424242])
+def test_the_quiver_dt_deck_takes_one_residue_per_orbit(count_calls, deck_seed):
     """One residue and one localization per orbit (50 among the deck's 199
     stable points), and the flags enumerated where they are localized, once
     per distinct set of active weights at the orbits' first points (31);
     the other points' flags are enumerated when first read, once per set
     (109 in all), and are still each point's own (199 flags).  An s = 2
     rerun at the same seed enumerates and localizes none; a rerun at
-    another seed enumerates at the orbits' first points alone.
+    the next seed, which draws another order for every problem here,
+    enumerates at the orbits' first points alone.
 
     The geometry runs once per problem: each form is read once, by its
     line, and no point scans the forms again; each hyperplane normal is
-    computed once per set of rows (111 or 113, by the deck's order, at the
-    orbits' first points, and 239 once every point's flags are read, where
-    the flag searches ask 630 times: a search follows the order in which
-    its set's first reader lists the weights); and the simplicial points
+    computed once per set of rows (113 at the orbits' first points, and 240
+    once every point's flags are read, where the flag searches ask 630
+    times: a search walks its set's weights sorted, so the count does not
+    depend on which point reads a set first); and the simplicial points
     read their inverses off the validation's 140, so the only others are
     the 39 of the flags kept at the other points, 10 of them at the orbits'
     first points."""
@@ -133,13 +135,13 @@ def test_the_quiver_dt_deck_takes_one_residue_per_orbit(count_calls, deck_seed, 
     assert (len(calls), orbits, points) == (50, 50, 199)
     assert (len(flag_calls), len(local_calls)) == (31, 50)
     assert len(form_reads) == sum(len(item.problem.weight_entries) for item, _ in results) == 216
-    assert (len(normal_calls), len(inverse_calls)) == (normals, 140 + 10)
+    assert (len(normal_calls), len(inverse_calls)) == (113, 140 + 10)
     assert sum(len(pdiag.flags) for _, result in results for pdiag in result.diagnostics.points) \
         == 199
     assert len(flag_calls) == sum(len({frozenset(pdiag.active_weights)
                                        for pdiag in result.diagnostics.points})
                                   for _, result in results) == 109
-    assert (len(normal_calls), len(inverse_calls)) == (239, 140 + 39)
+    assert (len(normal_calls), len(inverse_calls)) == (240, 140 + 39)
     for item, result in results:
         diag = result.diagnostics
         basis = arrangement.lattice_basis(item.problem.nonzero_weights())
@@ -158,6 +160,39 @@ def test_the_quiver_dt_deck_takes_one_residue_per_orbit(count_calls, deck_seed, 
                                   seed=result.diagnostics.seed + 1)
         assert rerun.dt == result.dt
     assert (len(flag_calls), len(local_calls)) == (31, 50)
+
+
+def test_runs_on_one_report_share_flags_and_localizations_by_order(count_calls):
+    """A report keeps its runs' flags and localizations by signed order, not
+    by seed: a rerun at another seed that draws the same order enumerates
+    and localizes nothing, one at another order enumerates and localizes
+    again at the orbits' first points, and a sine rerun after a DT run at
+    the same order localizes only the points the DT run skipped, and gets
+    the D and chi_y of a fresh sine run."""
+    problem = builders.framed_a3_problem(3, 1, (1, 1, 1))
+    result = compute(problem, kind="additive")
+    order = result.diagnostics.perturbation.order
+    same, other = (next(seed for seed in itertools.count(1) if want ==
+                        (arrangement.sum_regular_perturbation(problem.xi, seed).order == order))
+                   for want in (True, False))
+    points = result.diagnostics.points
+    first = {}
+    for i, key in enumerate(invariants.orbit_keys(problem, points)):
+        first.setdefault(key, i)
+    skipped = set(range(len(points))) - set(first.values())
+    assert (len(points), len(first)) == (13, 4)
+    flag_calls = count_calls(arrangement, "enumerate_flags")
+    local_calls = count_calls(engine, "localize")
+    assert invariants._rerun(result, problem, "additive", seed=same).dt == result.dt
+    assert flag_calls == local_calls == []
+    assert invariants._rerun(result, problem, "additive", seed=other).dt == result.dt
+    assert len(flag_calls) == len({frozenset(points[i].active_weights) for i in first.values()})
+    assert len(local_calls) == sum(len(points[i].flags) for i in first.values())
+    local_calls.clear()
+    sine = invariants._rerun(result, problem, "sine", seed=same)
+    assert len(local_calls) == sum(len(points[i].flags) for i in skipped) > 0
+    fresh = compute(problem, kind="sine", seed=same)
+    assert (sine.denom_scale, sine.chi_y) == (fresh.denom_scale, fresh.chi_y)
 
 
 def test_the_elliptic_genus_deck_takes_one_multiplicative_residue_per_flag(count_calls):
