@@ -12,6 +12,8 @@ def projective_bundle(n: int, degrees, label: str = "") -> GITProblem:
     `projective_space` with charges 0, and one weight -d_i u with charge 1
     per summand.  The base is proper, so the fixed locus is too.
     """
+    if n < 1:
+        raise ValueError(f"the base P^n needs n >= 1, got n = {n}")
     degrees = as_integers(degrees, "a bundle degree")
     if any(d < 1 for d in degrees):
         raise ValueError("bundle degrees must be >= 1")

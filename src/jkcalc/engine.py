@@ -28,19 +28,25 @@ ever expanded and no gcd is needed along the way.  One power rule reads a
 factor U^e, U = u_0 + u_1 v + ...: a unit constant in v, as every unit is at
 target 0, is carried whole as u_0^e and multiplies nothing; otherwise, for
 e < 0 and e >= target a step carries u_0^(e-target) factored, numerators
-too, and multiplies only the series V = U^e / u_0^(e-target)
-(`_unit_power`); a power 0 < e < target is expanded in full (`_series_pow`).  The
-multiplicative kinds take residues at S_j = 1.  Every factor's m1 m2 and
-every step's measure dX_j / X_j = 2D dS_j / S_j make one monomial times
-(2D)^k, and the other constants cancel exactly against the 2i / pi*hbar
-bookkeeping, enforced by a counting assertion on the factor list.  The two
-kinds share the factors, poles, targets and carried denominators, all free
-of q; the theta kind's G enters the first step as its Taylor series at
-S_0 = 1 in place of the hot numerator 1, so later steps shift a hot
-numerator with negative exponents.
-The finished value is expanded in q (sine is order 0), and each q^t
-coefficient is reduced once, as one rational function of w.  No step shifts a
-polynomial in full (`_residue_step`).
+too, and multiplies only the series V = U^e / u_0^(e-target); a power
+0 < e < target is expanded in full.
+
+The additive kind keeps every factor as its affine row (c, l), which stays
+affine through every step: a carried factor is the same row with l_i set to
+0.  Its steps take residues at z_i = 0 and read each unit's series off the
+binomial theorem, V_t = binom(e, t) l_i^t u_0^(target-t) (`_row_step`), so
+no factor becomes a polynomial.  The multiplicative kinds take residues at
+S_j = 1 on polynomial factors (`_residue_step`), reading V off J. C. P.
+Miller's recurrence (`_unit_power`) and a full power off `_series_pow`; no
+step shifts a polynomial in full.  Every factor's m1 m2 and every step's
+measure dX_j / X_j = 2D dS_j / S_j make one monomial times (2D)^k, and the
+other constants cancel exactly against the 2i / pi*hbar bookkeeping,
+enforced by a counting assertion on the factor list.  The two kinds share
+the factors, poles, targets and carried denominators, all free of q; the
+theta kind's G enters the first step as its Taylor series at S_0 = 1 in
+place of the hot numerator 1, so later steps shift a hot numerator with
+negative exponents.  The finished value is expanded in q (sine is order 0),
+and each q^t coefficient is reduced once, as one rational function of w.
 
 Before any of this, `_screened_zero` decides a flag whose residue vanishes
 by its pole count alone: it walks the residue steps on the local (c, l)
@@ -48,19 +54,20 @@ patterns, where a factor has valuation 1 at step i exactly when c = 0,
 l_i != 0 and l_j = 0 for every j > i, and returns zero as soon as the
 exponents of those factors sum to >= 0.  A factor that keeps a later l_j != 0
 is carried to the next step with exponent e - target, a numerator factor
-only while that is positive: the residue step's own power rule.  The rule is
+only while that is positive: the residue steps' own power rule.  The rule is
 the same at S_i = 1, so one screen serves all three kinds.
 
 Every series product runs in Kronecker form (`kronecker.Kronecker`): the
 coefficients are grouped by every exponent but one packed variable, w for
 the multiplicative kinds (the residue steps, G and the q-expansion) and the
 last flag coordinate for the additive kind, and each group becomes one
-integer.  `_expand` packs its inputs once, multiplies them packed and
-unpacks only its result.  The slot width is one sign bit above a bound on
-the L1 norm of each unpacked coefficient: `_norm_bound` runs the same
-products and recurrences on the coefficient norms, and no coefficient of a
-product exceeds the product of the norms, so the balanced digits read back
-are the exact coefficients.
+integer.  `_expand` and `_row_series` pack their inputs once, multiply them
+packed and unpack only their result.  The slot width is one sign bit above
+a bound on the L1 norm of each unpacked coefficient: `_norm_bound` and
+`_row_series` run the same products and recurrences on the coefficient
+norms, a row's norm being |c| + sum |l_j|, and no coefficient of a product
+exceeds the product of the norms, so the balanced digits read back are the
+exact coefficients.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from operator import mul
 from . import linalg
 from .arrangement import Flag
 from .kronecker import Kronecker
-from .polyarith import MultiPoly, QSeries, RatFunc
+from .polyarith import MultiPoly, QSeries, RatFunc, binom
 
 KINDS = ("additive", "sine", "theta")
 
@@ -197,11 +204,10 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
 # shared iterated-residue core
 
 
-def _merge_factor(factors: dict, poly: MultiPoly, exp: int, scale=(1, 1),
-                  den: int = 1) -> tuple[int, int]:
-    """Fold the factored piece (poly / den)^exp into the dictionary, poly an
-    integer polynomial; returns `scale`, an integer (numerator, denominator)
-    pair, times the constant multiplier."""
+def _merge_factor(factors: dict, poly: MultiPoly, exp: int, scale=(1, 1)) -> tuple[int, int]:
+    """Fold the factored piece poly^exp into the dictionary, poly an integer
+    polynomial; returns `scale`, an integer (numerator, denominator) pair,
+    times the constant multiplier."""
     if exp == 0:
         return scale
     if poly.is_constant():
@@ -217,9 +223,7 @@ def _merge_factor(factors: dict, poly: MultiPoly, exp: int, scale=(1, 1),
             if entry[1] == 0:
                 del factors[key]
     num, dnm = scale
-    if exp > 0:
-        return num * cont ** exp, dnm * den ** exp
-    return num * den ** -exp, dnm * cont ** -exp
+    return (num * cont ** exp, dnm) if exp > 0 else (num, dnm * cont ** -exp)
 
 
 def _series_mul(a, b, target, kr, first=0):
@@ -309,7 +313,7 @@ def _norm_bound(series, factors, target):
 
 
 def _expand(series, factors, target, pv, first=0):
-    """Coefficients first..target in v of series * prod P over the
+    """Coefficients first..target in v of series * prod P over the nonempty
     (unit, e, carried) factors: P = unit^e, or unit^e / unit_0^(e-target)
     (`_unit_power`) when the caller carries unit_0^(e-target).  Every list is
     a series sum_t poly_t v^t of integer polynomials, packed in variable pv.
@@ -324,31 +328,27 @@ def _expand(series, factors, target, pv, first=0):
     def packed(polys):
         return [kr.pack(p) for p in polys[:target + 1]] + [{}] * (target + 1 - len(polys))
 
-    hot = packed(series)
     out = None
     for unit, e, carried in factors:
         fser = (_unit_power if carried else _series_pow)(packed(unit), e, target, kr)
         out = fser if out is None else _series_mul(out, fser, target, kr)
-    if out is not None:
-        return [kr.unpack(c) for c in _series_mul(hot, out, target, kr, first)]
-    return [kr.unpack(c) for c in hot[first:]]
+    return [kr.unpack(c) for c in _series_mul(packed(series), out, target, kr, first)]
 
 
 @dataclass
 class _Term:
     coeff: Fraction
     hot: MultiPoly
-    factors: dict
+    factors: dict   # key: [polynomial, exponent]; for the additive kind, row: exponent
 
 
-def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | None:
-    """One univariate residue in `var` at `center`, variable pv packed in the
-    series products; None means zero residue.  `taylor(n)`, when given,
-    returns the hot numerator's first n Taylor coefficients at the center in
-    place of term.hot's.
+def _residue_step(term: _Term, var: int, pv, taylor=None) -> _Term | None:
+    """One univariate residue in S_var at 1, variable pv packed in the series
+    products; None means zero residue.  `taylor(n)`, when given, returns the
+    hot numerator's first n Taylor coefficients at 1 in place of term.hot's.
 
-    Only the Taylor coefficients at the center that the step reads are
-    computed (`MultiPoly.shift_coefficients`).  A factor's valuation v there
+    Only the Taylor coefficients at 1 that the step reads are computed
+    (`MultiPoly.shift_coefficients`).  A factor's valuation v there
     is found window by window, [0, 2), [2, 4), [4, 8), ... up to its degree,
     until a window has a nonzero coefficient.  With B = -sum v e over the
     factors, the residue is the coefficient of degree target = B - 1 - hv,
@@ -374,14 +374,14 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
             continue
         head, hi = [], 2
         while not any(head):
-            head += p.shift_coefficients(var, len(head), min(hi, deg + 1), center)
+            head += p.shift_coefficients(var, len(head), min(hi, deg + 1))
             hi *= 2
         v = next(j for j, c in enumerate(head) if c)
         bound -= v * e
         active.append((p, e, v, deg, head))
     if bound <= 0:
         return None
-    hot = term.hot.shift_coefficients(var, 0, bound, center) if taylor is None else taylor(bound)
+    hot = term.hot.shift_coefficients(var, 0, bound) if taylor is None else taylor(bound)
     hv = next((j for j, c in enumerate(hot) if c), None)
     if hv is None:
         return None
@@ -394,7 +394,7 @@ def _residue_step(term: _Term, var: int, center, pv, taylor=None) -> _Term | Non
             scale = _merge_factor(carry, unit[0], e, scale)
             continue
         if end > len(head):
-            unit += p.shift_coefficients(var, len(head), end, center)
+            unit += p.shift_coefficients(var, len(head), end)
         carried = e < 0 or e >= target
         if carried:
             scale = _merge_factor(carry, unit[0], e - target, scale)
@@ -417,7 +417,7 @@ def _screened_zero(local_factors, rank: int) -> bool:
     l_j is 0, else 0, for its sine and theta images at S_i = 1 as well; the
     sum of the exponents of the valuation-1 factors bounds the integrand's
     order in z_i from below, and the residue vanishes once it is >= 0.  By
-    `_residue_step`'s power rule, factors with l_i = 0 are carried unchanged,
+    the residue steps' power rule, factors with l_i = 0 are carried unchanged,
     those of valuation 1 become constants (dropped), and the others as u_0
     with l_i set to 0 and exponent e - target, a numerator only while that is
     > 0: the coefficient of z_i^j in (a z_i + L)^e is a multiple of L^(e-j),
@@ -449,6 +449,124 @@ def _screened_zero(local_factors, rank: int) -> bool:
 # additive kind
 
 
+def _merge_row(rows: dict, row: tuple, exp: int, scale) -> tuple[int, int]:
+    """Fold (c + l.z)^exp, row = (c, *l) a nonzero integer row, into `rows`
+    under its primitive row with first nonzero entry positive, or nowhere
+    when l = 0; returns `scale`, an integer (numerator, denominator) pair,
+    times the power of the signed content."""
+    if exp == 0:
+        return scale
+    g = gcd(*row)
+    if next(filter(None, row)) < 0:
+        g = -g
+    if any(row[1:]):
+        row = tuple(x // g for x in row)
+        e = rows.get(row, 0) + exp
+        if e:
+            rows[row] = e
+        else:
+            del rows[row]
+    num, den = scale
+    return (num * g ** exp, den) if exp > 0 else (num, den * g ** -exp)
+
+
+def _row_series(hot, units, target, pv) -> MultiPoly:
+    """Coefficient target in v of hot * prod sum_t V_t v^t over the
+    (u, l, e, m) units of `_row_step`, V_t = binom(e, t) l^t u^(m-t) for
+    t = 0..m, with u a row and hot a list of integer polynomials, packed in
+    variable pv.
+
+    Each unit packs u once and raises it by products; its entry t = m is the
+    integer binom(e, m) l^m, which scales the running product instead of
+    multiplying it.  The units are multiplied first and hot last, for
+    coefficient target only.  The slot width bounds the product of the
+    coefficient norms, |u| = |c| + sum |l_j| (module docstring)."""
+    coeffs = [[binom(e, t) * l ** t for t in range(m + 1)] for _, l, e, m in units]
+    norms = [1] + [0] * target
+    for (u, _, _, m), c in zip(units, coeffs):
+        size = sum(map(abs, u))
+        f = [abs(x) * size ** (m - t) for t, x in enumerate(c)]
+        norms = [sum(norms[j] * f[t - j] for j in range(max(t - m, 0), t + 1))
+                 for t in range(target + 1)]
+    bound = sum(sum(map(abs, p.terms.values())) * norms[target - j] for j, p in enumerate(hot))
+    nv = hot[0].nvars
+    keys = [(0,) * nv] + [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+    kr = Kronecker(nv, pv, bound, hot)
+    out = None
+    for (u, _, _, m), c in zip(units, coeffs):
+        base = kr.pack_terms((key, x) for key, x in zip(keys, u) if x)
+        pows = [base]
+        for _ in range(m - 1):
+            pows.append(kr.mul_into({}, pows[-1], base))
+        V = [{key: (low, x * v) for key, (low, v) in pows[m - 1 - t].items()}
+             for t, x in enumerate(c[:m])]
+        if out is None:
+            out = V + [{key: (0, c[m]) for key in kr.one()}] + [{}] * (target - m)
+            continue
+        new = []
+        for n in range(target + 1):
+            acc = {key: (low, c[m] * v) for key, (low, v) in out[n - m].items()} if n >= m else {}
+            for t in range(min(n + 1, m)):
+                if out[n - t]:
+                    kr.mul_into(acc, V[t], out[n - t])
+            new.append(acc)
+        out = new
+    acc = {}
+    for j, p in enumerate(hot):
+        if p and out[target - j]:
+            kr.mul_into(acc, kr.pack(p), out[target - j])
+    return kr.unpack(acc)
+
+
+def _row_step(term: _Term, i: int, pv: int) -> _Term | None:
+    """One additive residue in z_i at 0, z_pv packed in the series products;
+    term.factors maps primitive rows (`_merge_row`), with l_j = 0 for j < i,
+    to exponents; None means zero residue.
+
+    A row with l_i = 0 is carried untouched; one with c = 0 and l_j = 0 for
+    every j > i is z_i, a simple zero of unit 1.  Any other row is
+    U = u + l_i z_i, u the row with l_i zeroed.  With B = -sum e over the
+    simple zeros, the residue is the coefficient of degree
+    target = B - 1 - hv of the hot numerator, of valuation hv, times
+    prod U^e.  By the binomial theorem, for e < 0 and e >= target the step
+    carries u^(e-target) and multiplies only V_t = binom(e, t) l_i^t
+    u^(target-t); a power 0 < e < target, whose carried u would be a
+    denominator that is not a pole, is multiplied in full (`_row_series`).
+    At target 0 every U^e is carried as u^e and nothing is multiplied.
+    """
+    scale = (1, 1)
+    carry: dict = {}
+    active = []
+    bound = 0
+    for row, e in term.factors.items():
+        if not row[i + 1]:
+            carry[row] = e
+        elif row[0] or any(row[i + 2:]):
+            active.append((row, e))
+        else:
+            bound -= e
+    if bound <= 0:
+        return None
+    hot = term.hot.shift_coefficients(i, 0, bound, 0)
+    hv = next((j for j, c in enumerate(hot) if c), None)
+    if hv is None:
+        return None
+    target = bound - 1 - hv
+    units = []
+    for row, e in active:
+        u = row[:i + 1] + (0,) + row[i + 2:]
+        m = e if 0 < e < target else target
+        scale = _merge_row(carry, u, e - m, scale)
+        if m:
+            units.append((u, row[i + 1], e, m))
+    s = _row_series(hot[hv:], units, target, pv) if units else hot[hv + target]
+    if s.is_zero():
+        return None
+    cont, s = s.content_normalize()
+    coeff = Fraction(term.coeff.numerator * scale[0] * cont, term.coeff.denominator * scale[1])
+    return _Term(coeff=coeff, hot=s, factors=carry)
+
+
 def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegrand) -> Fraction:
     """Iterated residue of the rational integrand along one flag, times the
     lattice normalization |d(mu) / (kappa_1 ^ ... ^ kappa_k)|.
@@ -457,31 +575,32 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     s has every constant scaled by s, and its pole matching P sits at s P,
     where each factor c + l.z of `local_factors` (taken at P) reads s c + l.z;
     the prefactor is (1/(d s))^k.  With s = a/b and the factor (c' + l'.z)/m
-    (`LocalFactor`), s c + l.z is the integer affine polynomial
-    a c' + b l'.z over m b.
+    (`LocalFactor`), s c + l.z is the integer row (a c', b l') over m b, and
+    the steps run on the rows (`_row_step`).
     """
     k = integrand.rank
     if _screened_zero(local_factors, k):
         return Fraction(0)
-    nv = max(k, 1)
     s = integrand.s
     a, b = s.numerator, s.denominator
-    scale = b ** k, (integrand.degree * a) ** k
-    factors: dict = {}
+    num, den = b ** k, (integrand.degree * a) ** k
+    rows: dict = {}
     for lf in local_factors:
         if not lf.const and not any(lf.lin):
             if lf.exponent > 0:
                 return Fraction(0)
             raise ZeroDivisionError("integrand denominator factor is identically zero")
-        poly = MultiPoly.affine(nv, [b * x for x in lf.lin], a * lf.const)
-        scale = _merge_factor(factors, poly, lf.exponent, scale, lf.den * b)
-    term = _Term(coeff=Fraction(*scale), hot=MultiPoly.const(nv, 1), factors=factors)
+        power = (lf.den * b) ** abs(lf.exponent)
+        num, den = (num, den * power) if lf.exponent > 0 else (num * power, den)
+        num, den = _merge_row(rows, (a * lf.const, *(b * x for x in lf.lin)), lf.exponent,
+                              (num, den))
+    term = _Term(coeff=Fraction(num, den), hot=MultiPoly.const(k, 1), factors=rows)
     for i in range(k):
-        term = _residue_step(term, i, 0, k - 1)
+        term = _row_step(term, i, k - 1)
         if term is None:
             return Fraction(0)
-    # after the last step the hot numerator and every factor are constants,
-    # which `_residue_step` folds into the coefficient
+    # after the last step the hot numerator is 1 and every row a constant,
+    # all folded into the coefficient
     return term.coeff * flag.lattice_factor
 
 
@@ -625,7 +744,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
         else:
             [term.hot] = _theta_numerator(ys, 0, integrand.q_order, 1)
     for i in range(k):
-        term = _residue_step(term, i, 1, k, taylor if i == 0 else None)
+        term = _residue_step(term, i, k, taylor if i == 0 else None)
         if term is None:
             return zero_value(integrand)
     term.coeff *= flag.lattice_factor
@@ -654,7 +773,7 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
 
     hot = term.hot.shift_coefficients(qv, 0, order + 1, 0) if qv is not None else [term.hot]
     numerators = [([poly], e, False) for poly, e in term.factors.values() if e > 0]
-    series = _expand(hot, numerators, order, widx)
+    series = _expand(hot, numerators, order, widx) if numerators else hot
     den = prod([in_w(poly) ** -e for poly, e in term.factors.values() if e < 0],
                start=RatFunc.const(1))
     coeffs = [in_w(c) * term.coeff / den for c in series]

@@ -47,9 +47,13 @@ class Kronecker:
         return {((0,) * (self.nvars - 1), 0): (0, 1)}
 
     def pack(self, poly: MultiPoly) -> dict:
+        return self.pack_terms(poly.terms.items())
+
+    def pack_terms(self, terms) -> dict:
+        """The packed polynomial with the (exponents, coefficient) pairs `terms`."""
         var, bits, s = self.var, self.bits, self.stride
         groups: dict = {}
-        for k, c in poly.terms.items():
+        for k, c in terms:
             e = k[var]
             groups.setdefault((k[:var] + k[var + 1:], e % s), []).append((e, c))
         out = {}

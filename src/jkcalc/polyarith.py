@@ -66,19 +66,6 @@ class MultiPoly:
     def monomial(cls, nvars, exps):
         return cls(nvars, {tuple(exps): 1})
 
-    @classmethod
-    def affine(cls, nvars, lin, const):
-        """const + sum(lin[i] * x_i)."""
-        terms = {}
-        if const != 0:
-            terms[(0,) * nvars] = const
-        for i, a in enumerate(lin):
-            if a != 0:
-                e = [0] * nvars
-                e[i] = 1
-                terms[tuple(e)] = a
-        return cls(nvars, terms)
-
     def is_zero(self):
         return not self.terms
 

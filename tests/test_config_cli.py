@@ -296,6 +296,16 @@ class TestBuilders:
         with pytest.raises(ValueError):
             builders.grassmannian_det(3, 3, 1)
 
+    @pytest.mark.parametrize("n, degrees", [(0, ()), (-1, ()), (0, (2,))])
+    def test_base_dimension_below_one_is_named(self, n, degrees):
+        # named before the summand count, which n = 0 fails even with none
+        with pytest.raises(ValueError, match=f"^the base P\\^n needs n >= 1, got n = {n}$"):
+            builders.projective_bundle(n, degrees)
+
+    def test_base_dimension_zero_exits_three_naming_n(self, tmp_path, capsys):
+        code, err = _exit_and_error(tmp_path, capsys, "mode projective-bundle\nn 0\n")
+        assert (code, err) == (3, "config error: the base P^n needs n >= 1, got n = 0\n")
+
 
 class TestEmit:
     def result(self):

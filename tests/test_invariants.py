@@ -595,9 +595,10 @@ def test_packed_products_of_a_length_3_quiver_chi_y(monkeypatch):
 
 
 def test_packed_products_of_a_length_3_quiver_dt(monkeypatch):
-    # 1,572 with one residue per stable point, not per orbit
+    # 1,572 with one residue per stable point, not per orbit, and 310 while
+    # every factor was a polynomial raised by Miller's recurrence
     assert packed_pairs(monkeypatch, builders.framed_a3_problem(3, 1, (1, 1, 1)),
-                        kind="additive") <= 384
+                        kind="additive") <= 206
 
 
 def test_eliminations_of_the_geometry_of_a_length_3_quiver(count_calls):
