@@ -2,9 +2,11 @@
 output of a few small problems must stay byte-identical.
 
 The cases cover sine and theta with denominator scale D = 1, 2, 3 and 6, a
-rank-2 problem, q-orders 0 to 3, and a chi_y that is not a Laurent
-polynomial.  To regenerate the expected documents after a deliberate change
-of the output, run `PYTHONPATH=src python tests/test_pinned_outputs.py`.
+rank-2 problem, q-orders 0 to 3, a chi_y that is not a Laurent polynomial,
+and the rank-3 framed A^3 quiver of length 3, whose residue steps raise
+numerator factors to powers below the step's target.  To regenerate the
+expected documents after a deliberate change of the output, run
+`PYTHONPATH=src python tests/test_pinned_outputs.py`.
 
 The digest of the benchmark decks (`tests/deck_digest.py`) is pinned in
 `tests/data/deck_digest.txt`; regenerate it with
@@ -27,6 +29,14 @@ TEXT = DATA.with_name("pinned_text.json")
 DIGEST = DATA.with_name("deck_digest.txt")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+
+def framed_a3(charges):
+    """The framed A^3 quiver of length 3 and framing 1 at loop `charges`."""
+    lines = [f"degree {sum(charges)}", "node X gauged 3", "node F framed 1",
+             *(f"arrow X X {c}" for c in charges), "arrow F X 0", "xi X 1"]
+    return "mode quiver\nlabel a3-n3-r1\n" + "\n".join(lines) + "\n"
+
+
 CASES = {
     "quintic-q3": ((CONFIGS / "quintic.cfg").read_text(), 3),
     "ci-p4-5-q0": ("mode projective-bundle\nlabel ci-p4-5\nn 4\ndegrees [5]\n", 0),
@@ -40,6 +50,8 @@ CASES = {
                         "weight [2] 1 1\nweight [3] 2 1\n", 2),
     "rational-chi-y-q1": ("mode raw\nrank 1\ndegree -1\nxi [2]\nweight [2] 3 3\n"
                           "weight [-2] 3 1\nweight [-3] 2 2\n", 1),
+    "a3-n3-r1-111-q2": (framed_a3((1, 1, 1)), 2),
+    "a3-n3-r1-122-q2": (framed_a3((1, 2, 2)), 2),
 }
 
 
