@@ -9,8 +9,8 @@ from .arrangement import (AffineForm, Flag, IntersectionPoint, Perturbation,
 from .builders import (framed_a3_problem, grassmannian, grassmannian_det,
                        projective_bundle, projective_space)
 from .config import ConfigError, ProblemConfig, parse_config
-from .engine import (FactorizedIntegrand, NonGenericResidueError, flag_residue_additive,
-                     flag_residue_multiplicative, jk_residue, localize)
+from .engine import (FactorizedIntegrand, flag_residue_additive, flag_residue_multiplicative,
+                     jk_residue, localize)
 from .invariants import (GITProblem, InvariantResult, PipelineError, ValidationError,
                          WeightEntry, build_integrand, compute, make_problem,
                          specialize, validate)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation failure, 3 parse error (of the config
 or the command line, or an output file that cannot be written), 4 internal
-error (a failed identity or a non-generic residue configuration).
+error (a failed identity or assertion).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import invariants
 from .arrangement import sum_regular_perturbation
 from .config import INVARIANT_KINDS, ConfigError, parse_config
-from .engine import NonGenericResidueError
 from .invariants import (InvariantResult, PipelineError, ValidationError,
                          integrality_scale, specialize)
 from .polyarith import QSeries, RatFunc
@@ -204,7 +203,7 @@ def run(argv=None) -> int:
         else:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
@@ -234,7 +233,7 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (PipelineError, NonGenericResidueError, AssertionError) as exc:
+    except (PipelineError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

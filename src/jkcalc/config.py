@@ -93,6 +93,13 @@ def _integer(key, rest, lineno, values=None, what=None):
     raise ConfigError(f"expected {what or key}, got {rest!r}", lineno)
 
 
+def _rank(key, rest, lineno, values):
+    rank = _integer(key, rest, lineno)
+    if rank < 0:
+        raise ConfigError("rank must be >= 0", lineno)
+    return rank
+
+
 def _covector_line(key, rest, lineno, values):
     """Split '[a,b] x y' into the covector, which has `rank` entries once a
     rank is declared, and the trailing tokens."""
@@ -209,7 +216,7 @@ COMMON = {
 
 MODES = {
     "raw": Mode(
-        keys={"rank": (_integer, ONCE), "weyl": (_integer, ONCE), "xi": (_covector, ONCE),
+        keys={"rank": (_rank, ONCE), "weyl": (_integer, ONCE), "xi": (_covector, ONCE),
               "weight": (_weight, MANY), "root": (_root, MANY)},
         required=("rank", "xi", "weight"), build=_build_raw,
         defaults={"weyl": 1, "root": ()}),

@@ -5,9 +5,9 @@ Three integrand kinds share one iterated-residue core:
   additive -- rational factors (c + l.z), evaluated over Q; computes DT.
   sine     -- each factor becomes the Laurent binomial Y^(1/2) - Y^(-1/2)
               with Y = y^c * prod X_j^(l_j), written with integer exponents in
-              w = y^(1/(2D)) and S_j = X_j^(1/(2D)): for Y^(1/2) = m1/m2 with
-              m1, m2 coprime monomials, the binomial m1^2 - m2^2 over the
-              monomial m1 m2; computes chi_y.
+              w = y^(1/(2D)) and S_j = X_j^(1/(2D)): for the half-exponent
+              row h of Y^(1/2), the binomial P_h = S^(2 max(h, 0)) -
+              S^(2 max(-h, 0)) over the monomial S^|h|; computes chi_y.
   theta    -- the sine factors times one q-series numerator G: by Jacobi's
               triple product theta(Y) = (Y^(1/2) - Y^(-1/2)) (q;q) Phi(Y),
               with Phi(Y) = prod_n (1 - q^n Y)(1 - q^n / Y) a q-unit that has
@@ -23,30 +23,30 @@ multiplicative residue per flag, the theta one (`invariants._compute`).
 over one denominator (`LocalFactor`), which every kind reads as it is.
 Residues are taken innermost flag coordinate first, the remaining coordinates
 acting as transcendentals.  Intermediate values are kept as one expanded
-"hot" numerator times a dictionary of factored powers, so no denominator is
-ever expanded and no gcd is needed along the way.  One power rule reads a
-factor U^e, U = u_0 + u_1 v + ...: a unit constant in v, as every unit is at
-target 0, is carried whole as u_0^e and multiplies nothing; otherwise, for
-e < 0 and e >= target a step carries u_0^(e-target) factored, numerators
-too, and multiplies only the series V = U^e / u_0^(e-target); a power
-0 < e < target is expanded in full.
+"hot" numerator times a dictionary of factored powers of integer rows, so no
+denominator is ever expanded and no gcd is needed along the way.  A row
+keeps its shape through every step: the additive kind's affine row (c, l),
+residues at z_i = 0 (`_row_step`), and the multiplicative kinds' row h,
+residues at S_i = 1 (`_residue_step`).  At step i a row with l_i = 0
+(h_i = 0) is carried as it is, a row whose only nonzero entry left is l_i
+(with c = 0) or h_i is a simple zero, and any other row is a unit U = u + w,
+w = O(v) an integer series in the step variable v.  One power rule reads
+U^e off the binomial theorem (`_row_series`): a step of target T carries
+u^(e-T) factored, numerators too, and multiplies only
+V = sum_(n <= T) binom(e, n) w^n u^(T-n); a power 0 < e < T, whose carried
+u would be a denominator that is not a pole, is multiplied in full.  At
+target 0 every unit is carried whole and nothing is multiplied.
 
-The additive kind keeps every factor as its affine row (c, l), which stays
-affine through every step: a carried factor is the same row with l_i set to
-0.  Its steps take residues at z_i = 0 and read each unit's series off the
-binomial theorem, V_t = binom(e, t) l_i^t u_0^(target-t) (`_row_step`), so
-no factor becomes a polynomial.  The multiplicative kinds take residues at
-S_j = 1 on polynomial factors (`_residue_step`), reading V off J. C. P.
-Miller's recurrence (`_unit_power`) and a full power off `_series_pow`; no
-step shifts a polynomial in full.  Every factor's m1 m2 and every step's
-measure dX_j / X_j = 2D dS_j / S_j make one monomial times (2D)^k, and the
+Every factor's S^|h| and every step's measure dX_j / X_j = 2D dS_j / S_j
+make one Laurent monomial, the first hot numerator, times (2D)^k, and the
 other constants cancel exactly against the 2i / pi*hbar bookkeeping,
-enforced by a counting assertion on the factor list.  The two kinds share
-the factors, poles, targets and carried denominators, all free of q; the
-theta kind's G enters the first step as its Taylor series at S_0 = 1 in
-place of the hot numerator 1, so later steps shift a hot numerator with
-negative exponents.  The finished value is expanded in q (sine is order 0),
-and each q^t coefficient is reduced once, as one rational function of w.
+enforced by a counting assertion on the factor list.  The two
+multiplicative kinds share the rows, poles, targets and carried
+denominators, all free of q; the theta kind's G, started from that
+monomial, enters the first step as its Taylor series at S_0 = 1.  The rows
+left after the last step are w^(2c) - 1, and each q^t coefficient of the
+finished value (sine is order 0) is reduced once, as one rational function
+of w.
 
 Before any of this, `_screened_zero` decides a flag whose residue vanishes
 by its pole count alone: it walks the residue steps on the local (c, l)
@@ -59,15 +59,14 @@ the same at S_i = 1, so one screen serves all three kinds.
 
 Every series product runs in Kronecker form (`kronecker.Kronecker`): the
 coefficients are grouped by every exponent but one packed variable, w for
-the multiplicative kinds (the residue steps, G and the q-expansion) and the
-last flag coordinate for the additive kind, and each group becomes one
-integer.  `_expand` and `_row_series` pack their inputs once, multiply them
+the multiplicative kinds (the residue steps and G) and the last flag
+coordinate for the additive kind, and each group becomes one integer.
+`_row_series` and `_theta_numerator` pack their inputs once, multiply them
 packed and unpack only their result.  The slot width is one sign bit above
-a bound on the L1 norm of each unpacked coefficient: `_norm_bound` and
-`_row_series` run the same products and recurrences on the coefficient
-norms, a row's norm being |c| + sum |l_j|, and no coefficient of a product
-exceeds the product of the norms, so the balanced digits read back are the
-exact coefficients.
+a bound on the L1 norm of each unpacked coefficient: both run the same
+products and recurrences on the coefficient norms, a unit's u having the
+norm sum |coefficient|, and no coefficient of a product exceeds the product
+of the norms, so the balanced digits read back are the exact coefficients.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .arrangement import Flag
@@ -89,11 +88,6 @@ ORIGIN_ROOT_NUM = "root-num"
 ORIGIN_ROOT_DEN = "root-den"
 ORIGIN_WEIGHT_NUM = "weight-num"
 ORIGIN_WEIGHT_DEN = "weight-den"
-
-
-class NonGenericResidueError(ArithmeticError):
-    """A residue step hit a non-invertible leading coefficient: an internal
-    error, as every factor's leading coefficient is a q-unit for any perturbation."""
 
 
 @dataclass(frozen=True)
@@ -204,207 +198,105 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
 # shared iterated-residue core
 
 
-def _merge_factor(factors: dict, poly: MultiPoly, exp: int, scale=(1, 1)) -> tuple[int, int]:
-    """Fold the factored piece poly^exp into the dictionary, poly an integer
-    polynomial; returns `scale`, an integer (numerator, denominator) pair,
-    times the constant multiplier."""
-    if exp == 0:
-        return scale
-    if poly.is_constant():
-        cont = poly.constant_value()
-    else:
-        cont, prim = poly.content_normalize()
-        key = prim.key()
-        entry = factors.get(key)
-        if entry is None:
-            factors[key] = [prim, exp]
-        else:
-            entry[1] += exp
-            if entry[1] == 0:
-                del factors[key]
-    num, dnm = scale
-    return (num * cont ** exp, dnm) if exp > 0 else (num, dnm * cont ** -exp)
-
-
-def _series_mul(a, b, target, kr, first=0):
-    """Coefficients first..target of the product of two series."""
-    out = [{} for _ in range(first, target + 1)]
-    for i, pa in enumerate(a):
-        if pa:
-            for j in range(max(first - i, 0), target + 1 - i):
-                if b[j]:
-                    kr.mul_into(out[i + j - first], pa, b[j])
-    return out
-
-
-def _series_pow(a, n, target, kr):
-    """a^n for n >= 1."""
-    out = None
-    while n:
-        if n & 1:
-            out = a if out is None else _series_mul(out, a, target, kr)
-        n >>= 1
-        if n:
-            a = _series_mul(a, a, target, kr)
-    return out
-
-
-def _unit_power(unit, e, target, kr):
-    """V with U^e = u_0^(e-target) sum V_t v^t mod v^(target+1), for any
-    integer e and U = sum unit_t v^t, u_0 != 0: V_t = W_t u_0^(target-t) by
-    J. C. P. Miller's recurrence for powers of a power series (Knuth, TAOCP
-    vol. 2, 4.7), U^e = sum u_0^(e-t) W_t v^t with W_0 = 1 and
-    t W_t = sum_(j=1..t) ((e+1) j - t) u_j u_0^(j-1) W_(t-j).  W_t has
-    integer coefficients, so the division by t is exact, also packed."""
-    u0 = unit[0]
-    if not u0:
-        raise NonGenericResidueError("unit constant term is zero")
-    u0_pows = [kr.one(), u0]
-    for _ in range(target - 1):
-        u0_pows.append(kr.mul_into({}, u0_pows[-1], u0))
-    steps = [None] + [unit[j] if j == 1 or not unit[j] else
-                      kr.mul_into({}, unit[j], u0_pows[j - 1]) for j in range(1, target + 1)]
-    # W_0 = 1 is never multiplied: the j = t term of each sum is e t steps[t],
-    # and V_0 = u_0^target
-    W = [None]
-    for t in range(1, target + 1):
-        acc = {key: (low, e * t * v) for key, (low, v) in steps[t].items()}
-        for j in range(1, t):
-            c = (e + 1) * j - t
-            if c and steps[j] and W[t - j]:
-                kr.mul_into(acc, {key: (low, c * v) for key, (low, v) in steps[j].items()},
-                            W[t - j])
-        W.append({key: (low, v // t) for key, (low, v) in acc.items()})
-    V = [u0_pows[target]] + [kr.mul_into({}, W[t], u0_pows[target - t]) if W[t] else {}
-                             for t in range(1, target)]
-    return V + W[len(V):]
-
-
-def _norm_bound(series, factors, target):
-    """Bounds on the L1 norms of the coefficients 0..target that `_expand`
-    returns: its products and recurrences, run on the coefficient norms."""
-    def mul(a, b):
-        out = [0] * (target + 1)
-        for i, x in enumerate(a):
-            if x:
-                for j in range(target + 1 - i):
-                    out[i + j] += x * b[j]
-        return out
-
-    def norms(polys):
-        out = [sum(map(abs, p.terms.values())) for p in polys[:target + 1]]
-        return out + [0] * (target + 1 - len(out))
-
-    out = norms(series)
-    for unit, e, carried in factors:
-        u = f = norms(unit)
-        if carried:
-            w = [1]
-            for t in range(1, target + 1):
-                x = sum(abs((e + 1) * j - t) * u[j] * u[0] ** (j - 1) * w[t - j]
-                        for j in range(1, t + 1))
-                w.append(-(-x // t))
-            f = [x * u[0] ** (target - t) for t, x in enumerate(w)]
-        else:
-            for _ in range(e - 1):
-                f = mul(f, u)
-        out = mul(out, f)
-    return out
-
-
-def _expand(series, factors, target, pv, first=0):
-    """Coefficients first..target in v of series * prod P over the nonempty
-    (unit, e, carried) factors: P = unit^e, or unit^e / unit_0^(e-target)
-    (`_unit_power`) when the caller carries unit_0^(e-target).  Every list is
-    a series sum_t poly_t v^t of integer polynomials, packed in variable pv.
-
-    The factors are multiplied first and `series` last, for the coefficients
-    first..target only: a hot numerator carries every q-group of the theta
-    kind, each factor one group."""
-    nv = series[0].nvars
-    kr = Kronecker(nv, pv, max(_norm_bound(series, factors, target)[first:]),
-                   series[:target + 1] + [p for unit, _, _ in factors for p in unit[:target + 1]])
-
-    def packed(polys):
-        return [kr.pack(p) for p in polys[:target + 1]] + [{}] * (target + 1 - len(polys))
-
-    out = None
-    for unit, e, carried in factors:
-        fser = (_unit_power if carried else _series_pow)(packed(unit), e, target, kr)
-        out = fser if out is None else _series_mul(out, fser, target, kr)
-    return [kr.unpack(c) for c in _series_mul(packed(series), out, target, kr, first)]
-
-
 @dataclass
 class _Term:
     coeff: Fraction
     hot: MultiPoly
-    factors: dict   # key: [polynomial, exponent]; for the additive kind, row: exponent
+    factors: dict   # row: exponent; an affine row (c, *l) or a half-exponent row h
 
 
-def _residue_step(term: _Term, var: int, pv, taylor=None) -> _Term | None:
-    """One univariate residue in S_var at 1, variable pv packed in the series
-    products; None means zero residue.  `taylor(n)`, when given, returns the
-    hot numerator's first n Taylor coefficients at 1 in place of term.hot's.
+def _add_scaled(kr: Kronecker, acc: dict, x: int, packed: dict) -> dict:
+    """acc + x * packed: a scaled copy of `packed` while acc is empty, else
+    one product by the packed constant x."""
+    if not acc:
+        return {key: (low, x * v) for key, (low, v) in packed.items()}
+    return kr.mul_into(acc, {key: (0, x) for key in kr.one()}, packed)
 
-    Only the Taylor coefficients at 1 that the step reads are computed
-    (`MultiPoly.shift_coefficients`).  A factor's valuation v there
-    is found window by window, [0, 2), [2, 4), [4, 8), ... up to its degree,
-    until a window has a nonzero coefficient.  With B = -sum v e over the
-    factors, the residue is the coefficient of degree target = B - 1 - hv,
-    for hv the hot numerator's valuation, so the step reads the hot
-    numerator's coefficients j < B, whatever hv is, and a factor's
-    j < v + target + 1 (none above its degree are nonzero).  A hot numerator
-    with none nonzero below B gives zero before any series work.  A factor
-    whose unit U is a constant (its valuation is its degree, or the target is
-    0) is exactly u_0, so U^e = u_0^e is carried whole and multiplies
-    nothing; with every factor so, the residue is hot[hv + target].  A
-    factor free of `var` is carried under its key as it is.  The step's
-    constant is kept as an integer numerator and denominator, and becomes
-    one Fraction at the end.
-    """
-    scale = (1, 1)
-    carry: dict = {}
-    active = []
-    bound = 0
-    for key, (p, e) in term.factors.items():
-        deg = p.degree_in(var)
-        if deg == 0:
-            carry[key] = [p, e]
+
+def _row_series(hot, units, target, pv) -> MultiPoly:
+    """Coefficient target in v of hot * prod V over the (u, w, e, m) units of
+    a residue step, with hot a list of integer polynomials, packed in
+    variable pv.
+
+    A unit is U = u + w, with u free of v and w = sum w_t v^t (t >= 1) an
+    integer series given as {t: w_t}; u is an integer or a list of
+    (exponents, coefficient) terms.  By the binomial theorem the step carries
+    u^(e-m) and multiplies V_t = sum_(n <= min(t, m)) binom(e, n) [w^n]_t
+    u^(m-n), with m = e > 0 (the full power) or m = target, w^n being O(v^n).
+    Each unit packs u once and raises it by products.  An integer V_t (u an
+    integer, or only n = m reaching v^t) scales the running product instead
+    of multiplying it, first within each coefficient.  The units are
+    multiplied first and hot last, for coefficient target only.  The slot
+    width bounds the product of the coefficient norms, |u| = sum |u's
+    coefficients| (module docstring), and the stride is taken over hot and
+    every unit's terms."""
+    tables, norms = [], [1] + [0] * target
+    for u, w, e, m in units:
+        # table[t]: the (n, binom(e, n) [w^n]_t) pairs that make V_t, and
+        # f[t] the bound on the norm of V_t
+        table = [[] for _ in range(target + 1)]
+        f = [0] * (target + 1)
+        size = abs(u) if isinstance(u, int) else sum(abs(x) for _, x in u)
+        power = {0: 1}
+        for n in range(m + 1):
+            b, unit_norm = binom(e, n), size ** (m - n)
+            for t, x in power.items():
+                table[t].append((n, b * x))
+                f[t] += abs(b * x) * unit_norm
+            if n < m:
+                nxt: dict = {}
+                for t, x in power.items():
+                    for s, y in w.items():
+                        if t + s <= target:
+                            nxt[t + s] = nxt.get(t + s, 0) + x * y
+                power = nxt
+        norms = [sum(map(mul, norms, f[t::-1])) for t in range(target + 1)]
+        tables.append(table)
+    bound = sum(sum(map(abs, p.terms.values())) * norms[target - j] for j, p in enumerate(hot))
+    kr = Kronecker(hot[0].nvars, pv, bound, [p.terms.items() for p in hot] +
+                   [u for u, _, _, _ in units if not isinstance(u, int)])
+    out = None
+    for (u, _, _, m), table in zip(units, tables):
+        # V as its integer and its packed coefficients, (t, V_t) pairs
+        if isinstance(u, int):
+            ints, packs = [(t, sum(x * u ** (m - n) for n, x in pairs))
+                           for t, pairs in enumerate(table) if pairs], []
+        else:
+            pows = [kr.one(), kr.pack_terms(u)]
+            for _ in range(m - 1):
+                pows.append(kr.mul_into({}, pows[-1], pows[1]))
+            ints, packs = [], []
+            for t, pairs in enumerate(table):
+                if len(pairs) == 1 and pairs[0][0] == m:
+                    ints.append((t, pairs[0][1]))
+                elif pairs:
+                    acc: dict = {}
+                    for n, x in pairs:
+                        acc = _add_scaled(kr, acc, x, pows[m - n])
+                    packs.append((t, acc))
+        if out is None:
+            out = [{}] * (target + 1)
+            for t, x in packs:
+                out[t] = x
+            for t, x in ints:
+                out[t] = {key: (0, x) for key in kr.one()}
             continue
-        head, hi = [], 2
-        while not any(head):
-            head += p.shift_coefficients(var, len(head), min(hi, deg + 1))
-            hi *= 2
-        v = next(j for j, c in enumerate(head) if c)
-        bound -= v * e
-        active.append((p, e, v, deg, head))
-    if bound <= 0:
-        return None
-    hot = term.hot.shift_coefficients(var, 0, bound) if taylor is None else taylor(bound)
-    hv = next((j for j, c in enumerate(hot) if c), None)
-    if hv is None:
-        return None
-    target = bound - 1 - hv
-    units = []
-    for p, e, v, deg, head in active:
-        end = min(v + target, deg) + 1
-        unit = head[v:end]
-        if end == v + 1:
-            scale = _merge_factor(carry, unit[0], e, scale)
-            continue
-        if end > len(head):
-            unit += p.shift_coefficients(var, len(head), end)
-        carried = e < 0 or e >= target
-        if carried:
-            scale = _merge_factor(carry, unit[0], e - target, scale)
-        units.append((unit, e, carried))
-    s = _expand(hot[hv:], units, target, pv, target)[0] if units else hot[hv + target]
-    if s.is_zero():
-        return None
-    cont, s = s.content_normalize()
-    coeff = Fraction(term.coeff.numerator * scale[0] * cont, term.coeff.denominator * scale[1])
-    return _Term(coeff=coeff, hot=s, factors=carry)
+        new = []
+        for n in range(target + 1):
+            acc = {}
+            for t, x in ints:
+                if t <= n and out[n - t]:
+                    acc = _add_scaled(kr, acc, x, out[n - t])
+            for t, x in packs:
+                if t <= n and out[n - t]:
+                    kr.mul_into(acc, x, out[n - t])
+            new.append(acc)
+        out = new
+    acc = {}
+    for j, p in enumerate(hot):
+        if p and out[target - j]:
+            kr.mul_into(acc, kr.pack(p), out[target - j])
+    return kr.unpack(acc)
 
 
 def _screened_zero(local_factors, rank: int) -> bool:
@@ -422,14 +314,17 @@ def _screened_zero(local_factors, rank: int) -> bool:
     with l_i set to 0 and exponent e - target, a numerator only while that is
     > 0: the coefficient of z_i^j in (a z_i + L)^e is a multiple of L^(e-j),
     and likewise for the sine and theta images at S_i = 1.  Every exponent
-    stays at or below the true one.  An identically zero factor is left to
-    the full computation.
+    stays at or below the true one.  The first identically zero factor
+    decides the flag: as a numerator it makes the residue zero, as a
+    denominator it raises ZeroDivisionError.
     """
     live = []
     for lf in local_factors:
         if lf.const == 0:
             if not any(lf.lin):
-                return False
+                if lf.exponent > 0:
+                    return True
+                raise ZeroDivisionError("integrand denominator factor is identically zero")
             live.append((lf.lin, lf.exponent))
     for i in range(rank):
         bound = sum(e for tail, e in live if tail[0] and not any(tail[1:]))
@@ -470,54 +365,6 @@ def _merge_row(rows: dict, row: tuple, exp: int, scale) -> tuple[int, int]:
     return (num * g ** exp, den) if exp > 0 else (num, den * g ** -exp)
 
 
-def _row_series(hot, units, target, pv) -> MultiPoly:
-    """Coefficient target in v of hot * prod sum_t V_t v^t over the
-    (u, l, e, m) units of `_row_step`, V_t = binom(e, t) l^t u^(m-t) for
-    t = 0..m, with u a row and hot a list of integer polynomials, packed in
-    variable pv.
-
-    Each unit packs u once and raises it by products; its entry t = m is the
-    integer binom(e, m) l^m, which scales the running product instead of
-    multiplying it.  The units are multiplied first and hot last, for
-    coefficient target only.  The slot width bounds the product of the
-    coefficient norms, |u| = |c| + sum |l_j| (module docstring)."""
-    coeffs = [[binom(e, t) * l ** t for t in range(m + 1)] for _, l, e, m in units]
-    norms = [1] + [0] * target
-    for (u, _, _, m), c in zip(units, coeffs):
-        size = sum(map(abs, u))
-        f = [abs(x) * size ** (m - t) for t, x in enumerate(c)]
-        norms = [sum(norms[j] * f[t - j] for j in range(max(t - m, 0), t + 1))
-                 for t in range(target + 1)]
-    bound = sum(sum(map(abs, p.terms.values())) * norms[target - j] for j, p in enumerate(hot))
-    nv = hot[0].nvars
-    keys = [(0,) * nv] + [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
-    kr = Kronecker(nv, pv, bound, hot)
-    out = None
-    for (u, _, _, m), c in zip(units, coeffs):
-        base = kr.pack_terms((key, x) for key, x in zip(keys, u) if x)
-        pows = [base]
-        for _ in range(m - 1):
-            pows.append(kr.mul_into({}, pows[-1], base))
-        V = [{key: (low, x * v) for key, (low, v) in pows[m - 1 - t].items()}
-             for t, x in enumerate(c[:m])]
-        if out is None:
-            out = V + [{key: (0, c[m]) for key in kr.one()}] + [{}] * (target - m)
-            continue
-        new = []
-        for n in range(target + 1):
-            acc = {key: (low, c[m] * v) for key, (low, v) in out[n - m].items()} if n >= m else {}
-            for t in range(min(n + 1, m)):
-                if out[n - t]:
-                    kr.mul_into(acc, V[t], out[n - t])
-            new.append(acc)
-        out = new
-    acc = {}
-    for j, p in enumerate(hot):
-        if p and out[target - j]:
-            kr.mul_into(acc, kr.pack(p), out[target - j])
-    return kr.unpack(acc)
-
-
 def _row_step(term: _Term, i: int, pv: int) -> _Term | None:
     """One additive residue in z_i at 0, z_pv packed in the series products;
     term.factors maps primitive rows (`_merge_row`), with l_j = 0 for j < i,
@@ -552,13 +399,16 @@ def _row_step(term: _Term, i: int, pv: int) -> _Term | None:
     if hv is None:
         return None
     target = bound - 1 - hv
+    # the exponents of 1, z_0, ..., z_(k-1): the terms of a row
+    k = term.hot.nvars
+    keys = [tuple(int(j == n) for j in range(k)) for n in range(-1, k)]
     units = []
     for row, e in active:
         u = row[:i + 1] + (0,) + row[i + 2:]
         m = e if 0 < e < target else target
         scale = _merge_row(carry, u, e - m, scale)
         if m:
-            units.append((u, row[i + 1], e, m))
+            units.append(([(key, x) for key, x in zip(keys, u) if x], {1: row[i + 1]}, e, m))
     s = _row_series(hot[hv:], units, target, pv) if units else hot[hv + target]
     if s.is_zero():
         return None
@@ -586,10 +436,6 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     num, den = b ** k, (integrand.degree * a) ** k
     rows: dict = {}
     for lf in local_factors:
-        if not lf.const and not any(lf.lin):
-            if lf.exponent > 0:
-                return Fraction(0)
-            raise ZeroDivisionError("integrand denominator factor is identically zero")
         power = (lf.den * b) ** abs(lf.exponent)
         num, den = (num, den * power) if lf.exponent > 0 else (num * power, den)
         num, den = _merge_row(rows, (a * lf.const, *(b * x for x in lf.lin)), lf.exponent,
@@ -617,18 +463,100 @@ def _half_exponents(local_factor: LocalFactor, D: int) -> list[int]:
     return [x * scale for x in (*local_factor.lin, local_factor.const)]
 
 
-def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
+def _merge_binomial(rows: dict, h: tuple, exp: int, scale) -> tuple[int, int]:
+    """Fold P_h^exp, P_h = S^(2 max(h, 0)) - S^(2 max(-h, 0)) for a nonzero
+    half-exponent row h, into `rows` under h or -h, whichever has its first
+    nonzero entry positive; P_(-h) = -P_h, so `scale`, an integer
+    (numerator, denominator) pair, is returned times the sign."""
+    if exp:
+        if next(filter(None, h)) < 0:
+            h, scale = tuple(-x for x in h), (-scale[0] if exp % 2 else scale[0], scale[1])
+        rows[h] = rows.get(h, 0) + exp
+        if not rows[h]:
+            del rows[h]
+    return scale
+
+
+def _residue_step(term: _Term, i: int, pv: int, taylor=None) -> _Term | None:
+    """One multiplicative residue in S_i at 1, v = S_i - 1, variable pv
+    packed in the series products; term.factors maps half-exponent rows
+    (`_merge_binomial`), with h_j = 0 for j < i, to exponents; None means
+    zero residue.  `taylor(n)`, when given, returns the hot numerator's first
+    n Taylor coefficients at 1 in place of term.hot's.
+
+    A row with h_i = 0 is carried untouched.  A row whose only nonzero entry
+    is h_i (> 0, as the first nonzero entry) is the simple zero P_h = v U,
+    U = ((1+v)^(2 h_i) - 1)/v an integer series with U_0 = 2 h_i.  Any other
+    row is P_h = A (u' + w), for u the row with h_i zeroed,
+    A = S^(2 max(u, 0)), u' = 1 - S^(-2u) and w = (1+v)^(2 h_i) - 1.  With
+    B = -sum e over the simple zeros, the residue is the coefficient of
+    degree target = B - 1 - hv of the hot numerator, of valuation hv, times
+    the units' powers, read off the binomial theorem as in `_row_step`: m = e
+    when 0 < e < target, else m = target.  A simple zero carries U_0^(e-m) in
+    the constant; any other row carries A^e u'^(e-m) = A^m P_u^(e-m), the row
+    u with exponent e - m, and A^m shifts the step's result.  Only the hot
+    numerator's Taylor coefficients that the step reads are computed.
+    """
+    scale = (1, 1)
+    carry: dict = {}
+    active = []
+    zeros = []
+    for h, e in term.factors.items():
+        if not h[i]:
+            carry[h] = e
+        elif any(h[i + 1:]):
+            active.append((h, e))
+        else:
+            zeros.append((2 * h[i], e))
+    bound = -sum(e for _, e in zeros)
+    if bound <= 0:
+        return None
+    hot = term.hot.shift_coefficients(i, 0, bound) if taylor is None else taylor(bound)
+    hv = next((j for j, c in enumerate(hot) if c), None)
+    if hv is None:
+        return None
+    target = bound - 1 - hv
+    nv = term.hot.nvars
+    units = []
+    for a, e in zeros:
+        m = e if 0 < e < target else target
+        num, den = scale
+        scale = (num * a ** (e - m), den) if e > m else (num, den * a ** (m - e))
+        if m:
+            units.append((a, {t: binom(a, t + 1) for t in range(1, min(a, target + 1))}, e, m))
+    shift = [0] * nv
+    for h, e in active:
+        u = h[:i] + (0,) + h[i + 1:]
+        m = e if 0 < e < target else target
+        scale = _merge_binomial(carry, u, e - m, scale)
+        if m:
+            units.append(([((0,) * nv, 1), (tuple(-2 * x for x in u), -1)],
+                          {t: binom(2 * h[i], t) for t in range(1, min(2 * h[i], target) + 1)},
+                          e, m))
+            shift = [s + 2 * m * max(x, 0) for s, x in zip(shift, u)]
+    s = _row_series(hot[hv:], units, target, pv) if units else hot[hv + target]
+    if s.is_zero():
+        return None
+    if any(shift):
+        s = MultiPoly(nv, {tuple(map(add, key, shift)): c for key, c in s.terms.items()})
+    cont, s = s.content_normalize()
+    coeff = Fraction(term.coeff.numerator * scale[0] * cont, term.coeff.denominator * scale[1])
+    return _Term(coeff=coeff, hot=s, factors=carry)
+
+
+def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]) -> list[MultiPoly]:
     """The theta kind's q-series numerator
 
-        G = (q;q)^(2k) prod_f Phi(Y_f)^(e_f) mod q^(N+1),
+        G = G_0 (q;q)^(2k) prod_f Phi(Y_f)^(e_f) mod q^(N+1),
         Phi(Y) = prod_(n>=1) (1 - q^n Y)(1 - q^n / Y),
 
     over the (exponents of Y_f, e_f) pairs `ys` of the flag's factors and the
-    prefactor copies: its Taylor coefficients 0..terms-1 in v = S_0 - 1, or
-    G itself (terms = 1) at rank k = 0.  By Jacobi's triple product
+    prefactor copies, G_0 free of q: its Taylor coefficients
+    0..len(start)-1 in v = S_0 - 1, `start` being those of G_0, or G itself
+    (start = [G_0]) at rank k = 0.  By Jacobi's triple product
     theta(Y) = (Y^(1/2) - Y^(-1/2)) (q;q) Phi(Y), and the exponents e_f sum
-    to -k, so the theta integrand is the sine integrand times G, a q-unit
-    with no pole at S = 1.
+    to -k, so the theta integrand is the sine integrand times G / G_0, a
+    q-unit with no pole at S = 1.
 
     Newton's identity on log G gives j G_j = sum_(i=1..j) A_i G_(j-i) for
     the q^j coefficients, with A_i = -sum_(m | i) (i/m) P_m and
@@ -640,7 +568,7 @@ def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
     coefficient norms.  Variables are S_0..S_(k-1), w and q, those of
     `flag_residue_multiplicative`; exponents may be negative.
     """
-    nv = k + 2
+    nv, terms = k + 2, len(start)
     A = [[{} for _ in range(terms)] for _ in range(N + 1)]
     for m in range(1, N + 1):
         pm = [(0, (0,) * nv, 2 * k)]
@@ -662,15 +590,16 @@ def _theta_numerator(ys, k: int, N: int, terms: int) -> list[MultiPoly]:
                 d[mono] = d.get(mono, 0) - i // m * c
     A = [[MultiPoly(nv, {mono: c for mono, c in d.items() if c}) for d in Ai] for Ai in A]
     norms = [[sum(map(abs, p.terms.values())) for p in Ai] for Ai in A]
-    g, bound = [[1] + [0] * (terms - 1)], 1
+    g = [[sum(map(abs, p.terms.values())) for p in start]]
+    bound = max(g[0])
     for j in range(1, N + 1):
         h = [sum(norms[i][s] * g[j - i][t - s] for i in range(1, j + 1) for s in range(t + 1))
              for t in range(terms)]
         bound = max(bound, *h)
         g.append([-(-x // j) for x in h])
-    kr = Kronecker(nv, k, bound, [p for Ai in A for p in Ai])
+    kr = Kronecker(nv, k, bound, [p.terms.items() for Ai in (start, *A) for p in Ai])
     A = [[kr.pack(p) for p in Ai] for Ai in A]
-    G = [[kr.one()] + [{}] * (terms - 1)]
+    G = [[kr.pack(p) for p in start]]
     for j in range(1, N + 1):
         acc = [{} for _ in range(terms)]
         for i in range(1, j + 1):
@@ -694,14 +623,16 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     Residues in the flag coordinates are taken at X_j = 1 via S_j =
     X_j^(1/(2D)), D the integrand's `denom_scale`; the measure dX_j / X_j
     is 2D dS_j / S_j, and the leftover transcendental constants cancel
-    exactly by the factor-count balance (asserted at build).  With
-    Y^(1/2) = m1/m2 for coprime monomials m1, m2 in S_0..S_(k-1), w, each
-    factor's sine image Y^(1/2) - Y^(-1/2) is the binomial m1^2 - m2^2 over
-    m1 m2.  Every m1 m2 and each step's 1/S_j make one monomial, merged as
-    its numerator and denominator parts, and (2D)^k is applied once.
-    Both kinds take the sine factors and poles; the theta kind's q-series
-    numerator enters the first step as its Taylor series (`_theta_numerator`).
-    Returns a RatFunc in w (sine) or a QSeries with RatFunc coefficients (theta).
+    exactly by the factor-count balance (asserted at build).  For the
+    half-exponent row h of a factor's Y^(1/2) in S_0..S_(k-1), w, its sine
+    image Y^(1/2) - Y^(-1/2) is the binomial P_h over the monomial S^|h|
+    (`_merge_binomial`).  Every S^|h| and each step's 1/S_j make one Laurent
+    monomial, the hot numerator, and (2D)^k is applied once.  Both kinds
+    take the sine factors and poles; the theta kind's q-series numerator
+    enters the first step as its Taylor series, started from the monomial
+    (`_theta_numerator`), with its Y's read off the merged rows, as
+    Phi(Y) = Phi(1/Y).  Returns a RatFunc in w (sine) or a QSeries with
+    RatFunc coefficients (theta).
     """
     k = integrand.rank
     D = integrand.denom_scale
@@ -710,39 +641,30 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
                          "denominator_scale of the flags' localizations")
     assert sum(lf.exponent for lf in local_factors) == 0, \
         "sine factor count must balance the prefactor copies"
-    if _screened_zero(local_factors, k):
+    # the rank-many prefactor copies 1 / sine(y^d)^k as one more factor
+    factors = [*local_factors, LocalFactor(const=integrand.degree, lin=(0,) * k, den=1,
+                                           exponent=-k)]
+    if _screened_zero(factors, k):
         return zero_value(integrand)
     theta = integrand.kind == "theta"
     nv = k + 1 + theta
     scale = (2 * D) ** k, 1
-    factors: dict = {}
+    rows: dict = {}
     monomial = [-1] * k + [0] * (nv - k)
-    ys = []
-    # the rank-many prefactor copies 1 / sine(y^d)^k as one more factor
-    for lf in [*local_factors, LocalFactor(const=integrand.degree, lin=(0,) * k, den=1,
-                                           exponent=-k)]:
-        if not lf.const and not any(lf.lin):
-            if lf.exponent > 0:
-                return zero_value(integrand)
-            raise ZeroDivisionError("integrand denominator factor is identically zero")
-        half = _half_exponents(lf, D) + [0] * theta
-        binomial = MultiPoly(nv, {tuple(2 * max(x, 0) for x in half): 1,
-                                  tuple(2 * max(-x, 0) for x in half): -1})
-        scale = _merge_factor(factors, binomial, lf.exponent, scale)
-        monomial = [m - lf.exponent * abs(x) for m, x in zip(monomial, half)]
-        ys.append(([2 * x for x in half], lf.exponent))
-    scale = _merge_factor(factors, MultiPoly.monomial(nv, [max(x, 0) for x in monomial]), 1,
-                          scale)
-    scale = _merge_factor(factors, MultiPoly.monomial(nv, [max(-x, 0) for x in monomial]), -1,
-                          scale)
-    term = _Term(coeff=Fraction(*scale), hot=MultiPoly.const(nv, 1), factors=factors)
+    for lf in factors:
+        h = (*_half_exponents(lf, D), *(0,) * theta)
+        scale = _merge_binomial(rows, h, lf.exponent, scale)
+        monomial = [m - lf.exponent * abs(x) for m, x in zip(monomial, h)]
+    hot = MultiPoly.monomial(nv, monomial)
+    term = _Term(coeff=Fraction(*scale), hot=hot, factors=rows)
     taylor = None
     if theta:
+        ys = [([2 * x for x in h], e) for h, e in rows.items()]
         if k:
             def taylor(n):
-                return _theta_numerator(ys, k, integrand.q_order, n)
+                return _theta_numerator(ys, k, integrand.q_order, hot.shift_coefficients(0, 0, n))
         else:
-            [term.hot] = _theta_numerator(ys, 0, integrand.q_order, 1)
+            [term.hot] = _theta_numerator(ys, 0, integrand.q_order, [hot])
     for i in range(k):
         term = _residue_step(term, i, k, taylor if i == 0 else None)
         if term is None:
@@ -762,9 +684,10 @@ def zero_value(integrand: FactorizedIntegrand):
 def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, qv):
     """The finished term as a series in q to order N (order 0, no q, for sine).
 
-    Only the hot numerator carries q.  Each of its q^t coefficients, times
-    the numerator factors, is one polynomial over the product of the
-    denominator factors, and becomes one RatFunc in w, reduced once.
+    Only the hot numerator carries q, and every row left is (0, ..., 0, c),
+    the binomial w^(2c) - 1.  Each q^t coefficient of the hot numerator,
+    times the numerator rows, over the product of the denominator rows,
+    becomes one RatFunc in w, reduced once.
     """
     order = integrand.q_order if qv is not None else 0
 
@@ -772,11 +695,10 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
         return RatFunc([(k[widx], c) for k, c in poly.terms.items()])
 
     hot = term.hot.shift_coefficients(qv, 0, order + 1, 0) if qv is not None else [term.hot]
-    numerators = [([poly], e, False) for poly, e in term.factors.values() if e > 0]
-    series = _expand(hot, numerators, order, widx) if numerators else hot
-    den = prod([in_w(poly) ** -e for poly, e in term.factors.values() if e < 0],
-               start=RatFunc.const(1))
-    coeffs = [in_w(c) * term.coeff / den for c in series]
+    rows = [(RatFunc([(2 * h[widx], 1), (0, -1)]), e) for h, e in term.factors.items()]
+    num = prod([p ** e for p, e in rows if e > 0], start=RatFunc.const(term.coeff))
+    den = prod([p ** -e for p, e in rows if e < 0], start=RatFunc.const(1))
+    coeffs = [in_w(c) * num / den for c in hot]
     return coeffs[0] if qv is None else QSeries(order, coeffs)
 
 

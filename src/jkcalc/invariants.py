@@ -313,9 +313,8 @@ def compute(problem: GITProblem, kind: str = "all", q_order: int = DEFAULT_Q_ORD
     """Run the full pipeline and return exact invariants plus diagnostics.
 
     The perturbation is the signed order `sum_regular_perturbation` draws at
-    `seed`.  A non-unit leading coefficient (NonGenericResidueError) is
-    raised, not retried, since it does not depend on the perturbation.
-    `Diagnostics.retries` is therefore always 0.
+    `seed`.  No residue step meets a non-invertible leading coefficient, so
+    nothing is retried and `Diagnostics.retries` is always 0.
     allow_root_incidence demotes the root invertibility hypothesis from a
     hard error to a recorded violation and computes the residue sum anyway.
     """

@@ -26,9 +26,9 @@ class Kronecker:
     """The Kronecker layout of integer polynomials in `nvars` variables with
     `var` packed (see the module docstring).  A group is keyed by (the other
     exponents, low mod stride), with slots `stride` apart: the gcd of the
-    exponent gaps inside the groups of `polys`, so no slot is spent on a gap
-    that no term can fill.  Unpacking is exact for coefficients of absolute
-    value at most `bound`.
+    exponent gaps inside the groups of `polys`, each its (exponents,
+    coefficient) terms, so no slot is spent on a gap that no term can fill.
+    Unpacking is exact for coefficients of absolute value at most `bound`.
     """
 
     __slots__ = ("nvars", "var", "bits", "stride")
@@ -36,9 +36,11 @@ class Kronecker:
     def __init__(self, nvars: int, var: int, bound: int, polys):
         self.nvars, self.var, self.bits = nvars, var, bound.bit_length() + 1
         s = 0
-        for p in polys:
+        for terms in polys:
+            if s == 1:
+                break
             first: dict = {}
-            for k in p.terms:
+            for k, _ in terms:
                 e = k[var]
                 s = gcd(s, e - first.setdefault(k[:var] + k[var + 1:], e))
         self.stride = s or 1

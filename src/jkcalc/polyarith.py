@@ -72,26 +72,10 @@ class MultiPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def key(self):
-        return (self.nvars, tuple(sorted(self.terms.items())))
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __neg__(self):
         return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()})

@@ -1,8 +1,7 @@
 """Reference series arithmetic of the residue core: one dict update per term
-product, as `engine._series_mul` multiplied before its coefficient products
-were packed.  Series are lists of `MultiPoly` coefficients.  Tests compare
-the packed products with these, and `unit_power` with Miller's recurrence in
-`engine._unit_power`.
+product, with no packing.  Series are lists of `MultiPoly` coefficients.
+Tests compare `engine._row_series` with products of these, and with
+`unit_power`, the binomial sum of a power whose u^(e-target) is carried.
 
 `subst_shift` is the full shift x_var -> x_var + a that the residue steps
 applied to every polynomial before they computed only the Taylor
@@ -117,16 +116,17 @@ def laurent_shift(poly, var, n):
     return coefficients_in(shifted, var, n)
 
 
-def theta_numerator(ys, k, N, terms):
-    """(q;q)^(2k) prod_f Phi(Y_f)^(e_f) mod q^(N+1), Phi(Y) = prod_(n>=1)
+def theta_numerator(ys, k, N, terms, mono):
+    """G_0 (q;q)^(2k) prod_f Phi(Y_f)^(e_f) mod q^(N+1), Phi(Y) = prod_(n>=1)
     (1 - q^n Y)(1 - q^n / Y), over the (exponents of Y_f, e_f) pairs in
-    variables (S_0, ..., S_(k-1), w, q), multiplied out factor by factor,
-    with (1 - x)^(-1) as the geometric series; its first `terms` Taylor
-    coefficients at S_0 = 1 (`laurent_shift`), or [G] at k = 0."""
+    variables (S_0, ..., S_(k-1), w, q), G_0 the monomial of exponents
+    `mono`, multiplied out factor by factor, with (1 - x)^(-1) as the
+    geometric series; its first `terms` Taylor coefficients at S_0 = 1
+    (`laurent_shift`), or [G] at k = 0."""
     nv = k + 2
     pieces = [((0,) * nv, 2 * k)]
     pieces += [(tuple(s * x for x in y), e) for y, e in ys for s in (1, -1)]
-    out = MultiPoly.const(nv, 1)
+    out = MultiPoly.monomial(nv, mono)
     for y, e in pieces:
         for n in range(1, N + 1):
             x = MultiPoly.monomial(nv, y[:-1] + (n,))

@@ -221,6 +221,17 @@ class TestLineOrder:
         code, err = _exit_and_error(tmp_path, capsys, text)
         assert code == 3 and message in err
 
+    @pytest.mark.parametrize("first", [True, False], ids=["rank-first", "rank-last"])
+    def test_negative_rank_is_named(self, first, tmp_path, capsys):
+        lines = ["xi [1]", "weight [1] 0 1"]
+        lines.insert(0 if first else 2, "rank -1")
+        text = "mode raw\n" + "\n".join(lines) + "\n"
+        lineno = lines.index("rank -1") + 2
+        with pytest.raises(ConfigError, match=f"^line {lineno}: rank must be >= 0$"):
+            parse_config(text)
+        code, err = _exit_and_error(tmp_path, capsys, text)
+        assert code == 3 and err == f"config error: line {lineno}: rank must be >= 0\n"
+
     def test_weight_before_rank_names_the_length(self):
         with pytest.raises(ConfigError, match=re.escape(
                 "line 2: weight [1,0,0] has 3 entries but the declared rank is 2")):
@@ -391,6 +402,13 @@ class TestCliProcess:
 
     def test_missing_file_exit_three(self, capsys):
         assert cli.run(["/nonexistent/p.cfg"]) == 3
+
+    def test_undecodable_file_exit_three(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_bytes(b"mode raw\nlabel \xff\xfe\n")
+        assert cli.run([str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ") and "Traceback" not in err
 
     def test_validation_failure_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -259,7 +259,7 @@ def _theta_factor(b, N):
     """(numerator, denominator) of the sine image w^b - w^(-b) and the theta
     numerator modulo q^(N+1) of the rank-0 factor with Y^(1/2) = w^b, in (w, q)."""
     num = MultiPoly(2, {(2 * max(b, 0), 0): 1, (2 * max(-b, 0), 0): -1})
-    [numerator] = _theta_numerator([((2 * b, 0), 1)], 0, N, 1)
+    [numerator] = _theta_numerator([((2 * b, 0), 1)], 0, N, [MultiPoly.const(2, 1)])
     return num, MultiPoly.monomial(2, (abs(b), 0)), numerator
 
 
@@ -305,7 +305,7 @@ class TestMultiplicativeImages:
             pentagonal = MultiPoly(nv, {(0,) * (k + 1) + (j * (3 * j - 1) // 2,): (-1) ** j
                                         for j in range(-N, N + 1) if j * (3 * j - 1) // 2 <= N})
             assert _mod_q(pentagonal, N, k + 1) == _euler(N, nv)
-            assert _theta_numerator([], k, N, 2) == \
+            assert _theta_numerator([], k, N, [MultiPoly.const(nv, 1), MultiPoly.zero(nv)]) == \
                 [_mod_q(pentagonal.pow(2 * k), N, k + 1), MultiPoly.zero(nv)]
 
     def test_denominator_scale_must_clear_data(self):
@@ -342,22 +342,26 @@ class TestFlagResidueMultiplicative:
             engine.flag_residue(local, flag, ig)
 
     def test_factors_are_binomials_over_one_monomial(self, monkeypatch):
-        # each factor's sine image is a binomial over a monomial, and every
-        # monomial merges with the measure into at most two factors
-        sizes = []
+        # each factor's sine image is the binomial of a half-exponent row over
+        # a monomial, and every monomial merges with the measure into the hot
+        # numerator: at the first step it is one monomial, and every row is
+        # nonzero with its first nonzero entry positive
+        terms = []
         step = engine._residue_step
 
         def first_step(term, var, *args):
             if var == 0:
-                sizes.append(Counter(len(p.terms) for p, _ in term.factors.values()))
+                terms.append(term)
             return step(term, var, *args)
 
         monkeypatch.setattr(engine, "_residue_step", first_step)
         invariants.compute(builders.framed_a3_problem(3, 1, (1, 2, 3)), kind="sine",
                            allow_root_incidence=True)
-        assert sizes
-        for count in sizes:
-            assert set(count) <= {1, 2} and count[1] <= 2, count
+        assert terms
+        for term in terms:
+            assert list(term.hot.terms.values()) == [1]
+            assert term.factors and all(next(filter(None, h)) > 0 for h in term.factors)
+            assert all(len(h) == term.hot.nvars for h in term.factors)
 
     def test_unbalanced_factor_list_rejected(self):
         ig = bare_integrand(1, [IntegrandFactor(rho=(F(1),), const=F(0), exponent=-1,
@@ -552,6 +556,13 @@ class TestIdenticallyZeroFactors:
         with pytest.raises(ZeroDivisionError, match="identically zero"):
             flag_residue_multiplicative(local, flag, bare_integrand(1, [], kind="sine"))
 
+    def test_zero_degree_prefactor_raises(self):
+        # at d = 0 the prefactor 1 / sine(y^d)^k is an identically zero denominator
+        local = _local((0, (1,), -1), (1, (1,), 1))
+        flag = simple_flag([(1,)], [(1,)])
+        with pytest.raises(ZeroDivisionError, match="identically zero"):
+            flag_residue_multiplicative(local, flag, bare_integrand(1, [], kind="sine", degree=0))
+
 
 def _affine_series(a, b, e, n):
     """The first n coefficients of (a + b z)^e, a != 0, over Q."""
@@ -605,18 +616,28 @@ def test_a_target_zero_step_multiplies_nothing(monkeypatch):
 
 def test_the_quiver_dt_deck_takes_its_residues_on_rows(count_calls):
     """The additive residues of the seed-3 `quiver-dt` deck run on affine
-    rows alone: 60 row steps, no multiplicative step, no `_expand`, and 1,940
-    packed products (2,899 while every factor was a polynomial raised by
-    Miller's recurrence)."""
+    rows alone: 60 row steps, no multiplicative step, and 1,940 packed
+    products (2,899 while every factor was a polynomial raised by Miller's
+    recurrence)."""
     residue_steps = count_calls(engine, "_residue_step")
-    expands = count_calls(engine, "_expand")
     row_steps = count_calls(engine, "_row_step")
     products = count_calls(Kronecker, "mul_into")
     for item in deck("quiver-dt"):
         invariants.compute(item.problem, **item.kwargs)
-    assert (len(residue_steps), len(expands)) == (0, 0)
+    assert len(residue_steps) == 0
     assert len(row_steps) == 60
-    assert len(products) <= 1940
+    assert len(products) == 1940
+
+
+def test_the_request_mix_deck_makes_8840_packed_products(count_calls):
+    """The DT requests of the seed-3 `request-mix` deck, parsed and computed
+    as the benchmark computes them, make 8,840 packed products."""
+    products = count_calls(Kronecker, "mul_into")
+    for item in deck("request-mix"):
+        cfg = parse_config(item.text)
+        invariants.compute(cfg.build_problem(), kind="additive", q_order=cfg.q_order,
+                           seed=cfg.seed)
+    assert len(products) == 8840
 
 
 def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):

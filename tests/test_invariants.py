@@ -386,23 +386,23 @@ class TestPerturbationPaths:
             flags += res.diagnostics.points[0].flags
         assert len(flags) == 2 and flags[0] != flags[1]
 
-    def test_non_generic_configuration_exits_four(self, tmp_path, monkeypatch, capsys):
-        # the error does not depend on the perturbation, so it ends the run as
-        # an internal error instead of triggering a re-perturbation
+    def test_internal_error_exits_four(self, tmp_path, monkeypatch, capsys):
+        # a failed assertion in the residues does not depend on the
+        # perturbation, so it ends the run as an internal error instead of
+        # triggering a re-perturbation
         from jkcalc import cli, engine
-        from jkcalc.engine import NonGenericResidueError
         cfg = tmp_path / "p.cfg"
         cfg.write_text("mode grassmannian-det\nk 2\nn 4\npower 4\n")
         calls = []
 
         def failing(*args, **kwargs):
             calls.append(1)
-            raise NonGenericResidueError("forced non-generic configuration")
+            raise AssertionError("forced internal error")
 
         monkeypatch.setattr(engine, "jk_residue", failing)
         assert cli.run([str(cfg), "--invariant", "dt"]) == 4
         err = capsys.readouterr().err
-        assert "internal error: forced non-generic configuration" in err
+        assert "internal error: forced internal error" in err
         assert "Traceback" not in err
         assert len(calls) == 1
 

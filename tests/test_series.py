@@ -3,23 +3,23 @@ in `series_reference.py`.
 
 Series are lists of polynomials in (S, w, q); w is the packed variable, as
 in the multiplicative residue steps, and the groups are keyed by the S and q
-exponents.  The layout of each product is built as `engine._expand` builds
-it, from `_norm_bound`.
+exponents.  `engine._row_series` is checked on the three unit shapes of the
+residue steps: an affine row, a binomial with Laurent u' = 1 - S^(-2u), and
+the integer series of a simple zero.
 """
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import series_reference as ref
 from jkcalc import engine
-from jkcalc.engine import NonGenericResidueError
 from jkcalc.kronecker import Kronecker
 from jkcalc.polyarith import MultiPoly
 
 NV, PV = 3, 1
-ONE = [MultiPoly.const(NV, 1)]
 
 
 def random_poly(rng, *, big=False, drift=0, offset=3, q_max=0, stride=2, terms=6):
@@ -49,198 +49,155 @@ def random_series(rng, length, shape, empty=0.25):
             for t in range(length)]
 
 
-def layout(series, factors, target):
-    bound = max(engine._norm_bound(series, factors, target))
-    polys = series + [p for unit, _, _ in factors for p in unit]
-    return Kronecker(NV, PV, bound, polys)
+def norm(poly):
+    return sum(map(abs, poly.terms.values()))
 
 
-def packed(kr, series, target):
-    return [kr.pack(p) for p in series[:target + 1]] + [{}] * (target + 1 - len(series))
+def layout(bound, *polys):
+    return Kronecker(NV, PV, bound, [p.terms.items() for p in polys])
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", CASES)
-def test_series_mul_matches_reference(name, seed):
+def test_mul_into_matches_reference(name, seed):
     rng = random.Random(f"{name}-{seed}")
-    shape = CASES[name]
-    for target in range(4):
-        a = random_series(rng, rng.randint(1, target + 2), shape)
-        b = random_series(rng, rng.randint(1, target + 2), shape)
-        kr = layout(a, [(b, 1, False)], target)
-        got = engine._series_mul(packed(kr, a, target), packed(kr, b, target), target, kr)
-        want = ref.series_mul(ref_pad(a, target), ref_pad(b, target), target, NV)
-        assert [kr.unpack(c) for c in got] == want
-
-
-def ref_pad(series, target):
-    return series[:target + 1] + [MultiPoly.zero(NV)] * (target + 1 - len(series))
+    for _ in range(4):
+        a, b, c = (random_poly(rng, **CASES[name]) for _ in range(3))
+        kr = layout(norm(a) * norm(b) + norm(c), a, b, c)
+        got = kr.mul_into(kr.pack(c), kr.pack(a), kr.pack(b))
+        assert kr.unpack(got) == c + a.mul(b)
 
 
 def test_cancelling_products_leave_no_terms():
     rng = random.Random(5)
     p, q = random_poly(rng, drift=2), random_poly(rng, big=True)
-    a, b = [p, p], [q, -q]    # the v^1 coefficient is p q - p q
-    kr = layout(a, [(b, 1, False)], 1)
-    got = engine._series_mul(packed(kr, a, 1), packed(kr, b, 1), 1, kr)
-    assert got[1] == {}
-    assert kr.unpack(got[0]) == p.mul(q)
+    kr = layout(norm(p) * norm(q), p, q)
+    P, Q = kr.pack(p), kr.pack(q)
+    assert kr.unpack(kr.mul_into({}, P, Q)) == p.mul(q)
+    # p q - p q
+    assert kr.mul_into(kr.mul_into({}, P, Q), P, kr.pack(-q)) == {}
     # (w^3 - 1)(w^3 + 1): the middle slots cancel inside one group
     w3 = MultiPoly.monomial(NV, (0, 3, 0))
-    c = [w3 - 1]
-    kr = layout(c, [([w3 + 1], 1, False)], 0)
-    [got] = engine._series_mul(packed(kr, c, 0), packed(kr, [w3 + 1], 0), 0, kr)
+    kr = layout(4, w3 - 1, w3 + 1)
+    got = kr.mul_into({}, kr.pack(w3 - 1), kr.pack(w3 + 1))
     assert kr.unpack(got) == w3.mul(w3) - 1
 
 
 def test_positive_products_need_the_sign_bit():
     # the product 5 * 7 w^2 is its own L1 bound; read without the sign bit it
     # would come back negative
-    a, b = [MultiPoly(NV, {(0, 1, 0): 5})], [MultiPoly(NV, {(0, 1, 0): 7})]
-    kr = layout(a, [(b, 1, False)], 0)
-    [got] = engine._series_mul(packed(kr, a, 0), packed(kr, b, 0), 0, kr)
+    a, b = MultiPoly(NV, {(0, 1, 0): 5}), MultiPoly(NV, {(0, 1, 0): 7})
+    kr = layout(35, a, b)
+    got = kr.mul_into({}, kr.pack(a), kr.pack(b))
     assert kr.unpack(got) == MultiPoly(NV, {(0, 2, 0): 35})
-
-
-@pytest.mark.parametrize("n", (1, 2, 3, 5))
-@pytest.mark.parametrize("name", CASES)
-def test_series_pow_matches_reference(name, n):
-    rng = random.Random(f"pow-{name}-{n}")
-    shape = CASES[name]
-    for target in range(4):
-        a = ref_pad(random_series(rng, target + 1, shape), target)
-        kr = layout(ONE, [(a, n, False)], target)
-        got = engine._series_pow(packed(kr, a, target), n, target, kr)
-        want = ref.series_pow(a, n, target, NV)
-        assert [kr.unpack(c) for c in got] == want
-
-
-def unit_series(rng, target, shape):
-    """A series whose constant term is nonzero."""
-    series = ref_pad(random_series(rng, target + 1, shape), target)
-    series[0] = series[0] + MultiPoly(NV, {(rng.randint(0, 3), 4, 0): rng.choice((-3, 2))})
-    return series
-
-
-def carried(e, target):
-    """The residue step's rule: which powers `_expand` reads through
-    `_unit_power`, the caller carrying u_0^(e-target)."""
-    return e < 0 or e >= target
-
-
-@pytest.mark.parametrize("p", (1, 2, 4))
-@pytest.mark.parametrize("name", CASES)
-def test_inverse_power_matches_reference(name, p):
-    rng = random.Random(f"inv-{name}-{p}")
-    shape = CASES[name]
-    for target in range(5):
-        unit = unit_series(rng, target, shape)
-        kr = layout(ONE, [(unit, -p, True)], target)
-        got = engine._unit_power(packed(kr, unit, target), -p, target, kr)
-        assert [kr.unpack(c) for c in got] == ref.unit_power(unit, -p, target, NV)
-
-
-def test_inverse_power_rejects_a_non_unit():
-    unit = [MultiPoly.zero(NV), MultiPoly.const(NV, 1)]
-    for e in (-1, 2):
-        kr = layout(ONE, [(unit, e, True)], 1)
-        with pytest.raises(NonGenericResidueError):
-            engine._unit_power(packed(kr, unit, 1), e, 1, kr)
-
-
-def monomial_unit(rng, target):
-    """A unit of single-term coefficients: its `_norm_bound` is attained."""
-    return [MultiPoly(NV, {(rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 1)):
-                           rng.choice((-1, 1)) * rng.randint(1, 2**40)})
-            for _ in range(target + 1)]
-
-
-UNIT_SHAPES = {
-    "affine": lambda rng, target: monomial_unit(rng, 1)[:target + 1],
-    "dense": lambda rng, target: unit_series(rng, target, {"big": rng.random() < 0.5, "terms": 3}),
-    "dense-monomial": monomial_unit,
-}
-
-
-@pytest.mark.parametrize("target", range(6))
-@pytest.mark.parametrize("shape", UNIT_SHAPES)
-def test_unit_power_matches_reference(shape, target):
-    rng = random.Random(f"unit-{shape}-{target}")
-    for e in (*range(-4, 0), *range(1, target + 4)):
-        unit = UNIT_SHAPES[shape](rng, target)
-        kr = layout(ONE, [(unit, e, True)], target)
-        V = [kr.unpack(c) for c in engine._unit_power(packed(kr, unit, target), e, target, kr)]
-        assert V == ref.unit_power(unit, e, target, NV), (e, unit)
-        # V u_0^(e-target) = U^e mod v^(target+1), with every power nonnegative:
-        # V U^a u_0^max(e-target, 0) = U^(e+a) u_0^max(target-e, 0), a = max(-e, 0)
-        U, u0 = ref_pad(unit, target), ref_pad(unit[:1], target)
-        a = max(-e, 0)
-        lhs = ref.series_mul(V, ref.series_pow(U, a, target, NV), target, NV)
-        lhs = ref.series_mul(lhs, ref.series_pow(u0, max(e - target, 0), target, NV), target, NV)
-        rhs = ref.series_mul(ref.series_pow(U, e + a, target, NV),
-                             ref.series_pow(u0, max(target - e, 0), target, NV), target, NV)
-        assert lhs == rhs, (e, unit)
-        # `_expand` reads the power in full below the target, else as V
-        want = V if carried(e, target) else ref.series_pow(U, e, target, NV)
-        assert engine._expand(ONE, [(unit, e, carried(e, target))], target, PV) == want
-
-
-@pytest.mark.parametrize("shape", UNIT_SHAPES)
-def test_unit_power_multiplies_nothing_by_one(shape, monkeypatch):
-    # W_0 = 1 enters each W_t sum as its j = t term and V_0 as u_0^target
-    mul_into = Kronecker.mul_into
-    products = []
-
-    def checked(self, dst, a, b):
-        assert self.one() not in (a, b)
-        products.append(1)
-        return mul_into(self, dst, a, b)
-
-    monkeypatch.setattr(Kronecker, "mul_into", checked)
-    rng = random.Random(f"one-{shape}")
-    for target in range(6):
-        for e in (-2, -1, 1, target + 1):
-            unit = UNIT_SHAPES[shape](rng, target)
-            kr = layout(ONE, [(unit, e, True)], target)
-            engine._unit_power(packed(kr, unit, target), e, target, kr)
-    assert products
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_expand_matches_the_reference_chain(name):
-    rng = random.Random(f"expand-{name}")
-    shape = CASES[name]
-    for target in range(4):
-        series = random_series(rng, target + 1, shape)
-        factors = [(unit_series(rng, target, shape), e) for e in (2, -1, -2)]
-        factors = [(unit, e, carried(e, target)) for unit, e in factors]
-        want = ref_pad(series, target)
-        for unit, e, carry in factors:
-            fser = ref.unit_power(unit, e, target, NV) if carry else \
-                ref.series_pow(unit, e, target, NV)
-            want = ref.series_mul(want, fser, target, NV)
-        assert engine._expand(series, factors, target, PV) == want
-        assert engine._expand(series, factors, target, PV, target) == want[target:]
-
-
-def test_norm_bound_covers_every_rescaled_coefficient():
-    # (-1 + 1000 v) * 1000^2 / (1000 + v) to order v: the v coefficient
-    # 1000^2 + 1 is read back only if the bound scales V_0 by p0 before the
-    # product with the series
-    c = [MultiPoly.const(NV, x) for x in (-1, 1000, 1000, 1)]
-    [got] = engine._expand(c[:2], [(c[2:], -1, True)], 1, PV, 1)
-    assert got == MultiPoly.const(NV, 1000 ** 2 + 1)
 
 
 def test_groups_whose_slots_do_not_line_up_stay_apart():
     # stride 2 from 1 + w^2; S w^0 and S w^1 land in one S group with slots
     # of opposite parity, which no shift by whole slots can align
-    a = [MultiPoly(NV, {(0, 0, 0): 1, (1, 1, 0): 1})]
-    b = [MultiPoly(NV, {(0, 0, 0): 1, (0, 2, 0): 1, (1, 0, 0): 1})]
-    kr = layout(a, [(b, 1, False)], 0)
+    a = MultiPoly(NV, {(0, 0, 0): 1, (1, 1, 0): 1})
+    b = MultiPoly(NV, {(0, 0, 0): 1, (0, 2, 0): 1, (1, 0, 0): 1})
+    kr = layout(norm(a) * norm(b), a, b)
     assert kr.stride == 2
-    [got] = engine._series_mul(packed(kr, a, 0), packed(kr, b, 0), 0, kr)
-    assert kr.unpack(got) == a[0].mul(b[0])
+    got = kr.mul_into({}, kr.pack(a), kr.pack(b))
+    assert kr.unpack(got) == a.mul(b)
+
+
+def affine_unit(rng, target):
+    """U = u + l v for a row u of up to three terms, one coefficient above
+    2^64 at times."""
+    u = {(rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 1)):
+         rng.choice((-1, 1)) * rng.randint(1, 2**70 if rng.random() < 0.3 else 9)
+         for _ in range(rng.randint(1, 3))}
+    return list(u.items()), {1: rng.choice((-3, -1, 1, 2))}
+
+
+def binomial_unit(rng, target):
+    """P_h / A = u' + w: u' = 1 - S^(-2u) with u a nonzero row of S and w
+    exponents, w = (1+v)^(2 h_i) - 1."""
+    u = (0, 0, 0)
+    while not any(u):
+        u = (rng.randint(-2, 2), rng.randint(-3, 3), 0)
+    h = rng.randint(1, 3)
+    return [((0, 0, 0), 1), (tuple(-2 * x for x in u), -1)], \
+        {t: comb(2 * h, t) for t in range(1, 2 * h + 1)}
+
+
+def simple_zero_unit(rng, target):
+    """U = ((1+v)^(2h) - 1)/v, an integer series: u = 2h, w its tail."""
+    h = rng.randint(1, 3)
+    return 2 * h, {t: comb(2 * h, t + 1) for t in range(1, 2 * h)}
+
+
+UNIT_SHAPES = {"affine": affine_unit, "binomial": binomial_unit, "simple-zero": simple_zero_unit}
+
+
+def reference_unit(u, w, target):
+    """U = u + w as a series of `MultiPoly` coefficients."""
+    u = MultiPoly.const(NV, u) if isinstance(u, int) else MultiPoly(NV, dict(u))
+    return [u] + [MultiPoly.const(NV, w.get(t, 0)) for t in range(1, target + 1)]
+
+
+def reference_series(hot, units, target):
+    """Coefficient target of hot * prod V, V = U^e in full when m = e, else
+    the binomial sum of `ref.unit_power`."""
+    want = hot[:target + 1] + [MultiPoly.zero(NV)] * (target + 1 - len(hot))
+    for u, w, e, m in units:
+        U = reference_unit(u, w, target)
+        V = ref.series_pow(U, e, target, NV) if m == e else ref.unit_power(U, e, target, NV)
+        want = ref.series_mul(want, V, target, NV)
+    return want[target]
+
+
+def power_rule(e, target):
+    """m of the residue steps: e for 0 < e < target, else target."""
+    return e if 0 < e < target else target
+
+
+@pytest.mark.parametrize("target", range(1, 5))
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("shape", UNIT_SHAPES)
+def test_row_series_matches_the_reference_chain(shape, name, target):
+    rng = random.Random(f"rows-{shape}-{name}-{target}")
+    for e in (-2, -1, 1, 2, target + 1):
+        hot = random_series(rng, target + 1, CASES[name])
+        units = [(*UNIT_SHAPES[shape](rng, target), e, power_rule(e, target))]
+        # a second unit of another shape, so products of units are read
+        other = rng.choice([s for s in UNIT_SHAPES if s != shape])
+        f = rng.choice((-1, 2))
+        units.append((*UNIT_SHAPES[other](rng, target), f, power_rule(f, target)))
+        assert engine._row_series(hot, units, target, PV) == \
+            reference_series(hot, units, target), (e, units)
+
+
+@pytest.mark.parametrize("u", [1000, [((0, 0, 0), 1000)]], ids=["integer", "packed"])
+def test_row_series_bound_covers_every_rescaled_coefficient(u):
+    # (-1 + 1000 v) * 1000^2 / (1000 + v) to order v: the v coefficient
+    # 1000^2 + 1 is read back only if the bound scales V_0 = 1000 by |u|
+    # before the product with hot
+    hot = [MultiPoly.const(NV, -1), MultiPoly.const(NV, 1000)]
+    got = engine._row_series(hot, [(u, {1: 1}, -1, 1)], 1, PV)
+    assert got == MultiPoly.const(NV, 1000 ** 2 + 1)
+
+
+@pytest.mark.parametrize("c", (1, 2, 5))
+def test_a_lone_binomial_unit_sets_the_stride(c, monkeypatch):
+    # 1 - w^(-2c) over the hot numerator 1: with the stride taken over hot
+    # alone, each packed power of u' would span 2c slots for its two terms
+    strides = []
+
+    class Recorded(Kronecker):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            strides.append(self.stride)
+
+    monkeypatch.setattr(engine, "Kronecker", Recorded)
+    units = [([((0, 0, 0), 1), ((0, -2 * c, 0), -1)], {1: 2, 2: 1}, -1, 2)]
+    hot = [MultiPoly.const(NV, 1)] * 3
+    assert engine._row_series(hot, units, 2, PV) == reference_series(hot, units, 2)
+    assert strides == [2 * c]
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +301,24 @@ def test_shift_coefficients_of_laurent_polynomials_match_the_full_substitution()
 
 def theta_cases():
     """Seeded (Y, E) sets at ranks 0-3: exponents of Y in (S, w) in
-    [-3, 3], E in {-2, -1, 1, 2}, one to four factors."""
-    rng = random.Random(31)
+    [-3, 3], E in {-2, -1, 1, 2}, one to four factors, and a Laurent
+    monomial G_0 in (S, w) with exponents in [-4, 4]."""
+    rng, monomials = random.Random(31), random.Random(37)
     for k in range(4):
         for _ in range(6 if k else 3):
             ys = [(tuple(rng.randint(-3, 3) for _ in range(k + 1)) + (0,),
                    rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 4))]
             N = rng.randint(0, 4 if k < 2 else 2)
-            yield ys, k, N, rng.randint(1, 4) if k else 1
+            mono = tuple(monomials.randint(-4, 4) for _ in range(k + 1)) + (0,)
+            yield ys, k, N, rng.randint(1, 4) if k else 1, mono
 
 
 def test_theta_numerator_matches_the_product_form():
     cases = 0
-    for ys, k, N, terms in theta_cases():
-        got = engine._theta_numerator(ys, k, N, terms)
-        assert got == ref.theta_numerator(ys, k, N, terms), (ys, k, N, terms)
+    for ys, k, N, terms, mono in theta_cases():
+        g0 = MultiPoly.monomial(k + 2, mono)
+        start = g0.shift_coefficients(0, 0, terms) if k else [g0]
+        got = engine._theta_numerator(ys, k, N, start)
+        assert got == ref.theta_numerator(ys, k, N, terms, mono), (ys, k, N, terms, mono)
         cases += N > 1
     assert cases >= 8
