@@ -640,6 +640,17 @@ def test_the_request_mix_deck_makes_8840_packed_products(count_calls):
     assert len(products) == 8840
 
 
+def test_the_elliptic_genus_deck_makes_7677_packed_products(count_calls):
+    """The chi_y and Ell requests of the seed-3 `elliptic-genus` deck, one
+    theta residue per flag, make 7,677 packed products: the count moves
+    with the work of the multiplicative steps, the order in which they
+    multiply their units included."""
+    products = count_calls(Kronecker, "mul_into")
+    for item in deck("elliptic-genus"):
+        invariants.compute(item.problem, **item.kwargs)
+    assert len(products) == 7677
+
+
 def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):
     """The seed-3 `quiver-dt` deck has 199 flags, 115 of them with zero
     residue: the screen decides at least 100 of those, and every flag it
