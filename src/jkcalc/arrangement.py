@@ -7,8 +7,8 @@ coordinates, which breaks every tie of the flag-stability test), the integer
 lattice spanned by the weights, and enumeration of proper stable flags, each
 as its basis kappa, kappa's inverse and its lattice normalization factor.
 
-The work follows the distinct covectors, grouped by line (`_line`), and the
-stable points, not the combinations of hyperplanes: one inverse per
+The work follows the distinct covectors, grouped by line (`linalg.line`),
+and the stable points, not the combinations of hyperplanes: one inverse per
 `rank`-set of lines, kept per problem (`LineTable`), which gives the points
 with their active sets, the stability covector's coordinates and the flags
 of the points with `rank` distinct weights in closed form; elsewhere a
@@ -80,23 +80,13 @@ class Perturbation:
     seed: int
 
 
-def _line(rho):
-    """(p, m) with rho = m p for a nonzero integer covector rho: p spans
-    rho's line, primitive with its first nonzero entry positive, as
-    `linalg.primitive` scales it, and m is a nonzero integer."""
-    m = gcd(*rho)
-    if next(filter(None, rho)) < 0:
-        m = -m
-    return tuple(x // m for x in rho), m
-
-
 class LineTable:
     """One problem's geometry, each piece computed once and read by every
     point: the `linalg.inverse` (R, d) of each sorted `rank`-set of lines p
-    (`_line`), None where they are dependent, which the validation fills,
-    and the `linalg.hyperplane_normal` of each set of rows asked for.  A
-    normal is primitive with a canonical sign, so it depends on the rows as
-    a set, not on their order."""
+    (`linalg.line`), None where they are dependent, which the validation
+    fills, and the `linalg.hyperplane_normal` of each set of rows asked
+    for.  A normal is primitive with a canonical sign, so it depends on the
+    rows as a set, not on their order."""
 
     def __init__(self):
         self.inverses = {}
@@ -125,8 +115,8 @@ def isolated_intersections(forms, rank: int, inverses=None) -> list[Intersection
     """All points where `rank` independent hyperplanes of the arrangement meet.
 
     The hyperplanes are grouped by line: the form m p.u + const, rho = m p
-    (`_line`), vanishes on the hyperplane p.u = -const/m, one of the parallel
-    hyperplanes of line p.  The inverse (R, d) of each independent
+    (`linalg.line`), vanishes on the hyperplane p.u = -const/m, one of the
+    parallel hyperplanes of line p.  The inverse (R, d) of each independent
     `rank`-set of lines (`_line_inverses`, or `inverses` when the caller has
     it) gives the point of every choice of one hyperplane per line, R t / d
     for t the chosen values -const/m, by one integer mat-vec.  A point's
@@ -141,7 +131,7 @@ def isolated_intersections(forms, rank: int, inverses=None) -> list[Intersection
     lines = {}   # p -> {(num, den) of -const/m, den > 0: [(index, rho) of its forms]}
     for i, f in enumerate(forms):
         if f.is_hyperplane():
-            p, m = _line(f.rho)
+            p, m = linalg.line(f.rho)
             g = gcd(f.const, m) if m > 0 else -gcd(f.const, m)
             lines.setdefault(p, {}).setdefault((-f.const // g, m // g), []).append((i, f.rho))
         elif f.const == 0:
@@ -205,17 +195,17 @@ def cone_membership(xi, gens, strict: bool = False):
 
 def _cone_signs(weights, xi, table):
     """(signed, inverses, signs): `signed` maps each distinct nonzero weight
-    m p (`_line`) to (p, the sign of m), `inverses` is `_line_inverses` of
-    the lines in `table`, and `signs` maps each `len(xi)`-set of lines to the signs
-    (+1, 0, -1) of xi's coordinates in it, xi . column i of its inverse, or
-    to None where the lines are dependent.  xi is strictly inside the cone
-    of independent weights S exactly when, in a basis of lines holding S's,
-    xi's coordinates are 0 off S's lines and of S's multipliers' signs on
-    them."""
+    m p (`linalg.line`) to (p, the sign of m), `inverses` is
+    `_line_inverses` of the lines in `table`, and `signs` maps each
+    `len(xi)`-set of lines to the signs (+1, 0, -1) of xi's coordinates in
+    it, xi . column i of its inverse, or to None where the lines are
+    dependent.  xi is strictly inside the cone of independent weights S
+    exactly when, in a basis of lines holding S's, xi's coordinates are 0
+    off S's lines and of S's multipliers' signs on them."""
     signed = {}
     for w in map(tuple, weights):
         if w not in signed and not is_zero_vec(w):
-            p, m = _line(w)
+            p, m = linalg.line(w)
             signed[w] = p, 1 if m > 0 else -1
     inverses = _line_inverses({p for p, _ in signed.values()}, len(xi), table)
     signs = {basis: None if inv is None else
@@ -238,19 +228,11 @@ def _regular(signed, signs) -> bool:
     return in_cone
 
 
-def regular_stability_check(weights, xi) -> bool:
-    """xi lies in the weight cone but on no cone of rank-1-fewer weights: by
-    Caratheodory, the smallest independent set of weights with xi strictly
-    inside its cone has `rank` elements.  Decided per basis of lines
-    (`_cone_signs`)."""
-    signed, _, signs = _cone_signs(weights, xi, LineTable())
-    return _regular(signed, signs)
-
-
 def intersections(forms, rank, xi, table=None):
     """(isolated intersections, the stable ones) for a regular xi, which lies on
     no cone of fewer than `rank` weights: a point is stable when xi lies in the
-    strict cone of `rank` independent active weights.
+    strict cone of `rank` independent active weights.  Raises
+    PerturbationError for any other xi.
 
     One inverse per basis of lines (`_cone_signs`) gives the points and xi's
     coordinates, for the regularity test and every point alike: a point is
@@ -325,11 +307,11 @@ def _flag(kappa, kappa_inverse, basis) -> Flag:
 
 def _weights_inverse(weights, table):
     """`linalg.inverse` of `rank` weights, read off the inverse (R, d) of
-    their sorted lines in `table`: with weight i = m_i p_i (`_line`), column
-    i is the column of p_i in R over d m_i, and the columns, each reduced by
-    its gcd, are put over the lcm of their denominators.  None when two
+    their sorted lines in `table`: with weight i = m_i p_i (`linalg.line`),
+    column i is the column of p_i in R over d m_i, and the columns, each
+    reduced by its gcd, are put over the lcm of their denominators.  None when two
     weights share a line or the lines are dependent."""
-    lines = [_line(w) for w in weights]
+    lines = [linalg.line(w) for w in weights]
     key = tuple(sorted({p for p, _ in lines}))
     inv = table.inverse(key) if len(key) == len(weights) else None
     if inv is None:

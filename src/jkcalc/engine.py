@@ -25,14 +25,16 @@ Residues are taken innermost flag coordinate first, the remaining coordinates
 acting as transcendentals.  Intermediate values are kept as one expanded
 "hot" numerator times a dictionary of factored powers of integer rows, so no
 denominator is ever expanded and no gcd is needed along the way.  A row
-keeps its shape through every step: the additive kind's affine row (c, l),
-residues at z_i = 0 (`_row_step`), and the multiplicative kinds' row h,
-residues at S_i = 1 (`_residue_step`).  At step i a row with l_i = 0
-(h_i = 0) is carried as it is, a row whose only nonzero entry left is l_i
-(with c = 0) or h_i is a simple zero, and any other row is a unit U = u + w,
-w = O(v) an integer series in the step variable v.  One power rule reads
-U^e off the binomial theorem (`_row_series`): a step of target T carries
-u^(e-T) factored, numerators too, and multiplies only
+keeps its shape through every step, and every kind stores it constant-last:
+the additive kind's affine row (*l, c), residues at z_i = 0, and the
+multiplicative kinds' half-exponent row h = (*lin, const[, q]), residues at
+S_i = 1.  One step takes both (`_step`): at step i a row with row[i] = 0 is
+carried as it is, a row whose only nonzero entry left is row[i] is a simple
+zero, and any other row is a unit U = u + w, w = O(v) an integer series in
+the step variable v.  Only these units differ by kind, each read off its
+row (`_affine_unit`, `_binomial_unit`).  One power rule reads U^e off the
+binomial theorem (`_row_series`): a step of target T carries u^(e-T)
+factored, numerators too, and multiplies only
 V = sum_(n <= T) binom(e, n) w^n u^(T-n); a power 0 < e < T, whose carried
 u would be a denominator that is not a pole, is multiplied in full.  At
 target 0 every unit is carried whole and nothing is multiplied.
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import gcd, lcm, prod
 from operator import add, mul
 
@@ -202,7 +204,7 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
 class _Term:
     coeff: Fraction
     hot: MultiPoly
-    factors: dict   # row: exponent; an affine row (c, *l) or a half-exponent row h
+    factors: dict   # row: exponent; an affine row (*l, c) or a half-exponent row h
 
 
 def _add_scaled(kr: Kronecker, acc: dict, x: int, packed: dict) -> dict:
@@ -340,81 +342,102 @@ def _screened_zero(local_factors, rank: int) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# additive kind
-
-
-def _merge_row(rows: dict, row: tuple, exp: int, scale) -> tuple[int, int]:
-    """Fold (c + l.z)^exp, row = (c, *l) a nonzero integer row, into `rows`
-    under its primitive row with first nonzero entry positive, or nowhere
-    when l = 0; returns `scale`, an integer (numerator, denominator) pair,
-    times the power of the signed content."""
-    if exp == 0:
-        return scale
-    g = gcd(*row)
-    if next(filter(None, row)) < 0:
-        g = -g
-    if any(row[1:]):
-        row = tuple(x // g for x in row)
-        e = rows.get(row, 0) + exp
+def _fold(rows: dict, carried, exp: int, scale) -> tuple[int, int]:
+    """Fold (g R)^exp into `rows`, for `carried` = (R, g) with R a canonical
+    row (`_affine`, `_binomial`), or None when the factor is the integer g;
+    returns `scale`, an integer (numerator, denominator) pair, times g^exp."""
+    R, g = carried
+    if R is not None and exp:
+        e = rows.get(R, 0) + exp
         if e:
-            rows[row] = e
+            rows[R] = e
         else:
-            del rows[row]
+            del rows[R]
     num, den = scale
-    return (num * g ** exp, den) if exp > 0 else (num, den * g ** -exp)
+    return (num * g ** exp, den) if exp >= 0 else (num, den * g ** -exp)
 
 
-def _row_step(term: _Term, i: int, pv: int) -> _Term | None:
-    """One additive residue in z_i at 0, z_pv packed in the series products;
-    term.factors maps primitive rows (`_merge_row`), with l_j = 0 for j < i,
-    to exponents; None means zero residue.
+def _step(term: _Term, i: int, pv: int, unit, coeffs) -> _Term | None:
+    """One residue in v at 0, v = z_i for the additive kind and S_i - 1 for
+    the multiplicative ones, variable pv packed in the series products;
+    term.factors maps rows, 0 before entry i, to exponents, and None means
+    zero residue.  `unit(row, i, target)` returns a row's (u, w, (R, g), a)
+    (`_affine_unit`, `_binomial_unit`), and `coeffs(n)` the hot numerator's
+    first n coefficients in v.
 
-    A row with l_i = 0 is carried untouched; one with c = 0 and l_j = 0 for
-    every j > i is z_i, a simple zero of unit 1.  Any other row is
-    U = u + l_i z_i, u the row with l_i zeroed.  With B = -sum e over the
-    simple zeros, the residue is the coefficient of degree
-    target = B - 1 - hv of the hot numerator, of valuation hv, times
-    prod U^e.  By the binomial theorem, for e < 0 and e >= target the step
-    carries u^(e-target) and multiplies only V_t = binom(e, t) l_i^t
-    u^(target-t); a power 0 < e < target, whose carried u would be a
-    denominator that is not a pole, is multiplied in full (`_row_series`).
-    At target 0 every U^e is carried as u^e and nothing is multiplied.
+    A row with row[i] = 0 is carried untouched; one whose only nonzero entry
+    left is row[i] is a simple zero v U, and any other row a unit U = u + w.
+    With B = -sum e over the simple zeros, the residue is the coefficient of
+    degree target = B - 1 - hv of the hot numerator, of valuation hv, times
+    prod U^e.  By the binomial theorem (`_row_series`) U^e carries
+    (g R)^(e-m), g R = u, and multiplies the rest up to v^target, for m = e
+    when 0 < e < target (a carried u would be a denominator that is not a
+    pole), else m = target, and m = 0 when w = 0; the simple zeros' units
+    come first.  A^m shifts the result, A = S^a the monomial of a binomial
+    unit.  At target 0 every unit is carried whole and nothing is
+    multiplied.
     """
     scale = (1, 1)
     carry: dict = {}
-    active = []
-    bound = 0
+    zeros, active = [], []
     for row, e in term.factors.items():
-        if not row[i + 1]:
+        if not row[i]:
             carry[row] = e
-        elif row[0] or any(row[i + 2:]):
-            active.append((row, e))
         else:
-            bound -= e
+            (active if any(row[i + 1:]) else zeros).append((row, e))
+    bound = -sum(e for _, e in zeros)
     if bound <= 0:
         return None
-    hot = term.hot.shift_coefficients(i, 0, bound, 0)
+    hot = coeffs(bound)
     hv = next((j for j, c in enumerate(hot) if c), None)
     if hv is None:
         return None
     target = bound - 1 - hv
-    # the exponents of 1, z_0, ..., z_(k-1): the terms of a row
-    k = term.hot.nvars
-    keys = [tuple(int(j == n) for j in range(k)) for n in range(-1, k)]
     units = []
-    for row, e in active:
-        u = row[:i + 1] + (0,) + row[i + 2:]
-        m = e if 0 < e < target else target
-        scale = _merge_row(carry, u, e - m, scale)
+    shift = [0] * term.hot.nvars
+    for row, e in zeros + active:
+        u, w, carried, a = unit(row, i, target)
+        m = (e if 0 < e < target else target) if w else 0
+        scale = _fold(carry, carried, e - m, scale)
         if m:
-            units.append(([(key, x) for key, x in zip(keys, u) if x], {1: row[i + 1]}, e, m))
+            units.append((u, w, e, m))
+            if a:
+                shift = [s + m * x for s, x in zip(shift, a)]
     s = _row_series(hot[hv:], units, target, pv) if units else hot[hv + target]
     if s.is_zero():
         return None
+    if any(shift):
+        s = MultiPoly(s.nvars, {tuple(map(add, key, shift)): c for key, c in s.terms.items()})
     cont, s = s.content_normalize()
     coeff = Fraction(term.coeff.numerator * scale[0] * cont, term.coeff.denominator * scale[1])
     return _Term(coeff=coeff, hot=s, factors=carry)
+
+
+# ---------------------------------------------------------------------------
+# additive kind
+
+
+def _affine(row: tuple) -> tuple:
+    """(R, g) with row = g R, for a nonzero affine row (*l, c): R primitive
+    with its first nonzero entry positive (`linalg.line`), or None when
+    l = 0 and g = c."""
+    return linalg.line(row) if any(row[:-1]) else (None, row[-1])
+
+
+@cache
+def _keys(k: int) -> list[tuple[int, ...]]:
+    """The exponents of z_0, ..., z_(k-1) and 1: the terms of an affine row."""
+    return [tuple(int(j == n) for j in range(k)) for n in range(k + 1)]
+
+
+def _affine_unit(row: tuple, i: int, target: int):
+    """The (u, w, (R, g), a) of the affine row (*l, c) at z_i = 0 (`_step`):
+    the simple zero z_i, of unit 1, or U = u + l_i z_i, u the row with l_i
+    zeroed as its terms; no monomial A."""
+    if not any(row[i + 1:]):
+        return 1, {}, (None, 1), None
+    u = row[:i] + (0,) + row[i + 1:]
+    return [(key, x) for key, x in zip(_keys(len(u) - 1), u) if x], {1: row[i]}, _affine(u), None
 
 
 def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegrand) -> Fraction:
@@ -425,8 +448,8 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     s has every constant scaled by s, and its pole matching P sits at s P,
     where each factor c + l.z of `local_factors` (taken at P) reads s c + l.z;
     the prefactor is (1/(d s))^k.  With s = a/b and the factor (c' + l'.z)/m
-    (`LocalFactor`), s c + l.z is the integer row (a c', b l') over m b, and
-    the steps run on the rows (`_row_step`).
+    (`LocalFactor`), s c + l.z is the integer row (b l', a c') over m b, and
+    the steps run on the rows (`_step`, `_affine_unit`).
     """
     k = integrand.rank
     if _screened_zero(local_factors, k):
@@ -438,11 +461,11 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     for lf in local_factors:
         power = (lf.den * b) ** abs(lf.exponent)
         num, den = (num, den * power) if lf.exponent > 0 else (num * power, den)
-        num, den = _merge_row(rows, (a * lf.const, *(b * x for x in lf.lin)), lf.exponent,
-                              (num, den))
+        num, den = _fold(rows, _affine((*(b * x for x in lf.lin), a * lf.const)), lf.exponent,
+                         (num, den))
     term = _Term(coeff=Fraction(num, den), hot=MultiPoly.const(k, 1), factors=rows)
     for i in range(k):
-        term = _row_step(term, i, k - 1)
+        term = _step(term, i, k - 1, _affine_unit, partial(term.hot.shift_coefficients, i, a=0))
         if term is None:
             return Fraction(0)
     # after the last step the hot numerator is 1 and every row a constant,
@@ -463,85 +486,27 @@ def _half_exponents(local_factor: LocalFactor, D: int) -> list[int]:
     return [x * scale for x in (*local_factor.lin, local_factor.const)]
 
 
-def _merge_binomial(rows: dict, h: tuple, exp: int, scale) -> tuple[int, int]:
-    """Fold P_h^exp, P_h = S^(2 max(h, 0)) - S^(2 max(-h, 0)) for a nonzero
-    half-exponent row h, into `rows` under h or -h, whichever has its first
-    nonzero entry positive; P_(-h) = -P_h, so `scale`, an integer
-    (numerator, denominator) pair, is returned times the sign."""
-    if exp:
-        if next(filter(None, h)) < 0:
-            h, scale = tuple(-x for x in h), (-scale[0] if exp % 2 else scale[0], scale[1])
-        rows[h] = rows.get(h, 0) + exp
-        if not rows[h]:
-            del rows[h]
-    return scale
+def _binomial(h: tuple) -> tuple:
+    """(R, g) with P_h = g P_R, for P_h = S^(2 max(h, 0)) - S^(2 max(-h, 0))
+    and a nonzero half-exponent row h: R is h or -h, whichever has its first
+    nonzero entry positive, as P_(-h) = -P_h."""
+    return (h, 1) if next(filter(None, h)) > 0 else (tuple(-x for x in h), -1)
 
 
-def _residue_step(term: _Term, i: int, pv: int, taylor=None) -> _Term | None:
-    """One multiplicative residue in S_i at 1, v = S_i - 1, variable pv
-    packed in the series products; term.factors maps half-exponent rows
-    (`_merge_binomial`), with h_j = 0 for j < i, to exponents; None means
-    zero residue.  `taylor(n)`, when given, returns the hot numerator's first
-    n Taylor coefficients at 1 in place of term.hot's.
-
-    A row with h_i = 0 is carried untouched.  A row whose only nonzero entry
-    is h_i (> 0, as the first nonzero entry) is the simple zero P_h = v U,
-    U = ((1+v)^(2 h_i) - 1)/v an integer series with U_0 = 2 h_i.  Any other
-    row is P_h = A (u' + w), for u the row with h_i zeroed,
-    A = S^(2 max(u, 0)), u' = 1 - S^(-2u) and w = (1+v)^(2 h_i) - 1.  With
-    B = -sum e over the simple zeros, the residue is the coefficient of
-    degree target = B - 1 - hv of the hot numerator, of valuation hv, times
-    the units' powers, read off the binomial theorem as in `_row_step`: m = e
-    when 0 < e < target, else m = target.  A simple zero carries U_0^(e-m) in
-    the constant; any other row carries A^e u'^(e-m) = A^m P_u^(e-m), the row
-    u with exponent e - m, and A^m shifts the step's result.  Only the hot
-    numerator's Taylor coefficients that the step reads are computed.
-    """
-    scale = (1, 1)
-    carry: dict = {}
-    active = []
-    zeros = []
-    for h, e in term.factors.items():
-        if not h[i]:
-            carry[h] = e
-        elif any(h[i + 1:]):
-            active.append((h, e))
-        else:
-            zeros.append((2 * h[i], e))
-    bound = -sum(e for _, e in zeros)
-    if bound <= 0:
-        return None
-    hot = term.hot.shift_coefficients(i, 0, bound) if taylor is None else taylor(bound)
-    hv = next((j for j, c in enumerate(hot) if c), None)
-    if hv is None:
-        return None
-    target = bound - 1 - hv
-    nv = term.hot.nvars
-    units = []
-    for a, e in zeros:
-        m = e if 0 < e < target else target
-        num, den = scale
-        scale = (num * a ** (e - m), den) if e > m else (num, den * a ** (m - e))
-        if m:
-            units.append((a, {t: binom(a, t + 1) for t in range(1, min(a, target + 1))}, e, m))
-    shift = [0] * nv
-    for h, e in active:
-        u = h[:i] + (0,) + h[i + 1:]
-        m = e if 0 < e < target else target
-        scale = _merge_binomial(carry, u, e - m, scale)
-        if m:
-            units.append(([((0,) * nv, 1), (tuple(-2 * x for x in u), -1)],
-                          {t: binom(2 * h[i], t) for t in range(1, min(2 * h[i], target) + 1)},
-                          e, m))
-            shift = [s + 2 * m * max(x, 0) for s, x in zip(shift, u)]
-    s = _row_series(hot[hv:], units, target, pv) if units else hot[hv + target]
-    if s.is_zero():
-        return None
-    if any(shift):
-        s = MultiPoly(nv, {tuple(map(add, key, shift)): c for key, c in s.terms.items()})
-    cont, s = s.content_normalize()
-    coeff = Fraction(term.coeff.numerator * scale[0] * cont, term.coeff.denominator * scale[1])
-    return _Term(coeff=coeff, hot=s, factors=carry)
+def _binomial_unit(h: tuple, i: int, target: int):
+    """The (u, w, (R, g), a) of the binomial P_h at S_i = 1 + v (`_step`),
+    h_i > 0 as its first nonzero entry.  The simple zero is P_h = v U, with
+    U = ((1+v)^(2 h_i) - 1)/v an integer series, u = U_0 = 2 h_i.  Any other
+    row is P_h = A (u' + w), for u the row with h_i zeroed, A = S^(2 max(u,
+    0)), u' = 1 - S^(-2u) and w = (1+v)^(2 h_i) - 1, and A u' = P_u is the
+    carried factor."""
+    a = 2 * h[i]
+    if not any(h[i + 1:]):
+        return a, {t: binom(a, t + 1) for t in range(1, min(a, target + 1))}, (None, a), None
+    u = h[:i] + (0,) + h[i + 1:]
+    return ([((0,) * len(h), 1), (tuple(-2 * x for x in u), -1)],
+            {t: binom(a, t) for t in range(1, min(a, target) + 1)},
+            _binomial(u), [2 * max(x, 0) for x in u])
 
 
 def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]) -> list[MultiPoly]:
@@ -626,7 +591,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     exactly by the factor-count balance (asserted at build).  For the
     half-exponent row h of a factor's Y^(1/2) in S_0..S_(k-1), w, its sine
     image Y^(1/2) - Y^(-1/2) is the binomial P_h over the monomial S^|h|
-    (`_merge_binomial`).  Every S^|h| and each step's 1/S_j make one Laurent
+    (`_binomial`).  Every S^|h| and each step's 1/S_j make one Laurent
     monomial, the hot numerator, and (2D)^k is applied once.  Both kinds
     take the sine factors and poles; the theta kind's q-series numerator
     enters the first step as its Taylor series, started from the monomial
@@ -653,20 +618,20 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     monomial = [-1] * k + [0] * (nv - k)
     for lf in factors:
         h = (*_half_exponents(lf, D), *(0,) * theta)
-        scale = _merge_binomial(rows, h, lf.exponent, scale)
+        scale = _fold(rows, _binomial(h), lf.exponent, scale)
         monomial = [m - lf.exponent * abs(x) for m, x in zip(monomial, h)]
     hot = MultiPoly.monomial(nv, monomial)
     term = _Term(coeff=Fraction(*scale), hot=hot, factors=rows)
-    taylor = None
     if theta:
         ys = [([2 * x for x in h], e) for h, e in rows.items()]
         if k:
             def taylor(n):
-                return _theta_numerator(ys, k, integrand.q_order, hot.shift_coefficients(0, 0, n))
+                return _theta_numerator(ys, k, integrand.q_order, hot.shift_coefficients(0, n))
         else:
             [term.hot] = _theta_numerator(ys, 0, integrand.q_order, [hot])
     for i in range(k):
-        term = _residue_step(term, i, k, taylor if i == 0 else None)
+        coeffs = taylor if theta and not i else partial(term.hot.shift_coefficients, i)
+        term = _step(term, i, k, _binomial_unit, coeffs)
         if term is None:
             return zero_value(integrand)
     term.coeff *= flag.lattice_factor
@@ -694,7 +659,7 @@ def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, 
     def in_w(poly):
         return RatFunc([(k[widx], c) for k, c in poly.terms.items()])
 
-    hot = term.hot.shift_coefficients(qv, 0, order + 1, 0) if qv is not None else [term.hot]
+    hot = term.hot.shift_coefficients(qv, order + 1, 0) if qv is not None else [term.hot]
     rows = [(RatFunc([(2 * h[widx], 1), (0, -1)]), e) for h, e in term.factors.items()]
     num = prod([p ** e for p, e in rows if e > 0], start=RatFunc.const(term.coeff))
     den = prod([p ** -e for p, e in rows if e < 0], start=RatFunc.const(1))

@@ -52,12 +52,14 @@ def _primitive_row(row) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def primitive(v) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector with a canonical sign."""
-    ints = _primitive_row(cleared(v)[0])
-    if next((x for x in ints if x != 0), 0) < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def line(v) -> tuple[tuple[int, ...], int]:
+    """(p, m) with v = m p for a nonzero integer vector v: p spans v's line,
+    primitive with its first nonzero entry positive, and m is a nonzero
+    integer."""
+    m = gcd(*v)
+    if next(filter(None, v)) < 0:
+        m = -m
+    return tuple(x // m for x in v), m
 
 
 def _echelon(rows):
@@ -213,7 +215,7 @@ def hyperplane_normal(rows, dim):
     if len(rows) != dim - 1:
         raise ValueError("need exactly dim-1 rows")
     normal = kernel_line(rows)
-    return None if normal is None else primitive(normal)
+    return None if normal is None else line(normal)[0]
 
 
 def hnf(rows):

@@ -147,13 +147,8 @@ class MultiPoly:
                 base = base.mul(base)
         return result
 
-    def degree_in(self, var):
-        if not self.terms:
-            return 0
-        return max(k[var] for k in self.terms)
-
-    def shift_coefficients(self, var, lo, hi, a=1):
-        """Coefficients lo..hi-1 in x_var of self(x_var + a), var slot zeroed,
+    def shift_coefficients(self, var, hi, a=1):
+        """Coefficients 0..hi-1 in x_var of self(x_var + a), var slot zeroed,
         for a = 1 (the Taylor coefficients at x_var = 1, of a Laurent
         polynomial in x_var) or a = 0 (self split by degree in x_var).
 
@@ -163,31 +158,29 @@ class MultiPoly:
         j; a group with a negative e has nonzero coefficients past its
         degree, so it is read up to hi.
         """
-        outs = [{} for _ in range(lo, hi)]
+        outs = [{} for _ in range(hi)]
         if a == 0:
             for k, c in self.terms.items():
-                if lo <= k[var] < hi:
-                    outs[k[var] - lo][k[:var] + (0,) + k[var + 1:]] = c
+                if 0 <= k[var] < hi:
+                    outs[k[var]][k[:var] + (0,) + k[var + 1:]] = c
             return [MultiPoly(self.nvars, d) for d in outs]
         if a != 1:
             raise ValueError("shift_coefficients shifts by 0 or 1")
         groups: dict = {}
         for k, c in self.terms.items():
-            e = k[var]
-            if e >= lo or e < 0:
-                kk = k[:var] + (0,) + k[var + 1:]
-                g = groups.get(kk)
-                if g is None:
-                    groups[kk] = ([e], [c])
-                else:
-                    g[0].append(e)
-                    g[1].append(c)
+            kk = k[:var] + (0,) + k[var + 1:]
+            g = groups.get(kk)
+            if g is None:
+                groups[kk] = ([k[var]], [c])
+            else:
+                g[0].append(k[var])
+                g[1].append(c)
         for k, (es, cs) in groups.items():
             choose, top = (comb, min(max(es) + 1, hi)) if min(es) >= 0 else (binom, hi)
-            for j in range(lo, top):
+            for j in range(top):
                 s = sum(map(mul, cs, map(choose, es, repeat(j))))
                 if s:
-                    outs[j - lo][k] = s
+                    outs[j][k] = s
         return [MultiPoly(self.nvars, d) for d in outs]
 
     def content_normalize(self):

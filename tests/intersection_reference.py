@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from jkcalc import linalg
 from jkcalc.arrangement import IntersectionPoint, PerturbationError
-from jkcalc.linalg import is_zero_vec, primitive
+from jkcalc.linalg import is_zero_vec
 
 
 def dedup_hyperplane_forms(forms):
@@ -20,7 +20,7 @@ def dedup_hyperplane_forms(forms):
     seen = {}
     for i, f in enumerate(forms):
         if f.is_hyperplane():
-            seen.setdefault(primitive(f.rho + (f.const,)), i)
+            seen.setdefault(linalg.line(f.rho + (f.const,))[0], i)
     return list(seen.values())
 
 

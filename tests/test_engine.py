@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -347,14 +348,14 @@ class TestFlagResidueMultiplicative:
         # numerator: at the first step it is one monomial, and every row is
         # nonzero with its first nonzero entry positive
         terms = []
-        step = engine._residue_step
+        step = engine._step
 
         def first_step(term, var, *args):
             if var == 0:
                 terms.append(term)
             return step(term, var, *args)
 
-        monkeypatch.setattr(engine, "_residue_step", first_step)
+        monkeypatch.setattr(engine, "_step", first_step)
         invariants.compute(builders.framed_a3_problem(3, 1, (1, 2, 3)), kind="sine",
                            allow_root_incidence=True)
         assert terms
@@ -573,15 +574,17 @@ def _affine_series(a, b, e, n):
     return out
 
 
-def _step(factors, z1=5):
+def _additive_step(factors, z1=5):
     """One additive residue step at z0 = 0 on the (c, b, d, e) factors
-    (c + b z0 + d z1)^e of hot numerator 1, as rows (c, b, d): the new term,
+    (c + b z0 + d z1)^e of hot numerator 1, as rows (b, d, c): the new term,
     its value at z1 and the residue computed over Q at z1, from the pole
     order of the factors with c = d = 0."""
     rows, scale = {}, (1, 1)
     for c, b, d, e in factors:
-        scale = engine._merge_row(rows, (c, b, d), e, scale)
-    term = engine._row_step(engine._Term(Fraction(*scale), MultiPoly.const(2, 1), rows), 0, 1)
+        scale = engine._fold(rows, engine._affine((b, d, c)), e, scale)
+    hot = MultiPoly.const(2, 1)
+    term = engine._step(engine._Term(Fraction(*scale), hot, rows), 0, 1, engine._affine_unit,
+                        partial(hot.shift_coefficients, 0, a=0))
     order = -sum(e for c, b, d, e in factors if not c and not d)
     want = [Fraction(1)] + [Fraction(0)] * (order - 1)
     for c, b, d, e in factors:
@@ -592,7 +595,7 @@ def _step(factors, z1=5):
             want = [x * Fraction(b) ** e for x in want]
 
     got = term.coeff * sum(c * z1 ** k[1] for k, c in term.hot.terms.items())
-    for (c, _, d), e in term.factors.items():
+    for (_, d, c), e in term.factors.items():
         got *= Fraction(c + d * z1) ** e
     return term, got, want[-1]
 
@@ -600,7 +603,7 @@ def _step(factors, z1=5):
 def test_residue_step_carries_powers_from_the_target_up():
     # 1 / z0^3 at target 2: the numerator power below the target is expanded,
     # the one at e = 4 carried as (2 + 3 z1)^2, the denominator as (1 + z1)^-3
-    term, got, want = _step([(0, 1, 0, -3), (1, 1, 1, 1), (2, 1, 3, 4), (1, -1, 1, -1)])
+    term, got, want = _additive_step([(0, 1, 0, -3), (1, 1, 1, 1), (2, 1, 3, 4), (1, -1, 1, -1)])
     assert got == want != 0
     assert sorted(term.factors.values()) == [-3, 2]
 
@@ -608,7 +611,7 @@ def test_residue_step_carries_powers_from_the_target_up():
 def test_a_target_zero_step_multiplies_nothing(monkeypatch):
     # a simple pole: every other factor is carried whole, with no series product
     monkeypatch.setattr(engine, "_row_series", None)
-    term, got, want = _step([(0, 2, 0, -1), (1, 1, 1, 1), (2, 1, 3, 4), (1, -1, 2, -1)])
+    term, got, want = _additive_step([(0, 2, 0, -1), (1, 1, 1, 1), (2, 1, 3, 4), (1, -1, 2, -1)])
     assert got == want != 0
     assert sorted(term.factors.values()) == [-1, 1, 4]
     assert term.hot == MultiPoly.const(2, 1)
@@ -616,16 +619,16 @@ def test_a_target_zero_step_multiplies_nothing(monkeypatch):
 
 def test_the_quiver_dt_deck_takes_its_residues_on_rows(count_calls):
     """The additive residues of the seed-3 `quiver-dt` deck run on affine
-    rows alone: 60 row steps, no multiplicative step, and 1,940 packed
+    rows alone: 60 residue steps, no binomial unit, and 1,940 packed
     products (2,899 while every factor was a polynomial raised by Miller's
     recurrence)."""
-    residue_steps = count_calls(engine, "_residue_step")
-    row_steps = count_calls(engine, "_row_step")
+    binomial_units = count_calls(engine, "_binomial_unit")
+    steps = count_calls(engine, "_step")
     products = count_calls(Kronecker, "mul_into")
     for item in deck("quiver-dt"):
         invariants.compute(item.problem, **item.kwargs)
-    assert len(residue_steps) == 0
-    assert len(row_steps) == 60
+    assert len(binomial_units) == 0
+    assert len(steps) == 60
     assert len(products) == 1940
 
 
