@@ -50,14 +50,16 @@ left after the last step are w^(2c) - 1, and each q^t coefficient of the
 finished value (sine is order 0) is reduced once, as one rational function
 of w.
 
-Before any of this, `_screened_zero` decides a flag whose residue vanishes
-by its pole count alone: it walks the residue steps on the local (c, l)
-patterns, where a factor has valuation 1 at step i exactly when c = 0,
-l_i != 0 and l_j = 0 for every j > i, and returns zero as soon as the
-exponents of those factors sum to >= 0.  A factor that keeps a later l_j != 0
-is carried to the next step with exponent e - target, a numerator factor
-only while that is positive: the residue steps' own power rule.  The rule is
-the same at S_i = 1, so one screen serves all three kinds.
+Before any of this, `_pole_bounds` decides a flag whose residue vanishes
+by its degrees alone, for all three kinds: by the total degree of the
+factors that vanish at the point (the degree screen), then by a walk of the
+residue steps on their l patterns, which bounds each step's pole order P_j
+from above.  Otherwise it returns the bounds, and the additive kind caps
+its products by them (`_capped`): step j reads no z_j-degree >= P_j, and
+every additive product has non-negative exponents, so from step i on each
+packed product drops the groups of z_j-degree >= P_j for some j > i.  The
+multiplicative kinds take no caps: their hot numerator is a Laurent
+polynomial in S_j, not a polynomial in v = S_j - 1.
 
 Every series product runs in Kronecker form (`kronecker.Kronecker`): the
 coefficients are grouped by every exponent but one packed variable, w for
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, lt, mul
 
 from . import linalg
 from .arrangement import Flag
@@ -215,10 +217,22 @@ def _add_scaled(kr: Kronecker, acc: dict, x: int, packed: dict) -> dict:
     return kr.mul_into(acc, {key: (0, x) for key in kr.one()}, packed)
 
 
-def _row_series(hot, units, target, pv) -> MultiPoly:
+def _capped(packed: dict, caps) -> dict:
+    """`packed` without the groups whose other exponents reach their caps:
+    the monomials of z_j-degree >= caps[j] for some j, which no later
+    residue step reads (`_pole_bounds`).  No caps keep every group."""
+    if not caps:
+        return packed
+    return {key: x for key, x in packed.items() if all(map(lt, key[0], caps))}
+
+
+def _row_series(hot, units, target, pv, caps=()) -> MultiPoly:
     """Coefficient target in v of hot * prod V over the (u, w, e, m) units of
     a residue step, with hot a list of integer polynomials, packed in
-    variable pv.
+    variable pv, less the monomials that reach `caps` (`_capped`).  The
+    caps are the additive kind's, whose factors have non-negative exponents,
+    so a product of capped factors, capped, has the coefficients of the full
+    product on what it keeps.
 
     A unit is U = u + w, with u free of v and w = sum w_t v^t (t >= 1) an
     integer series given as {t: w_t}; u is an integer or a list of
@@ -264,9 +278,9 @@ def _row_series(hot, units, target, pv) -> MultiPoly:
             ints, packs = [(t, sum(x * u ** (m - n) for n, x in pairs))
                            for t, pairs in enumerate(table) if pairs], []
         else:
-            pows = [kr.one(), kr.pack_terms(u)]
+            pows = [kr.one(), _capped(kr.pack_terms(u), caps)]
             for _ in range(m - 1):
-                pows.append(kr.mul_into({}, pows[-1], pows[1]))
+                pows.append(_capped(kr.mul_into({}, pows[-1], pows[1]), caps))
             ints, packs = [], []
             for t, pairs in enumerate(table):
                 if len(pairs) == 1 and pairs[0][0] == m:
@@ -292,54 +306,66 @@ def _row_series(hot, units, target, pv) -> MultiPoly:
             for t, x in packs:
                 if t <= n and out[n - t]:
                     kr.mul_into(acc, x, out[n - t])
-            new.append(acc)
+            new.append(_capped(acc, caps))
         out = new
     acc = {}
     for j, p in enumerate(hot):
         if p and out[target - j]:
             kr.mul_into(acc, kr.pack(p), out[target - j])
-    return kr.unpack(acc)
+    return kr.unpack(_capped(acc, caps))
 
 
-def _screened_zero(local_factors, rank: int) -> bool:
-    """True when the flag's residue is zero by the pole count alone.
+def _pole_bounds(local_factors, rank: int):
+    """None when the flag's residue is zero by its degrees alone, else upper
+    bounds P_0, ..., P_(rank-1) on the pole orders of its residue steps.
 
-    Walks the residue steps on the (c, l) patterns, taking the hot
-    numerator's valuation as 0.  Only factors with c = 0 can vanish, so only
-    they are followed, by their tails l_i, l_(i+1), ... at step i.  Such a
-    factor has valuation 1 at step i exactly when l_i != 0 and every later
-    l_j is 0, else 0, for its sine and theta images at S_i = 1 as well; the
-    sum of the exponents of the valuation-1 factors bounds the integrand's
-    order in z_i from below, and the residue vanishes once it is >= 0.  By
-    the residue steps' power rule, factors with l_i = 0 are carried unchanged,
+    The factors with c = 0 are the only ones that vanish at the point, each
+    l times a unit, l linear in z, for its sine and theta images at S = 1
+    too; every other factor is a unit.  So every term of the integrand has
+    total degree >= d, the sum of their exponents, and the residue, which
+    reads total degree -rank, is zero when d > -rank (the degree screen;
+    1 / (z_0 ... z_(rank-1)) has d = -rank and residue 1).
+
+    Then the walk follows those factors through the residue steps by their
+    tails l_i, l_(i+1), ... at step i, taking the hot numerator's valuation
+    as 0.  Such a factor has valuation 1 at step i exactly when l_i != 0 and
+    every later l_j is 0, else 0; P_i is minus the sum of the exponents of
+    the valuation-1 factors, and the residue is zero once P_i <= 0.  By the
+    residue steps' power rule, factors with l_i = 0 are carried unchanged,
     those of valuation 1 become constants (dropped), and the others as u_0
-    with l_i set to 0 and exponent e - target, a numerator only while that is
-    > 0: the coefficient of z_i^j in (a z_i + L)^e is a multiple of L^(e-j),
-    and likewise for the sine and theta images at S_i = 1.  Every exponent
-    stays at or below the true one.  The first identically zero factor
-    decides the flag: as a numerator it makes the residue zero, as a
-    denominator it raises ZeroDivisionError.
+    with l_i set to 0 and exponent e - (P_i - 1), a numerator only while
+    that is > 0: the coefficient of z_i^j in (a z_i + L)^e is a multiple of
+    L^(e-j), and likewise for the sine and theta images at S_i = 1.  Every
+    exponent stays at or below the true one, whatever the hot numerator's
+    valuations, so P_j bounds step j's pole order, and step j reads no
+    z_j-degree >= P_j.  The first identically zero factor decides the flag:
+    as a numerator it makes the residue zero, as a denominator it raises
+    ZeroDivisionError.
     """
     live = []
     for lf in local_factors:
         if lf.const == 0:
             if not any(lf.lin):
                 if lf.exponent > 0:
-                    return True
+                    return None
                 raise ZeroDivisionError("integrand denominator factor is identically zero")
             live.append((lf.lin, lf.exponent))
+    if sum(e for _, e in live) > -rank:
+        return None
+    bounds = []
     for i in range(rank):
-        bound = sum(e for tail, e in live if tail[0] and not any(tail[1:]))
-        if bound >= 0:
-            return True
+        bound = -sum(e for tail, e in live if tail[0] and not any(tail[1:]))
+        if bound <= 0:
+            return None
+        bounds.append(bound)
         carried = []
         for tail, e in live:
             if not tail[0]:
                 carried.append((tail[1:], e))
-            elif any(tail[1:]) and (e < 0 or e + bound + 1 > 0):
-                carried.append((tail[1:], e + bound + 1))
+            elif any(tail[1:]) and (e < 0 or e - bound + 1 > 0):
+                carried.append((tail[1:], e - bound + 1))
         live = carried
-    return False
+    return bounds
 
 
 def _fold(rows: dict, carried, exp: int, scale) -> tuple[int, int]:
@@ -357,13 +383,14 @@ def _fold(rows: dict, carried, exp: int, scale) -> tuple[int, int]:
     return (num * g ** exp, den) if exp >= 0 else (num, den * g ** -exp)
 
 
-def _step(term: _Term, i: int, pv: int, unit, coeffs) -> _Term | None:
+def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True) -> _Term | None:
     """One residue in v at 0, v = z_i for the additive kind and S_i - 1 for
     the multiplicative ones, variable pv packed in the series products;
     term.factors maps rows, 0 before entry i, to exponents, and None means
     zero residue.  `unit(row, i, target)` returns a row's (u, w, (R, g), a)
     (`_affine_unit`, `_binomial_unit`), and `coeffs(n)` the hot numerator's
-    first n coefficients in v.
+    first n coefficients in v.  The new hot numerator keeps only what is
+    below `caps` (`_row_series`).
 
     A row with row[i] = 0 is carried untouched; one whose only nonzero entry
     left is row[i] is a simple zero v U, and any other row a unit U = u + w.
@@ -373,9 +400,10 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs) -> _Term | None:
     (g R)^(e-m), g R = u, and multiplies the rest up to v^target, for m = e
     when 0 < e < target (a carried u would be a denominator that is not a
     pole), else m = target, and m = 0 when w = 0; the simple zeros' units
-    come first.  A^m shifts the result, A = S^a the monomial of a binomial
-    unit.  At target 0 every unit is carried whole and nothing is
-    multiplied.
+    come first, unless `zero_units` is false: the additive kind's simple
+    zero is v itself, of unit 1, so it is neither read nor folded.  A^m
+    shifts the result, A = S^a the monomial of a binomial unit.  At target
+    0 every unit is carried whole and nothing is multiplied.
     """
     scale = (1, 1)
     carry: dict = {}
@@ -395,7 +423,7 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs) -> _Term | None:
     target = bound - 1 - hv
     units = []
     shift = [0] * term.hot.nvars
-    for row, e in zeros + active:
+    for row, e in (zeros if zero_units else []) + active:
         u, w, carried, a = unit(row, i, target)
         m = (e if 0 < e < target else target) if w else 0
         scale = _fold(carry, carried, e - m, scale)
@@ -403,7 +431,7 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs) -> _Term | None:
             units.append((u, w, e, m))
             if a:
                 shift = [s + m * x for s, x in zip(shift, a)]
-    s = _row_series(hot[hv:], units, target, pv) if units else hot[hv + target]
+    s = _row_series(hot[hv:], units, target, pv, caps) if units else hot[hv + target]
     if s.is_zero():
         return None
     if any(shift):
@@ -431,11 +459,9 @@ def _keys(k: int) -> list[tuple[int, ...]]:
 
 
 def _affine_unit(row: tuple, i: int, target: int):
-    """The (u, w, (R, g), a) of the affine row (*l, c) at z_i = 0 (`_step`):
-    the simple zero z_i, of unit 1, or U = u + l_i z_i, u the row with l_i
-    zeroed as its terms; no monomial A."""
-    if not any(row[i + 1:]):
-        return 1, {}, (None, 1), None
+    """The (u, w, (R, g), a) of an affine row (*l, c) at z_i = 0 that is not
+    a simple zero (`_step`): U = u + l_i z_i, u the row with l_i zeroed as
+    its terms; no monomial A."""
     u = row[:i] + (0,) + row[i + 1:]
     return [(key, x) for key, x in zip(_keys(len(u) - 1), u) if x], {1: row[i]}, _affine(u), None
 
@@ -449,10 +475,12 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
     where each factor c + l.z of `local_factors` (taken at P) reads s c + l.z;
     the prefactor is (1/(d s))^k.  With s = a/b and the factor (c' + l'.z)/m
     (`LocalFactor`), s c + l.z is the integer row (b l', a c') over m b, and
-    the steps run on the rows (`_step`, `_affine_unit`).
+    the steps run on the rows (`_step`, `_affine_unit`), capped by the pole
+    bounds of `_pole_bounds` in every z_j but the packed last one.
     """
     k = integrand.rank
-    if _screened_zero(local_factors, k):
+    bounds = _pole_bounds(local_factors, k)
+    if bounds is None:
         return Fraction(0)
     s = integrand.s
     a, b = s.numerator, s.denominator
@@ -465,7 +493,9 @@ def flag_residue_additive(local_factors, flag: Flag, integrand: FactorizedIntegr
                          (num, den))
     term = _Term(coeff=Fraction(num, den), hot=MultiPoly.const(k, 1), factors=rows)
     for i in range(k):
-        term = _step(term, i, k - 1, _affine_unit, partial(term.hot.shift_coefficients, i, a=0))
+        # caps on z_(i+1), ..., z_(k-2), none when that range is empty
+        term = _step(term, i, k - 1, _affine_unit, partial(term.hot.shift_coefficients, i, a=0),
+                     bounds[:-1] if i < k - 2 else (), zero_units=False)
         if term is None:
             return Fraction(0)
     # after the last step the hot numerator is 1 and every row a constant,
@@ -609,7 +639,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     # the rank-many prefactor copies 1 / sine(y^d)^k as one more factor
     factors = [*local_factors, LocalFactor(const=integrand.degree, lin=(0,) * k, den=1,
                                            exponent=-k)]
-    if _screened_zero(factors, k):
+    if _pole_bounds(factors, k) is None:
         return zero_value(integrand)
     theta = integrand.kind == "theta"
     nv = k + 1 + theta

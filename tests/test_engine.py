@@ -1,5 +1,6 @@
 """Residue engine: localization, multiplicative images, flag and JK residues."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -463,6 +464,11 @@ class TestJKResidue:
             assert scaled == lam ** (-k) * base, (trial, k, lam)
 
 
+def _unscreened(local_factors, rank):
+    """`engine._pole_bounds` with neither screen nor caps."""
+    return [math.inf] * rank
+
+
 def _screen_problem(case):
     """(problem, compute keywords) of a zero-screen case: a framed A^3 quiver
     of length 3, rank 1, by its charges, or a fuzz config by name."""
@@ -489,10 +495,10 @@ def test_screened_flags_have_zero_residue(case, monkeypatch):
         return   # the fuzz config is rejected before any residue is taken
     additive = invariants.build_integrand(problem, "additive")
     screened = [(p.point, flag) for p in points for flag in p.flags
-                if engine._screened_zero(localize(additive, p.point, flag), problem.rank)]
+                if engine._pole_bounds(localize(additive, p.point, flag), problem.rank) is None]
     if case == (1, 1, 2):
         assert len(screened) >= 24
-    monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
+    monkeypatch.setattr(engine, "_pole_bounds", _unscreened)
     for kind in engine.KINDS[:2] if isinstance(case, tuple) else engine.KINDS:
         integrand = invariants.build_integrand(problem, kind, q_order=1)
         integrand.denom_scale = engine.denominator_scale(localize(integrand, p.point, flag)
@@ -525,16 +531,134 @@ def test_screen_bounds_the_pole_order_of_rank2_integrands(monkeypatch):
         factors = [(rng.choice((0, 0, 1)), (rng.randint(-2, 2), rng.randint(-2, 2)),
                     rng.choice((-3, -2, -1, 1, 2))) for _ in range(rng.randint(2, 5))]
         cases.append(_local(*[f for f in factors if any(f[1])] or [(1, (1, 0), 1)]))
-    screened = [local for local in cases if engine._screened_zero(local, 2)]
+    screened = [local for local in cases if engine._pole_bounds(local, 2) is None]
     # decided at the second step, where the carried exponents matter
-    assert sum(not engine._screened_zero(local, 1) for local in screened) >= 20
-    monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
+    assert sum(engine._pole_bounds(local, 1) is not None for local in screened) >= 20
+    monkeypatch.setattr(engine, "_pole_bounds", _unscreened)
     flag = simple_flag([(1, 0), (0, 1)], [(1, 0), (0, 1)])
     additive = bare_integrand(2, [])
     sine = bare_integrand(2, [], kind="sine")
     for local in screened:
         assert flag_residue_additive(local, flag, additive) == 0, local
         assert flag_residue_multiplicative(local, flag, sine).is_zero(), local
+
+
+def _triangular(rng, k):
+    """Seeded rank-k factors at the origin whose flag kappa = identity has a
+    pole at every step: (c, l, exponent) triples, one c = 0 denominator with
+    l_j = 1 and random l_i, i < j, for each j."""
+    out = []
+    for j in range(k):
+        lin = [rng.choice((0, 1, -1)) for _ in range(j)] + [1] + [0] * (k - j - 1)
+        out.append((0, tuple(lin), -rng.choice((1, 1, 2))))
+    return out
+
+
+def identity_flag(k):
+    return simple_flag([[int(i == j) for j in range(k)] for i in range(k)],
+                       [[int(i == j) for j in range(k)] for i in range(k)])
+
+
+def test_the_degree_screen_decides_only_zero_residues(monkeypatch):
+    """A flag whose c = 0 factors have exponents summing to d > -rank has
+    zero additive, sine and theta residues when computed unscreened, and
+    `_pole_bounds` decides it.  The seeded cases, ranks 1 to 4, add c = 0
+    numerators to `_triangular`'s poles; the walk alone misses 12 of the 86
+    that the degree screen decides."""
+    rng = random.Random(7)
+    decided = []
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        factors = _triangular(rng, k)
+        for _ in range(rng.randint(1, 3)):
+            lin = tuple(rng.randint(-1, 1) for _ in range(k))
+            if any(lin):
+                factors.append((0, lin, rng.choice((1, 1, -1))))
+        if sum(e for _, _, e in factors) > -k:
+            local = _local(*factors)
+            assert engine._pole_bounds(local, k) is None, factors
+            decided.append((k, local))
+    assert len(decided) == 86
+    monkeypatch.setattr(engine, "_pole_bounds", _unscreened)
+    for k, local in decided:
+        flag = identity_flag(k)
+        assert flag_residue_additive(local, flag, bare_integrand(k, [])) == 0
+        for kind in ("sine", "theta"):
+            integrand = bare_integrand(k, [], kind=kind, q_order=1)
+            assert flag_residue_multiplicative(local, flag, integrand).is_zero(), (kind, local)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_degree_screen_keeps_one_over_the_coordinates(k):
+    """1 / (z_0 ... z_(k-1)) has d = -k, on the screen's edge, and residue 1:
+    no screen decides it, and every pole bound is 1."""
+    local = _local(*((0, tuple(int(i == j) for j in range(k)), -1) for i in range(k)))
+    assert engine._pole_bounds(local, k) == [1] * k
+    flag = identity_flag(k)
+    assert flag_residue_additive(local, flag, bare_integrand(k, [])) == 1
+    assert not flag_residue_multiplicative(local, flag, bare_integrand(k, [], kind="sine")).is_zero()
+
+
+def _uncapped(monkeypatch):
+    """Keep the screens and turn the caps off: `_pole_bounds` bounds no step."""
+    bounds = engine._pole_bounds
+    monkeypatch.setattr(engine, "_pole_bounds", lambda local_factors, rank: (
+        None if bounds(local_factors, rank) is None else [math.inf] * rank))
+
+
+def _quiver_flags(problem, **kwargs):
+    """The (flag, localization) pairs of every flag of a DT run of `problem`."""
+    points = invariants.compute(problem, kind="additive", **kwargs).diagnostics.points
+    integrand = invariants.build_integrand(problem, "additive")
+    return integrand, [(flag, localize(integrand, p.point, flag))
+                       for p in points for flag in p.flags]
+
+
+CAP_CASES = ["quiver-dt"] + [(charges, seed) for charges in ((1, 1, 1), (1, 1, 2), (1, 2, 2))
+                             for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("case", CAP_CASES, ids=map(str, CAP_CASES))
+def test_capped_residues_equal_uncapped_ones(case, monkeypatch):
+    """Every flag's capped additive residue equals its uncapped one: on the
+    seed-3 `quiver-dt` deck, and on length-4 framed A^3 DT at two seeds."""
+    if case == "quiver-dt":
+        runs = [_quiver_flags(item.problem, **{k: v for k, v in item.kwargs.items()
+                                               if k != "kind"})
+                for item in deck("quiver-dt")]
+    else:
+        charges, seed = case
+        runs = [_quiver_flags(builders.framed_a3_problem(4, 1, charges), seed=seed,
+                              allow_root_incidence=True)]
+    cases = [(local, flag, integrand) for integrand, flags in runs for flag, local in flags]
+    capped = [flag_residue_additive(*c) for c in cases]
+    assert any(capped)
+    _uncapped(monkeypatch)
+    assert [flag_residue_additive(*c) for c in cases] == capped
+
+
+def test_capped_residues_of_seeded_integrands_equal_uncapped_ones(monkeypatch):
+    """Seeded rank-3 to rank-5 additive integrands at the origin, poles from
+    `_triangular` and a few unit numerators and c = 0 factors: each capped
+    residue equals the uncapped one.  Of the 300, 225 are nonzero, and the
+    caps drop packed groups in 157."""
+    rng = random.Random(6)
+    cases = []
+    for k in (3, 4, 5):
+        for _ in range(100):
+            factors = _triangular(rng, k)
+            for _ in range(rng.randint(0, 2)):
+                lin = tuple(rng.randint(-1, 1) for _ in range(k))
+                if any(lin):
+                    factors.append((0, lin, rng.choice((-1, -1, 1))))
+            for _ in range(rng.randint(1, 3)):
+                lin = tuple(rng.randint(-2, 2) for _ in range(k))
+                factors.append((rng.choice((1, 2, -1)), lin, rng.choice((-1, 1, 2, 3))))
+            cases.append((_local(*factors), identity_flag(k), bare_integrand(k, [])))
+    capped = [flag_residue_additive(*c) for c in cases]
+    assert sum(map(bool, capped)) == 225
+    _uncapped(monkeypatch)
+    assert [flag_residue_additive(*c) for c in cases] == capped
 
 
 class TestIdenticallyZeroFactors:
@@ -584,7 +708,7 @@ def _additive_step(factors, z1=5):
         scale = engine._fold(rows, engine._affine((b, d, c)), e, scale)
     hot = MultiPoly.const(2, 1)
     term = engine._step(engine._Term(Fraction(*scale), hot, rows), 0, 1, engine._affine_unit,
-                        partial(hot.shift_coefficients, 0, a=0))
+                        partial(hot.shift_coefficients, 0, a=0), zero_units=False)
     order = -sum(e for c, b, d, e in factors if not c and not d)
     want = [Fraction(1)] + [Fraction(0)] * (order - 1)
     for c, b, d, e in factors:
@@ -619,17 +743,18 @@ def test_a_target_zero_step_multiplies_nothing(monkeypatch):
 
 def test_the_quiver_dt_deck_takes_its_residues_on_rows(count_calls):
     """The additive residues of the seed-3 `quiver-dt` deck run on affine
-    rows alone: 60 residue steps, no binomial unit, and 1,940 packed
-    products (2,899 while every factor was a polynomial raised by Miller's
-    recurrence)."""
+    rows alone: 54 residue steps, no binomial unit, and 1,846 packed
+    products (60 steps and 1,940 products before the degree screen and the
+    caps, 2,899 products while every factor was a polynomial raised by
+    Miller's recurrence)."""
     binomial_units = count_calls(engine, "_binomial_unit")
     steps = count_calls(engine, "_step")
     products = count_calls(Kronecker, "mul_into")
     for item in deck("quiver-dt"):
         invariants.compute(item.problem, **item.kwargs)
     assert len(binomial_units) == 0
-    assert len(steps) == 60
-    assert len(products) == 1940
+    assert len(steps) == 54
+    assert len(products) == 1846
 
 
 def test_the_request_mix_deck_makes_8840_packed_products(count_calls):
@@ -656,10 +781,10 @@ def test_the_elliptic_genus_deck_makes_7677_packed_products(count_calls):
 
 def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):
     """The seed-3 `quiver-dt` deck has 199 flags, 115 of them with zero
-    residue: the screen decides at least 100 of those, and every flag it
-    decides has residue zero when computed in full."""
-    screen = engine._screened_zero
-    monkeypatch.setattr(engine, "_screened_zero", lambda local_factors, rank: False)
+    residue: the screens decide all of those (the walk alone decides 113),
+    and every flag they decide has residue zero when computed in full."""
+    screen = engine._pole_bounds
+    monkeypatch.setattr(engine, "_pole_bounds", _unscreened)
     flags = zero = decided = 0
     for item in deck("quiver-dt"):
         problem = item.problem
@@ -669,13 +794,12 @@ def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):
             for flag in p.flags:
                 local = localize(integrand, p.point, flag)
                 value = engine.flag_residue(local, flag, integrand)
-                screened = screen(local, problem.rank)
+                screened = screen(local, problem.rank) is None
                 assert value == 0 or not screened, (item.name, p.point)
                 flags += 1
                 zero += value == 0
                 decided += screened
-    assert (flags, zero) == (199, 115)
-    assert decided >= 100
+    assert (flags, zero, decided) == (199, 115, 115)
 
 
 def test_denominator_scale_collects_fractions():

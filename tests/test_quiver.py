@@ -56,6 +56,15 @@ def test_dt_of_the_length4_quiver(charges, dt):
     assert res.dt == macmahon_dt(4, 1, charges) == dt
 
 
+def test_dt_of_the_length5_quiver():
+    """Length 5, rank 1, charges (1,1,1), seed 0: DT is the MacMahon value.
+    The degree screen and the capped hot numerators take it from 7.8 s to
+    about 0.6 s on a 2-vCPU VM (`tests/scale_probe.py`)."""
+    res = invariants.compute(builders.framed_a3_problem(5, 1, (1, 1, 1)), kind="additive",
+                             seed=0, allow_root_incidence=True)
+    assert res.dt == macmahon_dt(5, 1, (1, 1, 1)) == 192
+
+
 CHI_Y_CASES = [(n, r, charges) for r in (1, 2) for n in (1, 2)
                for charges in ((1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 2, 2))] \
     + [(3, 1, (1, 1, 1)), (3, 1, (1, 1, 2)), (4, 1, (1, 1, 1)), (4, 1, (1, 1, 2))]
