@@ -45,10 +45,10 @@ other constants cancel exactly against the 2i / pi*hbar bookkeeping,
 enforced by a counting assertion on the factor list.  The two
 multiplicative kinds share the rows, poles, targets and carried
 denominators, all free of q; the theta kind's G, started from that
-monomial, enters the first step as its Taylor series at S_0 = 1.  The rows
-left after the last step are w^(2c) - 1, and each q^t coefficient of the
-finished value (sine is order 0) is reduced once, as one rational function
-of w.
+monomial, enters the first step as its packed Taylor series at S_0 = 1.
+The rows left after the last step are w^(2c) - 1, and each q^t
+coefficient of the finished value (sine is order 0), its packed groups'
+digits, is reduced once, as one rational function of w.
 
 Before any of this, `_pole_bounds` decides a flag whose residue vanishes
 by its degrees alone, for all three kinds: by the total degree of the
@@ -66,11 +66,12 @@ coefficients are grouped by every exponent but one packed variable, w for
 the multiplicative kinds (the residue steps and G) and the last flag
 coordinate for the additive kind, and each group becomes one integer.
 `_row_series` and `_theta_numerator` pack their inputs once, multiply them
-packed and unpack only their result.  The slot width is one sign bit above
-a bound on the L1 norm of each unpacked coefficient: both run the same
-products and recurrences on the coefficient norms, a unit's u having the
-norm sum |coefficient|, and no coefficient of a product exceeds the product
-of the norms, so the balanced digits read back are the exact coefficients.
+packed and unpack only a hot numerator between two steps: G enters the
+first step packed, and the last step's digits are the RatFunc's.  The slot
+width is one sign bit above a bound on the L1 norm of each coefficient
+read back: both run the same products and recurrences on the coefficient
+norms, a unit's u having the norm sum |coefficient|, and no coefficient of
+a product exceeds the product of the norms, so the digits are exact.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from operator import add, lt, mul
 from . import linalg
 from .arrangement import Flag
 from .kronecker import Kronecker
-from .polyarith import MultiPoly, QSeries, RatFunc, binom
+from .polyarith import MultiPoly, QSeries, RatFunc, _pack, _spread, binom
 
 KINDS = ("additive", "sine", "theta")
 
@@ -205,31 +206,22 @@ def localize(integrand: FactorizedIntegrand, point, flag: Flag) -> list[LocalFac
 @dataclass
 class _Term:
     coeff: Fraction
-    hot: MultiPoly
+    hot: MultiPoly  # after a multiplicative last step: (layout, packed, w shift)
     factors: dict   # row: exponent; an affine row (*l, c) or a half-exponent row h
-
-
-def _add_scaled(kr: Kronecker, acc: dict, x: int, packed: dict) -> dict:
-    """acc + x * packed: a scaled copy of `packed` while acc is empty, else
-    one product by the packed constant x."""
-    if not acc:
-        return {key: (low, x * v) for key, (low, v) in packed.items()}
-    return kr.mul_into(acc, {key: (0, x) for key in kr.one()}, packed)
 
 
 def _capped(packed: dict, caps) -> dict:
     """`packed` without the groups whose other exponents reach their caps:
     the monomials of z_j-degree >= caps[j] for some j, which no later
-    residue step reads (`_pole_bounds`).  No caps keep every group."""
-    if not caps:
-        return packed
+    residue step reads (`_pole_bounds`).  Called only when there are caps."""
     return {key: x for key, x in packed.items() if all(map(lt, key[0], caps))}
 
 
-def _row_series(hot, units, target, pv, caps=()) -> MultiPoly:
+def _row_series(hot, units, target, pv, caps=(), src=None):
     """Coefficient target in v of hot * prod V over the (u, w, e, m) units of
-    a residue step, with hot a list of integer polynomials, packed in
-    variable pv, less the monomials that reach `caps` (`_capped`).  The
+    a residue step, packed in variable pv as a (layout, value) pair, less
+    the monomials that reach `caps` (`_capped`), for hot a list of integer
+    polynomials, or of packed ones, src = (their layout, norm bounds).  The
     caps are the additive kind's, whose factors have non-negative exponents,
     so a product of capped factors, capped, has the coefficients of the full
     product on what it keeps.
@@ -242,10 +234,10 @@ def _row_series(hot, units, target, pv, caps=()) -> MultiPoly:
     Each unit packs u once and raises it by products.  An integer V_t (u an
     integer, or only n = m reaching v^t) scales the running product instead
     of multiplying it, first within each coefficient.  The units are
-    multiplied first and hot last, for coefficient target only.  The slot
-    width bounds the product of the coefficient norms, |u| = sum |u's
-    coefficients| (module docstring), and the stride is taken over hot and
-    every unit's terms."""
+    multiplied first and hot last, for coefficient target only, a packed
+    hot read back and packed again.  The slot width bounds the product of
+    the coefficient norms, |u| = sum |u's coefficients| (module docstring),
+    and the stride is src's (the units keep it) or over hot and the units."""
     tables, norms = [], [1] + [0] * target
     for u, w, e, m in units:
         # table[t]: the (n, binom(e, n) [w^n]_t) pairs that make V_t, and
@@ -268,9 +260,12 @@ def _row_series(hot, units, target, pv, caps=()) -> MultiPoly:
                 power = nxt
         norms = [sum(map(mul, norms, f[t::-1])) for t in range(target + 1)]
         tables.append(table)
-    bound = sum(sum(map(abs, p.terms.values())) * norms[target - j] for j, p in enumerate(hot))
-    kr = Kronecker(hot[0].nvars, pv, bound, [p.terms.items() for p in hot] +
-                   [u for u, _, _, _ in units if not isinstance(u, int)])
+    src, hot_norms = src or (None, [sum(map(abs, p.terms.values())) for p in hot])
+    bound = sum(map(mul, hot_norms, norms[target::-1]))
+    kr = Kronecker(src.nvars, pv, bound, [], src.stride) if src else Kronecker(
+        hot[0].nvars, pv, bound, [p.terms.items() for p in hot] +
+        [u for u, _, _, _ in units if not isinstance(u, int)])
+    one = {((0,) * (kr.nvars - 1), 0): (0, 1)}
     out = None
     for (u, _, _, m), table in zip(units, tables):
         # V as its integer and its packed coefficients, (t, V_t) pairs
@@ -278,9 +273,11 @@ def _row_series(hot, units, target, pv, caps=()) -> MultiPoly:
             ints, packs = [(t, sum(x * u ** (m - n) for n, x in pairs))
                            for t, pairs in enumerate(table) if pairs], []
         else:
-            pows = [kr.one(), _capped(kr.pack_terms(u), caps)]
+            p = kr.pack_terms(u)
+            pows = [one, _capped(p, caps) if caps else p]
             for _ in range(m - 1):
-                pows.append(_capped(kr.mul_into({}, pows[-1], pows[1]), caps))
+                p = kr.mul_into({}, pows[-1], pows[1])
+                pows.append(_capped(p, caps) if caps else p)
             ints, packs = [], []
             for t, pairs in enumerate(table):
                 if len(pairs) == 1 and pairs[0][0] == m:
@@ -288,31 +285,33 @@ def _row_series(hot, units, target, pv, caps=()) -> MultiPoly:
                 elif pairs:
                     acc: dict = {}
                     for n, x in pairs:
-                        acc = _add_scaled(kr, acc, x, pows[m - n])
+                        kr.add_into(acc, pows[m - n].items(), x)
                     packs.append((t, acc))
         if out is None:
             out = [{}] * (target + 1)
             for t, x in packs:
                 out[t] = x
             for t, x in ints:
-                out[t] = {key: (0, x) for key in kr.one()}
+                out[t] = {key: (0, x) for key in one}
             continue
         new = []
         for n in range(target + 1):
             acc = {}
             for t, x in ints:
                 if t <= n and out[n - t]:
-                    acc = _add_scaled(kr, acc, x, out[n - t])
+                    kr.add_into(acc, out[n - t].items(), x)
             for t, x in packs:
                 if t <= n and out[n - t]:
                     kr.mul_into(acc, x, out[n - t])
-            new.append(_capped(acc, caps))
+            new.append(_capped(acc, caps) if caps else acc)
         out = new
     acc = {}
     for j, p in enumerate(hot):
         if p and out[target - j]:
-            kr.mul_into(acc, kr.pack(p), out[target - j])
-    return kr.unpack(_capped(acc, caps))
+            p = kr.pack(p) if src is None else \
+                {key: (low, _pack(src.digits(v), kr.bits)) for key, (low, v) in p.items()}
+            kr.mul_into(acc, p, out[target - j])
+    return kr, _capped(acc, caps) if caps else acc
 
 
 def _pole_bounds(local_factors, rank: int):
@@ -383,14 +382,16 @@ def _fold(rows: dict, carried, exp: int, scale) -> tuple[int, int]:
     return (num * g ** exp, den) if exp >= 0 else (num, den * g ** -exp)
 
 
-def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True) -> _Term | None:
+def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True,
+          last=False) -> _Term | None:
     """One residue in v at 0, v = z_i for the additive kind and S_i - 1 for
     the multiplicative ones, variable pv packed in the series products;
     term.factors maps rows, 0 before entry i, to exponents, and None means
     zero residue.  `unit(row, i, target)` returns a row's (u, w, (R, g), a)
     (`_affine_unit`, `_binomial_unit`), and `coeffs(n)` the hot numerator's
-    first n coefficients in v.  The new hot numerator keeps only what is
-    below `caps` (`_row_series`).
+    first n coefficients in v, or `_theta_numerator`'s packed ones.  The
+    new hot numerator keeps only what is below `caps` (`_row_series`), and
+    stays packed on the `last` step of a multiplicative residue.
 
     A row with row[i] = 0 is carried untouched; one whose only nonzero entry
     left is row[i] is a simple zero v U, and any other row a unit U = u + w.
@@ -417,6 +418,7 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True) 
     if bound <= 0:
         return None
     hot = coeffs(bound)
+    kr, norms, hot = hot if isinstance(hot, tuple) else (None, None, hot)
     hv = next((j for j, c in enumerate(hot) if c), None)
     if hv is None:
         return None
@@ -431,14 +433,21 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True) 
             units.append((u, w, e, m))
             if a:
                 shift = [s + m * x for s, x in zip(shift, a)]
-    s = _row_series(hot[hv:], units, target, pv, caps) if units else hot[hv + target]
-    if s.is_zero():
+    kr, s = _row_series(hot[hv:], units, target, pv, caps, kr and (kr, norms[hv:])) \
+        if units else (kr, hot[hv + target])
+    if not s:
         return None
+    num, den = term.coeff.numerator * scale[0], term.coeff.denominator * scale[1]
+    if last:
+        if kr is None:
+            kr = Kronecker(s.nvars, pv, sum(map(abs, s.terms.values())), [s.terms.items()])
+            s = kr.pack(s)
+        return _Term(Fraction(num, den), (kr, s, shift[pv]), carry)
+    s = s if kr is None else kr.unpack(s)
     if any(shift):
         s = MultiPoly(s.nvars, {tuple(map(add, key, shift)): c for key, c in s.terms.items()})
     cont, s = s.content_normalize()
-    coeff = Fraction(term.coeff.numerator * scale[0] * cont, term.coeff.denominator * scale[1])
-    return _Term(coeff=coeff, hot=s, factors=carry)
+    return _Term(coeff=Fraction(num * cont, den), hot=s, factors=carry)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +548,7 @@ def _binomial_unit(h: tuple, i: int, target: int):
             _binomial(u), [2 * max(x, 0) for x in u])
 
 
-def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]) -> list[MultiPoly]:
+def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]):
     """The theta kind's q-series numerator
 
         G = G_0 (q;q)^(2k) prod_f Phi(Y_f)^(e_f) mod q^(N+1),
@@ -551,7 +560,7 @@ def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]) -> list[MultiPo
     (start = [G_0]) at rank k = 0.  By Jacobi's triple product
     theta(Y) = (Y^(1/2) - Y^(-1/2)) (q;q) Phi(Y), and the exponents e_f sum
     to -k, so the theta integrand is the sine integrand times G / G_0, a
-    q-unit with no pole at S = 1.
+    q-unit with no pole at S = 1.  At N = 0 (sine), G = G_0.
 
     Newton's identity on log G gives j G_j = sum_(i=1..j) A_i G_(j-i) for
     the q^j coefficients, with A_i = -sum_(m | i) (i/m) P_m and
@@ -561,7 +570,9 @@ def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]) -> list[MultiPo
     exact, also on the packed values: the products run packed in w
     (variable k), at a slot width from the same recursion on the
     coefficient norms.  Variables are S_0..S_(k-1), w and q, those of
-    `flag_residue_multiplicative`; exponents may be negative.
+    `flag_residue_multiplicative`; exponents may be negative.  Returns the
+    layout, whose stride the first step's u' keep, and the Taylor
+    coefficients' norm bounds and packed values.
     """
     nv, terms = k + 2, len(start)
     A = [[{} for _ in range(terms)] for _ in range(N + 1)]
@@ -583,17 +594,16 @@ def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]) -> list[MultiPo
             for t, mono, c in pm:
                 d = A[i][t]
                 d[mono] = d.get(mono, 0) - i // m * c
-    A = [[MultiPoly(nv, {mono: c for mono, c in d.items() if c}) for d in Ai] for Ai in A]
-    norms = [[sum(map(abs, p.terms.values())) for p in Ai] for Ai in A]
+    A = [[{m[:-1] + (i,): c for m, c in d.items() if c} for d in Ai] for i, Ai in enumerate(A)]
+    norms = [[sum(map(abs, d.values())) for d in Ai] for Ai in A]
     g = [[sum(map(abs, p.terms.values())) for p in start]]
-    bound = max(g[0])
     for j in range(1, N + 1):
-        h = [sum(norms[i][s] * g[j - i][t - s] for i in range(1, j + 1) for s in range(t + 1))
-             for t in range(terms)]
-        bound = max(bound, *h)
-        g.append([-(-x // j) for x in h])
-    kr = Kronecker(nv, k, bound, [p.terms.items() for Ai in (start, *A) for p in Ai])
-    A = [[kr.pack(p) for p in Ai] for Ai in A]
+        g.append([-(-sum(norms[i][s] * g[j - i][t - s] for i in range(1, j + 1)
+                         for s in range(t + 1)) // j) for t in range(terms)])
+    units = [[((0,) * nv, 1), ((0,) + tuple(-x for x in y[1:]), -1)] for y, _ in ys if y[0]]
+    kr = Kronecker(nv, k, max(map(max, g)), [p.terms.items() for p in start] +
+                   [d.items() for Ai in A[1:] for d in Ai] + units)
+    A[1:] = [[kr.pack_terms(d.items()) for d in Ai] for Ai in A[1:]]
     G = [[kr.pack(p) for p in start]]
     for j in range(1, N + 1):
         acc = [{} for _ in range(terms)]
@@ -604,12 +614,8 @@ def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]) -> list[MultiPo
                         if y:
                             kr.mul_into(acc[s + t], x, y)
         G.append([{key: (low, v // j) for key, (low, v) in c.items()} for c in acc])
-    out = [{} for _ in range(terms)]
-    for j, Gj in enumerate(G):
-        for t, c in enumerate(Gj):
-            for key, x in kr.unpack(c).terms.items():
-                out[t][key[:-1] + (j,)] = x
-    return [MultiPoly(nv, d) for d in out]
+    return kr, [sum(x) for x in zip(*g)], [{key: x for Gj in G for key, x in Gj[t].items()}
+                                           for t in range(terms)]
 
 
 def flag_residue_multiplicative(local_factors, flag: Flag, integrand: FactorizedIntegrand):
@@ -619,15 +625,14 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     X_j^(1/(2D)), D the integrand's `denom_scale`; the measure dX_j / X_j
     is 2D dS_j / S_j, and the leftover transcendental constants cancel
     exactly by the factor-count balance (asserted at build).  For the
-    half-exponent row h of a factor's Y^(1/2) in S_0..S_(k-1), w, its sine
-    image Y^(1/2) - Y^(-1/2) is the binomial P_h over the monomial S^|h|
-    (`_binomial`).  Every S^|h| and each step's 1/S_j make one Laurent
+    half-exponent row h of a factor's Y^(1/2) in S_0..S_(k-1), w, q, its
+    sine image Y^(1/2) - Y^(-1/2) is the binomial P_h over the monomial
+    S^|h| (`_binomial`).  Every S^|h| and each step's 1/S_j make one Laurent
     monomial, the hot numerator, and (2D)^k is applied once.  Both kinds
     take the sine factors and poles; the theta kind's q-series numerator
-    enters the first step as its Taylor series, started from the monomial
-    (`_theta_numerator`), with its Y's read off the merged rows, as
-    Phi(Y) = Phi(1/Y).  Returns a RatFunc in w (sine) or a QSeries with
-    RatFunc coefficients (theta).
+    enters the first step as its packed Taylor series, started from the
+    monomial (`_theta_numerator`), with its Y's read off the merged rows, as
+    Phi(Y) = Phi(1/Y).  Returns a RatFunc in w (sine) or a QSeries (theta).
     """
     k = integrand.rank
     D = integrand.denom_scale
@@ -641,31 +646,30 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
                                            exponent=-k)]
     if _pole_bounds(factors, k) is None:
         return zero_value(integrand)
-    theta = integrand.kind == "theta"
-    nv = k + 1 + theta
+    order = integrand.q_order if integrand.kind == "theta" else None
     scale = (2 * D) ** k, 1
     rows: dict = {}
-    monomial = [-1] * k + [0] * (nv - k)
+    monomial = [-1] * k + [0, 0]
     for lf in factors:
-        h = (*_half_exponents(lf, D), *(0,) * theta)
+        h = (*_half_exponents(lf, D), 0)
         scale = _fold(rows, _binomial(h), lf.exponent, scale)
         monomial = [m - lf.exponent * abs(x) for m, x in zip(monomial, h)]
-    hot = MultiPoly.monomial(nv, monomial)
+    hot = MultiPoly.monomial(k + 2, monomial)
+    ys = [([2 * x for x in h], e) for h, e in rows.items()]
+
+    def taylor(n):
+        return _theta_numerator(ys, k, order, hot.shift_coefficients(0, n))
     term = _Term(coeff=Fraction(*scale), hot=hot, factors=rows)
-    if theta:
-        ys = [([2 * x for x in h], e) for h, e in rows.items()]
-        if k:
-            def taylor(n):
-                return _theta_numerator(ys, k, integrand.q_order, hot.shift_coefficients(0, n))
-        else:
-            [term.hot] = _theta_numerator(ys, 0, integrand.q_order, [hot])
+    if not k:
+        kr, _, [packed] = _theta_numerator(ys, 0, order or 0, [hot])
+        term.hot = kr, packed, 0
     for i in range(k):
-        coeffs = taylor if theta and not i else partial(term.hot.shift_coefficients, i)
-        term = _step(term, i, k, _binomial_unit, coeffs)
+        coeffs = partial(term.hot.shift_coefficients, i) if i or order is None else taylor
+        term = _step(term, i, k, _binomial_unit, coeffs, last=i == k - 1)
         if term is None:
             return zero_value(integrand)
     term.coeff *= flag.lattice_factor
-    return _assemble_multiplicative(term, integrand, k, k + 1 if theta else None)
+    return _assemble_multiplicative(term, order)
 
 
 def zero_value(integrand: FactorizedIntegrand):
@@ -676,25 +680,23 @@ def zero_value(integrand: FactorizedIntegrand):
     return QSeries.const(integrand.q_order, 0)
 
 
-def _assemble_multiplicative(term: _Term, integrand: FactorizedIntegrand, widx, qv):
-    """The finished term as a series in q to order N (order 0, no q, for sine).
+def _assemble_multiplicative(term: _Term, order):
+    """The finished term as a series in q to `order` (None: sine, no q).
 
-    Only the hot numerator carries q, and every row left is (0, ..., 0, c),
-    the binomial w^(2c) - 1.  Each q^t coefficient of the hot numerator,
-    times the numerator rows, over the product of the denominator rows,
-    becomes one RatFunc in w, reduced once.
+    Only the hot numerator carries q: the digits of its q^t groups, packed
+    in w, are the q^t coefficient, and every row left is (0, ..., 0, c, 0),
+    the binomial w^(2c) - 1.  Each q^t coefficient, times the numerator
+    rows, over the product of the denominator rows, is reduced once.
     """
-    order = integrand.q_order if qv is not None else 0
-
-    def in_w(poly):
-        return RatFunc([(k[widx], c) for k, c in poly.terms.items()])
-
-    hot = term.hot.shift_coefficients(qv, order + 1, 0) if qv is not None else [term.hot]
-    rows = [(RatFunc([(2 * h[widx], 1), (0, -1)]), e) for h, e in term.factors.items()]
+    kr, packed, shift = term.hot
+    coeffs = [RatFunc.const(0)] * ((order or 0) + 1)
+    for (others, _), (low, v) in packed.items():
+        coeffs[others[-1]] += RatFunc.laurent_poly(low + shift, _spread(kr.digits(v), kr.stride))
+    rows = [(RatFunc([(2 * h[kr.var], 1), (0, -1)]), e) for h, e in term.factors.items()]
     num = prod([p ** e for p, e in rows if e > 0], start=RatFunc.const(term.coeff))
     den = prod([p ** -e for p, e in rows if e < 0], start=RatFunc.const(1))
-    coeffs = [in_w(c) * num / den for c in hot]
-    return coeffs[0] if qv is None else QSeries(order, coeffs)
+    coeffs = [c * num / den for c in coeffs]
+    return coeffs[0] if order is None else QSeries(order, coeffs)
 
 
 # ---------------------------------------------------------------------------

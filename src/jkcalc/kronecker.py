@@ -27,15 +27,15 @@ class Kronecker:
     `var` packed (see the module docstring).  A group is keyed by (the other
     exponents, low mod stride), with slots `stride` apart: the gcd of the
     exponent gaps inside the groups of `polys`, each its (exponents,
-    coefficient) terms, so no slot is spent on a gap that no term can fill.
+    coefficient) terms, and `stride`, so no slot is spent on an empty gap.
     Unpacking is exact for coefficients of absolute value at most `bound`.
     """
 
     __slots__ = ("nvars", "var", "bits", "stride")
 
-    def __init__(self, nvars: int, var: int, bound: int, polys):
+    def __init__(self, nvars: int, var: int, bound: int, polys, stride: int = 0):
         self.nvars, self.var, self.bits = nvars, var, bound.bit_length() + 1
-        s = 0
+        s = stride
         for terms in polys:
             if s == 1:
                 break
@@ -44,9 +44,6 @@ class Kronecker:
                 e = k[var]
                 s = gcd(s, e - first.setdefault(k[:var] + k[var + 1:], e))
         self.stride = s or 1
-
-    def one(self) -> dict:
-        return {((0,) * (self.nvars - 1), 0): (0, 1)}
 
     def pack(self, poly: MultiPoly) -> dict:
         return self.pack_terms(poly.terms.items())
@@ -83,12 +80,28 @@ class Kronecker:
                 dst[key] = (low, v)
         return dst
 
+    def add_into(self, dst: dict, groups, x: int = 1) -> dict:
+        """dst += x * packed, for its (key, (low, value)) groups: no product."""
+        bits, s = self.bits, self.stride
+        for key, (low, v) in groups:
+            old_low, old = dst.get(key, (low, 0))
+            lo = min(low, old_low)
+            v = (x * v << bits * ((low - lo) // s)) + (old << bits * ((old_low - lo) // s))
+            if v:
+                dst[key] = lo, v
+            else:
+                dst.pop(key, None)
+        return dst
+
+    def digits(self, v: int) -> list[int]:
+        return _digits(v, abs(v).bit_length() // self.bits + 1, self.bits)
+
     def unpack(self, packed: dict) -> MultiPoly:
-        var, bits, s = self.var, self.bits, self.stride
+        var, s = self.var, self.stride
         terms = {}
         for (others, _), (low, v) in packed.items():
             head, tail = others[:var], others[var:]
-            for i, c in enumerate(_digits(v, abs(v).bit_length() // bits + 1, bits)):
+            for i, c in enumerate(self.digits(v)):
                 if c:
                     terms[head + (low + s * i,) + tail] = c
         return MultiPoly(self.nvars, terms)

@@ -14,11 +14,11 @@ integer coefficients, coprime, primitive, with nonzero constant terms and
 positive leading coefficients (zero is c = 0, v = 0, num = [], den = [1]).
 The form is unique, so equality compares the four parts, and a value is a
 Laurent polynomial exactly when den == [1].  Only this module knows the
-layout: callers build a RatFunc from (exponent, coefficient) pairs and read
-it through its methods.  Lists are multiplied as one product of packed
-Python integers (Kronecker substitution, Harvey, J. Symb. Comput. 2009), and
-num and den are made coprime by one integer gcd (`poly_gcd`), run on the
-lists divided by the stride of their exponents.
+layout: callers build a RatFunc from (exponent, coefficient) pairs or lists
+and read it through its methods.  Lists are multiplied as one product of
+packed Python integers (Kronecker substitution, Harvey, J. Symb. Comput.
+2009), and num and den are made coprime by one integer gcd (`poly_gcd`),
+run on the lists divided by the stride of their exponents.
 
 QSeries is a truncation-order-N power series in q whose coefficients are
 rational functions.
@@ -372,6 +372,11 @@ class RatFunc:
         out = object.__new__(cls)
         out.c, out.v, out.num, out.den = c, v, num, den
         return out
+
+    @classmethod
+    def laurent_poly(cls, v: int, a: list[int]) -> RatFunc:
+        """w^v * a(w), for an ascending list a of integer coefficients."""
+        return object.__new__(cls)._normalize(Fraction(1), v, a, [1])
 
     @classmethod
     def const(cls, value):

@@ -1,5 +1,6 @@
 """Residue engine: localization, multiplicative images, flag and JK residues."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -24,6 +25,9 @@ from jkcalc.kronecker import Kronecker
 from jkcalc.polyarith import MultiPoly, RatFunc
 
 F = Fraction
+
+# sha256 of the values of `test_the_packed_handoff_gives_the_values_of_the_unpacked_one`
+HANDOFF_DIGEST = "94a08f71db6f90588242e742a7bde618930f38117d62b05df3eae0ad3a6e37eb"
 
 
 def bare_integrand(rank, factors, kind="additive", degree=1, s=1, q_order=None):
@@ -261,7 +265,8 @@ def _theta_factor(b, N):
     """(numerator, denominator) of the sine image w^b - w^(-b) and the theta
     numerator modulo q^(N+1) of the rank-0 factor with Y^(1/2) = w^b, in (w, q)."""
     num = MultiPoly(2, {(2 * max(b, 0), 0): 1, (2 * max(-b, 0), 0): -1})
-    [numerator] = _theta_numerator([((2 * b, 0), 1)], 0, N, [MultiPoly.const(2, 1)])
+    kr, _, [numerator] = _theta_numerator([((2 * b, 0), 1)], 0, N, [MultiPoly.const(2, 1)])
+    numerator = kr.unpack(numerator)
     return num, MultiPoly.monomial(2, (abs(b), 0)), numerator
 
 
@@ -307,7 +312,9 @@ class TestMultiplicativeImages:
             pentagonal = MultiPoly(nv, {(0,) * (k + 1) + (j * (3 * j - 1) // 2,): (-1) ** j
                                         for j in range(-N, N + 1) if j * (3 * j - 1) // 2 <= N})
             assert _mod_q(pentagonal, N, k + 1) == _euler(N, nv)
-            assert _theta_numerator([], k, N, [MultiPoly.const(nv, 1), MultiPoly.zero(nv)]) == \
+            start = [MultiPoly.const(nv, 1), MultiPoly.zero(nv)]
+            kr, _, packed = _theta_numerator([], k, N, start)
+            assert [kr.unpack(p) for p in packed] == \
                 [_mod_q(pentagonal.pow(2 * k), N, k + 1), MultiPoly.zero(nv)]
 
     def test_denominator_scale_must_clear_data(self):
@@ -351,10 +358,10 @@ class TestFlagResidueMultiplicative:
         terms = []
         step = engine._step
 
-        def first_step(term, var, *args):
+        def first_step(term, var, *args, **kwargs):
             if var == 0:
                 terms.append(term)
-            return step(term, var, *args)
+            return step(term, var, *args, **kwargs)
 
         monkeypatch.setattr(engine, "_step", first_step)
         invariants.compute(builders.framed_a3_problem(3, 1, (1, 2, 3)), kind="sine",
@@ -661,6 +668,70 @@ def test_capped_residues_of_seeded_integrands_equal_uncapped_ones(monkeypatch):
     assert [flag_residue_additive(*c) for c in cases] == capped
 
 
+def _handoff_cases():
+    """Seeded sine and theta flag residues at ranks 1-3, theta at q-orders
+    0-4: `_triangular`'s poles times one to three units c + l.z, c in
+    {-2, -1, 1, 2}, of exponent -2 to 2, at the identity flag."""
+    rng = random.Random(33)
+    for k in (1, 2, 3):
+        for _ in range(12):
+            factors = _triangular(rng, k)
+            for _ in range(rng.randint(1, 3)):
+                lin = tuple(rng.randint(-2, 2) for _ in range(k))
+                factors.append((rng.choice((-2, -1, 1, 2)), lin, rng.choice((-2, -1, 1, 2))))
+            local = _local(*factors)
+            yield local, identity_flag(k), bare_integrand(k, [], kind="sine")
+            yield local, identity_flag(k), bare_integrand(k, [], kind="theta",
+                                                          q_order=rng.randint(0, 4))
+
+
+def _assembled_from_terms(term, order):
+    """`engine._assemble_multiplicative` as it read the last step's value
+    before it stayed packed: unpacked, split by q, each q^t coefficient
+    built from (exponent of w, coefficient) pairs."""
+    kr, packed, shift = term.hot
+    poly = kr.unpack(packed)
+    rows = [(RatFunc([(2 * h[kr.var], 1), (0, -1)]), e) for h, e in term.factors.items()]
+    num = math.prod([p ** e for p, e in rows if e > 0], start=RatFunc.const(term.coeff))
+    den = math.prod([p ** -e for p, e in rows if e < 0], start=RatFunc.const(1))
+    coeffs = [RatFunc([(key[kr.var] + shift, c) for key, c in poly.terms.items() if key[-1] == t])
+              * num / den for t in range((order or 0) + 1)]
+    return coeffs[0] if order is None else coeffs
+
+
+def test_the_packed_handoff_gives_the_values_of_the_unpacked_one(monkeypatch):
+    """The last step's packed groups become the RatFunc coefficient lists
+    directly: each q^t group's digits, spread by the stride, from its low.
+    On the seeded sine and theta residues of `_handoff_cases` and the
+    rank-2 residues of Ell of grassmannian_det(2, 4, 4) to q^2 every
+    assembly equals the one read off the unpacked value, and the values
+    are those of the code that unpacked them (their digest).  The cases
+    hand over a group of negative low, a layout of stride > 1, a q^t
+    coefficient with no group, and rank-2 values."""
+    seen = Counter()
+    assemble = engine._assemble_multiplicative
+
+    def checked(term, order):
+        kr, packed, shift = term.hot
+        qs = {others[-1] for others, _ in packed}
+        seen["negative low"] += any(low + shift < 0 for low, _ in packed.values())
+        seen["stride > 1"] += kr.stride > 1
+        seen["empty q^t"] += len(qs) < (order or 0) + 1
+        seen["rank 2"] += kr.var == 2
+        got = assemble(term, order)
+        want = _assembled_from_terms(term, order)
+        assert (got.coeffs if order is not None else got) == want
+        return got
+
+    monkeypatch.setattr(engine, "_assemble_multiplicative", checked)
+    values = [flag_residue_multiplicative(*case).to_string() for case in _handoff_cases()]
+    ell = invariants.compute(builders.grassmannian_det(2, 4, 4), kind="theta", q_order=2).ell
+    values.append(ell.to_string())
+    assert all(seen[key] for key in ("negative low", "stride > 1", "empty q^t", "rank 2")), seen
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == HANDOFF_DIGEST, digest
+
+
 class TestIdenticallyZeroFactors:
     def test_zero_numerator_gives_zero_invariants(self):
         """The zero covector with charge d has the numerator factor 0 + 0.u:
@@ -768,15 +839,30 @@ def test_the_request_mix_deck_makes_8840_packed_products(count_calls):
     assert len(products) == 8840
 
 
-def test_the_elliptic_genus_deck_makes_7677_packed_products(count_calls):
+def test_the_elliptic_genus_deck_makes_7050_packed_products(count_calls):
     """The chi_y and Ell requests of the seed-3 `elliptic-genus` deck, one
-    theta residue per flag, make 7,677 packed products: the count moves
+    theta residue per flag, make 7,050 packed products: the count moves
     with the work of the multiplicative steps, the order in which they
-    multiply their units included."""
+    multiply their units included.  It was 7,677 while the second and later
+    scaled terms of a coefficient were added as products by a packed
+    constant (627 of them); they are now added slot by slot."""
     products = count_calls(Kronecker, "mul_into")
     for item in deck("elliptic-genus"):
         invariants.compute(item.problem, **item.kwargs)
-    assert len(products) == 7677
+    assert len(products) == 7050
+
+
+def test_the_elliptic_genus_deck_reads_back_only_between_steps(count_calls):
+    """The seed-3 `elliptic-genus` deck hands the theta numerator to the
+    first residue step and the last step's value to the assembly packed:
+    41 unpacks are left, the hot numerators between the two steps of
+    rank-2 residues, and 1,165 packs.  It was 988 unpacks and 1,475 packs
+    while both went through polynomials."""
+    unpacks = count_calls(Kronecker, "unpack")
+    packs = count_calls(Kronecker, "pack_terms")
+    for item in deck("elliptic-genus"):
+        invariants.compute(item.problem, **item.kwargs)
+    assert (len(unpacks), len(packs)) == (41, 1165)
 
 
 def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):

@@ -103,6 +103,17 @@ def test_groups_whose_slots_do_not_line_up_stay_apart():
     assert kr.unpack(got) == a.mul(b)
 
 
+def test_add_into_merges_scaled_slots():
+    # c + 3 a slot by slot, a group of a whose low lies below c's included;
+    # c - c leaves no group
+    rng = random.Random(9)
+    for name in CASES:
+        a, c = random_poly(rng, **CASES[name]), random_poly(rng, **CASES[name])
+        kr = layout(3 * norm(a) + norm(c), a, c)
+        assert kr.unpack(kr.add_into(kr.pack(c), kr.pack(a).items(), 3)) == c + a * 3
+        assert kr.add_into(kr.pack(c), kr.pack(c).items(), -1) == {}
+
+
 def affine_unit(rng, target):
     """U = u + l v for a row u of up to three terms, one coefficient above
     2^64 at times."""
@@ -149,6 +160,19 @@ def reference_series(hot, units, target):
     return want[target]
 
 
+def row_series(hot, units, target, packed=False):
+    """`engine._row_series` read back as a polynomial; with `packed`, hot
+    enters packed in a layout of its own whose stride the units keep, as
+    the theta numerator hands it over, to be re-slotted into the step's."""
+    src = None
+    if packed:
+        polys = [MultiPoly(NV, dict(u)) for u, _, _, _ in units if not isinstance(u, int)]
+        kr = layout(max(map(norm, hot)), *hot, *polys)
+        src, hot = (kr, list(map(norm, hot))), [kr.pack(p) for p in hot]
+    kr, got = engine._row_series(hot, units, target, PV, (), src)
+    return kr.unpack(got)
+
+
 def power_rule(e, target):
     """m of the residue steps: e for 0 < e < target, else target."""
     return e if 0 < e < target else target
@@ -166,8 +190,9 @@ def test_row_series_matches_the_reference_chain(shape, name, target):
         other = rng.choice([s for s in UNIT_SHAPES if s != shape])
         f = rng.choice((-1, 2))
         units.append((*UNIT_SHAPES[other](rng, target), f, power_rule(f, target)))
-        assert engine._row_series(hot, units, target, PV) == \
-            reference_series(hot, units, target), (e, units)
+        want = reference_series(hot, units, target)
+        assert row_series(hot, units, target) == want, (e, units)
+        assert row_series(hot, units, target, packed=True) == want, (e, units)
 
 
 @pytest.mark.parametrize("u", [1000, [((0, 0, 0), 1000)]], ids=["integer", "packed"])
@@ -176,8 +201,9 @@ def test_row_series_bound_covers_every_rescaled_coefficient(u):
     # 1000^2 + 1 is read back only if the bound scales V_0 = 1000 by |u|
     # before the product with hot
     hot = [MultiPoly.const(NV, -1), MultiPoly.const(NV, 1000)]
-    got = engine._row_series(hot, [(u, {1: 1}, -1, 1)], 1, PV)
-    assert got == MultiPoly.const(NV, 1000 ** 2 + 1)
+    for packed in (False, True):
+        got = row_series(hot, [(u, {1: 1}, -1, 1)], 1, packed)
+        assert got == MultiPoly.const(NV, 1000 ** 2 + 1)
 
 
 @pytest.mark.parametrize("c", (1, 2, 5))
@@ -196,7 +222,7 @@ def test_a_lone_binomial_unit_sets_the_stride(c, monkeypatch):
     monkeypatch.setattr(engine, "Kronecker", Recorded)
     units = [([((0, 0, 0), 1), ((0, -2 * c, 0), -1)], {1: 2, 2: 1}, -1, 2)]
     hot = [MultiPoly.const(NV, 1)] * 3
-    assert engine._row_series(hot, units, 2, PV) == reference_series(hot, units, 2)
+    assert row_series(hot, units, 2) == reference_series(hot, units, 2)
     assert strides == [2 * c]
 
 
@@ -317,7 +343,9 @@ def test_theta_numerator_matches_the_product_form():
     for ys, k, N, terms, mono in theta_cases():
         g0 = MultiPoly.monomial(k + 2, mono)
         start = g0.shift_coefficients(0, terms) if k else [g0]
-        got = engine._theta_numerator(ys, k, N, start)
+        kr, norms, packed = engine._theta_numerator(ys, k, N, start)
+        got = [kr.unpack(p) for p in packed]
         assert got == ref.theta_numerator(ys, k, N, terms, mono), (ys, k, N, terms, mono)
+        assert all(map(int.__le__, map(norm, got), norms)), (ys, k, N, terms, mono)
         cases += N > 1
     assert cases >= 8
