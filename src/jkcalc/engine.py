@@ -45,10 +45,11 @@ other constants cancel exactly against the 2i / pi*hbar bookkeeping,
 enforced by a counting assertion on the factor list.  The two
 multiplicative kinds share the rows, poles, targets and carried
 denominators, all free of q; the theta kind's G, started from that
-monomial, enters the first step as its packed Taylor series at S_0 = 1.
-The rows left after the last step are w^(2c) - 1, and each q^t
-coefficient of the finished value (sine is order 0), its packed groups'
-digits, is reduced once, as one rational function of w.
+monomial, enters the first step as its Taylor series at S_0 = 1.  The rows
+left after the last step are w^(2c) - 1, and each q^t coefficient of the
+finished value (sine is order 0), its packed groups' digits merged, times
+the rows, is one rational function of w: the denominator rows are divided
+out of the digits while they divide, so a Laurent polynomial takes no gcd.
 
 Before any of this, `_pole_bounds` decides a flag whose residue vanishes
 by its degrees alone, for all three kinds: by the total degree of the
@@ -66,12 +67,14 @@ coefficients are grouped by every exponent but one packed variable, w for
 the multiplicative kinds (the residue steps and G) and the last flag
 coordinate for the additive kind, and each group becomes one integer.
 `_row_series` and `_theta_numerator` pack their inputs once, multiply them
-packed and unpack only a hot numerator between two steps: G enters the
-first step packed, and the last step's digits are the RatFunc's.  The slot
-width is one sign bit above a bound on the L1 norm of each coefficient
-read back: both run the same products and recurrences on the coefficient
-norms, a unit's u having the norm sum |coefficient|, and no coefficient of
-a product exceeds the product of the norms, so the digits are exact.
+packed and unpack only a hot numerator between two steps: G's products run
+in the first step's one layout, and the last step's digits are the
+RatFunc's.  The slot width is one sign bit above a bound on the L1 norm of
+each coefficient read back: the same products and recurrences run on the
+coefficient norms, a unit's u having the norm sum |coefficient|, and no
+coefficient of a product exceeds the product of the norms, so the digits
+are exact.  A value never read back, G's, needs no bound of its own: a
+packed value is the polynomial at w = 2^bits, and evaluation is a ring map.
 """
 
 from __future__ import annotations
@@ -79,13 +82,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, lt, mul
 
 from . import linalg
 from .arrangement import Flag
 from .kronecker import Kronecker
-from .polyarith import MultiPoly, QSeries, RatFunc, _pack, _spread, binom
+from .polyarith import MultiPoly, QSeries, RatFunc, binom
 
 KINDS = ("additive", "sine", "theta")
 
@@ -217,14 +220,14 @@ def _capped(packed: dict, caps) -> dict:
     return {key: x for key, x in packed.items() if all(map(lt, key[0], caps))}
 
 
-def _row_series(hot, units, target, pv, caps=(), src=None):
+def _row_series(hot, units, target, pv, caps=()):
     """Coefficient target in v of hot * prod V over the (u, w, e, m) units of
     a residue step, packed in variable pv as a (layout, value) pair, less
     the monomials that reach `caps` (`_capped`), for hot a list of integer
-    polynomials, or of packed ones, src = (their layout, norm bounds).  The
-    caps are the additive kind's, whose factors have non-negative exponents,
-    so a product of capped factors, capped, has the coefficients of the full
-    product on what it keeps.
+    polynomials or the theta numerator's (layout, norm bounds, product)
+    (`_theta_numerator`).  The caps are the additive kind's, whose factors
+    have non-negative exponents, so a product of capped factors, capped,
+    has the coefficients of the full product on what it keeps.
 
     A unit is U = u + w, with u free of v and w = sum w_t v^t (t >= 1) an
     integer series given as {t: w_t}; u is an integer or a list of
@@ -234,10 +237,11 @@ def _row_series(hot, units, target, pv, caps=(), src=None):
     Each unit packs u once and raises it by products.  An integer V_t (u an
     integer, or only n = m reaching v^t) scales the running product instead
     of multiplying it, first within each coefficient.  The units are
-    multiplied first and hot last, for coefficient target only, a packed
-    hot read back and packed again.  The slot width bounds the product of
-    the coefficient norms, |u| = sum |u's coefficients| (module docstring),
-    and the stride is src's (the units keep it) or over hot and the units."""
+    multiplied first and hot last, for coefficient target only.  The slot
+    width bounds the product of the coefficient norms, |u| = sum |u's
+    coefficients| (module docstring); the stride is the theta numerator's,
+    which the units keep and G is packed in, or is taken over hot and the
+    units.  With no unit only the theta numerator is read."""
     tables, norms = [], [1] + [0] * target
     for u, w, e, m in units:
         # table[t]: the (n, binom(e, n) [w^n]_t) pairs that make V_t, and
@@ -260,11 +264,13 @@ def _row_series(hot, units, target, pv, caps=(), src=None):
                 power = nxt
         norms = [sum(map(mul, norms, f[t::-1])) for t in range(target + 1)]
         tables.append(table)
-    src, hot_norms = src or (None, [sum(map(abs, p.terms.values())) for p in hot])
+    src, hot_norms, product = hot if isinstance(hot, tuple) else \
+        (None, [sum(map(abs, p.terms.values())) for p in hot], None)
     bound = sum(map(mul, hot_norms, norms[target::-1]))
     kr = Kronecker(src.nvars, pv, bound, [], src.stride) if src else Kronecker(
         hot[0].nvars, pv, bound, [p.terms.items() for p in hot] +
         [u for u, _, _, _ in units if not isinstance(u, int)])
+    hot = product(kr) if src else hot
     one = {((0,) * (kr.nvars - 1), 0): (0, 1)}
     out = None
     for (u, _, _, m), table in zip(units, tables):
@@ -305,12 +311,12 @@ def _row_series(hot, units, target, pv, caps=(), src=None):
                     kr.mul_into(acc, x, out[n - t])
             new.append(_capped(acc, caps) if caps else acc)
         out = new
+    if out is None:
+        return kr, hot[target]
     acc = {}
     for j, p in enumerate(hot):
         if p and out[target - j]:
-            p = kr.pack(p) if src is None else \
-                {key: (low, _pack(src.digits(v), kr.bits)) for key, (low, v) in p.items()}
-            kr.mul_into(acc, p, out[target - j])
+            kr.mul_into(acc, p if src else kr.pack(p), out[target - j])
     return kr, _capped(acc, caps) if caps else acc
 
 
@@ -389,8 +395,8 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True,
     term.factors maps rows, 0 before entry i, to exponents, and None means
     zero residue.  `unit(row, i, target)` returns a row's (u, w, (R, g), a)
     (`_affine_unit`, `_binomial_unit`), and `coeffs(n)` the hot numerator's
-    first n coefficients in v, or `_theta_numerator`'s packed ones.  The
-    new hot numerator keeps only what is below `caps` (`_row_series`), and
+    first n coefficients in v, or `_theta_numerator`'s (layout, norm
+    bounds, product), of valuation 0.  The new hot numerator keeps only what is below `caps` (`_row_series`), and
     stays packed on the `last` step of a multiplicative residue.
 
     A row with row[i] = 0 is carried untouched; one whose only nonzero entry
@@ -418,8 +424,9 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True,
     if bound <= 0:
         return None
     hot = coeffs(bound)
-    kr, norms, hot = hot if isinstance(hot, tuple) else (None, None, hot)
-    hv = next((j for j, c in enumerate(hot) if c), None)
+    # the theta numerator's coefficient 0 is G_0 at S_0 = 1, a monomial
+    packed = isinstance(hot, tuple)
+    hv = 0 if packed else next((j for j, c in enumerate(hot) if c), None)
     if hv is None:
         return None
     target = bound - 1 - hv
@@ -433,8 +440,8 @@ def _step(term: _Term, i: int, pv: int, unit, coeffs, caps=(), zero_units=True,
             units.append((u, w, e, m))
             if a:
                 shift = [s + m * x for s, x in zip(shift, a)]
-    kr, s = _row_series(hot[hv:], units, target, pv, caps, kr and (kr, norms[hv:])) \
-        if units else (kr, hot[hv + target])
+    kr, s = _row_series(hot[hv:], units, target, pv, caps) if units or packed \
+        else (None, hot[hv + target])
     if not s:
         return None
     num, den = term.coeff.numerator * scale[0], term.coeff.denominator * scale[1]
@@ -567,12 +574,13 @@ def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]):
     P_m = sum_f e_f (Y_f^m + Y_f^(-m)) + 2k.  At S_0 = 1 + v, Y^m is the
     series binom(a m, t) v^t, a its exponent of S_0, times its other
     monomial.  Every coefficient is an integer, so the division by j is
-    exact, also on the packed values: the products run packed in w
-    (variable k), at a slot width from the same recursion on the
-    coefficient norms.  Variables are S_0..S_(k-1), w and q, those of
-    `flag_residue_multiplicative`; exponents may be negative.  Returns the
-    layout, whose stride the first step's u' keep, and the Taylor
-    coefficients' norm bounds and packed values.
+    exact, also on the packed values, which are evaluations at w = 2^bits
+    (variable k), a ring map.  Variables are S_0..S_(k-1), w and q, those
+    of `flag_residue_multiplicative`; exponents may be negative.  The norm
+    phase returns a layout of G's width, whose stride the first step's u'
+    keep, the Taylor coefficients' norm bounds from the same recursion on
+    the coefficient norms, and the product phase `product(layout)`: the
+    packed Taylor coefficients, in any layout of that stride.
     """
     nv, terms = k + 2, len(start)
     A = [[{} for _ in range(terms)] for _ in range(N + 1)]
@@ -603,19 +611,21 @@ def _theta_numerator(ys, k: int, N: int, start: list[MultiPoly]):
     units = [[((0,) * nv, 1), ((0,) + tuple(-x for x in y[1:]), -1)] for y, _ in ys if y[0]]
     kr = Kronecker(nv, k, max(map(max, g)), [p.terms.items() for p in start] +
                    [d.items() for Ai in A[1:] for d in Ai] + units)
-    A[1:] = [[kr.pack_terms(d.items()) for d in Ai] for Ai in A[1:]]
-    G = [[kr.pack(p) for p in start]]
-    for j in range(1, N + 1):
-        acc = [{} for _ in range(terms)]
-        for i in range(1, j + 1):
-            for s, x in enumerate(A[i]):
-                if x:
-                    for t, y in enumerate(G[j - i][:terms - s]):
-                        if y:
-                            kr.mul_into(acc[s + t], x, y)
-        G.append([{key: (low, v // j) for key, (low, v) in c.items()} for c in acc])
-    return kr, [sum(x) for x in zip(*g)], [{key: x for Gj in G for key, x in Gj[t].items()}
-                                           for t in range(terms)]
+
+    def product(kr):
+        packed = [[kr.pack_terms(d.items()) for d in Ai] for Ai in A[1:]]
+        G = [[kr.pack(p) for p in start]]
+        for j in range(1, N + 1):
+            acc = [{} for _ in range(terms)]
+            for i in range(1, j + 1):
+                for s, x in enumerate(packed[i - 1]):
+                    if x:
+                        for t, y in enumerate(G[j - i][:terms - s]):
+                            if y:
+                                kr.mul_into(acc[s + t], x, y)
+            G.append([{key: (low, v // j) for key, (low, v) in c.items()} for c in acc])
+        return [{key: x for Gj in G for key, x in Gj[t].items()} for t in range(terms)]
+    return kr, [sum(x) for x in zip(*g)], product
 
 
 def flag_residue_multiplicative(local_factors, flag: Flag, integrand: FactorizedIntegrand):
@@ -630,7 +640,7 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
     S^|h| (`_binomial`).  Every S^|h| and each step's 1/S_j make one Laurent
     monomial, the hot numerator, and (2D)^k is applied once.  Both kinds
     take the sine factors and poles; the theta kind's q-series numerator
-    enters the first step as its packed Taylor series, started from the
+    enters the first step as its Taylor series, started from the
     monomial (`_theta_numerator`), with its Y's read off the merged rows, as
     Phi(Y) = Phi(1/Y).  Returns a RatFunc in w (sine) or a QSeries (theta).
     """
@@ -661,8 +671,8 @@ def flag_residue_multiplicative(local_factors, flag: Flag, integrand: Factorized
         return _theta_numerator(ys, k, order, hot.shift_coefficients(0, n))
     term = _Term(coeff=Fraction(*scale), hot=hot, factors=rows)
     if not k:
-        kr, _, [packed] = _theta_numerator(ys, 0, order or 0, [hot])
-        term.hot = kr, packed, 0
+        kr, _, product = _theta_numerator(ys, 0, order or 0, [hot])
+        term.hot = kr, product(kr)[0], 0
     for i in range(k):
         coeffs = partial(term.hot.shift_coefficients, i) if i or order is None else taylor
         term = _step(term, i, k, _binomial_unit, coeffs, last=i == k - 1)
@@ -684,18 +694,20 @@ def _assemble_multiplicative(term: _Term, order):
     """The finished term as a series in q to `order` (None: sine, no q).
 
     Only the hot numerator carries q: the digits of its q^t groups, packed
-    in w, are the q^t coefficient, and every row left is (0, ..., 0, c, 0),
-    the binomial w^(2c) - 1.  Each q^t coefficient, times the numerator
-    rows, over the product of the denominator rows, is reduced once.
+    in w, one per residue mod the stride, merged slot by slot, are the q^t
+    coefficient, and every row left is (0, ..., 0, c, 0), the binomial
+    w^(2c) - 1.  Each q^t coefficient, times the rows, is one RatFunc
+    (`RatFunc.laurent_poly` divides the denominator rows out while they do).
     """
     kr, packed, shift = term.hot
-    coeffs = [RatFunc.const(0)] * ((order or 0) + 1)
+    s, lo = kr.stride, min((low for low, _ in packed.values()), default=0)
+    coeffs = [[] for _ in range((order or 0) + 1)]
     for (others, _), (low, v) in packed.items():
-        coeffs[others[-1]] += RatFunc.laurent_poly(low + shift, _spread(kr.digits(v), kr.stride))
-    rows = [(RatFunc([(2 * h[kr.var], 1), (0, -1)]), e) for h, e in term.factors.items()]
-    num = prod([p ** e for p, e in rows if e > 0], start=RatFunc.const(term.coeff))
-    den = prod([p ** -e for p, e in rows if e < 0], start=RatFunc.const(1))
-    coeffs = [c * num / den for c in coeffs]
+        d, a = kr.digits(v), coeffs[others[-1]]
+        a += [0] * (low - lo + s * len(d) - len(a))
+        a[low - lo:low - lo + s * len(d):s] = d
+    rows = [(2 * h[kr.var], e) for h, e in term.factors.items()]
+    coeffs = [RatFunc.laurent_poly(lo + shift, a, rows, term.coeff) for a in coeffs]
     return coeffs[0] if order is None else QSeries(order, coeffs)
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, gcd, lcm
-from operator import mul
+from operator import itemgetter, mul, sub
 
 
 def binom(n: int, k: int) -> int:
@@ -374,9 +374,26 @@ class RatFunc:
         return out
 
     @classmethod
-    def laurent_poly(cls, v: int, a: list[int]) -> RatFunc:
-        """w^v * a(w), for an ascending list a of integer coefficients."""
-        return object.__new__(cls)._normalize(Fraction(1), v, a, [1])
+    def laurent_poly(cls, v: int, a: list[int], rows, c) -> RatFunc:
+        """c * w^v * a(w) * prod (w^s - 1)^e over the (s, e) pairs `rows`, s >= 1,
+        for an ascending integer list a.  The numerator rows are multiplied
+        into a first, then each denominator row divided out of a while it
+        divides: the quotient is minus the running sum of a at stride s,
+        exact when its last s sums vanish; the rest stay in the denominator."""
+        den = [1]
+        for s, e in sorted(rows, key=itemgetter(1), reverse=True):
+            for _ in range(abs(e)):
+                if e > 0:
+                    a = list(map(sub, [0] * s + a, a + [0] * s))
+                    continue
+                q = a[:]
+                for r in range(s):
+                    q[r::s] = accumulate(q[r::s])
+                if len(q) > s and not any(q[-s:]):
+                    a = [-x for x in q[:-s]]
+                else:
+                    den = _mul(den, [-1] + [0] * (s - 1) + [1])
+        return object.__new__(cls)._normalize(Fraction(c), v, a, den)
 
     @classmethod
     def const(cls, value):

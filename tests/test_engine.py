@@ -15,7 +15,7 @@ import localize_reference
 from decks import deck, deck_problems
 import test_fuzz
 from jkcalc import arrangement as arr
-from jkcalc import builders, engine, invariants, linalg
+from jkcalc import builders, engine, invariants, linalg, polyarith
 from jkcalc.config import ConfigError, parse_config
 from jkcalc.arrangement import Flag
 from jkcalc.engine import (FactorizedIntegrand, IntegrandFactor, LocalFactor,
@@ -265,8 +265,8 @@ def _theta_factor(b, N):
     """(numerator, denominator) of the sine image w^b - w^(-b) and the theta
     numerator modulo q^(N+1) of the rank-0 factor with Y^(1/2) = w^b, in (w, q)."""
     num = MultiPoly(2, {(2 * max(b, 0), 0): 1, (2 * max(-b, 0), 0): -1})
-    kr, _, [numerator] = _theta_numerator([((2 * b, 0), 1)], 0, N, [MultiPoly.const(2, 1)])
-    numerator = kr.unpack(numerator)
+    kr, _, product = _theta_numerator([((2 * b, 0), 1)], 0, N, [MultiPoly.const(2, 1)])
+    numerator = kr.unpack(product(kr)[0])
     return num, MultiPoly.monomial(2, (abs(b), 0)), numerator
 
 
@@ -313,8 +313,8 @@ class TestMultiplicativeImages:
                                         for j in range(-N, N + 1) if j * (3 * j - 1) // 2 <= N})
             assert _mod_q(pentagonal, N, k + 1) == _euler(N, nv)
             start = [MultiPoly.const(nv, 1), MultiPoly.zero(nv)]
-            kr, _, packed = _theta_numerator([], k, N, start)
-            assert [kr.unpack(p) for p in packed] == \
+            kr, _, product = _theta_numerator([], k, N, start)
+            assert [kr.unpack(p) for p in product(kr)] == \
                 [_mod_q(pentagonal.pow(2 * k), N, k + 1), MultiPoly.zero(nv)]
 
     def test_denominator_scale_must_clear_data(self):
@@ -863,6 +863,39 @@ def test_the_elliptic_genus_deck_reads_back_only_between_steps(count_calls):
     for item in deck("elliptic-genus"):
         invariants.compute(item.problem, **item.kwargs)
     assert (len(unpacks), len(packs)) == (41, 1165)
+
+
+def test_the_elliptic_genus_deck_takes_no_gcd_and_no_reslot(count_calls):
+    """The seed-3 `elliptic-genus` deck divides the rows w^(2c) - 1 out of
+    its assembled coefficients on their digits: no `RatFunc` gcd is left
+    (217 while each coefficient was multiplied and divided as RatFuncs),
+    and the theta numerator is packed straight into the first step's
+    layout, so nothing is re-slotted (1,118 re-slots through `_pack`)."""
+    gcds = count_calls(polyarith, "poly_gcd")
+    for item in deck("elliptic-genus"):
+        invariants.compute(item.problem, **item.kwargs)
+    assert len(gcds) == 0
+    assert not hasattr(engine, "_pack")
+
+
+def test_two_groups_of_one_q_coefficient_are_merged():
+    """A q^t coefficient packed at stride 2 with slots of both residues is
+    two groups; the assembly merges them before it divides the rows out.
+    Here q^0 is w^(-3) (w^2 - 1)(1 + 2w), two groups, q^1 is 3w - w^5, one
+    group, and q^2 has none; the w shift is 1, and the rows are
+    (w^2 - 1)^(-1) (w^6 - 1)^(-2) (w^4 - 1), so only the merged q^0 sheds
+    its w^2 - 1."""
+    kr = Kronecker(3, 1, 2 ** 8, [], 2)
+    terms = {(0, -3, 0): -1, (0, -2, 0): -2, (0, -1, 0): 1, (0, 0, 0): 2,
+             (0, 1, 1): 3, (0, 5, 1): -1}
+    packed = kr.pack_terms(terms.items())
+    assert sorted(key for key in packed if key[0][-1] == 0) == [((0, 0), 0), ((0, 0), 1)]
+    rows = {(0, 1, 0): -1, (0, 3, 0): -2, (0, 2, 0): 1}
+    term = engine._Term(F(3, 4), (kr, packed, 1), rows)
+    got = engine._assemble_multiplicative(term, 2)
+    assert got.coeffs == _assembled_from_terms(term, 2)
+    assert got.coeffs[0] == RatFunc([(-2, 1), (-1, 2)]) * RatFunc(
+        [(4, 1), (0, -1)]) / RatFunc([(6, 1), (0, -1)]) ** 2 * F(3, 4)
 
 
 def test_screen_decides_the_zero_flags_of_the_quiver_dt_deck(monkeypatch):

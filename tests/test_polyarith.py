@@ -177,6 +177,39 @@ class TestListProduct:
             assert polyarith._mul(a, b) == want
 
 
+class TestLaurentPolyRows:
+    def test_rows_divided_out_match_ratfunc_arithmetic(self):
+        """laurent_poly(v, a, rows, c) is c w^v a(w) prod (w^s - 1)^e in
+        RatFunc arithmetic, for seeded Laurent lists a, a = 0 among them,
+        strides s = 1..6 and rows of either sign.  Some a are multiples of
+        some of the rows: of the nonzero a with denominator rows, the rows
+        leave no denominator in 137, a smaller one in 135, and all of theirs
+        in 39."""
+        rng = random.Random(34)
+        whole = partial = kept = 0
+        for n in range(400):
+            rows = [(rng.randint(1, 6), rng.choice((-3, -2, -1, -1, 1, 2)))
+                    for _ in range(rng.randint(1, 3))]
+            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))] if n % 20 else \
+                [0] * (n % 3)
+            if any(a):
+                for s, _ in rng.sample(rows, rng.randint(0, len(rows))):
+                    for _ in range(rng.randint(1, 3)):
+                        a = polyarith._mul(a, [-1] + [0] * (s - 1) + [1])
+            v, c = rng.randint(-4, 4), Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+            want = RatFunc([(v + i, x) for i, x in enumerate(a)]) * c
+            for s, e in rows:
+                row = RatFunc([(s, 1), (0, -1)])
+                want = want * row ** e if e > 0 else want / row ** -e
+            assert RatFunc.laurent_poly(v, a, rows, c) == want, (v, a, rows, c)
+            degree = -sum(s * e for s, e in rows if e < 0)
+            if any(a) and degree:
+                whole += want.den == [1]
+                partial += 1 < len(want.den) <= degree
+                kept += len(want.den) == degree + 1
+        assert (whole, partial, kept) == (137, 135, 39)
+
+
 class TestContentNormalize:
     @staticmethod
     def seeded_cases():

@@ -162,14 +162,15 @@ def reference_series(hot, units, target):
 
 def row_series(hot, units, target, packed=False):
     """`engine._row_series` read back as a polynomial; with `packed`, hot
-    enters packed in a layout of its own whose stride the units keep, as
-    the theta numerator hands it over, to be re-slotted into the step's."""
-    src = None
+    enters as the theta numerator hands it over: a layout of its own whose
+    stride the units keep, the norms, and a product phase that packs hot
+    into the step's layout."""
     if packed:
-        polys = [MultiPoly(NV, dict(u)) for u, _, _, _ in units if not isinstance(u, int)]
-        kr = layout(max(map(norm, hot)), *hot, *polys)
-        src, hot = (kr, list(map(norm, hot))), [kr.pack(p) for p in hot]
-    kr, got = engine._row_series(hot, units, target, PV, (), src)
+        polys = hot
+        us = [MultiPoly(NV, dict(u)) for u, _, _, _ in units if not isinstance(u, int)]
+        hot = (layout(max(map(norm, polys)), *polys, *us), list(map(norm, polys)),
+               lambda kr: [kr.pack(p) for p in polys])
+    kr, got = engine._row_series(hot, units, target, PV)
     return kr.unpack(got)
 
 
@@ -343,9 +344,16 @@ def test_theta_numerator_matches_the_product_form():
     for ys, k, N, terms, mono in theta_cases():
         g0 = MultiPoly.monomial(k + 2, mono)
         start = g0.shift_coefficients(0, terms) if k else [g0]
-        kr, norms, packed = engine._theta_numerator(ys, k, N, start)
-        got = [kr.unpack(p) for p in packed]
+        kr, norms, product = engine._theta_numerator(ys, k, N, start)
+        got = [kr.unpack(p) for p in product(kr)]
         assert got == ref.theta_numerator(ys, k, N, terms, mono), (ys, k, N, terms, mono)
         assert all(map(int.__le__, map(norm, got), norms)), (ys, k, N, terms, mono)
+        # coefficient 0 has G_0 at S_0 = 1 as its q^0 part, so a residue
+        # step reads the theta numerator from valuation hv = 0
+        assert {key: c for key, c in got[0].terms.items() if not key[-1]} == start[0].terms
+        # the product phase runs in any layout of the norm phase's stride:
+        # a wider one, as a residue step's, gives the same values
+        wide = Kronecker(k + 2, k, 2 ** 40 * max(norms), [], kr.stride)
+        assert [wide.unpack(p) for p in product(wide)] == got
         cases += N > 1
     assert cases >= 8

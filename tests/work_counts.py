@@ -16,6 +16,9 @@ and prints one line per deck and seed:
                  calls in trees that have it), and after the slash those into
                  a nonempty sum, which `_add_scaled` made as products
     capped       `engine._capped` calls, and after the slash those with caps
+    gcd          `polyarith.poly_gcd` calls (`RatFunc` reductions)
+    reslot       `engine._pack` calls: packed values re-slotted to another
+                 width (0 in trees whose `engine` does not import `_pack`)
 
 Counts do not depend on the clock, so two source trees that do the same work
 print the same lines.  jkcalc is imported from the `src/` of the checkout
@@ -66,11 +69,14 @@ def main(argv) -> int:
     else:
         counted(Kronecker, "add_into", counts, "add", lambda kr, dst, *_: bool(dst))
     counted(engine, "_capped", counts, "capped", lambda packed, caps: bool(caps))
+    counted(jk["polyarith"], "poly_gcd", counts, "gcd")
+    if hasattr(engine, "_pack"):
+        counted(engine, "_pack", counts, "reslot")
     for workload in names or workloads.WORKLOADS:
         for seed in seeds:
             counts.update(dict.fromkeys(
                 ("steps", "row_series", "mul_into", "pack_terms", "unpack",
-                 "add", "add+", "capped", "capped+"), 0))
+                 "add", "add+", "capped", "capped+", "gcd", "reslot"), 0))
             for item in workloads.generate(workload, seed, jk["builders"]):
                 try:
                     run.execute(jk, item)
@@ -81,7 +87,8 @@ def main(argv) -> int:
                   f"mul_into {counts['mul_into']:>6}  pack_terms {counts['pack_terms']:>6}  "
                   f"unpack {counts['unpack']:>5}  "
                   f"add {counts['add']:>5}/{counts['add+']:<5}  "
-                  f"capped {counts['capped']:>5}/{counts['capped+']}")
+                  f"capped {counts['capped']:>5}/{counts['capped+']:<5}  "
+                  f"gcd {counts['gcd']:>4}  reslot {counts['reslot']:>5}")
     return 0
 
 
